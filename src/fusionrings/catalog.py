@@ -9,7 +9,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import AxiomViolation, MalformedFile, MalformedRing, NotAGroup
+from .errors import (
+    AxiomViolation,
+    DepthExceeded,
+    MalformedFile,
+    MalformedRing,
+    NotAGroup,
+    UnknownLabel,
+)
 from .ring import BasisElement, FusionRing, Support, validate_ring
 
 
@@ -138,6 +145,24 @@ def rep_z4_ring() -> FusionRing:
 
 
 # -------------------------------------------------- generated catalog rings
+# Each family's label parser raises UnknownLabel for a label outside the
+# family.  Oracles parse their arguments, so a product checks its labels
+# whenever the ring's product memo misses.
+
+
+def _index_parser(prefix: str, signed: bool = False):
+    """Parser of the labels prefix + str(n), n >= 0 unless `signed`."""
+
+    def parse(lab: str) -> int:
+        try:
+            n = int(lab[len(prefix):])
+        except ValueError:
+            raise UnknownLabel(lab) from None
+        if f"{prefix}{n}" != lab or (n < 0 and not signed):
+            raise UnknownLabel(lab)
+        return n
+
+    return parse
 
 
 def su2_ring() -> FusionRing:
@@ -145,48 +170,46 @@ def su2_ring() -> FusionRing:
 
     The same ring serves SU_q(2) and B_u(Q), which share these fusion rules.
     """
-
-    def parse(lab):
-        return int(lab[1:])
+    parse = _index_parser("V")
 
     def oracle(a, b):
         x, y = parse(a), parse(b)
         return {f"V{c}": 1 for c in range(abs(x - y), x + y + 1, 2)}
 
     return FusionRing.generated("V0", ["V1"], oracle,
-                                dual_fn=lambda l: l,
+                                dual_fn=lambda l: f"V{parse(l)}",
                                 dim_fn=lambda l: parse(l) + 1,
                                 name="su2")
 
 
 def so3_ring() -> FusionRing:
     """SO(3) fusion (integer spins); also serves A_aut(B, tau)."""
-
-    def parse(lab):
-        return int(lab[1:])
+    parse = _index_parser("W")
 
     def oracle(a, b):
         x, y = parse(a), parse(b)
         return {f"W{c}": 1 for c in range(abs(x - y), x + y + 1)}
 
     return FusionRing.generated("W0", ["W1"], oracle,
-                                dual_fn=lambda l: l,
+                                dual_fn=lambda l: f"W{parse(l)}",
                                 dim_fn=lambda l: 2 * parse(l) + 1,
                                 name="so3")
 
 
 def z_group_ring() -> FusionRing:
     """Group ring of Z (dual of the circle group), as a generated ring."""
-
-    def parse(lab):
-        return int(lab[1:])
+    parse = _index_parser("z", signed=True)
 
     def oracle(a, b):
         return {f"z{parse(a) + parse(b)}": 1}
 
+    def dim(lab):
+        parse(lab)
+        return 1
+
     return FusionRing.generated("z0", ["z1", "z-1"], oracle,
                                 dual_fn=lambda l: f"z{-parse(l)}",
-                                dim_fn=lambda l: 1,
+                                dim_fn=dim,
                                 name="z-group-ring")
 
 
@@ -203,24 +226,31 @@ def au_word_ring(n: int = 2) -> FusionRing:
     if n < 2:
         raise MalformedRing("au_word_ring needs dim parameter n >= 2")
 
+    def word(lab: str) -> str:
+        if lab == "e":
+            return ""
+        if not lab or lab.strip("uv"):
+            raise UnknownLabel(lab)
+        return lab
+
     def bar(w: str) -> str:
         return "".join(_AU_BAR[c] for c in reversed(w))
 
     def oracle(x, y):
-        x = "" if x == "e" else x
-        y = "" if y == "e" else y
-        out = {}
-        for k in range(min(len(x), len(y)) + 1):
-            g = x[len(x) - k:]
-            if bar(g) == y[:k]:
-                w = x[: len(x) - k] + y[k:]
-                out[w or "e"] = 1
+        x, y = word(x), word(y)
+        out = {(x + y) or "e": 1}
+        # cancelling x = a.g against y = dual(g).b letter by letter; an
+        # overlap of length k+1 needs the overlap of length k
+        for k in range(min(len(x), len(y))):
+            if y[k] != _AU_BAR[x[-1 - k]]:
+                break
+            out[(x[: len(x) - k - 1] + y[k + 1:]) or "e"] = 1
         return out
 
     dims: dict[str, int] = {"": 1, "u": n, "v": n}
 
     def dim(lab):
-        w = "" if lab == "e" else lab
+        w = word(lab)
         if w in dims:
             return dims[w]
         p, c = w[:-1], w[-1]
@@ -231,7 +261,7 @@ def au_word_ring(n: int = 2) -> FusionRing:
         return d
 
     return FusionRing.generated("e", ["u", "v"], oracle,
-                                dual_fn=lambda l: "e" if l == "e" else bar(l),
+                                dual_fn=lambda l: bar(word(l)) or "e",
                                 dim_fn=dim,
                                 name=f"au-word-ring(n={n})")
 
@@ -246,6 +276,8 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
         return f"({a},{b})"
 
     def unpair(lab):
+        if lab[:1] != "(" or lab[-1:] != ")":
+            raise UnknownLabel(lab)
         inner = lab[1:-1]
         depth = 0
         for i, ch in enumerate(inner):
@@ -255,7 +287,7 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
                 depth -= 1
             elif ch == "," and depth == 0:
                 return inner[:i], inner[i + 1:]
-        raise MalformedRing(f"bad pair label {lab!r}")
+        raise UnknownLabel(lab)
 
     if r1.is_explicit and r2.is_explicit:
         basis = [BasisElement(pair(a.label, b.label), a.dim * b.dim)
@@ -305,12 +337,19 @@ def free_product(r1: FusionRing, r2: FusionRing, factor_depth: int = 6) -> Fusio
     factors = (r1, r2)
 
     def letters_of(lab: str) -> tuple[tuple[int, str], ...]:
+        """The alternating letters of a word; UnknownLabel for anything else."""
         if lab == "e":
             return ()
         out = []
         for piece in lab.split("*"):
-            tag, flab = piece.split(":", 1)
-            out.append((int(tag) - 1, flab))
+            tag, _, flab = piece.partition(":")
+            if tag not in ("1", "2"):
+                raise UnknownLabel(lab)
+            i = int(tag) - 1
+            if flab == factors[i].unit or (out and out[-1][0] == i):
+                raise UnknownLabel(lab)
+            factors[i].dim(flab)  # raises UnknownLabel outside the factor
+            out.append((i, flab))
         return tuple(out)
 
     def label_of(word) -> str:
@@ -393,7 +432,7 @@ def save_ring(ring: FusionRing, path, depth: int = 6):
         for b in labels:
             try:
                 supp = ring.product(a, b)
-            except Exception:
+            except DepthExceeded:
                 continue
             if not set(supp) <= in_scope:
                 continue  # escapes the truncation; omitted, hence the stamp

@@ -1,8 +1,9 @@
 """Chain group, sigma-cosets, central subobjects and center computation.
 
-The chain relation is computed as the union-find closure of "merge every
-constituent of every product"; a brute-force word-support oracle exists
-alongside it to validate the closure on finite rings.
+The chain classes are the fibres of the universal grading, so the chain
+relation is computed as a congruence closure under right multiplication by
+the generators; a brute-force word-support oracle exists alongside it to
+validate the closure on finite rings.
 """
 
 from __future__ import annotations
@@ -49,16 +50,13 @@ class UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, x, y):
+    def union(self, x, y) -> bool:
+        """Merge the classes of x and y; True when they were distinct."""
         rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def classes(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
 
 
 @dataclass
@@ -74,10 +72,13 @@ class CosetPartition:
     @classmethod
     def from_unionfind(cls, ring: FusionRing, uf: UnionFind,
                        explored: Iterable[str]) -> "CosetPartition":
+        """The union-find classes of the explored labels; labels the
+        union-find holds beyond them are left out."""
         explored = tuple(explored)
+        classes: dict[str, list[str]] = {}
         for x in explored:
-            uf.add(x)
-        raw = [ring.sort_labels(members) for members in uf.classes().values()]
+            classes.setdefault(uf.find(x), []).append(x)
+        raw = [ring.sort_labels(members) for members in classes.values()]
         raw.sort(key=lambda blk: ring.order_key(blk[0]))
         block_of = {l: i for i, blk in enumerate(raw) for l in blk}
         return cls(ring, tuple(tuple(b) for b in raw), block_of, explored,
@@ -85,10 +86,6 @@ class CosetPartition:
 
     def block_members(self, i: int) -> tuple[str, ...]:
         return self.blocks[i]
-
-    def explored_blocks(self) -> list[int]:
-        seen = set(self.explored)
-        return [i for i, blk in enumerate(self.blocks) if any(l in seen for l in blk)]
 
     def same_partition(self, other: "CosetPartition", restrict: set[str] | None = None) -> bool:
         """Equality as partitions, optionally restricted to a label set."""
@@ -210,19 +207,37 @@ class GroupDescriptor:
 
 
 def merge_closure(ring: FusionRing, depth: int = 6) -> CosetPartition:
-    """Union-find fixed point of "merge every constituent of a x b" over all
-    explored pairs.  Constituents beyond the depth are merged under their
-    canonical labels."""
+    """Chain classes on the window `elements(depth)`, as the congruence
+    closure of right multiplication by the generators (every label is a
+    generator of an explicit ring).
+
+    The constituents of every x * g are merged; then, until nothing
+    changes, the images under each generator of labels that share a class
+    are merged.  Constituents beyond the window take part in the merging
+    but not in the partition.
+    """
     explored = ring.elements(None if ring.is_explicit else depth)
+    generators = explored if ring.is_explicit else ring.generators
     uf = UnionFind()
-    for x in explored:
-        uf.add(x)
-    for a in explored:
-        for b in explored:
-            supp = list(ring.product(a, b))
-            first = supp[0]
-            for c in supp[1:]:
+    # images[k][i]: one constituent of explored[i] * generators[k]; the
+    # first pass puts all of that product's constituents in its class
+    images = []
+    for g in generators:
+        image = []
+        for x in explored:
+            first, *rest = ring.product(x, g)
+            for c in rest:
                 uf.union(first, c)
+            image.append(first)
+        images.append(image)
+    changed = True
+    while changed:
+        changed = False
+        for image in images:
+            image_of_class: dict[str, str] = {}
+            for x, y in zip(explored, image):
+                other = image_of_class.setdefault(uf.find(x), y)
+                changed |= uf.union(other, y)
     return CosetPartition.from_unionfind(ring, uf, explored)
 
 
@@ -262,8 +277,13 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
 
 def trivial_class(ring: FusionRing, depth: int = 6) -> Subobject:
     """The chain class of the unit (the trivially-chained elements),
-    returned as a subobject."""
-    part = merge_closure(ring, depth)
+    returned as a subobject.
+
+    On a generated ring the class is taken on the window
+    `elements(2 * depth)`: every label that a product of two
+    `elements(depth)` labels can reach.
+    """
+    part = merge_closure(ring, 2 * depth)
     members = part.blocks[part.identity_block]
     d = None if ring.is_explicit else depth
     sub = check_subobject(ring, members, depth=d)  # guaranteed; hard error otherwise
@@ -471,7 +491,7 @@ def _presentation(ring: FusionRing, res: CentralityResult, depth: int):
         cur = g
         for k in range(2, depth + 2):
             cur = res.products.get((cur, g))
-            if cur is None or cur >= len(part.blocks):
+            if cur is None:
                 break
             if cur == part.identity_block:
                 relations.append(f"g^{k}")
@@ -481,13 +501,33 @@ def _presentation(ring: FusionRing, res: CentralityResult, depth: int):
             "relations": relations}
 
 
-def _chain_result_at(ring: FusionRing, depth: int):
-    ez = trivial_class(ring, depth)
-    res = is_central_subobject(ring, ez, depth)
-    if not res.central:
-        raise InternalInconsistency(
-            f"unit chain class is not central (witness {res.witness})")
-    return ez, res
+def _chain_result_at(ring: FusionRing, depth: int) -> CentralityResult:
+    """The chain classes on the window and their block products.
+
+    Each block product comes from one representative pair, the
+    lowest-depth member of each block; the classes are the fibres of the
+    universal grading, so any pair gives the same block.  Products with no
+    constituent in the window stay undefined; when none is undefined the
+    full group table is returned.
+    """
+    part = merge_closure(ring, depth)
+    reps = [blk[0] for blk in part.blocks]
+    products: dict[tuple[int, int], int] = {}
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            landed = {part.block_of[c] for c in ring.product(a, b) if c in part.block_of}
+            if len(landed) > 1:
+                raise InternalInconsistency(
+                    f"{a} x {b} meets several chain classes {sorted(landed)}")
+            if landed:
+                products[(i, j)] = landed.pop()
+    n = len(reps)
+    if len(products) < n * n:
+        return CentralityResult(True, part, products=products)
+    mult = tuple(tuple(products[(i, j)] for j in range(n)) for i in range(n))
+    table = GroupTable(mult, part.identity_block, tuple(reps))
+    table.verify()
+    return CentralityResult(True, part, table=table, products=products)
 
 
 def _signature(ring, res, depth):
@@ -501,21 +541,21 @@ def _signature(ring, res, depth):
 
 def chain_group(ring: FusionRing, depth: int = 6,
                 candidates: Mapping[str, GroupTable] | None = None):
-    """Compute the chain group: the unit's chain class must be central and
-    the coset group is identified structurally.
+    """Compute the chain group: the group of chain classes, with block
+    products read from representatives, identified structurally.
 
     Returns (GroupTable or presentation dict, GroupDescriptor).  Generated
     rings are computed at `depth` and `depth`+1; agreement is reported as
     stable_at_depth(depth), never as exact.
     """
     if ring.is_explicit:
-        _, res = _chain_result_at(ring, depth)
+        res = _chain_result_at(ring, depth)
         desc = identify_group(res.table, candidates=candidates)
         desc.flag = "exact"
         return res.table, desc
 
-    _, res = _chain_result_at(ring, depth)
-    _, res_next = _chain_result_at(ring, depth + 1)
+    res = _chain_result_at(ring, depth)
+    res_next = _chain_result_at(ring, depth + 1)
     stable = _signature(ring, res, depth) == _signature(ring, res_next, depth + 1)
     flag = f"{'stable' if stable else 'unstable'}_at_depth({depth})"
     if res.table is not None:

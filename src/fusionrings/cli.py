@@ -42,18 +42,26 @@ EXIT_INPUT = 2
 EXIT_ORACLE = 3
 
 
+def _int_param(name: str) -> int:
+    """The integer after the colon of a catalog name such as zn:N."""
+    text = name.split(":", 1)[1]
+    try:
+        return int(text)
+    except ValueError:
+        raise click.UsageError(f"catalog name {name!r}: {text!r} is not an integer") from None
+
+
 def resolve_catalog(name: str) -> FusionRing:
     if name == "su2":
         return cat.su2_ring()
     if name == "so3":
         return cat.so3_ring()
     if name == "au" or name.startswith("au:"):
-        n = int(name.split(":", 1)[1]) if ":" in name else 2
-        return cat.au_word_ring(n)
+        return cat.au_word_ring(_int_param(name) if ":" in name else 2)
     if name == "z":
         return cat.z_group_ring()
     if name.startswith("zn:"):
-        return cat.group_ring(cat.cyclic_group(int(name.split(":", 1)[1])))
+        return cat.group_ring(cat.cyclic_group(_int_param(name)))
     if name == "s3":
         return cat.group_ring(cat.s3_group())
     if name == "klein":
@@ -132,15 +140,16 @@ def ring_options(f):
     return f
 
 
-def emit(payload, fmt, table_text=None, dot_text=None):
+def emit(payload, fmt, table_text=None, dot=None):
+    """Print the payload in `fmt`; `dot` renders the DOT text on demand."""
     if fmt == "json":
         click.echo(canonical_json(payload), nl=False)
     elif fmt == "table":
         click.echo(table_text if table_text is not None else str(payload))
     else:
-        if dot_text is None:
+        if dot is None:
             raise click.UsageError("dot format not available for this command")
-        click.echo(dot_text, nl=False)
+        click.echo(dot(), nl=False)
 
 
 def run_oracle_check(ring: FusionRing, depth: int):
@@ -171,7 +180,12 @@ def parse_sigma(ring, sigma, sigma_file, depth) -> Subobject:
     if sigma is not None:
         members = [s.strip() for s in sigma.split(",") if s.strip()]
     else:
-        members = json.loads(Path(sigma_file).read_text())
+        try:
+            members = json.loads(Path(sigma_file).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise click.UsageError(f"unreadable sigma file: {exc}")
+        if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
+            raise click.UsageError("sigma file must hold a JSON list of labels")
     return check_subobject(ring, members,
                            depth=None if ring.is_explicit else depth)
 
@@ -237,8 +251,7 @@ def chain_group_cmd(ring_file, catalog_name, depth, fmt, oracle_check):
     text = (f"order: {desc.order}  abelian: {desc.is_abelian}  "
             f"invariants: {desc.abelian_invariants}  flag: {desc.flag}"
             + (f"  name: {desc.name}" if desc.name else ""))
-    emit(payload, fmt, table_text=text,
-         dot_text=merge_graph_dot(ring, depth))
+    emit(payload, fmt, table_text=text, dot=lambda: merge_graph_dot(ring, depth))
 
 
 @main.command()
@@ -249,8 +262,11 @@ def center(ring_file, catalog_name, depth, fmt, oracle_check):
     ring = resolve_ring(ring_file, catalog_name)
     if oracle_check:
         run_oracle_check(ring, depth)
-    sub = center_subobject(ring, depth)
     _, desc = chain_group(ring, depth)
+    # the merge graph lists labels in discovery order: draw it before
+    # center_subobject explores the 2 * depth window
+    dot = merge_graph_dot(ring, depth) if fmt == "dot" else None
+    sub = center_subobject(ring, depth)
     explored = ring.elements(None if ring.is_explicit else depth)
     members = sub.sorted_in(ring)
     whole = set(explored) <= set(members)
@@ -260,7 +276,7 @@ def center(ring_file, catalog_name, depth, fmt, oracle_check):
     text = ("center subobject = entire explored basis; " if whole
             else f"center subobject = {{{', '.join(members)}}}; ")
     text += f"center group: {group_name}"
-    emit(payload, fmt, table_text=text, dot_text=merge_graph_dot(ring, depth))
+    emit(payload, fmt, table_text=text, dot=lambda: dot)
 
 
 @main.command()
@@ -273,7 +289,7 @@ def cosets(ring_file, catalog_name, depth, fmt, sigma, sigma_file):
     sub = parse_sigma(ring, sigma, sigma_file, depth)
     part = sigma_cosets(ring, sub, depth)
     emit(part.to_json(), fmt, table_text=partition_table(part),
-         dot_text=merge_graph_dot(ring, depth))
+         dot=lambda: merge_graph_dot(ring, depth))
 
 
 @main.command(name="central-subobjects")

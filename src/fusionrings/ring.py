@@ -123,7 +123,8 @@ class FusionRing:
             if oracle is None or dual_fn is None or dim_fn is None:
                 raise MalformedRing("generated ring needs oracle, dual_fn and dim_fn")
             self._levels: list[list[str]] = [[unit]]
-            self._discovery = {unit: 0}
+            # label -> (level, position within the level)
+            self._discovery = {unit: (0, 0)}
             self._product_memo: dict[tuple[str, str], Support] = {}
 
     # ---------------------------------------------------------------- basics
@@ -197,7 +198,7 @@ class FusionRing:
                 for g in self.generators:
                     for c in sorted(self.product(x, g), key=_label_sort_key):
                         if c not in self._discovery:
-                            self._discovery[c] = level
+                            self._discovery[c] = (level, len(discovered))
                             discovered.append(c)
             self._levels.append(discovered)
 
@@ -209,11 +210,9 @@ class FusionRing:
             if idx is None:
                 raise UnknownLabel(label)
             return (0, idx)
-        idx = self._discovery.get(label)
-        if idx is not None:
-            # stable within a level: position in the level list
-            lvl = self._discovery[label]
-            return (0, lvl, self._levels[lvl].index(label))
+        found = self._discovery.get(label)
+        if found is not None:
+            return (0,) + found
         return (1,) + _label_sort_key(label)
 
     def sort_labels(self, labels: Iterable[str]) -> list[str]:

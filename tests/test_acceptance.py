@@ -213,3 +213,11 @@ def test_14_cli_outputs_are_byte_deterministic():
                 outs.add(run.stdout)
             assert len(outs) == 1, args
             json.loads(run.stdout)  # and it is well-formed JSON
+
+
+def test_15_au_chain_group_at_depth_8():
+    ring = fr.au_word_ring(2)
+    with budget(2):
+        _, desc = fr.chain_group(ring, depth=8)
+    assert desc.name == "Z"
+    assert desc.flag == "stable_at_depth(8)"

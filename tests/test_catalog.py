@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionrings as fr
-from fusionrings.errors import AxiomViolation, MalformedFile, MalformedRing, NotAGroup
+from fusionrings.errors import (
+    AxiomViolation,
+    MalformedFile,
+    MalformedRing,
+    NotAGroup,
+    UnknownLabel,
+)
 
 
 class TestGroupPresentations:
@@ -91,6 +97,43 @@ class TestGeneratedFamilies:
         total = sum(balance(l) for l in word)
         for c in ring.product_word(word):
             assert balance(c) == total
+
+    def test_au_products_match_overlap_enumeration(self, au2):
+        """Against the definition: one term per overlap x = a.g, y = dual(g).b."""
+
+        def word(lab):
+            return "" if lab == "e" else lab
+
+        def bar(w):
+            return "".join({"u": "v", "v": "u"}[c] for c in reversed(w))
+
+        window = au2.elements(4)
+        for x in window:
+            for y in window:
+                a, b = word(x), word(y)
+                want = {}
+                for k in range(min(len(a), len(b)) + 1):
+                    if bar(a[len(a) - k:]) == b[:k]:
+                        want[(a[: len(a) - k] + b[k:]) or "e"] = 1
+                assert au2.product(x, y) == want, (x, y)
+
+    @pytest.mark.parametrize("make, bad", [
+        (fr.su2_ring, ["X3", "V-1", "V01", "V", "W1"]),
+        (fr.so3_ring, ["W-2", "V1", "W+1"]),
+        (fr.z_group_ring, ["z", "z01", "z+1", "y1"]),
+        (lambda: fr.au_word_ring(2), ["", "uxv", "E"]),
+        (lambda: fr.free_product(fr.su2_ring(), fr.group_ring(fr.cyclic_group(2))),
+         ["1:V0", "1:V1*1:V1", "3:V1", "1:X3", "2:g2", "V1"]),
+        (lambda: fr.direct_product(fr.su2_ring(), fr.so3_ring()),
+         ["(V1,V1)", "V1", "(V1)", "(X3,W1)"]),
+    ])
+    def test_labels_outside_the_family_are_unknown(self, make, bad):
+        ring = make()
+        for label in bad:
+            with pytest.raises(UnknownLabel):
+                ring.product(ring.generators[0], label)
+            with pytest.raises(UnknownLabel):
+                ring.dim(label)
 
 
 class TestProductsOfRings:

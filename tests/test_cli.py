@@ -135,6 +135,19 @@ class TestExitCodes:
         assert out.returncode == 1
         assert json.loads(out.stdout)["valid"] is False
 
+    @pytest.mark.parametrize("args", [
+        ("chain-group", "--catalog", "zn:abc"),
+        ("cosets", "--catalog", "repz4", "--sigma-file", "{missing}"),
+        ("product", "--catalog", "su2", "V1", "X3"),
+    ])
+    def test_malformed_input_is_input_error(self, tmp_path, args):
+        missing = str(tmp_path / "missing.json")
+        out = cli(*(a.replace("{missing}", missing) for a in args))
+        assert out.returncode == 2
+        assert any(l.startswith("error:") for l in out.stderr.splitlines())
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
     def test_generated_source_with_map_file_rejected(self, tmp_path):
         rfile = tmp_path / "bad.json"
         rfile.write_text(json.dumps(
