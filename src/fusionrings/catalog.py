@@ -17,6 +17,7 @@ from .errors import (
     NotAGroup,
     UnknownLabel,
 )
+from .central import GroupTable
 from .ring import BasisElement, FusionRing, Support, validate_ring
 
 
@@ -32,39 +33,27 @@ class GroupPresentationInput:
     identity: str
 
     def check(self):
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
+        """Raise NotAGroup unless the table is a total group law."""
+        index = {e: i for i, e in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise NotAGroup("duplicate element labels")
-        if self.identity not in elems:
+        if self.identity not in index:
             raise NotAGroup(f"identity {self.identity!r} not among elements")
         for a in self.elements:
             for b in self.elements:
-                if self.table.get((a, b)) not in elems:
+                if self.table.get((a, b)) not in index:
                     raise NotAGroup(f"table not total at ({a!r},{b!r})")
-        for a in self.elements:
-            if self.table[(self.identity, a)] != a or self.table[(a, self.identity)] != a:
-                raise NotAGroup(f"identity law fails at {a!r}")
-        for a in self.elements:
-            if not any(self.table[(a, b)] == self.identity for b in self.elements):
-                raise NotAGroup(f"no inverse for {a!r}")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if self.table[(self.table[(a, b)], c)] != self.table[(a, self.table[(b, c)])]:
-                        raise NotAGroup(f"associativity fails at ({a!r},{b!r},{c!r})")
-
-    def inverse(self, a: str) -> str:
-        for b in self.elements:
-            if self.table[(a, b)] == self.identity:
-                return b
-        raise NotAGroup(f"no inverse for {a!r}")
+        GroupTable(tuple(tuple(index[self.table[(a, b)]] for b in self.elements)
+                         for a in self.elements),
+                   index[self.identity], self.elements).verify()
 
 
 def group_ring(g: GroupPresentationInput) -> FusionRing:
     """The fusion ring of C*(Gamma): all dims 1, singleton group-law fusion."""
     g.check()
     basis = [BasisElement(e, 1) for e in g.elements]
-    dual = {e: g.inverse(e) for e in g.elements}
+    dual = {a: b for a in g.elements for b in g.elements
+            if g.table[(a, b)] == g.identity}
     fusion = {(a, b): {g.table[(a, b)]: 1} for a in g.elements for b in g.elements}
     return FusionRing.explicit(basis, g.identity, dual, fusion, name="group-ring")
 
@@ -289,42 +278,37 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
                 return inner[:i], inner[i + 1:]
         raise UnknownLabel(lab)
 
-    if r1.is_explicit and r2.is_explicit:
-        basis = [BasisElement(pair(a.label, b.label), a.dim * b.dim)
-                 for a in r1.basis for b in r2.basis]
-        unit = pair(r1.unit, r2.unit)
-        dual = {pair(a, b): pair(r1.dual(a), r2.dual(b))
-                for a in r1.labels() for b in r2.labels()}
-        fusion = {}
-        for a1 in r1.labels():
-            for b1 in r2.labels():
-                for a2 in r1.labels():
-                    for b2 in r2.labels():
-                        supp = {}
-                        for c1, n1 in r1.product(a1, a2).items():
-                            for c2, n2 in r2.product(b1, b2).items():
-                                supp[pair(c1, c2)] = n1 * n2
-                        fusion[(pair(a1, b1), pair(a2, b2))] = supp
-        return FusionRing.explicit(basis, unit, dual, fusion,
-                                   name=f"{r1.name}x{r2.name}")
-    if not r1.is_explicit and not r2.is_explicit:
-        def oracle(x, y):
-            a1, b1 = unpair(x)
-            a2, b2 = unpair(y)
-            out = {}
-            for c1, n1 in r1.product(a1, a2).items():
-                for c2, n2 in r2.product(b1, b2).items():
-                    out[pair(c1, c2)] = n1 * n2
-            return out
+    if r1.is_explicit != r2.is_explicit:
+        raise MalformedRing("direct_product needs two explicit or two generated rings")
 
-        gens = [pair(g, r2.unit) for g in r1.generators]
-        gens += [pair(r1.unit, g) for g in r2.generators]
-        return FusionRing.generated(
-            pair(r1.unit, r2.unit), gens, oracle,
-            dual_fn=lambda l: pair(r1.dual(unpair(l)[0]), r2.dual(unpair(l)[1])),
-            dim_fn=lambda l: r1.dim(unpair(l)[0]) * r2.dim(unpair(l)[1]),
-            name=f"{r1.name}x{r2.name}")
-    raise MalformedRing("direct_product needs two explicit or two generated rings")
+    def oracle(x, y):
+        a1, b1 = unpair(x)
+        a2, b2 = unpair(y)
+        out = {}
+        for c1, n1 in r1.product(a1, a2).items():
+            for c2, n2 in r2.product(b1, b2).items():
+                out[pair(c1, c2)] = n1 * n2
+        return out
+
+    def dual_fn(lab):
+        a, b = unpair(lab)
+        return pair(r1.dual(a), r2.dual(b))
+
+    def dim_fn(lab):
+        a, b = unpair(lab)
+        return r1.dim(a) * r2.dim(b)
+
+    unit, name = pair(r1.unit, r2.unit), f"{r1.name}x{r2.name}"
+    if r1.is_explicit:
+        labels = [pair(a, b) for a in r1.labels() for b in r2.labels()]
+        return FusionRing.explicit(
+            [BasisElement(l, dim_fn(l)) for l in labels], unit,
+            {l: dual_fn(l) for l in labels},
+            {(x, y): oracle(x, y) for x in labels for y in labels}, name=name)
+    gens = [pair(g, r2.unit) for g in r1.generators]
+    gens += [pair(r1.unit, g) for g in r2.generators]
+    return FusionRing.generated(unit, gens, oracle, dual_fn=dual_fn,
+                                dim_fn=dim_fn, name=name)
 
 
 def free_product(r1: FusionRing, r2: FusionRing, factor_depth: int = 6) -> FusionRing:
@@ -397,13 +381,8 @@ def free_product(r1: FusionRing, r2: FusionRing, factor_depth: int = 6) -> Fusio
             d *= factors[i].dim(l)
         return d
 
-    gens = []
-    for i, fac in enumerate(factors):
-        if fac.is_explicit:
-            fac_gens = [l for l in fac.labels() if l != fac.unit]
-        else:
-            fac_gens = [g for g in fac.generators if g != fac.unit]
-        gens += [label_of(((i, g),)) for g in fac_gens]
+    gens = [label_of(((i, g),)) for i, fac in enumerate(factors)
+            for g in fac.generators if g != fac.unit]
     return FusionRing.generated("e", gens, oracle, dual_fn=dual_fn,
                                 dim_fn=dim_fn,
                                 name=f"{r1.name}*{r2.name}")
@@ -415,12 +394,8 @@ def free_product(r1: FusionRing, r2: FusionRing, factor_depth: int = 6) -> Fusio
 def save_ring(ring: FusionRing, path, depth: int = 6):
     """Write a ring as canonical JSON; generated rings are truncated at
     `depth` and stamped with "truncated_at"."""
-    if ring.is_explicit:
-        labels = ring.labels()
-        truncated = ring.truncated_at
-    else:
-        labels = ring.elements(depth)
-        truncated = depth
+    labels = ring.elements(depth)
+    truncated = ring.checked_depth(depth)
     in_scope = set(labels)
     doc = {
         "basis": [{"label": l, "dim": ring.dim(l)} for l in labels],
@@ -436,7 +411,7 @@ def save_ring(ring: FusionRing, path, depth: int = 6):
                 continue
             if not set(supp) <= in_scope:
                 continue  # escapes the truncation; omitted, hence the stamp
-            for c in sorted(supp, key=lambda l: labels.index(l)):
+            for c in sorted(supp, key=ring.order_key):
                 doc["fusion"].append({"a": a, "b": b, "c": c, "n": supp[c]})
     if truncated is not None:
         doc["truncated_at"] = truncated
@@ -454,6 +429,8 @@ def load_ring(path, validate: bool = True) -> FusionRing:
         if key not in doc:
             raise MalformedFile(f"missing key {key!r}")
     try:
+        if not isinstance(doc["unit"], str) or not isinstance(doc["dual"], dict):
+            raise MalformedFile("unit must be a label and dual a map of labels")
         basis = [BasisElement(b["label"], int(b["dim"])) for b in doc["basis"]]
         dual = {str(k): str(v) for k, v in doc["dual"].items()}
         fusion: dict[tuple[str, str], Support] = {}

@@ -121,7 +121,9 @@ class GroupTable:
         return len(self.mult)
 
     def verify(self):
-        n = self.size
+        """Raise NotAGroup unless the table is a group law; elements are
+        named by their labels."""
+        n, name = self.size, self.labels
         if not all(len(row) == n for row in self.mult):
             raise NotAGroup("table not square")
         if any(not (0 <= v < n) for row in self.mult for v in row):
@@ -129,15 +131,16 @@ class GroupTable:
         e = self.identity
         for a in range(n):
             if self.mult[e][a] != a or self.mult[a][e] != a:
-                raise NotAGroup(f"identity law fails at {a}")
+                raise NotAGroup(f"identity law fails at {name[a]!r}")
         for a in range(n):
             if not any(self.mult[a][b] == e for b in range(n)):
-                raise NotAGroup(f"no inverse for {a}")
+                raise NotAGroup(f"no inverse for {name[a]!r}")
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
-                        raise NotAGroup(f"associativity fails at ({a},{b},{c})")
+                        raise NotAGroup("associativity fails at "
+                                        f"({name[a]!r},{name[b]!r},{name[c]!r})")
 
     def inverse(self, a: int) -> int:
         for b in range(self.size):
@@ -216,13 +219,12 @@ def merge_closure(ring: FusionRing, depth: int = 6) -> CosetPartition:
     are merged.  Constituents beyond the window take part in the merging
     but not in the partition.
     """
-    explored = ring.elements(None if ring.is_explicit else depth)
-    generators = explored if ring.is_explicit else ring.generators
+    explored = ring.elements(depth)
     uf = UnionFind()
     # images[k][i]: one constituent of explored[i] * generators[k]; the
     # first pass puts all of that product's constituents in its class
     images = []
-    for g in generators:
+    for g in ring.generators:
         image = []
         for x in explored:
             first, *rest = ring.product(x, g)
@@ -285,9 +287,7 @@ def trivial_class(ring: FusionRing, depth: int = 6) -> Subobject:
     """
     part = merge_closure(ring, 2 * depth)
     members = part.blocks[part.identity_block]
-    d = None if ring.is_explicit else depth
-    sub = check_subobject(ring, members, depth=d)  # guaranteed; hard error otherwise
-    return sub
+    return check_subobject(ring, members, depth=depth)  # guaranteed; hard error otherwise
 
 
 # -------------------------------------------------------------- sigma-cosets
@@ -302,37 +302,29 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6,
     """Partition of the explored basis under a ~ b iff supp(a x dual(b))
     meets sigma, with transitive closure applied after the pairwise tests."""
     if not _validated:
-        sigma = check_subobject(ring, sigma.members,
-                                depth=None if ring.is_explicit else depth)
-    explored = ring.elements(None if ring.is_explicit else depth)
+        sigma = check_subobject(ring, sigma.members, depth=depth)
+    explored = ring.elements(depth)
     uf = UnionFind()
-    related: dict[str, set[str]] = {a: {a} for a in explored}
     for x in explored:
         uf.add(x)
+    related = 0
     for i, a in enumerate(explored):
         for b in explored[i + 1:]:
             if _sigma_related(ring, sigma.members, a, b):
                 uf.union(a, b)
-                related[a].add(b)
-                related[b].add(a)
+                related += 1
     part = CosetPartition.from_unionfind(ring, uf, explored)
-    if ring.is_explicit:
-        # the pairwise relation should already be transitive; closure is a
-        # defense against bad fusion data, so log if it changed anything
-        for a in explored:
-            expected = {b for b in explored if part.block_of[a] == part.block_of[b]}
-            if related[a] != expected:
-                log.warning("sigma relation was not transitive at %r "
-                            "(closure added %s)", a, sorted(expected - related[a]))
-                break
-        unit_block = set(part.blocks[part.identity_block])
-        if unit_block != set(sigma.members):
-            raise InternalInconsistency(
-                f"unit block {sorted(unit_block)} != sigma {sorted(sigma.members)}")
-    else:
-        unit_block = {l for l in part.blocks[part.identity_block] if l in set(explored)}
-        if unit_block != {l for l in sigma.members if l in set(explored)}:
-            raise InternalInconsistency("unit block differs from sigma on the explored basis")
+    # on a complete table the pairwise relation is already transitive (every
+    # block a clique); closure is a defense against bad fusion data, so log
+    # if it changed anything.  A window's relation may miss links beyond it.
+    if (ring.checked_depth(depth) is None
+            and related != sum(len(blk) * (len(blk) - 1) // 2 for blk in part.blocks)):
+        log.warning("sigma relation was not transitive; the closure merged more")
+    unit_block = set(part.blocks[part.identity_block])
+    if unit_block != sigma.members & set(explored):
+        raise InternalInconsistency(
+            f"unit block {sorted(unit_block)} != sigma {sorted(sigma.members)} "
+            "on the explored basis")
     return part
 
 
@@ -341,8 +333,8 @@ class CentralityResult:
     central: bool
     partition: CosetPartition
     table: GroupTable | None = None
-    # block products by index; values >= len(partition.blocks) are frontier
-    # classes beyond the explored partition (infinite groups at finite depth)
+    # block products by index; pairs whose products leave the explored
+    # partition (infinite groups at finite depth) are absent
     products: dict[tuple[int, int], int] = field(default_factory=dict)
     witness: tuple | None = None
 
@@ -355,57 +347,33 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
     """Decide whether sigma's cosets form a group.
 
     Every representative pair of every pair of blocks is checked (the
-    product must land in one single coset for all of them).  When all block
-    products stay inside the explored partition the full group table is
+    product must land in one single coset for all of them); constituents
+    beyond the explored partition are outside the depth-qualified claim.
+    When every block product lands in the partition the full group table is
     returned; otherwise centrality is reported with the partial product map.
     """
-    sigma = check_subobject(ring, sigma.members,
-                            depth=None if ring.is_explicit else depth)
+    sigma = check_subobject(ring, sigma.members, depth=depth)
     part = sigma_cosets(ring, sigma, depth, _validated=True)
     nblocks = len(part.blocks)
-    anchors: list[str] = [blk[0] for blk in part.blocks]
-    classify_cache: dict[str, int] = dict(part.block_of)
-
-    def classify(label: str) -> int:
-        cls = classify_cache.get(label)
-        if cls is not None:
-            return cls
-        for i, anchor in enumerate(anchors):
-            if _sigma_related(ring, sigma.members, label, anchor):
-                classify_cache[label] = i
-                return i
-        anchors.append(label)
-        cls = len(anchors) - 1
-        classify_cache[label] = cls
-        return cls
-
-    explored_set = set(part.explored)
     products: dict[tuple[int, int], int] = {}
-    for i in range(nblocks):
-        bi = [l for l in part.blocks[i] if l in explored_set]
-        for j in range(nblocks):
-            bj = [l for l in part.blocks[j] if l in explored_set]
+    for i, bi in enumerate(part.blocks):
+        for j, bj in enumerate(part.blocks):
             seen: set[int] = set()
             for a in bi:
                 for b in bj:
-                    for c in ring.product(a, b):
-                        # constituents beyond the exploration window are
-                        # outside the depth-qualified claim
-                        if not ring.is_explicit and c not in explored_set:
-                            continue
-                        seen.add(classify(c))
+                    seen.update(part.block_of[c] for c in ring.product(a, b)
+                                if c in part.block_of)
                     if len(seen) > 1:
                         return CentralityResult(
                             False, part,
                             witness=(i, j, (a, b), sorted(seen)))
             if seen:
                 products[(i, j)] = seen.pop()
-    complete = (len(products) == nblocks * nblocks
-                and all(v < nblocks for v in products.values()))
-    if complete:
+    if len(products) == nblocks * nblocks:
         mult = tuple(tuple(products[(i, j)] for j in range(nblocks))
                      for i in range(nblocks))
-        table = GroupTable(mult, part.identity_block, tuple(anchors[:nblocks]))
+        table = GroupTable(mult, part.identity_block,
+                           tuple(blk[0] for blk in part.blocks))
         table.verify()
         return CentralityResult(True, part, table=table, products=products)
     return CentralityResult(True, part, products=products)
@@ -548,16 +516,14 @@ def chain_group(ring: FusionRing, depth: int = 6,
     rings are computed at `depth` and `depth`+1; agreement is reported as
     stable_at_depth(depth), never as exact.
     """
-    if ring.is_explicit:
-        res = _chain_result_at(ring, depth)
-        desc = identify_group(res.table, candidates=candidates)
-        desc.flag = "exact"
-        return res.table, desc
-
     res = _chain_result_at(ring, depth)
-    res_next = _chain_result_at(ring, depth + 1)
-    stable = _signature(ring, res, depth) == _signature(ring, res_next, depth + 1)
-    flag = f"{'stable' if stable else 'unstable'}_at_depth({depth})"
+    stable = False
+    if ring.checked_depth(depth) is None:
+        flag = "exact"
+    else:
+        res_next = _chain_result_at(ring, depth + 1)
+        stable = _signature(ring, res, depth) == _signature(ring, res_next, depth + 1)
+        flag = f"{'stable' if stable else 'unstable'}_at_depth({depth})"
     if res.table is not None:
         desc = identify_group(res.table, candidates=candidates)
         desc.flag = flag

@@ -110,16 +110,14 @@ def load_restriction(path) -> RestrictionData:
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"unreadable restriction file: {exc}")
     try:
-        source = resolve_ring(None, doc["source"]) if not Path(str(doc["source"])).exists() \
-            else cat.load_ring(doc["source"])
-        target = resolve_ring(None, doc["target"]) if not Path(str(doc["target"])).exists() \
-            else cat.load_ring(doc["target"])
+        source = resolve_ring(doc["source"], None)
+        target = resolve_ring(doc["target"], None)
         if "rule" in doc:
             make = _RESTRICTION_RULES[doc["rule"]]
             return make(source, target)
         mapping = {entry["from"]: {t["label"]: int(t["n"]) for t in entry["to"]}
                    for entry in doc["map"]}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad restriction file: {exc}")
     if not source.is_explicit:
         raise click.UsageError("file-based maps are only allowed for explicit "
@@ -134,6 +132,7 @@ def ring_options(f):
     f = click.option("--catalog", "catalog_name", default=None,
                      help=f"Catalog ring: {CATALOG_HELP}")(f)
     f = click.option("--depth", default=6, show_default=True,
+                     type=click.IntRange(min=0),
                      help="Exploration depth for generated rings.")(f)
     f = click.option("--format", "fmt", default="json", show_default=True,
                      type=click.Choice(["json", "table", "dot"]))(f)
@@ -186,8 +185,7 @@ def parse_sigma(ring, sigma, sigma_file, depth) -> Subobject:
             raise click.UsageError(f"unreadable sigma file: {exc}")
         if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
             raise click.UsageError("sigma file must hold a JSON list of labels")
-    return check_subobject(ring, members,
-                           depth=None if ring.is_explicit else depth)
+    return check_subobject(ring, members, depth=depth)
 
 
 @click.group()
@@ -216,7 +214,7 @@ def validate(ring_file, catalog_name, depth, fmt):
 def info(ring_file, catalog_name, depth, fmt):
     """Basis summary of a ring (explored part for generated rings)."""
     ring = resolve_ring(ring_file, catalog_name)
-    labels = ring.elements(None if ring.is_explicit else depth)
+    labels = ring.elements(depth)
     payload = {"name": ring.name, "kind": ring.kind, "unit": ring.unit,
                "size": len(labels),
                "basis": [{"label": l, "dim": ring.dim(l), "dual": ring.dual(l)}
@@ -267,7 +265,7 @@ def center(ring_file, catalog_name, depth, fmt, oracle_check):
     # center_subobject explores the 2 * depth window
     dot = merge_graph_dot(ring, depth) if fmt == "dot" else None
     sub = center_subobject(ring, depth)
-    explored = ring.elements(None if ring.is_explicit else depth)
+    explored = ring.elements(depth)
     members = sub.sorted_in(ring)
     whole = set(explored) <= set(members)
     payload = {"center_subobject": members, "whole_basis": whole,
@@ -366,7 +364,7 @@ def automorphisms_cmd(ring_file, catalog_name, depth, fmt):
     autos = automorphisms(ring, depth)
     payload = {"count": len(autos),
                "automorphisms": [a.to_json() for a in autos],
-               "depth": None if ring.is_explicit else depth}
+               "depth": ring.checked_depth(depth)}
     text = "\n".join(
         "identity" if a.is_identity else
         " ".join(f"{x}->{y}" for x, y in a.mapping if x != y)

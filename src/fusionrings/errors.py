@@ -12,6 +12,9 @@ class MalformedRing(FusionRingError):
 class UnknownLabel(FusionRingError, KeyError):
     """A label that is not a basis element of the ring."""
 
+    def __str__(self):
+        return f"unknown label {self.args[0]!r}"
+
 
 class DepthExceeded(FusionRingError):
     """A computation on a generated ring escaped the requested depth bound."""

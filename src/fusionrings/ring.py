@@ -1,9 +1,11 @@
-"""Core fusion-ring data model: basis elements, explicit tables, generated
-(oracle-backed) rings, axiom validation and elementary arithmetic.
+"""Core fusion-ring data model: basis elements, rings, axiom validation and
+elementary arithmetic.
 
-A ring is either *explicit* (a complete finite sparse table) or *generated*
-(a generator set plus an exact support oracle and a breadth-first depth
-grading).  All multiplicities are plain Python ints, so they are
+A ring is a unit, a generator set, exact product, dual and dimension
+functions, and the breadth-first discovery of its basis from the unit.  An
+*explicit* ring (a finite sparse table) is the complete case: every label is
+a generator and the whole basis is discovered up front, so depth bounds do
+not limit it.  All multiplicities are plain Python ints, so they are
 arbitrary precision by construction.
 """
 
@@ -67,65 +69,30 @@ class ValidationReport:
 class FusionRing:
     """Immutable fusion ring.
 
-    Explicit rings store the full sparse table; generated rings carry an
-    exact support oracle over canonical labels plus a breadth-first basis
-    enumeration from their generators.  All operations are pure.
+    A unit, generators, exact product/dual/dim functions over canonical
+    labels, a product memo and the breadth-first discovery order of the
+    basis.  `explicit` seeds the memo with a finite table and discovers the
+    whole basis up front; `generated` discovers it level by level, one
+    generator multiplication per level.  All operations are pure.
     """
 
-    def __init__(self, *, kind, basis, unit, dual_map, fusion_table,
-                 oracle=None, dual_fn=None, dim_fn=None, generators=(),
-                 name="ring", truncated_at=None):
-        if kind not in ("explicit", "generated"):
-            raise MalformedRing(f"unknown ring kind {kind!r}")
-        self.kind = kind
+    def __init__(self, unit: str, generators: Sequence[str],
+                 product_fn: Callable[[str, str], Support],
+                 dual_fn: Callable[[str], str],
+                 dim_fn: Callable[[str], int], name="ring"):
         self.name = name
         self.unit = unit
-        self.truncated_at = truncated_at
         self.generators = tuple(generators)
-        self._oracle = oracle
+        self.basis: tuple[BasisElement, ...] = ()  # the table's basis, if any
+        self.truncated_at: int | None = None
+        self._product_fn = product_fn
         self._dual_fn = dual_fn
         self._dim_fn = dim_fn
-        if kind == "explicit":
-            self.basis = tuple(basis)
-            labels = [b.label for b in self.basis]
-            if len(set(labels)) != len(labels):
-                raise MalformedRing("duplicate basis labels")
-            self._index = {b.label: i for i, b in enumerate(self.basis)}
-            self._dims = {b.label: b.dim for b in self.basis}
-            if unit not in self._index:
-                raise MalformedRing(f"unit {unit!r} not in basis")
-            self._dual = dict(dual_map)
-            for a, b in self._dual.items():
-                if a not in self._index or b not in self._index:
-                    raise MalformedRing(f"dual map has dangling label ({a!r}, {b!r})")
-            if set(self._dual) != set(self._index):
-                raise MalformedRing("dual map does not cover the basis")
-            self._fusion = {}
-            for (a, b), supp in fusion_table.items():
-                if a not in self._index or b not in self._index:
-                    raise MalformedRing(f"fusion entry with dangling pair ({a!r}, {b!r})")
-                clean = {}
-                for c, n in supp.items():
-                    if c not in self._index:
-                        raise MalformedRing(f"fusion entry ({a!r},{b!r}) -> dangling {c!r}")
-                    if n <= 0:
-                        raise MalformedRing(f"zero/negative multiplicity at ({a!r},{b!r},{c!r})")
-                    clean[c] = int(n)
-                if not clean:
-                    raise MalformedRing(f"empty support declared for ({a!r},{b!r})")
-                self._fusion[(a, b)] = clean
-            if truncated_at is None:
-                for a in labels:
-                    for b in labels:
-                        if (a, b) not in self._fusion:
-                            raise MalformedRing(f"missing fusion entry for ({a!r},{b!r})")
-        else:
-            if oracle is None or dual_fn is None or dim_fn is None:
-                raise MalformedRing("generated ring needs oracle, dual_fn and dim_fn")
-            self._levels: list[list[str]] = [[unit]]
-            # label -> (level, position within the level)
-            self._discovery = {unit: (0, 0)}
-            self._product_memo: dict[tuple[str, str], Support] = {}
+        self._product_memo: dict[tuple[str, str], Support] = {}
+        # discovery levels; an empty last level means the basis is complete
+        self._levels: list[list[str]] = [[unit]]
+        # label -> (level, position within the level)
+        self._discovery = {unit: (0, 0)}
 
     # ---------------------------------------------------------------- basics
 
@@ -133,8 +100,62 @@ class FusionRing:
     def explicit(cls, basis: Sequence[BasisElement], unit: str,
                  dual: Mapping[str, str], fusion: Mapping[tuple[str, str], Support],
                  name="ring", truncated_at=None) -> "FusionRing":
-        return cls(kind="explicit", basis=basis, unit=unit, dual_map=dual,
-                   fusion_table=fusion, name=name, truncated_at=truncated_at)
+        """A finite table.  A pair missing from a table stamped
+        `truncated_at` raises DepthExceeded when multiplied."""
+        basis = tuple(basis)
+        labels = [b.label for b in basis]
+        dims = {b.label: b.dim for b in basis}
+        if len(dims) != len(labels):
+            raise MalformedRing("duplicate basis labels")
+        if unit not in dims:
+            raise MalformedRing(f"unit {unit!r} not in basis")
+        dual = dict(dual)
+        for a, b in dual.items():
+            if a not in dims or b not in dims:
+                raise MalformedRing(f"dual map has dangling label ({a!r}, {b!r})")
+        if set(dual) != set(dims):
+            raise MalformedRing("dual map does not cover the basis")
+        table = {}
+        for (a, b), supp in fusion.items():
+            if a not in dims or b not in dims:
+                raise MalformedRing(f"fusion entry with dangling pair ({a!r}, {b!r})")
+            clean = {}
+            for c, n in supp.items():
+                if c not in dims:
+                    raise MalformedRing(f"fusion entry ({a!r},{b!r}) -> dangling {c!r}")
+                if n <= 0:
+                    raise MalformedRing(f"zero/negative multiplicity at ({a!r},{b!r},{c!r})")
+                clean[c] = int(n)
+            if not clean:
+                raise MalformedRing(f"empty support declared for ({a!r},{b!r})")
+            table[(a, b)] = clean
+        if truncated_at is None:
+            for a in labels:
+                for b in labels:
+                    if (a, b) not in table:
+                        raise MalformedRing(f"missing fusion entry for ({a!r},{b!r})")
+
+        def lookup(mapping):
+            def get(label):
+                try:
+                    return mapping[label]
+                except KeyError:
+                    raise UnknownLabel(label) from None
+            return get
+
+        def missing(a, b):  # reached only on a table miss
+            for x in (a, b):
+                if x not in dims:
+                    raise UnknownLabel(x)
+            raise DepthExceeded(f"truncated table has no entry for ({a!r},{b!r})")
+
+        ring = cls(unit, labels, missing, lookup(dual), lookup(dims), name=name)
+        ring.basis = basis
+        ring.truncated_at = truncated_at
+        ring._product_memo = table
+        ring._levels = [labels, []]
+        ring._discovery = {l: (0, i) for i, l in enumerate(labels)}
+        return ring
 
     @classmethod
     def generated(cls, unit: str, generators: Sequence[str],
@@ -142,28 +163,28 @@ class FusionRing:
                   dual_fn: Callable[[str], str],
                   dim_fn: Callable[[str], int],
                   name="ring") -> "FusionRing":
-        return cls(kind="generated", basis=(), unit=unit, dual_map={},
-                   fusion_table={}, oracle=oracle, dual_fn=dual_fn,
-                   dim_fn=dim_fn, generators=generators, name=name)
+        return cls(unit, generators, oracle, dual_fn, dim_fn, name=name)
 
     @property
     def is_explicit(self) -> bool:
-        return self.kind == "explicit"
+        return bool(self.basis)
+
+    @property
+    def kind(self) -> str:
+        return "explicit" if self.is_explicit else "generated"
+
+    def checked_depth(self, depth: int) -> int | None:
+        """The stamp on an answer computed at `depth`: None when it is exact
+        (a complete table), else the depth it holds to -- a truncated
+        table's own depth, or `depth` on a generated ring."""
+        if self.is_explicit:
+            return self.truncated_at
+        return depth
 
     def dim(self, label: str) -> int:
-        if self.is_explicit:
-            try:
-                return self._dims[label]
-            except KeyError:
-                raise UnknownLabel(label) from None
         return self._dim_fn(label)
 
     def dual(self, label: str) -> str:
-        if self.is_explicit:
-            try:
-                return self._dual[label]
-            except KeyError:
-                raise UnknownLabel(label) from None
         return self._dual_fn(label)
 
     def labels(self) -> tuple[str, ...]:
@@ -173,16 +194,13 @@ class FusionRing:
         return tuple(b.label for b in self.basis)
 
     def elements(self, depth: int | None = None) -> tuple[str, ...]:
-        """Basis labels in canonical order.
-
-        Explicit rings return the whole basis; generated rings return the
-        breadth-first discovery of everything reachable within `depth`
-        generator multiplications.
-        """
-        if self.is_explicit:
-            return self.labels()
+        """Basis labels in discovery order: everything reachable within
+        `depth` generator multiplications.  A complete basis (an explicit
+        ring's) is returned whole, whatever the depth."""
         if depth is None:
-            raise DepthExceeded("generated ring enumeration needs a depth bound")
+            if self._levels[-1]:
+                raise DepthExceeded("generated ring enumeration needs a depth bound")
+            depth = len(self._levels)
         self._explore(depth)
         out = []
         for lvl in self._levels[: depth + 1]:
@@ -190,7 +208,7 @@ class FusionRing:
         return tuple(out)
 
     def _explore(self, depth: int):
-        while len(self._levels) <= depth:
+        while len(self._levels) <= depth and self._levels[-1]:
             frontier = self._levels[-1]
             level = len(self._levels)
             discovered = []
@@ -203,13 +221,8 @@ class FusionRing:
             self._levels.append(discovered)
 
     def order_key(self, label: str):
-        """Deterministic sort key: input order (explicit) or discovery order
-        (generated); labels beyond any exploration sort after, by shape."""
-        if self.is_explicit:
-            idx = self._index.get(label)
-            if idx is None:
-                raise UnknownLabel(label)
-            return (0, idx)
+        """Deterministic sort key: discovery order (input order on an
+        explicit ring); labels beyond any exploration sort after, by shape."""
         found = self._discovery.get(label)
         if found is not None:
             return (0,) + found
@@ -222,26 +235,17 @@ class FusionRing:
 
     def product(self, a: str, b: str) -> Support:
         """Exact decomposition of a x b with multiplicities."""
-        if self.is_explicit:
-            if a not in self._index:
-                raise UnknownLabel(a)
-            if b not in self._index:
-                raise UnknownLabel(b)
-            try:
-                return dict(self._fusion[(a, b)])
-            except KeyError:
-                raise DepthExceeded(f"truncated table has no entry for ({a!r},{b!r})") from None
         key = (a, b)
         hit = self._product_memo.get(key)
         if hit is None:
-            hit = dict(self._oracle(a, b))
+            hit = dict(self._product_fn(a, b))
             self._product_memo[key] = hit
         return dict(hit)
 
     def product_word(self, word: Sequence[str]) -> Support:
         """Left-associated iterated fusion of a nonempty word."""
         if not word:
-            raise UnknownLabel("empty word")
+            raise UnknownLabel("")  # the empty word
         acc = Counter({word[0]: 1})
         # touch to raise UnknownLabel early
         self.dim(word[0])
@@ -287,11 +291,8 @@ def check_subobject(ring: FusionRing, members: Iterable[str], depth: int | None 
     for a in members:
         if ring.dual(a) not in members:
             raise NotASubobject(f"not dual-closed at {a!r}")
-    probe = members
-    explored = None
-    if not ring.is_explicit and depth is not None:
-        explored = set(ring.elements(depth))
-        probe = members & explored
+    explored = None if depth is None else set(ring.elements(depth))
+    probe = members if explored is None else members & explored
     for a in probe:
         for b in probe:
             for c in ring.product(a, b):
@@ -310,17 +311,13 @@ def generated_subobject(ring: FusionRing, seed: Iterable[str], depth: int | None
     Explicit rings always terminate; generated rings need a depth bound and
     fail with DepthExceeded when the closure escapes it.
     """
-    allowed = None
-    if not ring.is_explicit:
-        if depth is None:
-            raise DepthExceeded("generated ring closure needs a depth bound")
-        allowed = set(ring.elements(depth))
+    allowed = set(ring.elements(depth))
     current = {ring.unit}
     for s in seed:
         ring.dim(s)  # raises UnknownLabel on bad input
         current.add(s)
         current.add(ring.dual(s))
-    if allowed is not None and not current <= allowed:
+    if not current <= allowed:
         raise DepthExceeded("seed lies outside the depth bound")
     while True:
         new = set()
@@ -332,7 +329,7 @@ def generated_subobject(ring: FusionRing, seed: Iterable[str], depth: int | None
                         new.add(ring.dual(c))
         if not new:
             break
-        if allowed is not None and not new <= allowed:
+        if not new <= allowed:
             raise DepthExceeded("closure escaped the depth bound")
         current |= new
     return Subobject(frozenset(current))
@@ -345,11 +342,10 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     """Check every fusion-ring axiom, reporting all failures with witnesses.
 
     Generated rings are validated on the depth-truncated sub-table; the
-    report carries a "checked to depth" stamp in that case.
+    report carries the stamp `ring.checked_depth(depth)`.
     """
-    full = ring.is_explicit and ring.truncated_at is None
-    report = ValidationReport(checked_depth=None if full else depth)
-    labels = ring.elements(None if ring.is_explicit else depth)
+    report = ValidationReport(checked_depth=ring.checked_depth(depth))
+    labels = ring.elements(depth)
     unit = ring.unit
 
     def prod(a, b):

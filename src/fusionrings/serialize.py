@@ -15,7 +15,7 @@ def canonical_json(payload) -> str:
 def merge_graph_dot(ring: FusionRing, depth: int = 6) -> str:
     """The merge graph: nodes are explored basis elements, edges join labels
     that co-occur in the support of some product."""
-    explored = ring.elements(None if ring.is_explicit else depth)
+    explored = ring.elements(depth)
     edges = set()
     for a in explored:
         for b in explored:

@@ -79,9 +79,8 @@ def su2_weight_restriction(su2: FusionRing, zring: FusionRing) -> RestrictionDat
 
 def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport:
     """Check the restriction invariants to depth, reporting all failures."""
-    full = r.source.is_explicit
-    report = ValidationReport(checked_depth=None if full else depth)
-    explored = r.source.elements(None if full else depth)
+    report = ValidationReport(checked_depth=r.source.checked_depth(depth))
+    explored = r.source.elements(depth)
     unit_map = r.restrict(r.source.unit)
     if unit_map != {r.target.unit: 1}:
         report.add("unit", (r.source.unit,), f"unit restricts to {unit_map}")
@@ -128,13 +127,13 @@ def is_normal(r: RestrictionData, depth: int = 6) -> NormalityResult:
     """Normality test: the target unit's multiplicity in each restricted
     irreducible must be 0 or the full dimension."""
     _require_valid(r, depth)
-    full = r.source.is_explicit
-    for tau in r.source.elements(None if full else depth):
+    checked = r.source.checked_depth(depth)
+    for tau in r.source.elements(depth):
         m = r.restrict(tau).get(r.target.unit, 0)
         if m not in (0, r.source.dim(tau)):
             return NormalityResult(False, witness=(tau, m, r.source.dim(tau)),
-                                   checked_depth=None if full else depth)
-    return NormalityResult(True, checked_depth=None if full else depth)
+                                   checked_depth=checked)
+    return NormalityResult(True, checked_depth=checked)
 
 
 @dataclass
@@ -152,10 +151,9 @@ def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupRe
     """Centrality test: each irreducible must restrict to dim-many copies of
     a single dimension-1 target element; returns the grouplike assignment."""
     _require_valid(r, depth)
-    full = r.source.is_explicit
-    checked = None if full else depth
+    checked = r.source.checked_depth(depth)
     assignment = {}
-    for tau in r.source.elements(None if full else depth):
+    for tau in r.source.elements(depth):
         m = r.restrict(tau)
         if len(m) != 1:
             return CentralSubgroupResult(False, witness=(tau, m), checked_depth=checked)
@@ -173,8 +171,7 @@ def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobje
     criterion; closure of constituents is verified through the restriction
     rule itself so it also covers constituents beyond the depth."""
     _require_valid(r, depth)
-    full = r.source.is_explicit
-    explored = r.source.elements(None if full else depth)
+    explored = r.source.elements(depth)
 
     def trivially_restricts(tau):
         return r.restrict(tau) == {r.target.unit: r.source.dim(tau)}
@@ -218,8 +215,7 @@ def grouplikes(ring: FusionRing, depth: int = 6, closure_cap: int = 4096) -> Gro
     dim-1 singletons by the dimension homomorphism — verified); a closure
     escaping `closure_cap` elements aborts.
     """
-    full = ring.is_explicit
-    seeds = [l for l in ring.elements(None if full else depth) if ring.dim(l) == 1]
+    seeds = [l for l in ring.elements(depth) if ring.dim(l) == 1]
     elems = list(seeds)
     index = {l: i for i, l in enumerate(elems)}
     i = 0

@@ -183,6 +183,11 @@ class TestSerialization:
         assert loaded.truncated_at == 4
         assert loaded.product("V1", "V2") == su2.product("V1", "V2")
 
+    def test_truncated_ring_is_checked_to_its_depth(self, tmp_path, su2):
+        path = tmp_path / "su2.json"
+        fr.save_ring(su2, path, depth=4)
+        assert fr.validate_ring(fr.load_ring(path, validate=False)).checked_depth == 4
+
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"basis": []}))

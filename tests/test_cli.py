@@ -145,6 +145,34 @@ class TestExitCodes:
         out = cli(*(a.replace("{missing}", missing) for a in args))
         assert out.returncode == 2
         assert any(l.startswith("error:") for l in out.stderr.splitlines())
+        if args[0] == "product":
+            assert "error: unknown label 'X3'" in out.stderr.splitlines()
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
+    @pytest.mark.parametrize("args, edit", [
+        (("chain-group", "--catalog", "su2", "--depth", "-1"), None),
+        (("validate", "--ring", "{file}"), ("ring", "unit", ["1"])),
+        (("validate", "--ring", "{file}"), ("ring", "dual", ["1", "sgn", "rho"])),
+        (("is-normal", "--catalog", "su2", "--restriction", "{file}"),
+         ("restriction", "source", 5)),
+        (("is-normal", "--catalog", "reps3", "--restriction", "{file}"),
+         ("restriction", "map", [{"from": "1", "to": [{"label": "1", "n": "x"}]}])),
+    ], ids=["negative-depth", "unit-list", "dual-list", "source-int", "multiplicity-str"])
+    def test_malformed_file_or_option_is_input_error(self, tmp_path, args, edit):
+        path = tmp_path / "input.json"
+        if edit is not None:
+            kind, key, value = edit
+            if kind == "ring":
+                fr.save_ring(fr.rep_s3_ring(), path)
+                doc = json.loads(path.read_text())
+            else:
+                doc = {"source": "reps3", "target": "reps3", "map": []}
+            doc[key] = value
+            path.write_text(json.dumps(doc))
+        out = cli(*(a.replace("{file}", str(path)) for a in args))
+        assert out.returncode == 2
+        assert any(l.startswith("error:") for l in out.stderr.splitlines())
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
