@@ -77,7 +77,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     return _generated_automorphisms(ring, depth)
 
 
-def _signature(ring: FusionRing, a: str):
+def _label_invariant(ring: FusionRing, a: str):
     selfsq = ring.product(a, a)
     return (ring.dim(a), ring.dual(a) == a, selfsq.get(a, 0),
             tuple(sorted((n, ring.dim(c)) for c, n in selfsq.items())))
@@ -85,7 +85,7 @@ def _signature(ring: FusionRing, a: str):
 
 def _explicit_automorphisms(ring: FusionRing) -> list[RingAutomorphism]:
     labels = list(ring.labels())
-    sig = {a: _signature(ring, a) for a in labels}
+    sig = {a: _label_invariant(ring, a) for a in labels}
     order = sorted(labels, key=lambda a: (sig[a], ring.order_key(a)))
     budget = search_budget()
     nodes = 0

@@ -12,7 +12,6 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     NotAGroup,
     SearchBudgetExceeded,
 )
-from .ring import FusionRing, Subobject, check_subobject
+from .ring import FusionRing, Subobject, _closure, check_subobject, generated_subobject
 
 log = logging.getLogger(__name__)
 
@@ -382,30 +381,31 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
 def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
     """All central subobjects of a finite explicit ring.
 
-    Candidates come from the closure lattice (closures of subsets of size
-    <= 2, then joins) rather than the raw powerset.
+    Every subobject is a join of principal subobjects <a>, so the lattice
+    is built as a worklist of joins: starting from the closure of the unit,
+    each subobject s found is joined with each distinct principal P not
+    already inside it, closing only P's new labels against the closed s.
+    SearchBudgetExceeded is raised when the lattice has more subobjects
+    than the search budget.  Each member is then tested for centrality.
     """
-    from .ring import generated_subobject
-
     budget = search_budget()
     labels = ring.labels()
-    lattice: set[frozenset[str]] = set()
-    seeds = [frozenset()] + [frozenset([a]) for a in labels]
-    seeds += [frozenset(p) for p in combinations(labels, 2)]
-    for s in seeds:
-        lattice.add(generated_subobject(ring, s).members)
-    while True:
-        new = set()
-        for s1 in lattice:
-            for s2 in lattice:
-                if len(lattice) + len(new) > budget:
-                    raise SearchBudgetExceeded("central-subobject lattice too large")
-                j = generated_subobject(ring, s1 | s2).members
-                if j not in lattice:
-                    new.add(j)
-        if not new:
-            break
-        lattice |= new
+    allowed = set(labels)
+    principals = {generated_subobject(ring, [a]).members for a in labels}
+    bottom = generated_subobject(ring, ()).members
+    lattice = {bottom}
+    work = [bottom]
+    while work:
+        if len(lattice) > budget:
+            raise SearchBudgetExceeded("central-subobject lattice too large")
+        s = work.pop()
+        for p in principals:
+            if p <= s:
+                continue
+            j = _closure(ring, s | p, p - s, allowed)
+            if j not in lattice:
+                lattice.add(j)
+                work.append(j)
     out = []
     for members in lattice:
         sub = Subobject(members)
@@ -498,7 +498,7 @@ def _chain_result_at(ring: FusionRing, depth: int) -> CentralityResult:
     return CentralityResult(True, part, table=table, products=products)
 
 
-def _signature(ring, res, depth):
+def _chain_signature(ring, res, depth):
     if res.table is not None:
         t = res.table
         inv = abelian_invariants(t) if t.is_abelian() else None
@@ -522,7 +522,8 @@ def chain_group(ring: FusionRing, depth: int = 6,
         flag = "exact"
     else:
         res_next = _chain_result_at(ring, depth + 1)
-        stable = _signature(ring, res, depth) == _signature(ring, res_next, depth + 1)
+        stable = (_chain_signature(ring, res, depth)
+                  == _chain_signature(ring, res_next, depth + 1))
         flag = f"{'stable' if stable else 'unstable'}_at_depth({depth})"
     if res.table is not None:
         desc = identify_group(res.table, candidates=candidates)

@@ -235,12 +235,20 @@ class FusionRing:
 
     def product(self, a: str, b: str) -> Support:
         """Exact decomposition of a x b with multiplicities."""
+        hit = self._product_memo.get((a, b))
+        if hit is None:
+            hit = self._support(a, b)
+        return dict(hit)
+
+    def _support(self, a: str, b: str) -> Mapping[str, int]:
+        """The memoized decomposition of a x b itself, not a copy: the
+        kernels that read many products call this and never mutate it."""
         key = (a, b)
         hit = self._product_memo.get(key)
         if hit is None:
             hit = dict(self._product_fn(a, b))
             self._product_memo[key] = hit
-        return dict(hit)
+        return hit
 
     def product_word(self, word: Sequence[str]) -> Support:
         """Left-associated iterated fusion of a nonempty word."""
@@ -319,20 +327,33 @@ def generated_subobject(ring: FusionRing, seed: Iterable[str], depth: int | None
         current.add(ring.dual(s))
     if not current <= allowed:
         raise DepthExceeded("seed lies outside the depth bound")
-    while True:
+    return Subobject(_closure(ring, current, current, allowed))
+
+
+def _closure(ring: FusionRing, current: set[str], added: set[str],
+             allowed: set[str]) -> frozenset[str]:
+    """Close `current` under fusion and duals, semi-naively: every product
+    of two labels of `current - added` must already lie in `current`, so
+    each round multiplies only the labels added in the previous round
+    against the current set, in both orders."""
+    current = set(current)
+    added = set(added)
+    # a memo hit is read in place, saving a call per pair; _support fills a miss
+    get, support = ring._product_memo.get, ring._support
+    while added:
         new = set()
-        for a in current:
+        for a in added:
             for b in current:
-                for c in ring.product(a, b):
-                    if c not in current:
-                        new.add(c)
-                        new.add(ring.dual(c))
-        if not new:
-            break
+                for supp in (get((a, b)) or support(a, b), get((b, a)) or support(b, a)):
+                    for c in supp:
+                        if c not in current:
+                            new.add(c)
+                            new.add(ring.dual(c))
         if not new <= allowed:
             raise DepthExceeded("closure escaped the depth bound")
+        added = new - current
         current |= new
-    return Subobject(frozenset(current))
+    return frozenset(current)
 
 
 # ------------------------------------------------------------------ validate
@@ -347,11 +368,12 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     report = ValidationReport(checked_depth=ring.checked_depth(depth))
     labels = ring.elements(depth)
     unit = ring.unit
+    support = ring._support
 
     def prod(a, b):
         # identities with any uncomputable term are skipped (truncated tables)
         try:
-            return ring.product(a, b)
+            return support(a, b)
         except DepthExceeded:
             return None
 
@@ -373,12 +395,13 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
             report.add("unit-law", (a, unit), f"{a} x 1 = {right}")
 
     for a in labels:
+        da = ring.dual(a)
         for b in labels:
             supp = prod(a, b)
             if supp is None:
                 continue
             n_unit = supp.get(unit, 0)
-            want = 1 if b == ring.dual(a) else 0
+            want = 1 if b == da else 0
             if n_unit != want:
                 report.add("duality", (a, b), f"N({a},{b})^1 = {n_unit}, expected {want}")
             # dimension homomorphism
@@ -386,33 +409,42 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
             rhs = sum(n * ring.dim(c) for c, n in supp.items())
             if lhs != rhs:
                 report.add("dim-homomorphism", (a, b), f"{lhs} != {rhs}")
+            if not supp:
+                continue
             # Frobenius symmetry and conjugation anti-multiplicativity,
             # checked against every constituent
+            db = ring.dual(b)
+            s3 = prod(db, da)
             for c, n in supp.items():
-                s1 = prod(ring.dual(a), c)
+                s1 = prod(da, c)
                 if s1 is not None and s1.get(b, 0) != n:
                     report.add("frobenius", (a, b, c), "N(a,b)^c != N(dual a, c)^b")
-                s2 = prod(c, ring.dual(b))
+                s2 = prod(c, db)
                 if s2 is not None and s2.get(a, 0) != n:
                     report.add("frobenius", (a, b, c), "N(a,b)^c != N(c, dual b)^a")
-                s3 = prod(ring.dual(b), ring.dual(a))
                 if s3 is not None and s3.get(ring.dual(c), 0) != n:
                     report.add("conjugation", (a, b, c), "N(a,b)^c != N(dual b, dual a)^dual c")
 
+    # a memo hit is read in place, saving a call per term; _support fills a miss
+    get = ring._product_memo.get
     for a in labels:
         for b in labels:
+            # a term the table cannot compute skips the triple (truncated tables)
+            ab = prod(a, b)
+            if ab is None:
+                continue
             for c in labels:
-                lhs = Counter()
-                rhs = Counter()
+                lhs = {}
+                rhs = {}
                 try:
-                    for e, n in ring.product(a, b).items():
-                        for d, m in ring.product(e, c).items():
-                            lhs[d] += n * m
-                    for f, n in ring.product(b, c).items():
-                        for d, m in ring.product(a, f).items():
-                            rhs[d] += n * m
+                    for e, n in ab.items():
+                        for d, m in (get((e, c)) or support(e, c)).items():
+                            lhs[d] = lhs.get(d, 0) + n * m
+                    for f, n in (get((b, c)) or support(b, c)).items():
+                        for d, m in (get((a, f)) or support(a, f)).items():
+                            rhs[d] = rhs.get(d, 0) + n * m
                 except DepthExceeded:
                     continue
                 if lhs != rhs:
-                    report.add("associativity", (a, b, c), f"{dict(lhs)} != {dict(rhs)}")
+                    report.add("associativity", (a, b, c), f"{lhs} != {rhs}")
     return report
