@@ -8,7 +8,7 @@ data needed to certify a lift is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations, product
 
 from .errors import InternalInconsistency, SearchBudgetExceeded
 from .central import merge_closure, search_budget
@@ -69,12 +69,84 @@ def verify_automorphism(ring: FusionRing, phi: dict[str, str],
 
 
 def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
-    """All fusion-ring automorphisms of an explicit ring (complete
-    backtracking), or the generator-level symmetries of a generated ring
-    verified to `depth`."""
-    if ring.is_explicit:
-        return _explicit_automorphisms(ring)
-    return _generated_automorphisms(ring, depth)
+    """The automorphisms of the window `ring.elements(depth)` that permute
+    the generators: every automorphism of an explicit ring (whose labels
+    are all generators, so the answer is exact), the generator-level
+    symmetries of a generated ring, verified to `depth`.
+
+    The search branches only on generator images.  Generators are taken in
+    order of `_label_invariant`, then discovery; a generator's candidates
+    are the unused generators with the same invariant whose dual agrees
+    with the image already given to its dual.  Every other image is read
+    off the products: once a and b of the window both have images, the
+    constituents of a x b are matched to those of phi(a) x phi(b) by
+    (multiplicity, dim), trying every matching within an ambiguous group.
+    Each complete map is checked with `verify_automorphism` on the window.
+    Raises SearchBudgetExceeded after `search_budget()` search nodes.
+    """
+    window = ring.elements(depth)
+    inside = set(window)
+    gens = [g for g in dict.fromkeys(ring.generators) if g in inside]
+    inv = {g: _label_invariant(ring, g) for g in gens}
+    order = sorted(gens, key=lambda g: (inv[g], ring.order_key(g)))
+    budget = search_budget()
+    nodes = 0
+    found: dict[tuple, RingAutomorphism] = {}
+
+    def assign(phi, used, pending, ext):
+        """Give the images in `ext`, queueing each window pair whose second
+        label just got its image."""
+        for c, t in ext.items():
+            phi[c] = t
+            used.add(t)
+            if c in inside:
+                for y in phi:
+                    if y in inside:
+                        pending.append((c, y))
+                        if y != c:
+                            pending.append((y, c))
+
+    def branch(phi, used, pending, k, ext):
+        node = (dict(phi), set(used), list(pending), k)
+        assign(*node[:3], ext)
+        stack.append(node)
+
+    # a node: images so far, their set, the window pairs with both images
+    # not yet matched, and the position in `order` of the next branch
+    stack: list[tuple] = []
+    branch({}, set(), [], 0, {ring.unit: ring.unit})
+    while stack:
+        phi, used, pending, k = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded("automorphism search budget exhausted")
+        while pending:
+            alts = _match_pair(ring, phi, used, *pending.pop())
+            if alts is None:
+                break
+            if len(alts) == 1:
+                assign(phi, used, pending, alts[0])
+                continue
+            for ext in alts:
+                branch(phi, used, pending, k, ext)
+            break
+        else:  # every pending pair matched: branch on a generator, or finish
+            while k < len(order) and order[k] in phi:
+                k += 1
+            if k < len(order):
+                g = order[k]
+                dual_image = phi.get(ring.dual(g))
+                for v in order:
+                    if (v in used or inv[v] != inv[g] or
+                            dual_image not in (None, ring.dual(v))):
+                        continue
+                    branch(phi, used, [], k + 1, {g: v})
+            # a product may have sent a generator outside the generators
+            elif (all(phi[g] in inv for g in gens)
+                  and verify_automorphism(ring, phi, labels=window)):
+                mapping = tuple(sorted((l, phi[l]) for l in window))
+                found[mapping] = RingAutomorphism(mapping, ring.checked_depth(depth))
+    return [found[m] for m in sorted(found)]
 
 
 def _label_invariant(ring: FusionRing, a: str):
@@ -83,180 +155,37 @@ def _label_invariant(ring: FusionRing, a: str):
             tuple(sorted((n, ring.dim(c)) for c, n in selfsq.items())))
 
 
-def _explicit_automorphisms(ring: FusionRing) -> list[RingAutomorphism]:
-    labels = list(ring.labels())
-    sig = {a: _label_invariant(ring, a) for a in labels}
-    order = sorted(labels, key=lambda a: (sig[a], ring.order_key(a)))
-    budget = search_budget()
-    nodes = 0
-    results: list[dict[str, str]] = []
-
-    def partial_ok(phi, a):
-        # fusion coefficients among already-assigned labels must be preserved
-        for b in phi:
-            for (x, y) in ((a, b), (b, a)):
-                supp = ring.product(x, y)
-                image = ring.product(phi[x], phi[y])
-                if sum(supp.values()) != sum(image.values()):
-                    return False
-                for c, n in supp.items():
-                    if c in phi and image.get(phi[c], 0) != n:
-                        return False
-        return True
-
-    def extend(k, phi, used):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded("automorphism search budget exhausted")
-        if k == len(order):
-            if verify_automorphism(ring, phi):
-                results.append(dict(phi))
-            return
-        a = order[k]
-        if a in phi:
-            extend(k + 1, phi, used)
-            return
-        forced = ring.unit if a == ring.unit else None
-        candidates = [forced] if forced else [v for v in labels
-                                              if v not in used and sig[v] == sig[a]]
-        for v in candidates:
-            da, dv = ring.dual(a), ring.dual(v)
-            if da in phi and phi[da] != dv:
-                continue
-            phi[a] = v
-            used.add(v)
-            extra = False
-            if da not in phi and da != a:
-                if dv in used:
-                    del phi[a]
-                    used.remove(v)
-                    continue
-                phi[da] = dv
-                used.add(dv)
-                extra = True
-            if partial_ok(phi, a) and (not extra or partial_ok(phi, da)):
-                extend(k + 1, phi, used)
-            if extra:
-                del phi[da]
-                used.remove(dv)
-            del phi[a]
-            used.remove(v)
-
-    extend(0, {}, set())
-    out = sorted({RingAutomorphism.from_dict(phi) for phi in results},
-                 key=lambda auto: auto.mapping)
-    return out
-
-
-def _generated_automorphisms(ring: FusionRing, depth: int) -> list[RingAutomorphism]:
-    explored = list(ring.elements(depth))
-    gens = list(dict.fromkeys(ring.generators))
-    budget = search_budget()
-    nodes = 0
-    results: list[dict[str, str]] = []
-
-    pairs = [(a, b) for a in explored for b in explored]
-
-    def match_pair(phi, a, b):
-        """Consistency of supp(a x b) against supp(phi a x phi b); returns a
-        list of alternative assignment extensions (each a dict), or None."""
-        supp = ring.product(a, b)
-        image = ring.product(phi[a], phi[b])
-        if sorted((n, ring.dim(c)) for c, n in supp.items()) != \
-           sorted((n, ring.dim(c)) for c, n in image.items()):
+def _match_pair(ring: FusionRing, phi: dict[str, str], used: set[str],
+                a: str, b: str) -> list[dict[str, str]] | None:
+    """The ways to extend `phi` so that it maps supp(a x b) onto
+    supp(phi a x phi b) with the same multiplicities and dims, injectively:
+    a list of extensions (dicts of new images), or None on a clash."""
+    supp = ring._support(a, b)
+    image = ring._support(phi[a], phi[b])
+    if len(supp) != len(image):
+        return None
+    free: dict[tuple, list[str]] = {}
+    for c, n in supp.items():
+        t = phi.get(c)
+        if t is None:
+            free.setdefault((n, ring.dim(c)), []).append(c)
+        elif image.get(t) != n:
             return None
-        fixed = {}
-        free_src: list[str] = []
-        targets = dict(image)
-        for c, n in supp.items():
-            if c in phi:
-                if targets.get(phi[c], 0) != n:
-                    return None
-                del targets[phi[c]]
-            else:
-                free_src.append(c)
-        if not free_src:
-            return [fixed]
-        # group the unmatched constituents by (multiplicity, dim)
-        groups: dict[tuple, list[str]] = {}
-        for c in free_src:
-            groups.setdefault((supp[c], ring.dim(c)), []).append(c)
-        tgroups: dict[tuple, list[str]] = {}
-        taken = set(phi.values())
-        for t, n in targets.items():
-            if t in taken:
-                return None
-            tgroups.setdefault((n, ring.dim(t)), []).append(t)
-        if set(groups) != set(tgroups) or any(len(groups[k]) != len(tgroups[k])
-                                              for k in groups):
-            return None
-        alternatives = [dict(fixed)]
-        for key, srcs in sorted(groups.items()):
-            tgts = tgroups[key]
-            new_alts = []
-            for alt in alternatives:
-                for perm in permutations(tgts):
-                    ext = dict(alt)
-                    ok = True
-                    for c, t in zip(srcs, perm):
-                        if t in ext.values():
-                            ok = False
-                            break
-                        ext[c] = t
-                    if ok:
-                        new_alts.append(ext)
-            alternatives = new_alts
-        return alternatives
-
-    def search(phi, done):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded("automorphism search budget exhausted")
-        idx = next((i for i, (a, b) in enumerate(pairs)
-                    if i not in done and a in phi and b in phi), None)
-        if idx is None:
-            if len(done) != len(pairs):
-                return  # some explored element never got an image
-            image = [phi.get(l) for l in explored]
-            if None in image or sorted(image) != sorted(explored):
-                return
-            if any(phi.get(ring.dual(a)) not in (None, ring.dual(phi[a]))
-                   for a in explored):
-                return
-            results.append(dict(phi))
-            return
-        a, b = pairs[idx]
-        alts = match_pair(phi, a, b)
-        if alts is None:
-            return
-        for ext in alts:
-            nxt = dict(phi)
-            nxt.update(ext)
-            search(nxt, done | {idx})
-
-    for images in permutations(gens):
-        if any(ring.dim(g) != ring.dim(v) for g, v in zip(gens, images)):
-            continue
-        phi0 = {ring.unit: ring.unit}
-        ok = True
-        for g, v in zip(gens, images):
-            phi0[g] = v
-        for g in gens:
-            dg = ring.dual(g)
-            if dg in phi0 and phi0[dg] != ring.dual(phi0[g]):
-                ok = False
-        if not ok:
-            continue
-        search(phi0, frozenset())
-
-    # every survivor must preserve fusion on the whole explored square
-    survivors = [phi for phi in results
-                 if verify_automorphism(ring, phi, labels=explored)]
-    dedup = {tuple(sorted((l, phi[l]) for l in explored)): phi for phi in survivors}
-    return [RingAutomorphism.from_dict({l: phi[l] for l in explored}, depth=depth)
-            for _, phi in sorted(dedup.items())]
+    if not free:
+        return [{}]
+    # the constituents without an image must meet exactly the image
+    # constituents no label maps to, group for group
+    tfree: dict[tuple, list[str]] = {}
+    for t, n in image.items():
+        if t not in used:
+            tfree.setdefault((n, ring.dim(t)), []).append(t)
+    if {key: len(cs) for key, cs in free.items()} != \
+       {key: len(ts) for key, ts in tfree.items()}:
+        return None
+    keys = sorted(free)
+    sources = [c for key in keys for c in free[key]]
+    return [dict(zip(sources, chain.from_iterable(perms)))
+            for perms in product(*(permutations(tfree[key]) for key in keys))]
 
 
 def action_on_chain_group(ring: FusionRing, auto: RingAutomorphism,

@@ -83,9 +83,6 @@ class CosetPartition:
         return cls(ring, tuple(tuple(b) for b in raw), block_of, explored,
                    block_of[ring.unit])
 
-    def block_members(self, i: int) -> tuple[str, ...]:
-        return self.blocks[i]
-
     def same_partition(self, other: "CosetPartition", restrict: set[str] | None = None) -> bool:
         """Equality as partitions, optionally restricted to a label set."""
 
@@ -140,12 +137,6 @@ class GroupTable:
                     if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
                         raise NotAGroup("associativity fails at "
                                         f"({name[a]!r},{name[b]!r},{name[c]!r})")
-
-    def inverse(self, a: int) -> int:
-        for b in range(self.size):
-            if self.mult[a][b] == self.identity:
-                return b
-        raise NotAGroup(f"no inverse for {a}")
 
     def power(self, a: int, k: int) -> int:
         out = self.identity

@@ -15,6 +15,8 @@ from .errors import (
 from .ring import FusionRing, Subobject, Support, ValidationReport
 from .central import GroupTable, is_central_subobject
 
+GROUPLIKE_CLOSURE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class RestrictionData:
@@ -208,12 +210,12 @@ def _require_valid(r: RestrictionData, depth: int):
         raise InvalidRestriction(str(report))
 
 
-def grouplikes(ring: FusionRing, depth: int = 6, closure_cap: int = 4096) -> GroupTable:
+def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:
     """The group of dimension-1 basis elements (dual of the abelianization).
 
     Explored dim-1 elements are closed under fusion (their products are
     dim-1 singletons by the dimension homomorphism — verified); a closure
-    escaping `closure_cap` elements aborts.
+    escaping `GROUPLIKE_CLOSURE_CAP` elements aborts.
     """
     seeds = [l for l in ring.elements(depth) if ring.dim(l) == 1]
     elems = list(seeds)
@@ -231,7 +233,7 @@ def grouplikes(ring: FusionRing, depth: int = 6, closure_cap: int = 4096) -> Gro
                 raise InternalInconsistency(
                     f"dim-1 product {a!r} x {b!r} gave {supp}")
             if c not in index:
-                if len(elems) >= closure_cap:
+                if len(elems) >= GROUPLIKE_CLOSURE_CAP:
                     raise SearchBudgetExceeded("grouplike closure did not terminate")
                 index[c] = len(elems)
                 elems.append(c)

@@ -67,6 +67,13 @@ class TestGeneratedSearch:
         assert len(autos) == 2
 
 
+def test_search_budget_bounds_the_search(monkeypatch, reps3, su2):
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "1")
+    for ring in (reps3, su2):
+        with pytest.raises(fr.SearchBudgetExceeded):
+            fr.automorphisms(ring, 4)
+
+
 class TestChainGroupAction:
     def test_identity_acts_trivially(self, repz4):
         auto = fr.automorphisms(repz4)[0]

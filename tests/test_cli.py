@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -70,6 +71,22 @@ class TestOtherCommands:
     def test_automorphisms(self):
         doc = json.loads(cli("automorphisms", "--catalog", "reps3").stdout)
         assert doc["count"] == 1
+
+    @pytest.mark.parametrize("catalog, depth, count", [
+        ("su2", 40, 1), ("au", 5, 2), ("z", 25, 2)])
+    def test_automorphisms_on_large_windows(self, catalog, depth, count):
+        # windows of more than 31 labels once overflowed the recursion limit
+        out = cli("automorphisms", "--catalog", catalog, "--depth", str(depth))
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert (doc["count"], doc["depth"]) == (count, depth)
+
+    def test_automorphism_budget_is_input_error(self):
+        env = dict(os.environ, FUSIONRING_SEARCH_BUDGET="1")
+        out = cli("automorphisms", "--catalog", "reps3", env=env)
+        assert out.returncode == 2
+        assert "error: automorphism search budget exhausted" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_dot_output(self):
         out = cli("chain-group", "--catalog", "repz4", "--format", "dot")
