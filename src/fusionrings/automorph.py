@@ -45,9 +45,11 @@ class RingAutomorphism:
 def verify_automorphism(ring: FusionRing, phi: dict[str, str],
                         labels=None) -> bool:
     labels = list(labels if labels is not None else ring.labels())
+    if any(l not in phi for l in labels):
+        return False
     if sorted(phi[l] for l in labels) != sorted(labels):
         return False
-    if phi[ring.unit] != ring.unit:
+    if phi.get(ring.unit) != ring.unit:
         return False
     for a in labels:
         if ring.dim(phi[a]) != ring.dim(a):

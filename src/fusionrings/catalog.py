@@ -259,7 +259,8 @@ def au_word_ring(n: int = 2) -> FusionRing:
 
 
 def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
-    """Componentwise product ring on pair labels '(a,b)'."""
+    """Componentwise product ring on pair labels '(a,b)'; a complete
+    table when both factors are explicit, generated otherwise."""
 
     def pair(a, b):
         return f"({a},{b})"
@@ -277,9 +278,6 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
             elif ch == "," and depth == 0:
                 return inner[:i], inner[i + 1:]
         raise UnknownLabel(lab)
-
-    if r1.is_explicit != r2.is_explicit:
-        raise MalformedRing("direct_product needs two explicit or two generated rings")
 
     def oracle(x, y):
         a1, b1 = unpair(x)
@@ -299,7 +297,7 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
         return r1.dim(a) * r2.dim(b)
 
     unit, name = pair(r1.unit, r2.unit), f"{r1.name}x{r2.name}"
-    if r1.is_explicit:
+    if r1.is_explicit and r2.is_explicit:
         labels = [pair(a, b) for a in r1.labels() for b in r2.labels()]
         return FusionRing.explicit(
             [BasisElement(l, dim_fn(l)) for l in labels], unit,
@@ -311,7 +309,7 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
                                 dim_fn=dim_fn, name=name)
 
 
-def free_product(r1: FusionRing, r2: FusionRing, factor_depth: int = 6) -> FusionRing:
+def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
     """Free-product ring: alternating tagged words in nontrivial irreducibles.
 
     Fusion follows Wang's classification: letters from different factors

@@ -12,7 +12,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InternalInconsistency,
@@ -156,11 +156,6 @@ class GroupTable:
         return all(self.mult[a][b] == self.mult[b][a]
                    for a in range(n) for b in range(a + 1, n))
 
-    def center_size(self) -> int:
-        n = self.size
-        return sum(1 for a in range(n)
-                   if all(self.mult[a][b] == self.mult[b][a] for b in range(n)))
-
     def to_json(self):
         return {"mult": [list(r) for r in self.mult],
                 "identity": self.identity,
@@ -176,10 +171,7 @@ class GroupDescriptor:
     abelian_invariants: list[int] | None
     flag: str  # "exact" | "stable_at_depth(k)" | "unstable_at_depth(k)"
     presentation: dict | None = None
-    exponent: int | None = None
-    center_size: int | None = None
     name: str | None = None
-    stable_depth: int | None = None
 
     def __post_init__(self):
         if self.abelian_invariants and self.order is not None:
@@ -283,10 +275,6 @@ def trivial_class(ring: FusionRing, depth: int = 6) -> Subobject:
 # -------------------------------------------------------------- sigma-cosets
 
 
-def _sigma_related(ring: FusionRing, sigma: frozenset[str], a: str, b: str) -> bool:
-    return any(c in sigma for c in ring.product(a, ring.dual(b)))
-
-
 def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6,
                  _validated: bool = False) -> CosetPartition:
     """Partition of the explored basis under a ~ b iff supp(a x dual(b))
@@ -300,7 +288,7 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6,
     related = 0
     for i, a in enumerate(explored):
         for b in explored[i + 1:]:
-            if _sigma_related(ring, sigma.members, a, b):
+            if any(c in sigma.members for c in ring._support(a, ring.dual(b))):
                 uf.union(a, b)
                 related += 1
     part = CosetPartition.from_unionfind(ring, uf, explored)
@@ -336,37 +324,53 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
                          depth: int = 6) -> CentralityResult:
     """Decide whether sigma's cosets form a group.
 
-    Every representative pair of every pair of blocks is checked (the
-    product must land in one single coset for all of them); constituents
-    beyond the explored partition are outside the depth-qualified claim.
-    When every block product lands in the partition the full group table is
-    returned; otherwise centrality is reported with the partial product map.
+    Every member pair of every pair of blocks is checked (the product must
+    land in one single coset for all of them); constituents beyond the
+    explored partition are outside the depth-qualified claim.  When every
+    block product lands in the partition the full group table is returned;
+    otherwise centrality is reported with the partial product map.
     """
     sigma = check_subobject(ring, sigma.members, depth=depth)
     part = sigma_cosets(ring, sigma, depth, _validated=True)
-    nblocks = len(part.blocks)
+    return _quotient(ring, part, part.blocks)
+
+
+def _quotient(ring: FusionRing, part: CosetPartition,
+              reps: Sequence[Sequence[str]]) -> CentralityResult:
+    """The quotient of the explored basis by the partition `part`.
+
+    Block i times block j is the one block met by the products of every
+    label of reps[i] with every label of reps[j]; a pair whose products
+    meet two blocks is returned as the witness of a non-central result.
+    Products with no constituent in the partition stay undefined; when
+    none is undefined the verified group table is returned.
+    """
+    block_of = part.block_of
+    # a memo hit is read in place, saving a call per pair; _support fills a miss
+    get, support = ring._product_memo.get, ring._support
     products: dict[tuple[int, int], int] = {}
-    for i, bi in enumerate(part.blocks):
-        for j, bj in enumerate(part.blocks):
+    for i, ri in enumerate(reps):
+        for j, rj in enumerate(reps):
             seen: set[int] = set()
-            for a in bi:
-                for b in bj:
-                    seen.update(part.block_of[c] for c in ring.product(a, b)
-                                if c in part.block_of)
+            for a in ri:
+                for b in rj:
+                    for c in get((a, b)) or support(a, b):
+                        k = block_of.get(c)
+                        if k is not None:
+                            seen.add(k)
                     if len(seen) > 1:
                         return CentralityResult(
                             False, part,
                             witness=(i, j, (a, b), sorted(seen)))
             if seen:
                 products[(i, j)] = seen.pop()
-    if len(products) == nblocks * nblocks:
-        mult = tuple(tuple(products[(i, j)] for j in range(nblocks))
-                     for i in range(nblocks))
-        table = GroupTable(mult, part.identity_block,
-                           tuple(blk[0] for blk in part.blocks))
-        table.verify()
-        return CentralityResult(True, part, table=table, products=products)
-    return CentralityResult(True, part, products=products)
+    n = len(reps)
+    if len(products) < n * n:
+        return CentralityResult(True, part, products=products)
+    mult = tuple(tuple(products[(i, j)] for j in range(n)) for i in range(n))
+    table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in part.blocks))
+    table.verify()
+    return CentralityResult(True, part, table=table, products=products)
 
 
 def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
@@ -465,28 +469,14 @@ def _chain_result_at(ring: FusionRing, depth: int) -> CentralityResult:
 
     Each block product comes from one representative pair, the
     lowest-depth member of each block; the classes are the fibres of the
-    universal grading, so any pair gives the same block.  Products with no
-    constituent in the window stay undefined; when none is undefined the
-    full group table is returned.
+    universal grading, so any pair gives the same block.
     """
     part = merge_closure(ring, depth)
-    reps = [blk[0] for blk in part.blocks]
-    products: dict[tuple[int, int], int] = {}
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            landed = {part.block_of[c] for c in ring.product(a, b) if c in part.block_of}
-            if len(landed) > 1:
-                raise InternalInconsistency(
-                    f"{a} x {b} meets several chain classes {sorted(landed)}")
-            if landed:
-                products[(i, j)] = landed.pop()
-    n = len(reps)
-    if len(products) < n * n:
-        return CentralityResult(True, part, products=products)
-    mult = tuple(tuple(products[(i, j)] for j in range(n)) for i in range(n))
-    table = GroupTable(mult, part.identity_block, tuple(reps))
-    table.verify()
-    return CentralityResult(True, part, table=table, products=products)
+    res = _quotient(ring, part, [blk[:1] for blk in part.blocks])
+    if res.witness is not None:
+        _, _, (a, b), landed = res.witness
+        raise InternalInconsistency(f"{a} x {b} meets several chain classes {landed}")
+    return res
 
 
 def _chain_signature(ring, res, depth):
@@ -508,7 +498,6 @@ def chain_group(ring: FusionRing, depth: int = 6,
     stable_at_depth(depth), never as exact.
     """
     res = _chain_result_at(ring, depth)
-    stable = False
     if ring.checked_depth(depth) is None:
         flag = "exact"
     else:
@@ -519,7 +508,6 @@ def chain_group(ring: FusionRing, depth: int = 6,
     if res.table is not None:
         desc = identify_group(res.table, candidates=candidates)
         desc.flag = flag
-        desc.stable_depth = depth if stable else None
         return res.table, desc
 
     pres = _presentation(ring, res, depth)
@@ -536,8 +524,7 @@ def chain_group(ring: FusionRing, depth: int = 6,
             name, order, invariants = f"Z/{k}Z", k, [k]
     desc = GroupDescriptor(order=order, is_abelian=abelian,
                            abelian_invariants=invariants, flag=flag,
-                           presentation=pres, name=name,
-                           stable_depth=depth if stable else None)
+                           presentation=pres, name=name)
     return pres, desc
 
 
@@ -657,13 +644,11 @@ def tables_isomorphic(t1: GroupTable, t2: GroupTable) -> bool:
 
 def identify_group(table: GroupTable,
                    candidates: Mapping[str, GroupTable] | None = None) -> GroupDescriptor:
-    """Order, abelian invariants, exponent and center size of a finite
-    table; names it by matching any caller-supplied candidate tables."""
+    """Order and abelian invariants of a finite table; names it by
+    matching any caller-supplied candidate tables."""
     table.verify()
     n = table.size
     abelian = table.is_abelian()
-    orders = [table.element_order(a) for a in range(n)]
-    exponent = math.lcm(*orders) if orders else 1
     invariants = abelian_invariants(table) if abelian else None
     name = None
     if n == 1:
@@ -676,6 +661,4 @@ def identify_group(table: GroupTable,
                 name = cand_name
                 break
     return GroupDescriptor(order=n, is_abelian=abelian,
-                           abelian_invariants=invariants, flag="exact",
-                           exponent=exponent, center_size=table.center_size(),
-                           name=name)
+                           abelian_invariants=invariants, flag="exact", name=name)

@@ -190,7 +190,8 @@ class FusionRing:
     def labels(self) -> tuple[str, ...]:
         """All basis labels of an explicit ring, in input order."""
         if not self.is_explicit:
-            raise MalformedRing("labels() needs an explicit ring; use elements(depth)")
+            raise MalformedRing(f"ring {self.name!r} has no finite table: this needs "
+                                "a finite explicit ring (use elements(depth) for a window)")
         return tuple(b.label for b in self.basis)
 
     def elements(self, depth: int | None = None) -> tuple[str, ...]:

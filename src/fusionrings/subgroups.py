@@ -7,15 +7,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import (
-    InternalInconsistency,
-    InvalidRestriction,
-    SearchBudgetExceeded,
-)
-from .ring import FusionRing, Subobject, Support, ValidationReport
+from .errors import InternalInconsistency, InvalidRestriction
+from .ring import FusionRing, Subobject, Support, ValidationReport, generated_subobject
 from .central import GroupTable, is_central_subobject
-
-GROUPLIKE_CLOSURE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -213,34 +207,27 @@ def _require_valid(r: RestrictionData, depth: int):
 def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:
     """The group of dimension-1 basis elements (dual of the abelianization).
 
-    Explored dim-1 elements are closed under fusion (their products are
-    dim-1 singletons by the dimension homomorphism — verified); a closure
-    escaping `GROUPLIKE_CLOSURE_CAP` elements aborts.
+    The window's dim-1 elements are closed under fusion with
+    `generated_subobject`, which raises DepthExceeded when the closure
+    escapes the window; their products must be dim-1 singletons by the
+    dimension homomorphism (verified).
     """
     seeds = [l for l in ring.elements(depth) if ring.dim(l) == 1]
-    elems = list(seeds)
+    elems = generated_subobject(ring, seeds, depth).sorted_in(ring)
     index = {l: i for i, l in enumerate(elems)}
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        for b in list(elems):
-            supp = ring.product(a, b)
-            if len(supp) != 1:
-                raise InternalInconsistency(
-                    f"dim-1 product {a!r} x {b!r} not a singleton: {supp}")
-            (c, n), = supp.items()
-            if n != 1 or ring.dim(c) != 1:
-                raise InternalInconsistency(
-                    f"dim-1 product {a!r} x {b!r} gave {supp}")
-            if c not in index:
-                if len(elems) >= GROUPLIKE_CLOSURE_CAP:
-                    raise SearchBudgetExceeded("grouplike closure did not terminate")
-                index[c] = len(elems)
-                elems.append(c)
-        i += 1
-    mult = tuple(
-        tuple(index[next(iter(ring.product(a, b)))] for b in elems)
-        for a in elems)
+
+    def times(a, b):
+        supp = ring.product(a, b)
+        if len(supp) != 1:
+            raise InternalInconsistency(
+                f"dim-1 product {a!r} x {b!r} not a singleton: {supp}")
+        (c, n), = supp.items()
+        if n != 1 or ring.dim(c) != 1:
+            raise InternalInconsistency(
+                f"dim-1 product {a!r} x {b!r} gave {supp}")
+        return index[c]
+
+    mult = tuple(tuple(times(a, b) for b in elems) for a in elems)
     table = GroupTable(mult, index[ring.unit], tuple(elems))
     table.verify()
     return table

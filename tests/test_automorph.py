@@ -44,6 +44,10 @@ class TestExplicitSearch:
         ok = fr.automorph.verify_automorphism(repz4, phi)
         assert not ok
 
+    def test_verify_rejects_map_missing_a_label(self, repz4):
+        phi = {"chi0": "chi0", "chi1": "chi3", "chi2": "chi2"}
+        assert not fr.automorph.verify_automorphism(repz4, phi)
+
     def test_verify_accepts_inversion(self, repz4):
         phi = {"chi0": "chi0", "chi1": "chi3", "chi2": "chi2", "chi3": "chi1"}
         ok = fr.automorph.verify_automorphism(repz4, phi)

@@ -9,7 +9,6 @@ import fusionrings as fr
 from fusionrings.errors import (
     AxiomViolation,
     MalformedFile,
-    MalformedRing,
     NotAGroup,
     UnknownLabel,
 )
@@ -145,9 +144,11 @@ class TestProductsOfRings:
         supp = prodring.product("(g1,rho)", "(g1,rho)")
         assert supp == {"(e,1)": 1, "(e,sgn)": 1, "(e,rho)": 1}
 
-    def test_mixed_kinds_rejected(self, z2ring, su2):
-        with pytest.raises(MalformedRing):
-            fr.direct_product(z2ring, su2)
+    def test_mixed_kinds_multiply_componentwise(self, zring, z2ring):
+        ring = fr.direct_product(zring, z2ring)
+        assert fr.validate_ring(ring, 3).ok
+        assert ring.product("(z1,g1)", "(z2,g1)") == {"(z3,e)": 1}
+        assert ring.product("(z-1,g1)", "(z1,e)") == {"(z0,g1)": 1}
 
     def test_generated_direct_product(self, su2, zring):
         ring = fr.direct_product(su2, zring)

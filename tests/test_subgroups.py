@@ -3,7 +3,7 @@
 import pytest
 
 import fusionrings as fr
-from fusionrings.errors import InvalidRestriction
+from fusionrings.errors import DepthExceeded, InvalidRestriction
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +138,12 @@ class TestGrouplikes:
         table = fr.grouplikes(ring, depth=4)
         desc = fr.identify_group(table)
         assert desc.order == 2 and desc.abelian_invariants == [2]
+
+    def test_closure_escaping_the_window_raises(self, zring):
+        with pytest.raises(DepthExceeded):
+            fr.grouplikes(zring, depth=3)
+
+    def test_mixed_direct_product_grouplikes(self, z2ring, su2):
+        ring = fr.direct_product(z2ring, su2)
+        table = fr.grouplikes(ring, depth=3)
+        assert set(table.labels) == {"(e,V0)", "(g1,V0)"}
