@@ -357,6 +357,54 @@ def _closure(ring: FusionRing, current: set[str], added: set[str],
     return frozenset(current)
 
 
+def _reach(ring: FusionRing, window: Sequence[str]) -> list[tuple[str, str, str]] | None:
+    """Parent edges reaching every label of `window` from the unit, or None
+    when the reach stalls.
+
+    A label b is reached through the edge (b', g) when b' is already
+    reached, g is a generator and b is the only constituent of b' x g not
+    yet reached, so every other constituent is reached before b.  Returns
+    the triples (b, b', g) in reach order."""
+    inside = set(window)
+    reached = {ring.unit}
+    order = [ring.unit]
+    edges = []
+    while len(reached) < len(inside):
+        before = len(reached)
+        for parent in order:  # grows during the pass
+            for g in ring.generators:
+                fresh = [c for c in ring._support(parent, g) if c not in reached]
+                if len(fresh) == 1 and fresh[0] in inside:
+                    reached.add(fresh[0])
+                    order.append(fresh[0])
+                    edges.append((fresh[0], parent, g))
+        if len(reached) == before:
+            return None
+    return edges
+
+
+def _associative(ring: FusionRing, xs: Iterable[str],
+                 pairs: Iterable[tuple[str, str]]) -> bool:
+    """Whether (x y) h = x (y h) for every x in `xs` and (y, h) in `pairs`."""
+    # a memo hit is read in place, saving a call per term; _support fills a miss
+    get, support = ring._product_memo.get, ring._support
+    xs = list(xs)
+    for y, h in pairs:
+        yh = get((y, h)) or support(y, h)
+        for x in xs:
+            lhs = {}
+            for u, n in (get((x, y)) or support(x, y)).items():
+                for c, m in (get((u, h)) or support(u, h)).items():
+                    lhs[c] = lhs.get(c, 0) + n * m
+            rhs = {}
+            for v, n in yh.items():
+                for c, m in (get((x, v)) or support(x, v)).items():
+                    rhs[c] = rhs.get(c, 0) + n * m
+            if lhs != rhs:
+                return False
+    return True
+
+
 # ------------------------------------------------------------------ validate
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import InternalInconsistency, InvalidRestriction
-from .ring import FusionRing, Subobject, Support, ValidationReport, generated_subobject
+from .ring import (FusionRing, Subobject, Support, ValidationReport, _associative, _reach,
+                   generated_subobject)
 from .central import GroupTable, is_central_subobject
 
 
@@ -27,9 +28,9 @@ class RestrictionData:
                   mapping: Mapping[str, Support], name="restriction") -> "RestrictionData":
         table = {k: dict(v) for k, v in mapping.items()}
 
-        def rule(label):
+        def rule(label):  # restrict copies the entry
             try:
-                return dict(table[label])
+                return table[label]
             except KeyError:
                 raise InvalidRestriction(f"no restriction entry for {label!r}") from None
 
@@ -74,14 +75,20 @@ def su2_weight_restriction(su2: FusionRing, zring: FusionRing) -> RestrictionDat
 
 
 def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport:
-    """Check the restriction invariants to depth, reporting all failures."""
+    """Check the restriction invariants to depth, reporting all failures.
+
+    Multiplicativity is first proved from identities on the generators
+    (`_multiplicative_on_generators`); when that proof does not go through,
+    the scan over all window pairs runs, and its violations, in its order,
+    or its exception make the report."""
     report = ValidationReport(checked_depth=r.source.checked_depth(depth))
     explored = r.source.elements(depth)
-    unit_map = r.restrict(r.source.unit)
+    restrict = _restrict_once(r)
+    unit_map = restrict(r.source.unit)
     if unit_map != {r.target.unit: 1}:
         report.add("unit", (r.source.unit,), f"unit restricts to {unit_map}")
     for tau in explored:
-        m = r.restrict(tau)
+        m = restrict(tau)
         for lam in m:
             r.target.dim(lam)  # raises UnknownLabel on dangling targets
         want = r.source.dim(tau)
@@ -89,24 +96,111 @@ def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport
         if got != want:
             report.add("dimension", (tau,), f"{got} != dim {want}")
         dual_m = {r.target.dual(lam): n for lam, n in m.items()}
-        if r.restrict(r.source.dual(tau)) != dual_m:
+        if restrict(r.source.dual(tau)) != dual_m:
             report.add("conjugation", (tau,), "map(dual tau) != dual of map(tau)")
+    if report.ok:
+        try:
+            if _multiplicative_on_generators(r, explored, restrict):
+                return report
+        except Exception:
+            # the rule or a ring failed: the full scan raises it, or not,
+            # at its own point
+            pass
+    source, target = r.source._support, r.target._support
     for a in explored:
-        ma = r.restrict(a)
+        ma = restrict(a)
         for b in explored:
-            mb = r.restrict(b)
+            mb = restrict(b)
             lhs = Counter()
             for x, n in ma.items():
                 for y, m in mb.items():
-                    for c, k in r.target.product(x, y).items():
+                    for c, k in target(x, y).items():
                         lhs[c] += n * m * k
             rhs = Counter()
-            for c, n in r.source.product(a, b).items():
-                for lam, m in r.restrict(c).items():
+            for c, n in source(a, b).items():
+                for lam, m in restrict(c).items():
                     rhs[lam] += n * m
             if lhs != rhs:
                 report.add("multiplicativity", (a, b), f"{dict(lhs)} != {dict(rhs)}")
     return report
+
+
+def _restrict_once(r: RestrictionData) -> Callable[[str], Support]:
+    """`r.restrict`, calling the rule once per label."""
+    cache = {}
+
+    def restrict(label):
+        m = cache.get(label)
+        if m is None:
+            m = cache[label] = r.restrict(label)
+        return m
+
+    return restrict
+
+
+def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str],
+                                  restrict: Callable[[str], Support]) -> bool:
+    """True only if res(a x b) = res(a) res(b) for all a, b in `window`.
+
+    Along the reach (`ring._reach`: each label b is the one new constituent
+    of b' x g, g a generator), the identity for (a, b) follows by induction
+    from these checks, all run here on the rings as given:
+      - res(a x 1) = res(a) res(1) for a in the window;
+      - res(x x g) = res(x) res(g) for every generator g and every x in E,
+        the window and the constituents of a x b' for a in it and b' a
+        parent;
+      - (a x b') x g = a x (b' x g) in the source, for a in the window and
+        every parent edge;
+      - (x y) h = x (y h) in the target, for x restricted from the window,
+        y from a parent and h from a generator.
+    Then N res(a x b) = (res(a) res(b')) res(g) - sum of res(a) res(o) over
+    the other constituents o of b' x g, which is N res(a) res(b).  False
+    when the reach stalls, a check fails, or every window label is a
+    generator (as on an explicit table), where the full scan costs no
+    more."""
+    source, target = r.source, r.target
+    generators = source.generators
+    if set(window) <= set(generators):
+        return False
+    edges = _reach(source, window)
+    if edges is None:
+        return False
+    s_sup, t_sup = source._support, target._support
+
+    def restricted(supp):
+        return _sum((n, restrict(c)) for c, n in supp.items())
+
+    def restricted_product(m1, m2):
+        return _sum((n * k, t_sup(x, y)) for x, n in m1.items() for y, k in m2.items())
+
+    m_unit = restrict(source.unit)
+    for a in window:
+        if restricted(s_sup(a, source.unit)) != restricted_product(restrict(a), m_unit):
+            return False
+    parents = dict.fromkeys(p for _, p, _ in edges)
+    checked = dict.fromkeys(window)
+    for a in window:
+        for p in parents:
+            checked.update(dict.fromkeys(s_sup(a, p)))
+    for x in checked:
+        for g in generators:
+            if restricted(s_sup(x, g)) != restricted_product(restrict(x), restrict(g)):
+                return False
+    ys = dict.fromkeys(lam for p in parents for lam in restrict(p))
+    hs = dict.fromkeys(lam for g in generators for lam in restrict(g))
+    return (_associative(source, window, [(p, g) for _, p, g in edges])
+            and _associative(target, dict.fromkeys(lam for a in window for lam in restrict(a)),
+                             [(y, h) for y in ys for h in hs]))
+
+
+def _sum(terms) -> Support:
+    """The sum of n * supp over the (n, supp) terms."""
+    out = {}
+    get = out.get
+    for n, supp in terms:
+        for c, m in supp.items():
+            out[c] = get(c, 0) + n * m
+    return out
 
 
 @dataclass
@@ -143,10 +237,12 @@ class CentralSubgroupResult:
         return self.central
 
 
-def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupResult:
+def is_central_subgroup(r: RestrictionData, depth: int = 6,
+                        _validated: bool = False) -> CentralSubgroupResult:
     """Centrality test: each irreducible must restrict to dim-many copies of
     a single dimension-1 target element; returns the grouplike assignment."""
-    _require_valid(r, depth)
+    if not _validated:
+        _require_valid(r, depth)
     checked = r.source.checked_depth(depth)
     assignment = {}
     for tau in r.source.elements(depth):
@@ -160,24 +256,28 @@ def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupRe
     return CentralSubgroupResult(True, assignment=assignment, checked_depth=checked)
 
 
-def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobject:
+def trivial_restriction_subobject(r: RestrictionData, depth: int = 6,
+                                  _validated: bool = False) -> Subobject:
     """The subobject of irreducibles restricting to a sum of trivials.
 
     Cross-checked on request by the caller against the coset-group
     criterion; closure of constituents is verified through the restriction
     rule itself so it also covers constituents beyond the depth."""
-    _require_valid(r, depth)
+    if not _validated:
+        _require_valid(r, depth)
     explored = r.source.elements(depth)
+    inside = set(explored)
+    restrict = _restrict_once(r)
 
     def trivially_restricts(tau):
-        return r.restrict(tau) == {r.target.unit: r.source.dim(tau)}
+        return restrict(tau) == {r.target.unit: r.source.dim(tau)}
 
     members = {tau for tau in explored if trivially_restricts(tau)}
     for a in members:
-        if r.source.dual(a) not in members and r.source.dual(a) in set(explored):
+        if r.source.dual(a) not in members and r.source.dual(a) in inside:
             raise InvalidRestriction(f"trivially-restricting set not dual-closed at {a!r}")
         for b in members:
-            for c in r.source.product(a, b):
+            for c in r.source._support(a, b):
                 # constituents beyond the depth are still checked via the rule
                 if not trivially_restricts(c):
                     raise InvalidRestriction(
@@ -188,8 +288,9 @@ def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobje
 def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
     """Consistency check: the restriction centrality test must agree
     with the coset-group criterion on the trivially-restricting subobject."""
-    by_restriction = is_central_subgroup(r, depth).central
-    sigma = trivial_restriction_subobject(r, depth)
+    _require_valid(r, depth)
+    by_restriction = is_central_subgroup(r, depth, _validated=True).central
+    sigma = trivial_restriction_subobject(r, depth, _validated=True)
     by_cosets = is_central_subobject(r.source, sigma, depth).central
     if by_restriction != by_cosets:
         raise InternalInconsistency(

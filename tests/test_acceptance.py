@@ -221,3 +221,10 @@ def test_15_au_chain_group_at_depth_8():
         _, desc = fr.chain_group(ring, depth=8)
     assert desc.name == "Z"
     assert desc.flag == "stable_at_depth(8)"
+
+
+def test_16_su2_weight_restriction_validates_at_depth_30():
+    weights = fr.su2_weight_restriction(fr.su2_ring(), fr.z_group_ring())
+    with budget(1):
+        report = fr.validate_restriction(weights, 30)
+    assert str(report) == "valid (checked to depth 30)"

@@ -4,9 +4,12 @@
 current set in each round; `pairwise_seed_lattice` closes every subset of
 at most two labels and then joins every pair of lattice members until
 nothing new appears; `reference_validate_ring` copies every support it
-reads and sums the associativity terms in Counters.  `generated_subobject`,
-`enumerate_central_subobjects` and `validate_ring` must give the same
-answers, and the same violations in the same order.
+reads and sums the associativity terms in Counters;
+`reference_validate_restriction` checks multiplicativity on every pair of
+the window, calling the rule for every label it reads.
+`generated_subobject`, `enumerate_central_subobjects`, `validate_ring` and
+`validate_restriction` must give the same answers, and the same violations
+in the same order (or the same exception).
 """
 
 from collections import Counter
@@ -18,7 +21,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionrings as fr
 from fusionrings.central import search_budget
-from fusionrings.errors import DepthExceeded, SearchBudgetExceeded
+from fusionrings.errors import DepthExceeded, InvalidRestriction, SearchBudgetExceeded
+from fusionrings.ring import _associative, _reach
 
 DATA = Path(__file__).parent / "data"
 
@@ -332,3 +336,285 @@ def test_validate_ring_matches_reference_on_random_corruption(data):
     corrupt = _retabled(ring, fusion=fusion, dual=dual, drop=drop,
                         truncated_at=1 if drop else None)
     assert_same_report(corrupt)
+
+
+# ------------------------------------------------------- restriction data
+
+
+def reference_validate_restriction(r, depth=6):
+    report = fr.ValidationReport(checked_depth=r.source.checked_depth(depth))
+    explored = r.source.elements(depth)
+    unit_map = r.restrict(r.source.unit)
+    if unit_map != {r.target.unit: 1}:
+        report.add("unit", (r.source.unit,), f"unit restricts to {unit_map}")
+    for tau in explored:
+        m = r.restrict(tau)
+        for lam in m:
+            r.target.dim(lam)
+        want = r.source.dim(tau)
+        got = sum(n * r.target.dim(lam) for lam, n in m.items())
+        if got != want:
+            report.add("dimension", (tau,), f"{got} != dim {want}")
+        dual_m = {r.target.dual(lam): n for lam, n in m.items()}
+        if r.restrict(r.source.dual(tau)) != dual_m:
+            report.add("conjugation", (tau,), "map(dual tau) != dual of map(tau)")
+    for a in explored:
+        ma = r.restrict(a)
+        for b in explored:
+            mb = r.restrict(b)
+            lhs = Counter()
+            for x, n in ma.items():
+                for y, m in mb.items():
+                    for c, k in r.target.product(x, y).items():
+                        lhs[c] += n * m * k
+            rhs = Counter()
+            for c, n in r.source.product(a, b).items():
+                for lam, m in r.restrict(c).items():
+                    rhs[lam] += n * m
+            if lhs != rhs:
+                report.add("multiplicativity", (a, b), f"{dict(lhs)} != {dict(rhs)}")
+    return report
+
+
+def _restriction_outcome(validate, r, depth):
+    try:
+        report = validate(r, depth)
+    except Exception as exc:
+        return (type(exc), str(exc))
+    return (_violations(report), str(report))
+
+
+def assert_same_restriction_report(r, depth=6):
+    want = _restriction_outcome(reference_validate_restriction, r, depth)
+    assert _restriction_outcome(fr.validate_restriction, r, depth) == want
+    return want
+
+
+# name -> the restriction on a fresh su2
+SU2_RESTRICTIONS = {
+    "parity": lambda: fr.su2_parity_restriction(fr.su2_ring(), _zn(2)),
+    "weights": lambda: fr.su2_weight_restriction(fr.su2_ring(), fr.z_group_ring()),
+    "identity": lambda: fr.identity_restriction(fr.su2_ring()),
+    "trivial": lambda: fr.trivial_restriction(fr.su2_ring(), _zn(1)),
+}
+
+
+def _corrupted(r, label, multiset):
+    """`r` with `label` restricting to `multiset`."""
+    return fr.RestrictionData(r.source, r.target,
+                              lambda l: dict(multiset) if l == label else r.rule(l),
+                              name="corrupt")
+
+
+def _kept_shape(name, k, data):
+    """A corruption of V_k's restriction that keeps its dimension and its
+    conjugation symmetry, so only multiplicativity can catch it (None when
+    there is none)."""
+    if name == "parity":
+        n = data.draw(st.integers(0, k + 1))
+        return {l: m for l, m in (("e", n), ("g1", k + 1 - n)) if m}
+    if name == "weights" and k >= 1:
+        j = data.draw(st.sampled_from(range(k, 0, -2)))
+        shift = data.draw(st.sampled_from((2, 4)))
+        m = Counter({f"z{w}": 1 for w in range(-k, k + 1, 2)})
+        m.subtract({f"z{j}": 1, f"z{-j}": 1})
+        m.update({f"z{j + shift}": 1, f"z{-j - shift}": 1})
+        return {l: n for l, n in m.items() if n}
+    if name == "identity" and k >= 1:
+        j = data.draw(st.integers(0, k - 1))
+        return dict(Counter([f"V{j}", f"V{k - 1 - j}"]))
+    return None
+
+
+def _target_pool(name, depth):
+    top = 2 * depth + 2
+    return {"parity": ["e", "g1"],
+            "weights": [f"z{w}" for w in range(-top, top + 1)],
+            "identity": [f"V{n}" for n in range(top + 1)],
+            "trivial": ["e"]}[name]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_validate_restriction_matches_reference_on_corruption(data):
+    name = data.draw(st.sampled_from(sorted(SU2_RESTRICTIONS)))
+    r = SU2_RESTRICTIONS[name]()
+    depth = data.draw(st.integers(0, 6))
+    # inside the window, or beyond it among the constituents of its products
+    k = data.draw(st.integers(0, 2 * depth))
+    multiset = None
+    if data.draw(st.booleans()):
+        multiset = _kept_shape(name, k, data)
+    if multiset is None:
+        pool = st.sampled_from(_target_pool(name, depth))
+        multiset = data.draw(st.dictionaries(pool, st.integers(1, 3), min_size=1, max_size=3))
+    assert_same_restriction_report(_corrupted(r, f"V{k}", multiset), depth)
+
+
+@pytest.mark.parametrize("name", sorted(SU2_RESTRICTIONS))
+def test_validate_restriction_matches_reference_on_su2(name):
+    r = SU2_RESTRICTIONS[name]()
+    for depth in (0, 1, 2, 5, 8):
+        assert assert_same_restriction_report(r, depth)[1] == f"valid (checked to depth {depth})"
+
+
+def test_validate_restriction_matches_reference_on_weights_at_depth_30():
+    r = SU2_RESTRICTIONS["weights"]()
+    assert assert_same_restriction_report(r, 30)[1] == "valid (checked to depth 30)"
+
+
+def test_validate_restriction_matches_reference_on_fixtures(explicit_fixtures, z2ring):
+    trivial = _zn(1)
+    for name, ring in explicit_fixtures.items():
+        for r in (fr.identity_restriction(ring), fr.trivial_restriction(ring, trivial)):
+            assert assert_same_restriction_report(r)[1] == "valid", name
+    bad = {"chi0": {"e": 1}, "chi1": {"g1": 1}, "chi2": {"g1": 1}, "chi3": {"e": 1}}
+    r = fr.RestrictionData.from_dict(fr.rep_z4_ring(), z2ring, bad)
+    assert not assert_same_restriction_report(r)[1].startswith("valid")
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("so3", 6), ("au2", 3), ("z", 8), ("su2*Z/2", 3), ("su2xsu2", 3), ("su2xso3", 3)])
+def test_validate_restriction_matches_reference_on_generated_sources(name, depth):
+    su2, so3 = fr.su2_ring(), fr.so3_ring()
+    ring = {"so3": lambda: so3, "au2": lambda: fr.au_word_ring(2),
+            "z": fr.z_group_ring, "su2*Z/2": lambda: fr.free_product(su2, _zn(2)),
+            "su2xsu2": lambda: fr.direct_product(su2, fr.su2_ring()),
+            "su2xso3": lambda: fr.direct_product(su2, so3)}[name]()
+    assert _reach(ring, ring.elements(depth)) is not None
+    for r in (fr.identity_restriction(ring), fr.trivial_restriction(ring, _zn(1))):
+        assert assert_same_restriction_report(r, depth)[1].startswith("valid"), r.name
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+def test_map_without_entries_beyond_the_window(depth, zring):
+    su2 = fr.su2_ring()
+    window = {f"V{n}": {f"z{w}": 1 for w in range(-n, n + 1, 2)} for n in range(depth + 1)}
+    r = fr.RestrictionData.from_dict(su2, zring, window)
+    want = assert_same_restriction_report(r, depth)
+    assert want == (InvalidRestriction, f"no restriction entry for 'V{depth + 1}'")
+    # with entries to twice the depth the map is valid
+    full = {f"V{n}": {f"z{w}": 1 for w in range(-n, n + 1, 2)} for n in range(2 * depth + 1)}
+    r = fr.RestrictionData.from_dict(su2, zring, full)
+    assert assert_same_restriction_report(r, depth)[1].startswith("valid")
+
+
+def _su2_with_square(depth):
+    """su2 in which V_depth x V_depth loses its top constituent: x V1 and
+    every product that discovery, the reach and the generator identities
+    read are unchanged."""
+    su2 = fr.su2_ring()
+    top = f"V{depth}"
+
+    def fuse(a, b):
+        supp = su2.product(a, b)
+        if a == b == top:
+            del supp[f"V{2 * depth}"]
+            supp[f"V{2 * depth - 2}"] += 1
+        return supp
+
+    return fr.FusionRing.generated("V0", ["V1"], fuse, su2.dual, su2.dim, name="su2'")
+
+
+def test_non_associative_source_falls_back_to_the_full_scan(zring):
+    depth = 4
+    ring = _su2_with_square(depth)
+    window = ring.elements(depth)
+    edges = _reach(ring, window)
+    failing = [(a, p, g) for a in window for _, p, g in edges
+               if not _associative(ring, [a], [(p, g)])]
+    assert failing == [("V4", "V3", "V1")]
+    want = assert_same_restriction_report(fr.su2_weight_restriction(ring, zring), depth)
+    assert [v[:2] for v in want[0]] == [("multiplicativity", ("V4", "V4"))]
+
+
+def test_non_associative_target_falls_back_to_the_full_scan(su2):
+    z = fr.z_group_ring()
+
+    def fuse(a, b):  # z2 x z2 = z5; products with z1 and z-1 are untouched
+        return {"z5": 1} if a == b == "z2" else z.product(a, b)
+
+    target = fr.FusionRing.generated("z0", ["z1", "z-1"], fuse, z.dual, z.dim, name="z'")
+    want = assert_same_restriction_report(fr.su2_weight_restriction(su2, target), 4)
+    assert ("multiplicativity", ("V2", "V2")) in [v[:2] for v in want[0]]
+
+
+def test_target_raising_beyond_the_full_scan_falls_back(su2):
+    """The generator identities multiply restricted labels from beyond the
+    window; an error there must not reach the caller when the full scan,
+    which never multiplies them, passes."""
+    depth = 3
+    z = fr.z_group_ring()
+
+    def fuse(a, b):
+        if abs(int(a[1:])) > depth:
+            raise DepthExceeded(f"{a} x {b}")
+        return z.product(a, b)
+
+    target = fr.FusionRing.generated("z0", ["z1", "z-1"], fuse, z.dual, z.dim, name="z'")
+    want = assert_same_restriction_report(fr.su2_weight_restriction(su2, target), depth)
+    assert want[1] == f"valid (checked to depth {depth})"
+
+
+def _rep_s3_on_rho(broken=False):
+    """Rep(S3) generated by its 2-dimensional label rho.  `broken` sets
+    sgn x 1 = 1 and sgn x sgn = sgn: every generator identity and every
+    associativity instance of the reduced check still holds, and only the
+    identity on the unit sees the fault."""
+    def fuse(x, y):
+        if broken and (x, y) in (("sgn", "1"), ("sgn", "sgn")):
+            return {y: 1}
+        if x == "1" or y == "1":
+            return {y if x == "1" else x: 1}
+        if x == y == "rho":
+            return {"1": 1, "sgn": 1, "rho": 1}
+        if x == y == "sgn":
+            return {"1": 1}
+        return {"rho": 1}
+
+    return fr.FusionRing.generated("1", ["rho"], fuse, lambda x: x,
+                                   lambda x: 2 if x == "rho" else 1, name="Rep(S3)")
+
+
+def test_source_without_unit_law_falls_back_to_the_full_scan():
+    source = _rep_s3_on_rho(broken=True)
+    window = source.elements(2)
+    edges = _reach(source, window)
+    assert [b for b, _, _ in edges] == ["rho", "sgn"]
+    assert _associative(source, window, [(p, g) for _, p, g in edges])
+    r = fr.RestrictionData(source, _rep_s3_on_rho(), lambda l: {l: 1}, name="identity")
+    want = assert_same_restriction_report(r, 2)
+    assert [v[:2] for v in want[0]] == [("multiplicativity", ("sgn", "1")),
+                                        ("multiplicativity", ("sgn", "sgn"))]
+    assert assert_same_restriction_report(fr.identity_restriction(_rep_s3_on_rho()), 2)[0] == []
+
+
+def _rep_d4_on_rho(broken=False):
+    """Rep(D4) generated by its 2-dimensional label rho: a, b, c multiply as
+    the Klein group and rho x rho = 1 + a + b + c, so the reach stalls at
+    a, b and c.  `broken` sets a x b = 1."""
+    klein = {"1": (0, 0), "a": (1, 0), "b": (0, 1), "c": (1, 1)}
+    name = {v: k for k, v in klein.items()}
+
+    def fuse(x, y):
+        if x == y == "rho":
+            return {l: 1 for l in klein}
+        if "rho" in (x, y):
+            return {"rho": 1}
+        if broken and (x, y) == ("a", "b"):
+            return {"1": 1}
+        (p, q), (r, s) = klein[x], klein[y]
+        return {name[(p ^ r, q ^ s)]: 1}
+
+    return fr.FusionRing.generated("1", ["rho"], fuse, lambda x: x,
+                                   lambda x: 2 if x == "rho" else 1, name="Rep(D4)")
+
+
+def test_stalled_reach_falls_back_to_the_full_scan():
+    source = _rep_d4_on_rho(broken=True)
+    assert _reach(source, source.elements(2)) is None
+    r = fr.RestrictionData(source, _rep_d4_on_rho(), lambda l: {l: 1}, name="identity")
+    want = assert_same_restriction_report(r, 2)
+    assert [v[:2] for v in want[0]] == [("multiplicativity", ("a", "b"))]
+    assert assert_same_restriction_report(fr.identity_restriction(_rep_d4_on_rho()), 2)[0] == []
