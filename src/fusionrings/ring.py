@@ -386,7 +386,9 @@ def _reach(ring: FusionRing, window: Sequence[str]) -> list[tuple[str, str, str]
 def _associative(ring: FusionRing, xs: Iterable[str],
                  pairs: Iterable[tuple[str, str]]) -> bool:
     """Whether (x y) h = x (y h) for every x in `xs` and (y, h) in `pairs`."""
-    # a memo hit is read in place, saving a call per term; _support fills a miss
+    # The two sums are those of validate_ring's triple loop, kept inline in
+    # both: a shared helper called per triple made validate_ring on Z/16-Z/32
+    # 5-10% slower.  A memo hit is read in place; _support fills a miss.
     get, support = ring._product_memo.get, ring._support
     xs = list(xs)
     for y, h in pairs:

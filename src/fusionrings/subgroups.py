@@ -28,9 +28,9 @@ class RestrictionData:
                   mapping: Mapping[str, Support], name="restriction") -> "RestrictionData":
         table = {k: dict(v) for k, v in mapping.items()}
 
-        def rule(label):  # restrict copies the entry
+        def rule(label):
             try:
-                return table[label]
+                return dict(table[label])
             except KeyError:
                 raise InvalidRestriction(f"no restriction entry for {label!r}") from None
 
@@ -237,12 +237,10 @@ class CentralSubgroupResult:
         return self.central
 
 
-def is_central_subgroup(r: RestrictionData, depth: int = 6,
-                        _validated: bool = False) -> CentralSubgroupResult:
+def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupResult:
     """Centrality test: each irreducible must restrict to dim-many copies of
     a single dimension-1 target element; returns the grouplike assignment."""
-    if not _validated:
-        _require_valid(r, depth)
+    _require_valid(r, depth)
     checked = r.source.checked_depth(depth)
     assignment = {}
     for tau in r.source.elements(depth):
@@ -288,8 +286,7 @@ def trivial_restriction_subobject(r: RestrictionData, depth: int = 6,
 def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
     """Consistency check: the restriction centrality test must agree
     with the coset-group criterion on the trivially-restricting subobject."""
-    _require_valid(r, depth)
-    by_restriction = is_central_subgroup(r, depth, _validated=True).central
+    by_restriction = is_central_subgroup(r, depth).central
     sigma = trivial_restriction_subobject(r, depth, _validated=True)
     by_cosets = is_central_subobject(r.source, sigma, depth).central
     if by_restriction != by_cosets:
