@@ -19,7 +19,7 @@ from .errors import (
     NotAGroup,
     SearchBudgetExceeded,
 )
-from .ring import FusionRing, Subobject, _closure, check_subobject, generated_subobject
+from .ring import FusionRing, Subobject, check_subobject, generated_subobject
 
 log = logging.getLogger(__name__)
 
@@ -83,18 +83,9 @@ class CosetPartition:
         return cls(ring, tuple(tuple(b) for b in raw), block_of, explored,
                    block_of[ring.unit])
 
-    def same_partition(self, other: "CosetPartition", restrict: set[str] | None = None) -> bool:
-        """Equality as partitions, optionally restricted to a label set."""
-
-        def normal(part):
-            out = []
-            for blk in part.blocks:
-                members = frozenset(l for l in blk if restrict is None or l in restrict)
-                if members:
-                    out.append(members)
-            return frozenset(out)
-
-        return normal(self) == normal(other)
+    def same_partition(self, other: "CosetPartition") -> bool:
+        """Equality as partitions."""
+        return set(map(frozenset, self.blocks)) == set(map(frozenset, other.blocks))
 
     def to_json(self):
         return {
@@ -138,12 +129,6 @@ class GroupTable:
                         raise NotAGroup("associativity fails at "
                                         f"({name[a]!r},{name[b]!r},{name[c]!r})")
 
-    def power(self, a: int, k: int) -> int:
-        out = self.identity
-        for _ in range(k):
-            out = self.mult[out][a]
-        return out
-
     def element_order(self, a: int) -> int:
         cur, k = a, 1
         while cur != self.identity:
@@ -155,6 +140,32 @@ class GroupTable:
         n = self.size
         return all(self.mult[a][b] == self.mult[b][a]
                    for a in range(n) for b in range(a + 1, n))
+
+    def subgroup(self, gens: Iterable[int]) -> frozenset[int]:
+        """The subgroup generated by `gens`: the identity closed under right
+        multiplication by them (in a finite group, inverses are powers)."""
+        gens = list(gens)
+        out = {self.identity}
+        work = [self.identity]
+        while work:
+            row = self.mult[work.pop()]
+            new = {row[g] for g in gens} - out
+            out |= new
+            work.extend(new)
+        return frozenset(out)
+
+    def quotient(self, normal: frozenset[int]) -> "GroupTable":
+        """The table of the cosets of the normal subgroup `normal`, each
+        named by its first element's label."""
+        coset_of: dict[int, int] = {}
+        reps = []
+        for a in range(self.size):
+            if a not in coset_of:
+                for h in normal:
+                    coset_of[self.mult[a][h]] = len(reps)
+                reps.append(a)
+        mult = tuple(tuple(coset_of[self.mult[a][b]] for b in reps) for a in reps)
+        return GroupTable(mult, coset_of[self.identity], tuple(self.labels[a] for a in reps))
 
     def to_json(self):
         return {"mult": [list(r) for r in self.mult],
@@ -275,12 +286,10 @@ def trivial_class(ring: FusionRing, depth: int = 6) -> Subobject:
 # -------------------------------------------------------------- sigma-cosets
 
 
-def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6,
-                 _validated: bool = False) -> CosetPartition:
+def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPartition:
     """Partition of the explored basis under a ~ b iff supp(a x dual(b))
     meets sigma, with transitive closure applied after the pairwise tests."""
-    if not _validated:
-        sigma = check_subobject(ring, sigma.members, depth=depth)
+    sigma = check_subobject(ring, sigma.members, depth=depth)
     explored = ring.elements(depth)
     uf = UnionFind()
     for x in explored:
@@ -330,8 +339,7 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
     block product lands in the partition the full group table is returned;
     otherwise centrality is reported with the partial product map.
     """
-    sigma = check_subobject(ring, sigma.members, depth=depth)
-    part = sigma_cosets(ring, sigma, depth, _validated=True)
+    part = sigma_cosets(ring, sigma, depth)
     return _quotient(ring, part, part.blocks)
 
 
@@ -376,52 +384,50 @@ def _quotient(ring: FusionRing, part: CosetPartition,
 def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
     """All central subobjects of a finite explicit ring.
 
-    Every subobject is a join of principal subobjects <a>, so the lattice
-    is built as a worklist of joins: starting from the closure of the unit,
-    each subobject s found is joined with each distinct principal P not
-    already inside it, closing only P's new labels against the closed s.
-    SearchBudgetExceeded is raised when the lattice has more subobjects
-    than the search budget.  Each member is then tested for centrality.
+    The chain classes are the components of the universal grading by the
+    chain group U, so a subobject is central exactly when it is the union
+    of the classes in a normal subgroup of U.  The normal subgroups are
+    found as a worklist of joins: starting from the trivial subgroup, each
+    one found is joined with the normal closure of every element not
+    already inside it.  SearchBudgetExceeded is raised when U has more
+    normal subgroups than the search budget.
     """
+    ring.labels()  # a finite table is needed
+    res = _chain_result_at(ring, 0)  # the depth does not limit a complete table
+    t, blocks = res.table, res.partition.blocks
+    inverse = [row.index(t.identity) for row in t.mult]
+    closures = {t.subgroup({t.mult[t.mult[g][a]][inverse[g]] for g in range(t.size)})
+                for a in range(t.size)}
     budget = search_budget()
-    labels = ring.labels()
-    allowed = set(labels)
-    principals = {generated_subobject(ring, [a]).members for a in labels}
-    bottom = generated_subobject(ring, ()).members
-    lattice = {bottom}
+    bottom = frozenset([t.identity])
+    normals = {bottom}
     work = [bottom]
     while work:
-        if len(lattice) > budget:
+        if len(normals) > budget:
             raise SearchBudgetExceeded("central-subobject lattice too large")
         s = work.pop()
-        for p in principals:
-            if p <= s:
-                continue
-            j = _closure(ring, s | p, p - s, allowed)
-            if j not in lattice:
-                lattice.add(j)
-                work.append(j)
-    out = []
-    for members in lattice:
-        sub = Subobject(members)
-        if is_central_subobject(ring, sub).central:
-            out.append(sub)
+        for c in closures:
+            if not c <= s:
+                j = t.subgroup(s | c)
+                if j not in normals:
+                    normals.add(j)
+                    work.append(j)
+    out = [Subobject(frozenset(l for i in n for l in blocks[i])) for n in normals]
     out.sort(key=lambda s: (len(s.members), tuple(sorted(s.members))))
     return out
 
 
 def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
-    """The intersection of all central subobjects; computed as the unit's
-    chain class and cross-checked against the enumeration on finite rings."""
+    """The intersection of all central subobjects, computed as the unit's
+    chain class.  On a complete table it is cross-checked against the
+    adjoint subobject, generated by the supports of every x * dual(x)."""
     ez = trivial_class(ring, depth)
-    if ring.is_explicit:
-        centrals = enumerate_central_subobjects(ring)
-        inter = frozenset(ring.labels())
-        for sub in centrals:
-            inter &= sub.members
-        if inter != ez.members:
+    if ring.checked_depth(depth) is None:
+        adjoint = generated_subobject(
+            ring, [c for x in ring.labels() for c in ring._support(x, ring.dual(x))])
+        if adjoint != ez:
             raise InternalInconsistency(
-                f"intersection of central subobjects {sorted(inter)} != "
+                f"adjoint subobject {sorted(adjoint.members)} != "
                 f"unit chain class {sorted(ez.members)}")
     return ez
 
@@ -532,68 +538,16 @@ def chain_group(ring: FusionRing, depth: int = 6,
 
 
 def abelian_invariants(table: GroupTable) -> list[int]:
-    """Invariant factors of a finite abelian table, from the counts of
-    solutions of x^(p^j) = e for each prime p dividing the order."""
-    n = table.size
-    if n == 1:
-        return []
-    primes = _prime_factors(n)
-    primary: dict[int, list[int]] = {}
-    for p in primes:
-        counts = [1]  # counts[j] = #{x : x^(p^j) = e}
-        j = 0
-        while counts[-1] < _p_part(n, p):
-            j += 1
-            counts.append(sum(1 for a in range(n)
-                              if table.power(a, p ** j) == table.identity))
-        exps = []
-        for level in range(1, len(counts)):
-            m = _ilog(counts[level] // counts[level - 1], p)
-            exps.append(m)  # number of cyclic p-factors with exponent >= level
-        factors = []
-        for level, m in enumerate(exps, start=1):
-            nxt = exps[level] if level < len(exps) else 0
-            factors.extend([p ** level] * (m - nxt))
-        primary[p] = sorted(factors, reverse=True)
-    width = max(len(v) for v in primary.values())
-    invariants = []
-    for i in range(width):
-        d = 1
-        for p in primes:
-            if i < len(primary[p]):
-                d *= primary[p][i]
-        invariants.append(d)
-    invariants.sort()
-    return invariants
+    """Invariant factors of a finite abelian table, smallest first.
 
-
-def _prime_factors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
-def _ilog(x: int, p: int) -> int:
-    k = 0
-    while x > 1:
-        x //= p
-        k += 1
-    return k
+    A cyclic subgroup of largest order is a direct summand, so its order
+    is the largest factor and the others are those of the quotient."""
+    out = []
+    while table.size > 1:
+        a = max(range(table.size), key=table.element_order)
+        out.append(table.element_order(a))
+        table = table.quotient(table.subgroup([a]))
+    return out[::-1]
 
 
 def tables_isomorphic(t1: GroupTable, t2: GroupTable) -> bool:

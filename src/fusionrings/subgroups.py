@@ -27,6 +27,9 @@ class RestrictionData:
     def from_dict(cls, source: FusionRing, target: FusionRing,
                   mapping: Mapping[str, Support], name="restriction") -> "RestrictionData":
         table = {k: dict(v) for k, v in mapping.items()}
+        bad = [(k, lam) for k, v in table.items() for lam, n in v.items() if n <= 0]
+        if bad:
+            raise InvalidRestriction(f"zero/negative multiplicity at {bad[0]}")
 
         def rule(label):
             try:

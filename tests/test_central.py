@@ -1,10 +1,14 @@
 """Chain classes, coset partitions, central subobjects, group identification."""
 
+import math
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionrings as fr
-from fusionrings.errors import NotAGroup
+from fusionrings import central
+from fusionrings.errors import InternalInconsistency, NotAGroup
 
 
 class TestMergeClosure:
@@ -100,6 +104,12 @@ class TestCentralSubobjects:
             sub = fr.center_subobject(ring)
             assert ring.unit in sub, name
 
+    def test_center_adjoint_cross_check_is_live(self, z2ring, monkeypatch):
+        whole = fr.Subobject(frozenset(z2ring.labels()))
+        monkeypatch.setattr(central, "trivial_class", lambda ring, depth=6: whole)
+        with pytest.raises(InternalInconsistency, match="adjoint subobject"):
+            fr.center_subobject(z2ring)
+
     def test_generated_center(self, su2, so3):
         su2_center = fr.center_subobject(su2, 6)
         assert {"V0", "V2"} <= set(su2_center.members)
@@ -129,6 +139,17 @@ class TestChainGroup:
                                  fr.group_ring(fr.cyclic_group(4)))
         table, _ = fr.chain_group(ring)
         assert fr.abelian_invariants(table) == [2, 4]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=3)
+           .filter(lambda orders: math.prod(orders) <= 288))
+    def test_abelian_invariants_of_cyclic_products(self, orders):
+        elems = list(product(*(range(n) for n in orders)))
+        index = {x: i for i, x in enumerate(elems)}
+        mult = tuple(tuple(index[tuple((a + b) % n for a, b, n in zip(x, y, orders))]
+                           for y in elems) for x in elems)
+        table = fr.GroupTable(mult, 0, tuple(map(str, elems)))
+        assert fr.abelian_invariants(table) == _invariant_factors(orders)
 
     def test_direct_product_mixes_factors(self, prodring):
         _, desc = fr.chain_group(prodring)
@@ -175,3 +196,25 @@ class TestGroupIdentification:
         table = fr.GroupTable(mult, 0, ("e", "a"))
         with pytest.raises(NotAGroup):
             table.verify()
+
+
+def _invariant_factors(orders):
+    """The invariant factors of the product of the Z/n, smallest first:
+    the k-th largest factor multiplies the k-th largest p-part of the
+    orders for every prime p."""
+    parts = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            if q > 1:
+                parts.setdefault(p, []).append(q)
+            p += 1
+    factors = [1] * max((len(v) for v in parts.values()), default=0)
+    for qs in parts.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            factors[k] *= q
+    return factors[::-1]

@@ -193,6 +193,20 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    def test_zero_multiplicity_in_map_file_rejected(self, tmp_path):
+        rfile = tmp_path / "zero.json"
+        rfile.write_text(json.dumps(
+            {"source": "zn:2", "target": "zn:2",
+             "map": [{"from": "e", "to": [{"label": "e", "n": 1}]},
+                     {"from": "g1", "to": [{"label": "g1", "n": 1},
+                                           {"label": "e", "n": 0}]}]}))
+        out = cli("is-central", "--catalog", "zn:2", "--restriction", str(rfile))
+        assert out.returncode == 2
+        assert any(l.startswith("error:") and "multiplicity" in l
+                   for l in out.stderr.splitlines())
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
     def test_generated_source_with_map_file_rejected(self, tmp_path):
         rfile = tmp_path / "bad.json"
         rfile.write_text(json.dumps(

@@ -178,6 +178,10 @@ LATTICE_RINGS = {
     "reps3^3": _reps3_cubed,
     "klein x Z/2": lambda: fr.direct_product(fr.group_ring(fr.klein_group()), _zn(2)),
     "S3 x reps3": lambda: fr.direct_product(fr.group_ring(fr.s3_group()), fr.rep_s3_ring()),
+    # its chain group S3 x S3 has a normal subgroup that is not a product:
+    # the pairs (a, b) with sign a = sign b
+    "S3 x S3": lambda: fr.direct_product(fr.group_ring(fr.s3_group()),
+                                         fr.group_ring(fr.s3_group())),
 }
 
 
@@ -226,6 +230,16 @@ def test_lattice_matches_pairwise_seeds_on_explicit_fixtures(explicit_fixtures):
 def test_lattice_matches_pairwise_seeds(name):
     ring = LATTICE_RINGS[name]()
     assert fr.enumerate_central_subobjects(ring) == pairwise_seed_lattice(ring)
+
+
+def test_center_is_the_lattice_intersection(explicit_fixtures):
+    rings = {**explicit_fixtures, "S3 x reps3": LATTICE_RINGS["S3 x reps3"](),
+             "reps3^3": _reps3_cubed()}
+    for name, ring in rings.items():
+        inter = frozenset(ring.labels())
+        for sub in pairwise_seed_lattice(ring):
+            inter &= sub.members
+        assert fr.center_subobject(ring).members == inter, name
 
 
 def test_lattice_budget_is_its_size(monkeypatch):

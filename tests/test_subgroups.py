@@ -50,6 +50,12 @@ class TestValidation:
         report = fr.validate_restriction(r)
         assert not report.ok
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_multiplicity_rejected(self, z2ring, n):
+        with pytest.raises(InvalidRestriction, match="multiplicity"):
+            fr.RestrictionData.from_dict(
+                z2ring, z2ring, {"e": {"e": 1}, "g1": {"g1": 1, "e": n}}, name="bad")
+
 
 class TestNormality:
     def test_parity_normal(self, parity):
@@ -117,6 +123,9 @@ class TestTrivialRestrictionSubobject:
         r = fr.RestrictionData(su2, z2ring, rule, name="broken")
         with pytest.raises(InvalidRestriction):
             fr.trivial_restriction_subobject(r, depth=6)
+        # past validation, the closure check itself rejects V1 x V1 -> V2
+        with pytest.raises(InvalidRestriction, match="not fusion-closed"):
+            fr.trivial_restriction_subobject(r, depth=6, _validated=True)
 
 
 class TestGrouplikes:
