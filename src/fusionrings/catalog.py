@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -314,64 +313,53 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
 
     Fusion follows Wang's classification: letters from different factors
     concatenate; equal-factor boundary letters are fused in their factor,
-    the trivial constituent recursing into the shorter words.
+    the trivial constituent recursing into the shorter words.  A letter
+    whose label is itself a word is written `i:[word]`.
     """
     factors = (r1, r2)
+
+    def letter(i: int, flab: str) -> str:
+        return f"{i + 1}:[{flab}]" if "*" in flab else f"{i + 1}:{flab}"
+
+    def label_of(word) -> str:
+        return "*".join(letter(i, l) for i, l in word) or "e"
 
     def letters_of(lab: str) -> tuple[tuple[int, str], ...]:
         """The alternating letters of a word; UnknownLabel for anything else."""
         if lab == "e":
             return ()
+        nested = "[" in lab or "(" in lab
         out = []
-        for piece in lab.split("*"):
+        for piece in split_outside_brackets(lab, "*") if nested else lab.split("*"):
             tag, _, flab = piece.partition(":")
             if tag not in ("1", "2"):
                 raise UnknownLabel(lab)
             i = int(tag) - 1
-            if flab == factors[i].unit or (out and out[-1][0] == i):
+            if flab[:1] == "[" and flab[-1:] == "]" and "*" in flab:
+                flab = flab[1:-1]
+            if (flab == factors[i].unit or (out and out[-1][0] == i)
+                    or (nested and letter(i, flab) != piece)):
                 raise UnknownLabel(lab)
             factors[i].dim(flab)  # raises UnknownLabel outside the factor
             out.append((i, flab))
         return tuple(out)
 
-    def label_of(word) -> str:
-        if not word:
-            return "e"
-        return "*".join(f"{i + 1}:{l}" for i, l in word)
-
-    memo: dict[tuple, Counter] = {}
-
-    def fuse(s: tuple, t: tuple) -> Counter:
-        if not s:
-            return Counter({t: 1})
-        if not t:
-            return Counter({s: 1})
-        key = (s, t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        (fi, sl), (fj, tl) = s[-1], t[0]
-        out = Counter()
-        if fi != fj:
-            out[s + t] = 1
-        else:
-            fac = factors[fi]
-            for c, m in fac.product(sl, tl).items():
-                if c == fac.unit:
-                    rec = fuse(s[:-1], t[1:])
-                    for w, k in rec.items():
-                        out[w] += m * k
-                else:
-                    out[s[:-1] + ((fi, c),) + t[1:]] += m
-        memo[key] = out
+    def oracle(x, y):
+        s, t = letters_of(x), letters_of(y)
+        if not (s and t) or s[-1][0] != t[0][0]:
+            return {label_of(s + t): 1}
+        (fi, sl), (_, tl) = s[-1], t[0]
+        fac, out = factors[fi], {}
+        for c, m in fac.product(sl, tl).items():
+            if c == fac.unit:  # from this ring's own memo; these words are the shorter ones
+                rec = ring._support(label_of(s[:-1]), label_of(t[1:]))
+                out.update((w, m * k) for w, k in rec.items())
+            else:
+                out[label_of(s[:-1] + ((fi, c),) + t[1:])] = m
         return out
 
-    def oracle(x, y):
-        return {label_of(w): m for w, m in fuse(letters_of(x), letters_of(y)).items()}
-
     def dual_fn(lab):
-        word = letters_of(lab)
-        return label_of(tuple((i, factors[i].dual(l)) for i, l in reversed(word)))
+        return label_of((i, factors[i].dual(l)) for i, l in reversed(letters_of(lab)))
 
     def dim_fn(lab):
         d = 1
@@ -379,11 +367,26 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
             d *= factors[i].dim(l)
         return d
 
-    gens = [label_of(((i, g),)) for i, fac in enumerate(factors)
+    gens = [letter(i, g) for i, fac in enumerate(factors)
             for g in fac.generators if g != fac.unit]
-    return FusionRing.generated("e", gens, oracle, dual_fn=dual_fn,
-                                dim_fn=dim_fn,
-                                name=f"{r1.name}*{r2.name}")
+    ring = FusionRing.generated("e", gens, oracle, dual_fn=dual_fn,
+                                dim_fn=dim_fn, name=f"{r1.name}*{r2.name}")
+    return ring
+
+
+def split_outside_brackets(text: str, sep: str) -> list[str]:
+    """`text` split at each `sep` outside brackets and parentheses."""
+    out, depth, start = [], 0, 0
+    for k, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            out.append(text[start:k])
+            start = k + 1
+    out.append(text[start:])
+    return out
 
 
 # ----------------------------------------------------------------- file I/O

@@ -76,7 +76,13 @@ def resolve_catalog(name: str) -> FusionRing:
         return cat.load_ring(name.split(":", 1)[1])
     for prefix, ctor in (("free:", cat.free_product), ("prod:", cat.direct_product)):
         if name.startswith(prefix):
-            left, _, right = name[len(prefix):].partition("+")
+            # a factor that is itself a product is parenthesized: free:(A)+B
+            left, *rest = cat.split_outside_brackets(name[len(prefix):], "+")
+            right = "+".join(rest)  # split at the first top-level +
+            if not (left and right):
+                raise click.UsageError(f"catalog name {name!r} needs two factors, {prefix}NAME+NAME: "
+                                       f"its {'second' if left else 'first'} factor is missing")
+            left, right = (p[1:-1] if p[:1] == "(" and p[-1:] == ")" else p for p in (left, right))
             return ctor(resolve_catalog(left), resolve_catalog(right))
     raise click.UsageError(f"unknown catalog name {name!r}")
 

@@ -3,8 +3,7 @@ the trivially-restricting subobject, and grouplike extraction."""
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import InternalInconsistency, InvalidRestriction
@@ -22,6 +21,9 @@ class RestrictionData:
     target: FusionRing
     rule: Callable[[str], Support]
     name: str = "restriction"
+    # label -> rule(label); the rule must be a pure function of the label
+    _memo: dict[str, Support] = field(default_factory=dict, init=False,
+                                      compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, source: FusionRing, target: FusionRing,
@@ -41,6 +43,13 @@ class RestrictionData:
 
     def restrict(self, label: str) -> Support:
         return dict(self.rule(label))
+
+    def _restricted(self, label: str) -> Support:
+        """The memoized restriction of `label`, read in place by the checks."""
+        m = self._memo.get(label)
+        if m is None:
+            m = self._memo[label] = dict(self.rule(label))
+        return m
 
 
 def identity_restriction(ring: FusionRing) -> RestrictionData:
@@ -86,7 +95,7 @@ def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport
     or its exception make the report."""
     report = ValidationReport(checked_depth=r.source.checked_depth(depth))
     explored = r.source.elements(depth)
-    restrict = _restrict_once(r)
+    restrict = r._restricted
     unit_map = restrict(r.source.unit)
     if unit_map != {r.target.unit: 1}:
         report.add("unit", (r.source.unit,), f"unit restricts to {unit_map}")
@@ -103,7 +112,7 @@ def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport
             report.add("conjugation", (tau,), "map(dual tau) != dual of map(tau)")
     if report.ok:
         try:
-            if _multiplicative_on_generators(r, explored, restrict):
+            if _multiplicative_on_generators(r, explored):
                 return report
         except Exception:
             # the rule or a ring failed: the full scan raises it, or not,
@@ -114,35 +123,15 @@ def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport
         ma = restrict(a)
         for b in explored:
             mb = restrict(b)
-            lhs = Counter()
-            for x, n in ma.items():
-                for y, m in mb.items():
-                    for c, k in target(x, y).items():
-                        lhs[c] += n * m * k
-            rhs = Counter()
-            for c, n in source(a, b).items():
-                for lam, m in restrict(c).items():
-                    rhs[lam] += n * m
-            if lhs != rhs:
-                report.add("multiplicativity", (a, b), f"{dict(lhs)} != {dict(rhs)}")
+            lhs = _sum((n * m, target(x, y)) for x, n in ma.items() for y, m in mb.items())
+            rhs = _sum((n, restrict(c)) for c, n in source(a, b).items())
+            # a zero multiplicity counts as absent
+            if lhs != rhs and any(lhs.get(c, 0) != rhs.get(c, 0) for c in lhs.keys() | rhs.keys()):
+                report.add("multiplicativity", (a, b), f"{lhs} != {rhs}")
     return report
 
 
-def _restrict_once(r: RestrictionData) -> Callable[[str], Support]:
-    """`r.restrict`, calling the rule once per label."""
-    cache = {}
-
-    def restrict(label):
-        m = cache.get(label)
-        if m is None:
-            m = cache[label] = r.restrict(label)
-        return m
-
-    return restrict
-
-
-def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str],
-                                  restrict: Callable[[str], Support]) -> bool:
+def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str]) -> bool:
     """True only if res(a x b) = res(a) res(b) for all a, b in `window`.
 
     Along the reach (`ring._reach`: each label b is the one new constituent
@@ -168,7 +157,7 @@ def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str],
     edges = _reach(source, window)
     if edges is None:
         return False
-    s_sup, t_sup = source._support, target._support
+    s_sup, t_sup, restrict = source._support, target._support, r._restricted
 
     def restricted(supp):
         return _sum((n, restrict(c)) for c, n in supp.items())
@@ -222,7 +211,7 @@ def is_normal(r: RestrictionData, depth: int = 6) -> NormalityResult:
     _require_valid(r, depth)
     checked = r.source.checked_depth(depth)
     for tau in r.source.elements(depth):
-        m = r.restrict(tau).get(r.target.unit, 0)
+        m = r._restricted(tau).get(r.target.unit, 0)
         if m not in (0, r.source.dim(tau)):
             return NormalityResult(False, witness=(tau, m, r.source.dim(tau)),
                                    checked_depth=checked)
@@ -247,7 +236,7 @@ def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupRe
     checked = r.source.checked_depth(depth)
     assignment = {}
     for tau in r.source.elements(depth):
-        m = r.restrict(tau)
+        m = dict(r._restricted(tau))  # a copy: it may become the witness
         if len(m) != 1:
             return CentralSubgroupResult(False, witness=(tau, m), checked_depth=checked)
         (lam, n), = m.items()
@@ -257,21 +246,23 @@ def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupRe
     return CentralSubgroupResult(True, assignment=assignment, checked_depth=checked)
 
 
-def trivial_restriction_subobject(r: RestrictionData, depth: int = 6,
-                                  _validated: bool = False) -> Subobject:
+def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobject:
     """The subobject of irreducibles restricting to a sum of trivials.
 
     Cross-checked on request by the caller against the coset-group
     criterion; closure of constituents is verified through the restriction
     rule itself so it also covers constituents beyond the depth."""
-    if not _validated:
-        _require_valid(r, depth)
+    _require_valid(r, depth)
+    return _trivial_restriction_subobject(r, depth)
+
+
+def _trivial_restriction_subobject(r: RestrictionData, depth: int) -> Subobject:
+    """`trivial_restriction_subobject` on restriction data already validated."""
     explored = r.source.elements(depth)
     inside = set(explored)
-    restrict = _restrict_once(r)
 
     def trivially_restricts(tau):
-        return restrict(tau) == {r.target.unit: r.source.dim(tau)}
+        return r._restricted(tau) == {r.target.unit: r.source.dim(tau)}
 
     members = {tau for tau in explored if trivially_restricts(tau)}
     for a in members:
@@ -290,7 +281,7 @@ def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
     """Consistency check: the restriction centrality test must agree
     with the coset-group criterion on the trivially-restricting subobject."""
     by_restriction = is_central_subgroup(r, depth).central
-    sigma = trivial_restriction_subobject(r, depth, _validated=True)
+    sigma = _trivial_restriction_subobject(r, depth)  # validated just above
     by_cosets = is_central_subobject(r.source, sigma, depth).central
     if by_restriction != by_cosets:
         raise InternalInconsistency(

@@ -125,6 +125,9 @@ class TestGeneratedFamilies:
          ["1:V0", "1:V1*1:V1", "3:V1", "1:X3", "2:g2", "V1"]),
         (lambda: fr.direct_product(fr.su2_ring(), fr.so3_ring()),
          ["(V1,V1)", "V1", "(V1)", "(X3,W1)"]),
+        (lambda: fr.free_product(fr.free_product(fr.su2_ring(), fr.so3_ring()), fr.su2_ring()),
+         ["1:[1:V1]", "1:[1:V1*2:W1", "1:1:V1*2:W1]", "1:[[1:V1*2:W1]]", "1:[1:V1*2:W1]x",
+          "1:[1:V1*2:W1]*1:1:V1", "1:[1:V1*1:V1]", "2:[V1]", "1:(1:V1*2:W1)"]),
     ])
     def test_labels_outside_the_family_are_unknown(self, make, bad):
         ring = make()
@@ -165,6 +168,22 @@ class TestProductsOfRings:
     def test_free_product_with_generated_factor(self, su2, z2ring):
         ring = fr.free_product(su2, z2ring)
         assert fr.validate_ring(ring, depth=3).ok
+
+    @pytest.mark.parametrize("make, depth", [
+        (lambda z2, z3: fr.free_product(fr.free_product(z2, z3), z2), 3),
+        (lambda z2, z3: fr.free_product(fr.direct_product(z2, z2), z3), 3),
+        (lambda z2, z3: fr.direct_product(fr.free_product(z2, z3), z2), 3),
+        (lambda z2, z3: fr.free_product(z2, fr.free_product(z2, fr.free_product(z2, z3))), 2),
+    ], ids=["free(free)", "free(prod)", "prod(free)", "free(free(free))"])
+    def test_nested_products(self, make, depth, z2ring, z3ring):
+        ring = make(z2ring, z3ring)
+        assert fr.validate_ring(ring, depth).ok
+        window = ring.elements(depth)
+        for x in window:
+            for y in window:
+                for c in ring.product(x, y):  # every label a product writes parses back
+                    assert ring.dual(ring.dual(c)) == c
+                    assert ring.product(ring.unit, c) == {c: 1}
 
 
 class TestSerialization:

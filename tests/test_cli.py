@@ -193,6 +193,30 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("catalog, code, message", [
+        ("free:(free:zn:2+zn:3)+zn:2", 0, None),
+        ("free:(prod:zn:2+zn:2)+zn:3", 0, None),
+        ("free:su2", 2, "its second factor is missing"),
+        ("prod:+zn:2", 2, "its first factor is missing"),
+        ("free:zn:2+free:zn:2+zn:3", 0, None),  # the first top-level + splits
+        ("free:+", 2, "its first factor is missing"),
+    ])
+    def test_nested_product_names(self, catalog, code, message):
+        out = cli("validate", "--catalog", catalog, "--depth", "2", "--format", "table")
+        assert out.returncode == code, out.stderr
+        if message is None:
+            assert out.stdout == "valid (checked to depth 2)\n"
+        else:
+            assert message in out.stderr and "Traceback" not in out.stderr
+
+    def test_nested_free_product_labels(self):
+        out = cli("product", "--catalog", "free:(free:zn:2+zn:3)+zn:2",
+                  "1:[1:g1*2:g1]", "1:[2:g2*1:g1]")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["support"] == {"e": 1}
+        out = cli("product", "--catalog", "free:(free:zn:2+zn:3)+zn:2", "1:[1:g1]", "2:g1")
+        assert out.returncode == 2 and "unknown label" in out.stderr
+
     def test_zero_multiplicity_in_map_file_rejected(self, tmp_path):
         rfile = tmp_path / "zero.json"
         rfile.write_text(json.dumps(

@@ -9,7 +9,9 @@ reads and sums the associativity terms in Counters;
 the window, calling the rule for every label it reads.
 `generated_subobject`, `enumerate_central_subobjects`, `validate_ring` and
 `validate_restriction` must give the same answers, and the same violations
-in the same order (or the same exception).
+in the same order (or the same exception).  `reference_free_product`
+multiplies words as tuples of letters, memoized on the tuples;
+`free_product` must give the same supports, items and order.
 """
 
 from collections import Counter
@@ -632,3 +634,87 @@ def test_stalled_reach_falls_back_to_the_full_scan():
     want = assert_same_restriction_report(r, 2)
     assert [v[:2] for v in want[0]] == [("multiplicativity", ("a", "b"))]
     assert assert_same_restriction_report(fr.identity_restriction(_rep_d4_on_rho()), 2)[0] == []
+
+
+# ---------------------------------------------------------- free products
+
+
+def reference_free_product(r1, r2):
+    """The free product of two rings whose labels contain no `*`, fusing
+    words as tuples of (factor, label) letters."""
+    factors = (r1, r2)
+
+    def letters_of(lab):
+        if lab == "e":
+            return ()
+        out = []
+        for piece in lab.split("*"):
+            tag, _, flab = piece.partition(":")
+            i = int(tag) - 1
+            factors[i].dim(flab)
+            out.append((i, flab))
+        return tuple(out)
+
+    def label_of(word):
+        return "*".join(f"{i + 1}:{l}" for i, l in word) or "e"
+
+    memo = {}
+
+    def fuse(s, t):
+        if not s:
+            return Counter({t: 1})
+        if not t:
+            return Counter({s: 1})
+        if (s, t) not in memo:
+            (fi, sl), (fj, tl) = s[-1], t[0]
+            out = Counter()
+            if fi != fj:
+                out[s + t] = 1
+            else:
+                fac = factors[fi]
+                for c, m in fac.product(sl, tl).items():
+                    if c == fac.unit:
+                        for w, k in fuse(s[:-1], t[1:]).items():
+                            out[w] += m * k
+                    else:
+                        out[s[:-1] + ((fi, c),) + t[1:]] += m
+            memo[(s, t)] = out
+        return memo[(s, t)]
+
+    def oracle(x, y):
+        return {label_of(w): m for w, m in fuse(letters_of(x), letters_of(y)).items()}
+
+    def dual_fn(lab):
+        return label_of(tuple((i, factors[i].dual(l)) for i, l in reversed(letters_of(lab))))
+
+    def dim_fn(lab):
+        d = 1
+        for i, l in letters_of(lab):
+            d *= factors[i].dim(l)
+        return d
+
+    gens = [label_of(((i, g),)) for i, fac in enumerate(factors)
+            for g in fac.generators if g != fac.unit]
+    return fr.FusionRing.generated("e", gens, oracle, dual_fn=dual_fn, dim_fn=dim_fn)
+
+
+FREE_FACTORS = {
+    "su2*Z/2": (fr.su2_ring, lambda: _zn(2), 6),
+    "Z/2*Z/3": (lambda: _zn(2), lambda: _zn(3), 6),
+    "reps3*Z/2": (fr.rep_s3_ring, lambda: _zn(2), 3),
+    "S3*reps3": (lambda: fr.group_ring(fr.s3_group()), fr.rep_s3_ring, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE_FACTORS))
+def test_free_product_matches_reference(name):
+    make1, make2, depth = FREE_FACTORS[name]
+    ring = fr.free_product(make1(), make2())
+    want = reference_free_product(make1(), make2())
+    window = ring.elements(depth)
+    assert window == want.elements(depth)
+    for x in window:
+        assert ring.dual(x) == want.dual(x) and ring.dim(x) == want.dim(x)
+        for y in window:
+            # the constituents of window pairs reach past the window
+            assert list(ring.product(x, y).items()) == list(want.product(x, y).items())

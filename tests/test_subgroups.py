@@ -4,6 +4,7 @@ import pytest
 
 import fusionrings as fr
 from fusionrings.errors import DepthExceeded, InvalidRestriction
+from fusionrings.subgroups import _multiplicative_on_generators, _trivial_restriction_subobject
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,30 @@ class TestValidation:
         with pytest.raises(InvalidRestriction, match="multiplicity"):
             fr.RestrictionData.from_dict(
                 z2ring, z2ring, {"e": {"e": 1}, "g1": {"g1": 1, "e": n}}, name="bad")
+
+    @pytest.mark.parametrize("depth", [1, 6, 30])
+    @pytest.mark.parametrize("name", ["parity", "weights", "identity", "trivial"])
+    def test_generator_proof_goes_through_on_su2(self, name, depth, su2, parity, weights):
+        # validate_restriction falls back to the full scan whenever the proof
+        # fails or raises, so only this test sees a proof that stopped working
+        r = {"parity": parity, "weights": weights, "identity": fr.identity_restriction(su2),
+             "trivial": fr.trivial_restriction(su2, fr.group_ring(fr.cyclic_group(1)))}[name]
+        assert _multiplicative_on_generators(r, su2.elements(depth)) is True
+
+    @pytest.mark.parametrize("name,depth", [("so3", 6), ("au2", 3), ("z", 8)])
+    def test_generator_proof_goes_through_on_identity(self, generated_fixtures, name, depth):
+        ring = generated_fixtures[name]
+        r = fr.identity_restriction(ring)
+        assert _multiplicative_on_generators(r, ring.elements(depth)) is True
+
+    @pytest.mark.parametrize("name, label, depth, want", [
+        ("repz4", "chi1", 6, ["conjugation", "conjugation"]), ("su2", "V3", 4, [])])
+    def test_zero_multiplicity_counts_as_absent(self, request, name, label, depth, want):
+        ring = request.getfixturevalue(name)
+        r = fr.RestrictionData(ring, ring,
+                               lambda l: {l: 1, ring.unit: 0} if l == label else {l: 1})
+        report = fr.validate_restriction(r, depth)
+        assert [v.axiom for v in report.violations] == want
 
 
 class TestNormality:
@@ -125,7 +150,19 @@ class TestTrivialRestrictionSubobject:
             fr.trivial_restriction_subobject(r, depth=6)
         # past validation, the closure check itself rejects V1 x V1 -> V2
         with pytest.raises(InvalidRestriction, match="not fusion-closed"):
-            fr.trivial_restriction_subobject(r, depth=6, _validated=True)
+            _trivial_restriction_subobject(r, depth=6)
+
+    def test_non_dual_closed_kernel_rejected(self, au2, z2ring):
+        # words starting in v restrict to g1, so u restricts trivially and v does not
+        def rule(label):
+            return {"g1" if label.startswith("v") else "e": au2.dim(label)}
+
+        r = fr.RestrictionData(au2, z2ring, rule, name="broken")
+        with pytest.raises(InvalidRestriction, match="conjugation"):
+            fr.trivial_restriction_subobject(r, depth=1)
+        # past validation, the closure check itself rejects u, whose dual is v
+        with pytest.raises(InvalidRestriction, match="not dual-closed at 'u'"):
+            _trivial_restriction_subobject(r, depth=1)
 
 
 class TestGrouplikes:
