@@ -63,6 +63,7 @@ from .subgroups import (
     RestrictionData,
     central_subgroup_cross_check,
     grouplikes,
+    grouplikes_group,
     identity_restriction,
     is_central_subgroup,
     is_normal,

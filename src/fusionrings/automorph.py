@@ -58,8 +58,8 @@ def verify_automorphism(ring: FusionRing, phi: dict[str, str],
             return False
     for a in labels:
         for b in labels:
-            supp = ring.product(a, b)
-            image = ring.product(phi[a], phi[b])
+            supp = ring.fusion[a, b]
+            image = ring.fusion[phi[a], phi[b]]
             mapped = {}
             for c, n in supp.items():
                 if c not in phi:
@@ -152,7 +152,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
 
 
 def _label_invariant(ring: FusionRing, a: str):
-    selfsq = ring.product(a, a)
+    selfsq = ring.fusion[a, a]
     return (ring.dim(a), ring.dual(a) == a, selfsq.get(a, 0),
             tuple(sorted((n, ring.dim(c)) for c, n in selfsq.items())))
 
@@ -162,8 +162,8 @@ def _match_pair(ring: FusionRing, phi: dict[str, str], used: set[str],
     """The ways to extend `phi` so that it maps supp(a x b) onto
     supp(phi a x phi b) with the same multiplicities and dims, injectively:
     a list of extensions (dicts of new images), or None on a clash."""
-    supp = ring._support(a, b)
-    image = ring._support(phi[a], phi[b])
+    supp = ring.fusion[a, b]
+    image = ring.fusion[phi[a], phi[b]]
     if len(supp) != len(image):
         return None
     free: dict[tuple, list[str]] = {}

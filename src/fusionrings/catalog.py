@@ -135,7 +135,7 @@ def rep_z4_ring() -> FusionRing:
 # -------------------------------------------------- generated catalog rings
 # Each family's label parser raises UnknownLabel for a label outside the
 # family.  Oracles parse their arguments, so a product checks its labels
-# whenever the ring's product memo misses.
+# whenever the ring's fusion table misses.
 
 
 def _index_parser(prefix: str, signed: bool = False):
@@ -265,25 +265,18 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
         return f"({a},{b})"
 
     def unpair(lab):
-        if lab[:1] != "(" or lab[-1:] != ")":
-            raise UnknownLabel(lab)
-        inner = lab[1:-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return inner[:i], inner[i + 1:]
+        if lab[:1] == "(" and lab[-1:] == ")":
+            parts = split_outside_brackets(lab[1:-1], ",")
+            if len(parts) == 2:
+                return parts
         raise UnknownLabel(lab)
 
     def oracle(x, y):
         a1, b1 = unpair(x)
         a2, b2 = unpair(y)
         out = {}
-        for c1, n1 in r1.product(a1, a2).items():
-            for c2, n2 in r2.product(b1, b2).items():
+        for c1, n1 in r1.fusion[a1, a2].items():
+            for c2, n2 in r2.fusion[b1, b2].items():
                 out[pair(c1, c2)] = n1 * n2
         return out
 
@@ -350,9 +343,9 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
             return {label_of(s + t): 1}
         (fi, sl), (_, tl) = s[-1], t[0]
         fac, out = factors[fi], {}
-        for c, m in fac.product(sl, tl).items():
-            if c == fac.unit:  # from this ring's own memo; these words are the shorter ones
-                rec = ring._support(label_of(s[:-1]), label_of(t[1:]))
+        for c, m in fac.fusion[sl, tl].items():
+            if c == fac.unit:  # from this ring's own table; these words are the shorter ones
+                rec = ring.fusion[label_of(s[:-1]), label_of(t[1:])]
                 out.update((w, m * k) for w, k in rec.items())
             else:
                 out[label_of(s[:-1] + ((fi, c),) + t[1:])] = m
@@ -407,7 +400,7 @@ def save_ring(ring: FusionRing, path, depth: int = 6):
     for a in labels:
         for b in labels:
             try:
-                supp = ring.product(a, b)
+                supp = ring.fusion[a, b]
             except DepthExceeded:
                 continue
             if not set(supp) <= in_scope:
@@ -422,29 +415,29 @@ def save_ring(ring: FusionRing, path, depth: int = 6):
 def load_ring(path, validate: bool = True) -> FusionRing:
     """Load an explicit ring from the JSON schema; validates the axioms
     unless `validate` is False (callers that report violations themselves)."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedFile(str(exc)) from exc
+    doc = read_object(path)
     for key in ("basis", "unit", "dual", "fusion"):
         if key not in doc:
             raise MalformedFile(f"missing key {key!r}")
+    truncated = doc.get("truncated_at")
+    if truncated is not None and (type(truncated) is not int or truncated < 0):
+        raise MalformedFile(f"truncated_at must be a non-negative integer, not {truncated!r}")
     try:
-        if not isinstance(doc["unit"], str) or not isinstance(doc["dual"], dict):
-            raise MalformedFile("unit must be a label and dual a map of labels")
+        if not isinstance(doc["dual"], dict):
+            raise MalformedFile("dual must be a map of labels")
         basis = [BasisElement(b["label"], int(b["dim"])) for b in doc["basis"]]
-        dual = {str(k): str(v) for k, v in doc["dual"].items()}
+        require_labels(doc["unit"], *doc["dual"].values(), *(b.label for b in basis))
         fusion: dict[tuple[str, str], Support] = {}
         for entry in doc["fusion"]:
             key = (entry["a"], entry["b"])
+            require_labels(*key, entry["c"])
             supp = fusion.setdefault(key, {})
             if entry["c"] in supp:
                 raise MalformedFile(f"duplicate fusion entry {entry}")
             supp[entry["c"]] = int(entry["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFile(str(exc)) from exc
-    truncated = doc.get("truncated_at")
-    ring = FusionRing.explicit(basis, doc["unit"], dual, fusion,
+    ring = FusionRing.explicit(basis, doc["unit"], doc["dual"], fusion,
                                name=Path(path).stem, truncated_at=truncated)
     if validate:
         report = validate_ring(ring)
@@ -456,12 +449,32 @@ def load_ring(path, validate: bool = True) -> FusionRing:
 def load_group(path) -> GroupPresentationInput:
     """Load a finite group presentation: {"elements", "identity", "table"}
     where table is a nested map row-label -> col-label -> product."""
+    doc = read_object(path)
     try:
-        doc = json.loads(Path(path).read_text())
-        elements = tuple(doc["elements"])
-        table = {(a, b): doc["table"][a][b] for a in elements for b in elements}
-        g = GroupPresentationInput(elements, table, doc["identity"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        elements, rows = tuple(doc["elements"]), doc["table"]
+        require_labels(doc["identity"], *elements)
+        table = {(a, b): rows[a][b] for a in elements for b in elements}
+        require_labels(*table.values())
+    except (KeyError, TypeError) as exc:
         raise MalformedFile(str(exc)) from exc
+    g = GroupPresentationInput(elements, table, doc["identity"])
     g.check()
     return g
+
+
+def read_object(path) -> dict:
+    """The JSON object held by the file at `path`."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise MalformedFile(str(exc)) from exc
+    if not isinstance(doc, dict):
+        raise MalformedFile(f"{path} does not hold a JSON object")
+    return doc
+
+
+def require_labels(*values):
+    """Raise MalformedFile unless every value is a label, a string."""
+    for v in values:
+        if not isinstance(v, str):
+            raise MalformedFile(f"label {v!r} is not a string")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    DepthExceeded,
     InternalInconsistency,
     NotAGroup,
     SearchBudgetExceeded,
@@ -220,7 +221,7 @@ def merge_closure(ring: FusionRing, depth: int = 6) -> CosetPartition:
     for g in ring.generators:
         image = []
         for x in explored:
-            first, *rest = ring.product(x, g)
+            first, *rest = ring.fusion[x, g]
             for c in rest:
                 uf.union(first, c)
             image.append(first)
@@ -254,7 +255,7 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
             for z in labels:
                 ext = set()
                 for x in supp:
-                    ext.update(ring.product(x, z))
+                    ext.update(ring.fusion[x, z])
                 fs = frozenset(ext)
                 if fs not in supports:
                     nxt.add(fs)
@@ -297,7 +298,7 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
     related = 0
     for i, a in enumerate(explored):
         for b in explored[i + 1:]:
-            if any(c in sigma.members for c in ring._support(a, ring.dual(b))):
+            if any(c in sigma.members for c in ring.fusion[a, ring.dual(b)]):
                 uf.union(a, b)
                 related += 1
     part = CosetPartition.from_unionfind(ring, uf, explored)
@@ -353,16 +354,14 @@ def _quotient(ring: FusionRing, part: CosetPartition,
     Products with no constituent in the partition stay undefined; when
     none is undefined the verified group table is returned.
     """
-    block_of = part.block_of
-    # a memo hit is read in place, saving a call per pair; _support fills a miss
-    get, support = ring._product_memo.get, ring._support
+    block_of, fusion = part.block_of, ring.fusion
     products: dict[tuple[int, int], int] = {}
     for i, ri in enumerate(reps):
         for j, rj in enumerate(reps):
             seen: set[int] = set()
             for a in ri:
                 for b in rj:
-                    for c in get((a, b)) or support(a, b):
+                    for c in fusion[a, b]:
                         k = block_of.get(c)
                         if k is not None:
                             seen.add(k)
@@ -424,7 +423,7 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
     ez = trivial_class(ring, depth)
     if ring.checked_depth(depth) is None:
         adjoint = generated_subobject(
-            ring, [c for x in ring.labels() for c in ring._support(x, ring.dual(x))])
+            ring, [c for x in ring.labels() for c in ring.fusion[x, ring.dual(x)]])
         if adjoint != ez:
             raise InternalInconsistency(
                 f"adjoint subobject {sorted(adjoint.members)} != "
@@ -494,6 +493,19 @@ def _chain_signature(ring, res, depth):
     return ("presentation", len(pres["generators"]), tuple(pres["relations"]))
 
 
+def _depth_flag(ring: FusionRing, depth: int, same_at_next) -> str:
+    """`exact` on a complete table; otherwise `stable_at_depth(depth)` when
+    `same_at_next()` finds the answer at `depth`+1 the same, and
+    `unstable_at_depth(depth)` when it differs or leaves the window."""
+    if ring.checked_depth(depth) is None:
+        return "exact"
+    try:
+        stable = same_at_next()
+    except DepthExceeded:
+        stable = False
+    return f"{'stable' if stable else 'unstable'}_at_depth({depth})"
+
+
 def chain_group(ring: FusionRing, depth: int = 6,
                 candidates: Mapping[str, GroupTable] | None = None):
     """Compute the chain group: the group of chain classes, with block
@@ -504,13 +516,9 @@ def chain_group(ring: FusionRing, depth: int = 6,
     stable_at_depth(depth), never as exact.
     """
     res = _chain_result_at(ring, depth)
-    if ring.checked_depth(depth) is None:
-        flag = "exact"
-    else:
-        res_next = _chain_result_at(ring, depth + 1)
-        stable = (_chain_signature(ring, res, depth)
-                  == _chain_signature(ring, res_next, depth + 1))
-        flag = f"{'stable' if stable else 'unstable'}_at_depth({depth})"
+    flag = _depth_flag(ring, depth, lambda: (
+        _chain_signature(ring, res, depth)
+        == _chain_signature(ring, _chain_result_at(ring, depth + 1), depth + 1)))
     if res.table is not None:
         desc = identify_group(res.table, candidates=candidates)
         desc.flag = flag

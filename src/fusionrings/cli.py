@@ -28,7 +28,7 @@ from .ring import FusionRing, Subobject, validate_ring
 from .serialize import canonical_json, merge_graph_dot, partition_table
 from .subgroups import (
     RestrictionData,
-    grouplikes,
+    grouplikes_group,
     identity_restriction,
     is_central_subgroup,
     is_normal,
@@ -111,10 +111,7 @@ _RESTRICTION_RULES = {
 
 
 def load_restriction(path) -> RestrictionData:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"unreadable restriction file: {exc}")
+    doc = cat.read_object(path)
     try:
         source = resolve_ring(doc["source"], None)
         target = resolve_ring(doc["target"], None)
@@ -123,7 +120,8 @@ def load_restriction(path) -> RestrictionData:
             return make(source, target)
         mapping = {entry["from"]: {t["label"]: int(t["n"]) for t in entry["to"]}
                    for entry in doc["map"]}
-    except (KeyError, TypeError, ValueError) as exc:
+        cat.require_labels(*mapping, *(l for m in mapping.values() for l in m))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise click.UsageError(f"bad restriction file: {exc}")
     return RestrictionData.from_dict(source, target, mapping,
                                      name=Path(path).stem)
@@ -172,9 +170,9 @@ def run_oracle_check(ring: FusionRing, depth: int):
     sys.exit(EXIT_ORACLE)
 
 
-def parse_sigma(ring, sigma, sigma_file, depth) -> Subobject:
-    from .ring import check_subobject
-
+def parse_sigma(sigma, sigma_file) -> Subobject:
+    """The labels given for sigma; `sigma_cosets` checks that they form a
+    subobject."""
     if (sigma is None) == (sigma_file is None):
         raise click.UsageError("exactly one of --sigma/--sigma-file is required")
     if sigma is not None:
@@ -182,11 +180,11 @@ def parse_sigma(ring, sigma, sigma_file, depth) -> Subobject:
     else:
         try:
             members = json.loads(Path(sigma_file).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise click.UsageError(f"unreadable sigma file: {exc}")
         if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
             raise click.UsageError("sigma file must hold a JSON list of labels")
-    return check_subobject(ring, members, depth=depth)
+    return Subobject(frozenset(members))
 
 
 @click.group()
@@ -285,7 +283,7 @@ def center(ring_file, catalog_name, depth, fmt, oracle_check):
 def cosets(ring_file, catalog_name, depth, fmt, sigma, sigma_file):
     """Sigma-coset partition for a given subobject."""
     ring = resolve_ring(ring_file, catalog_name)
-    sub = parse_sigma(ring, sigma, sigma_file, depth)
+    sub = parse_sigma(sigma, sigma_file)
     part = sigma_cosets(ring, sub, depth)
     emit(part.to_json(), fmt, table_text=partition_table(part),
          dot=lambda: merge_graph_dot(ring, depth))
@@ -344,11 +342,8 @@ def is_central_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
 @ring_options
 def grouplikes_cmd(ring_file, catalog_name, depth, fmt):
     """Group of dimension-1 basis elements (dual of the abelianization)."""
-    from .central import identify_group
-
     ring = resolve_ring(ring_file, catalog_name)
-    table = grouplikes(ring, depth)
-    desc = identify_group(table)
+    table, desc = grouplikes_group(ring, depth)
     payload = {"elements": list(table.labels), "table": table.to_json(),
                "group": desc.to_json()}
     emit(payload, fmt,

@@ -66,14 +66,27 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations) + stamp
 
 
+class Memo(dict):
+    """A table that fills each missing entry once, with dict(fill(key)).
+    Entries are read in place and must not be mutated."""
+
+    def __init__(self, fill: Callable):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = dict(self.fill(key))
+        return value
+
+
 class FusionRing:
     """Immutable fusion ring.
 
-    A unit, generators, exact product/dual/dim functions over canonical
-    labels, a product memo and the breadth-first discovery order of the
-    basis.  `explicit` seeds the memo with a finite table and discovers the
-    whole basis up front; `generated` discovers it level by level, one
-    generator multiplication per level.  All operations are pure.
+    A unit, generators, exact dual/dim functions over canonical labels, the
+    fusion table `fusion[a, b]` filled from the product function on a miss,
+    and the breadth-first discovery order of the basis.  `explicit` seeds
+    the table with a finite one and discovers the whole basis up front;
+    `generated` discovers it level by level, one generator multiplication
+    per level.  All operations are pure.
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -85,10 +98,9 @@ class FusionRing:
         self.generators = tuple(generators)
         self.basis: tuple[BasisElement, ...] = ()  # the table's basis, if any
         self.truncated_at: int | None = None
-        self._product_fn = product_fn
         self._dual_fn = dual_fn
         self._dim_fn = dim_fn
-        self._product_memo: dict[tuple[str, str], Support] = {}
+        self.fusion = Memo(lambda ab: product_fn(*ab))
         # discovery levels; an empty last level means the basis is complete
         self._levels: list[list[str]] = [[unit]]
         # label -> (level, position within the level)
@@ -152,7 +164,7 @@ class FusionRing:
         ring = cls(unit, labels, missing, lookup(dual), lookup(dims), name=name)
         ring.basis = basis
         ring.truncated_at = truncated_at
-        ring._product_memo = table
+        ring.fusion.update(table)
         ring._levels = [labels, []]
         ring._discovery = {l: (0, i) for i, l in enumerate(labels)}
         return ring
@@ -215,7 +227,7 @@ class FusionRing:
             discovered = []
             for x in frontier:
                 for g in self.generators:
-                    for c in sorted(self.product(x, g), key=_label_sort_key):
+                    for c in sorted(self.fusion[x, g], key=_label_sort_key):
                         if c not in self._discovery:
                             self._discovery[c] = (level, len(discovered))
                             discovered.append(c)
@@ -235,21 +247,9 @@ class FusionRing:
     # ------------------------------------------------------------- products
 
     def product(self, a: str, b: str) -> Support:
-        """Exact decomposition of a x b with multiplicities."""
-        hit = self._product_memo.get((a, b))
-        if hit is None:
-            hit = self._support(a, b)
-        return dict(hit)
-
-    def _support(self, a: str, b: str) -> Mapping[str, int]:
-        """The memoized decomposition of a x b itself, not a copy: the
-        kernels that read many products call this and never mutate it."""
-        key = (a, b)
-        hit = self._product_memo.get(key)
-        if hit is None:
-            hit = dict(self._product_fn(a, b))
-            self._product_memo[key] = hit
-        return hit
+        """Exact decomposition of a x b with multiplicities, as a copy of
+        the table entry `fusion[a, b]`."""
+        return dict(self.fusion[a, b])
 
     def product_word(self, word: Sequence[str]) -> Support:
         """Left-associated iterated fusion of a nonempty word."""
@@ -261,7 +261,7 @@ class FusionRing:
         for z in word[1:]:
             nxt = Counter()
             for x, m in acc.items():
-                for c, n in self.product(x, z).items():
+                for c, n in self.fusion[x, z].items():
                     nxt[c] += m * n
             acc = nxt
         return dict(acc)
@@ -304,7 +304,7 @@ def check_subobject(ring: FusionRing, members: Iterable[str], depth: int | None 
     probe = members if explored is None else members & explored
     for a in probe:
         for b in probe:
-            for c in ring.product(a, b):
+            for c in ring.fusion[a, b]:
                 if c not in members:
                     # Constituents that escape the exploration window are
                     # outside the depth-qualified claim.
@@ -339,13 +339,12 @@ def _closure(ring: FusionRing, current: set[str], added: set[str],
     against the current set, in both orders."""
     current = set(current)
     added = set(added)
-    # a memo hit is read in place, saving a call per pair; _support fills a miss
-    get, support = ring._product_memo.get, ring._support
+    fusion = ring.fusion
     while added:
         new = set()
         for a in added:
             for b in current:
-                for supp in (get((a, b)) or support(a, b), get((b, a)) or support(b, a)):
+                for supp in (fusion[a, b], fusion[b, a]):
                     for c in supp:
                         if c not in current:
                             new.add(c)
@@ -373,7 +372,7 @@ def _reach(ring: FusionRing, window: Sequence[str]) -> list[tuple[str, str, str]
         before = len(reached)
         for parent in order:  # grows during the pass
             for g in ring.generators:
-                fresh = [c for c in ring._support(parent, g) if c not in reached]
+                fresh = [c for c in ring.fusion[parent, g] if c not in reached]
                 if len(fresh) == 1 and fresh[0] in inside:
                     reached.add(fresh[0])
                     order.append(fresh[0])
@@ -388,19 +387,19 @@ def _associative(ring: FusionRing, xs: Iterable[str],
     """Whether (x y) h = x (y h) for every x in `xs` and (y, h) in `pairs`."""
     # The two sums are those of validate_ring's triple loop, kept inline in
     # both: a shared helper called per triple made validate_ring on Z/16-Z/32
-    # 5-10% slower.  A memo hit is read in place; _support fills a miss.
-    get, support = ring._product_memo.get, ring._support
+    # 5-10% slower.
+    fusion = ring.fusion
     xs = list(xs)
     for y, h in pairs:
-        yh = get((y, h)) or support(y, h)
+        yh = fusion[y, h]
         for x in xs:
             lhs = {}
-            for u, n in (get((x, y)) or support(x, y)).items():
-                for c, m in (get((u, h)) or support(u, h)).items():
+            for u, n in fusion[x, y].items():
+                for c, m in fusion[u, h].items():
                     lhs[c] = lhs.get(c, 0) + n * m
             rhs = {}
             for v, n in yh.items():
-                for c, m in (get((x, v)) or support(x, v)).items():
+                for c, m in fusion[x, v].items():
                     rhs[c] = rhs.get(c, 0) + n * m
             if lhs != rhs:
                 return False
@@ -419,12 +418,12 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     report = ValidationReport(checked_depth=ring.checked_depth(depth))
     labels = ring.elements(depth)
     unit = ring.unit
-    support = ring._support
+    fusion = ring.fusion
 
     def prod(a, b):
         # identities with any uncomputable term are skipped (truncated tables)
         try:
-            return support(a, b)
+            return fusion[a, b]
         except DepthExceeded:
             return None
 
@@ -476,8 +475,6 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
                 if s3 is not None and s3.get(ring.dual(c), 0) != n:
                     report.add("conjugation", (a, b, c), "N(a,b)^c != N(dual b, dual a)^dual c")
 
-    # a memo hit is read in place, saving a call per term; _support fills a miss
-    get = ring._product_memo.get
     for a in labels:
         for b in labels:
             # a term the table cannot compute skips the triple (truncated tables)
@@ -489,10 +486,10 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
                 rhs = {}
                 try:
                     for e, n in ab.items():
-                        for d, m in (get((e, c)) or support(e, c)).items():
+                        for d, m in fusion[e, c].items():
                             lhs[d] = lhs.get(d, 0) + n * m
-                    for f, n in (get((b, c)) or support(b, c)).items():
-                        for d, m in (get((a, f)) or support(a, f)).items():
+                    for f, n in fusion[b, c].items():
+                        for d, m in fusion[a, f].items():
                             rhs[d] = rhs.get(d, 0) + n * m
                 except DepthExceeded:
                     continue

@@ -19,7 +19,7 @@ def merge_graph_dot(ring: FusionRing, depth: int = 6) -> str:
     edges = set()
     for a in explored:
         for b in explored:
-            supp = sorted(ring.product(a, b), key=ring.order_key)
+            supp = sorted(ring.fusion[a, b], key=ring.order_key)
             for i, x in enumerate(supp):
                 for y in supp[i + 1:]:
                     edges.add((x, y) if ring.order_key(x) <= ring.order_key(y) else (y, x))

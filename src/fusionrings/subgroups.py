@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import InternalInconsistency, InvalidRestriction
-from .ring import (FusionRing, Subobject, Support, ValidationReport, _associative, _reach,
-                   generated_subobject)
-from .central import GroupTable, is_central_subobject
+from .ring import (FusionRing, Memo, Subobject, Support, ValidationReport, _associative,
+                   _reach, generated_subobject)
+from .central import GroupTable, _depth_flag, identify_group, is_central_subobject
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,12 @@ class RestrictionData:
     target: FusionRing
     rule: Callable[[str], Support]
     name: str = "restriction"
-    # label -> rule(label); the rule must be a pure function of the label
-    _memo: dict[str, Support] = field(default_factory=dict, init=False,
-                                      compare=False, repr=False)
+    # label -> rule(label), read in place by the checks; the rule must be a
+    # pure function of the label
+    restricted: Memo = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "restricted", Memo(self.rule))
 
     @classmethod
     def from_dict(cls, source: FusionRing, target: FusionRing,
@@ -44,13 +47,6 @@ class RestrictionData:
     def restrict(self, label: str) -> Support:
         return dict(self.rule(label))
 
-    def _restricted(self, label: str) -> Support:
-        """The memoized restriction of `label`, read in place by the checks."""
-        m = self._memo.get(label)
-        if m is None:
-            m = self._memo[label] = dict(self.rule(label))
-        return m
-
 
 def identity_restriction(ring: FusionRing) -> RestrictionData:
     return RestrictionData(ring, ring, lambda l: {l: 1}, name="identity")
@@ -69,7 +65,7 @@ def su2_parity_restriction(su2: FusionRing, z2ring: FusionRing) -> RestrictionDa
     nontrivial = next(l for l in labels if l != z2ring.unit)
 
     def rule(label):
-        n = int(label[1:])
+        n = _su2_index(label)
         return {z2ring.unit if n % 2 == 0 else nontrivial: n + 1}
 
     return RestrictionData(su2, z2ring, rule, name="su2-parity")
@@ -80,10 +76,17 @@ def su2_weight_restriction(su2: FusionRing, zring: FusionRing) -> RestrictionDat
     characters z^-n, z^-n+2, ..., z^n."""
 
     def rule(label):
-        n = int(label[1:])
+        n = _su2_index(label)
         return {f"z{k}": 1 for k in range(-n, n + 1, 2)}
 
     return RestrictionData(su2, zring, rule, name="su2-weights")
+
+
+def _su2_index(label: str) -> int:
+    """n for the su2 label Vn; InvalidRestriction for any other label."""
+    if label[:1] != "V" or not label[1:].isdecimal():
+        raise InvalidRestriction(f"an su2 rule cannot restrict {label!r}")
+    return int(label[1:])
 
 
 def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport:
@@ -95,12 +98,12 @@ def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport
     or its exception make the report."""
     report = ValidationReport(checked_depth=r.source.checked_depth(depth))
     explored = r.source.elements(depth)
-    restrict = r._restricted
-    unit_map = restrict(r.source.unit)
+    restricted = r.restricted
+    unit_map = restricted[r.source.unit]
     if unit_map != {r.target.unit: 1}:
         report.add("unit", (r.source.unit,), f"unit restricts to {unit_map}")
     for tau in explored:
-        m = restrict(tau)
+        m = restricted[tau]
         for lam in m:
             r.target.dim(lam)  # raises UnknownLabel on dangling targets
         want = r.source.dim(tau)
@@ -108,7 +111,7 @@ def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport
         if got != want:
             report.add("dimension", (tau,), f"{got} != dim {want}")
         dual_m = {r.target.dual(lam): n for lam, n in m.items()}
-        if restrict(r.source.dual(tau)) != dual_m:
+        if restricted[r.source.dual(tau)] != dual_m:
             report.add("conjugation", (tau,), "map(dual tau) != dual of map(tau)")
     if report.ok:
         try:
@@ -118,13 +121,13 @@ def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport
             # the rule or a ring failed: the full scan raises it, or not,
             # at its own point
             pass
-    source, target = r.source._support, r.target._support
+    source, target = r.source.fusion, r.target.fusion
     for a in explored:
-        ma = restrict(a)
+        ma = restricted[a]
         for b in explored:
-            mb = restrict(b)
-            lhs = _sum((n * m, target(x, y)) for x, n in ma.items() for y, m in mb.items())
-            rhs = _sum((n, restrict(c)) for c, n in source(a, b).items())
+            mb = restricted[b]
+            lhs = _sum((n * m, target[x, y]) for x, n in ma.items() for y, m in mb.items())
+            rhs = _sum((n, restricted[c]) for c, n in source[a, b].items())
             # a zero multiplicity counts as absent
             if lhs != rhs and any(lhs.get(c, 0) != rhs.get(c, 0) for c in lhs.keys() | rhs.keys()):
                 report.add("multiplicativity", (a, b), f"{lhs} != {rhs}")
@@ -157,31 +160,31 @@ def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str]) -> 
     edges = _reach(source, window)
     if edges is None:
         return False
-    s_sup, t_sup, restrict = source._support, target._support, r._restricted
+    s_fus, t_fus, res = source.fusion, target.fusion, r.restricted
 
     def restricted(supp):
-        return _sum((n, restrict(c)) for c, n in supp.items())
+        return _sum((n, res[c]) for c, n in supp.items())
 
     def restricted_product(m1, m2):
-        return _sum((n * k, t_sup(x, y)) for x, n in m1.items() for y, k in m2.items())
+        return _sum((n * k, t_fus[x, y]) for x, n in m1.items() for y, k in m2.items())
 
-    m_unit = restrict(source.unit)
+    m_unit = res[source.unit]
     for a in window:
-        if restricted(s_sup(a, source.unit)) != restricted_product(restrict(a), m_unit):
+        if restricted(s_fus[a, source.unit]) != restricted_product(res[a], m_unit):
             return False
     parents = dict.fromkeys(p for _, p, _ in edges)
     checked = dict.fromkeys(window)
     for a in window:
         for p in parents:
-            checked.update(dict.fromkeys(s_sup(a, p)))
+            checked.update(dict.fromkeys(s_fus[a, p]))
     for x in checked:
         for g in generators:
-            if restricted(s_sup(x, g)) != restricted_product(restrict(x), restrict(g)):
+            if restricted(s_fus[x, g]) != restricted_product(res[x], res[g]):
                 return False
-    ys = dict.fromkeys(lam for p in parents for lam in restrict(p))
-    hs = dict.fromkeys(lam for g in generators for lam in restrict(g))
+    ys = dict.fromkeys(lam for p in parents for lam in res[p])
+    hs = dict.fromkeys(lam for g in generators for lam in res[g])
     return (_associative(source, window, [(p, g) for _, p, g in edges])
-            and _associative(target, dict.fromkeys(lam for a in window for lam in restrict(a)),
+            and _associative(target, dict.fromkeys(lam for a in window for lam in res[a]),
                              [(y, h) for y in ys for h in hs]))
 
 
@@ -211,7 +214,7 @@ def is_normal(r: RestrictionData, depth: int = 6) -> NormalityResult:
     _require_valid(r, depth)
     checked = r.source.checked_depth(depth)
     for tau in r.source.elements(depth):
-        m = r._restricted(tau).get(r.target.unit, 0)
+        m = r.restricted[tau].get(r.target.unit, 0)
         if m not in (0, r.source.dim(tau)):
             return NormalityResult(False, witness=(tau, m, r.source.dim(tau)),
                                    checked_depth=checked)
@@ -236,7 +239,7 @@ def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupRe
     checked = r.source.checked_depth(depth)
     assignment = {}
     for tau in r.source.elements(depth):
-        m = dict(r._restricted(tau))  # a copy: it may become the witness
+        m = dict(r.restricted[tau])  # a copy: it may become the witness
         if len(m) != 1:
             return CentralSubgroupResult(False, witness=(tau, m), checked_depth=checked)
         (lam, n), = m.items()
@@ -262,14 +265,14 @@ def _trivial_restriction_subobject(r: RestrictionData, depth: int) -> Subobject:
     inside = set(explored)
 
     def trivially_restricts(tau):
-        return r._restricted(tau) == {r.target.unit: r.source.dim(tau)}
+        return r.restricted[tau] == {r.target.unit: r.source.dim(tau)}
 
     members = {tau for tau in explored if trivially_restricts(tau)}
     for a in members:
         if r.source.dual(a) not in members and r.source.dual(a) in inside:
             raise InvalidRestriction(f"trivially-restricting set not dual-closed at {a!r}")
         for b in members:
-            for c in r.source._support(a, b):
+            for c in r.source.fusion[a, b]:
                 # constituents beyond the depth are still checked via the rule
                 if not trivially_restricts(c):
                     raise InvalidRestriction(
@@ -309,7 +312,7 @@ def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:
     index = {l: i for i, l in enumerate(elems)}
 
     def times(a, b):
-        supp = ring.product(a, b)
+        supp = ring.fusion[a, b]
         if len(supp) != 1:
             raise InternalInconsistency(
                 f"dim-1 product {a!r} x {b!r} not a singleton: {supp}")
@@ -323,3 +326,14 @@ def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:
     table = GroupTable(mult, index[ring.unit], tuple(elems))
     table.verify()
     return table
+
+
+def grouplikes_group(ring: FusionRing, depth: int = 6):
+    """(GroupTable, GroupDescriptor) of the grouplikes, stamped as
+    `chain_group` stamps its answer: on a window, by comparing the
+    grouplike labels at `depth` and `depth`+1."""
+    table = grouplikes(ring, depth)
+    desc = identify_group(table)
+    desc.flag = _depth_flag(
+        ring, depth, lambda: grouplikes(ring, depth + 1).labels == table.labels)
+    return table, desc

@@ -1,8 +1,15 @@
-"""Shared fixtures: the small explicit rings and the generated catalog."""
+"""Shared fixtures: the small explicit rings and the generated catalog.
+
+The hypothesis profile `ci` draws the same examples on every run; CI
+selects it with `--hypothesis-profile=ci`, so a CI failure replays
+locally with the same flag, while plain runs stay random."""
 
 import pytest
+from hypothesis import settings
 
 import fusionrings as fr
+
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

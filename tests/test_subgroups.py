@@ -3,6 +3,7 @@
 import pytest
 
 import fusionrings as fr
+from fusionrings import subgroups
 from fusionrings.errors import DepthExceeded, InvalidRestriction
 from fusionrings.subgroups import _multiplicative_on_generators, _trivial_restriction_subobject
 
@@ -193,3 +194,22 @@ class TestGrouplikes:
         ring = fr.direct_product(z2ring, su2)
         table = fr.grouplikes(ring, depth=3)
         assert set(table.labels) == {"(e,V0)", "(g1,V0)"}
+
+    def test_grouplikes_group_is_exact_only_on_a_complete_table(self, su2, reps3):
+        _, desc = fr.grouplikes_group(su2, depth=6)
+        assert desc.flag == "stable_at_depth(6)"
+        table, desc = fr.grouplikes_group(reps3)
+        assert (set(table.labels), desc.flag) == ({"1", "sgn"}, "exact")
+
+    def test_grouplikes_leaving_the_window_at_next_depth_are_unstable(
+            self, su2, monkeypatch):
+        real = subgroups.grouplikes
+
+        def grouplikes(ring, depth=6):
+            if depth > 6:
+                raise DepthExceeded("closure left the window")
+            return real(ring, depth)
+
+        monkeypatch.setattr(subgroups, "grouplikes", grouplikes)
+        _, desc = fr.grouplikes_group(su2, depth=6)
+        assert desc.flag == "unstable_at_depth(6)"
