@@ -425,7 +425,7 @@ def load_ring(path, validate: bool = True) -> FusionRing:
     try:
         if not isinstance(doc["dual"], dict):
             raise MalformedFile("dual must be a map of labels")
-        basis = [BasisElement(b["label"], int(b["dim"])) for b in doc["basis"]]
+        basis = [BasisElement(b["label"], b["dim"]) for b in doc["basis"]]
         require_labels(doc["unit"], *doc["dual"].values(), *(b.label for b in basis))
         fusion: dict[tuple[str, str], Support] = {}
         for entry in doc["fusion"]:
@@ -434,7 +434,7 @@ def load_ring(path, validate: bool = True) -> FusionRing:
             supp = fusion.setdefault(key, {})
             if entry["c"] in supp:
                 raise MalformedFile(f"duplicate fusion entry {entry}")
-            supp[entry["c"]] = int(entry["n"])
+            supp[entry["c"]] = entry["n"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFile(str(exc)) from exc
     ring = FusionRing.explicit(basis, doc["unit"], doc["dual"], fusion,
@@ -457,9 +457,7 @@ def load_group(path) -> GroupPresentationInput:
         require_labels(*table.values())
     except (KeyError, TypeError) as exc:
         raise MalformedFile(str(exc)) from exc
-    g = GroupPresentationInput(elements, table, doc["identity"])
-    g.check()
-    return g
+    return GroupPresentationInput(elements, table, doc["identity"])
 
 
 def read_object(path) -> dict:

@@ -2,8 +2,8 @@
 
 The chain classes are the fibres of the universal grading, so the chain
 relation is computed as a congruence closure under right multiplication by
-the generators; a brute-force word-support oracle exists alongside it to
-validate the closure on finite rings.
+the generators, and the chain group is read off their action on the classes.
+A brute-force word-support oracle validates the closure on finite rings.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
+from typing import Iterable, Mapping
 
 from .errors import (
     DepthExceeded,
@@ -246,9 +248,8 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
     only on the support of w, states are deduplicated by support set.
     """
     labels = ring.labels()
-    supports: set[frozenset[str]] = set()
     frontier = {frozenset([z]) for z in labels}
-    supports |= frontier
+    supports = set(frontier)
     for _ in range(max_len - 1):
         nxt = set()
         for supp in frontier:
@@ -256,14 +257,10 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
                 ext = set()
                 for x in supp:
                     ext.update(ring.fusion[x, z])
-                fs = frozenset(ext)
-                if fs not in supports:
-                    nxt.add(fs)
-        supports |= nxt
-        frontier = nxt
-    uf = UnionFind()
-    for l in labels:
-        uf.add(l)
+                nxt.add(frozenset(ext))
+        frontier = nxt - supports
+        supports |= frontier
+    uf = UnionFind()  # from_unionfind adds the labels no support merges
     for supp in supports:
         members = list(supp)
         for other in members[1:]:
@@ -293,8 +290,6 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
     sigma = check_subobject(ring, sigma.members, depth=depth)
     explored = ring.elements(depth)
     uf = UnionFind()
-    for x in explored:
-        uf.add(x)
     related = 0
     for i, a in enumerate(explored):
         for b in explored[i + 1:]:
@@ -321,9 +316,6 @@ class CentralityResult:
     central: bool
     partition: CosetPartition
     table: GroupTable | None = None
-    # block products by index; pairs whose products leave the explored
-    # partition (infinite groups at finite depth) are absent
-    products: dict[tuple[int, int], int] = field(default_factory=dict)
     witness: tuple | None = None
 
     def __bool__(self):
@@ -334,50 +326,37 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
                          depth: int = 6) -> CentralityResult:
     """Decide whether sigma's cosets form a group.
 
-    Every member pair of every pair of blocks is checked (the product must
-    land in one single coset for all of them); constituents beyond the
-    explored partition are outside the depth-qualified claim.  When every
-    block product lands in the partition the full group table is returned;
-    otherwise centrality is reported with the partial product map.
+    Block i times block j is the one block met by the products of every
+    member of block i with every member of block j; a pair whose products
+    meet two blocks is returned as the witness of a non-central result.
+    Constituents beyond the explored partition are outside the
+    depth-qualified claim.  When every block product lands in the
+    partition the verified group table is returned.
     """
     part = sigma_cosets(ring, sigma, depth)
-    return _quotient(ring, part, part.blocks)
-
-
-def _quotient(ring: FusionRing, part: CosetPartition,
-              reps: Sequence[Sequence[str]]) -> CentralityResult:
-    """The quotient of the explored basis by the partition `part`.
-
-    Block i times block j is the one block met by the products of every
-    label of reps[i] with every label of reps[j]; a pair whose products
-    meet two blocks is returned as the witness of a non-central result.
-    Products with no constituent in the partition stay undefined; when
-    none is undefined the verified group table is returned.
-    """
-    block_of, fusion = part.block_of, ring.fusion
+    blocks, block_of, fusion = part.blocks, part.block_of, ring.fusion
     products: dict[tuple[int, int], int] = {}
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
+    for i, bi in enumerate(blocks):
+        for j, bj in enumerate(blocks):
             seen: set[int] = set()
-            for a in ri:
-                for b in rj:
+            for a in bi:
+                for b in bj:
                     for c in fusion[a, b]:
                         k = block_of.get(c)
                         if k is not None:
                             seen.add(k)
                     if len(seen) > 1:
                         return CentralityResult(
-                            False, part,
-                            witness=(i, j, (a, b), sorted(seen)))
+                            False, part, witness=(i, j, (a, b), sorted(seen)))
             if seen:
                 products[(i, j)] = seen.pop()
-    n = len(reps)
+    n = len(blocks)
     if len(products) < n * n:
-        return CentralityResult(True, part, products=products)
+        return CentralityResult(True, part)
     mult = tuple(tuple(products[(i, j)] for j in range(n)) for i in range(n))
-    table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in part.blocks))
+    table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks))
     table.verify()
-    return CentralityResult(True, part, table=table, products=products)
+    return CentralityResult(True, part, table=table)
 
 
 def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
@@ -392,8 +371,7 @@ def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
     normal subgroups than the search budget.
     """
     ring.labels()  # a finite table is needed
-    res = _chain_result_at(ring, 0)  # the depth does not limit a complete table
-    t, blocks = res.table, res.partition.blocks
+    part, t, _ = _schreier(ring, 0)  # the depth does not limit a complete table
     inverse = [row.index(t.identity) for row in t.mult]
     closures = {t.subgroup({t.mult[t.mult[g][a]][inverse[g]] for g in range(t.size)})
                 for a in range(t.size)}
@@ -411,7 +389,7 @@ def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
                 if j not in normals:
                     normals.add(j)
                     work.append(j)
-    out = [Subobject(frozenset(l for i in n for l in blocks[i])) for n in normals]
+    out = [Subobject(frozenset(l for i in n for l in part.blocks[i])) for n in normals]
     out.sort(key=lambda s: (len(s.members), tuple(sorted(s.members))))
     return out
 
@@ -434,63 +412,99 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
 # --------------------------------------------------------------- chain group
 
 
-def _generator_classes(ring: FusionRing, part: CosetPartition) -> list[int]:
-    """Blocks of the ring generators, deduplicated, identity dropped, and
-    reduced modulo inverses (the dual generator's class)."""
-    out: list[int] = []
-    covered: set[int] = set()
+def _schreier(ring: FusionRing, depth: int):
+    """The chain classes on the window, and the chain group U read off
+    their block action.
+
+    Block b times generator k is the block of any in-window constituent of
+    a member of b times that generator: the closure put them all in one
+    block, and it has already computed the products.  A breadth-first tree
+    from the unit block gives every block a word in the generators.  When
+    the action is total on the window, U is finite and its verified table
+    is the action walked along the tree words.  Otherwise U is presented on
+    the generator classes, taken up to duals, by one relator for every edge
+    off the tree (Reidemeister-Schreier).  Returns (partition, table, None)
+    or (partition, None, (names, relators)), a relator being a tuple of
+    letters: i or -i for the i-th name or its inverse.
+    """
+    part = merge_closure(ring, depth)
+    blocks, block_of, fusion = part.blocks, part.block_of, ring.fusion
+    act = [[next((block_of[c] for x in blk for c in fusion[x, g] if c in block_of), None)
+            for g in ring.generators] for blk in blocks]
+    queue, tree, off_tree = [part.identity_block], {part.identity_block: ()}, []
+    for b in queue:
+        for k, t in enumerate(act[b]):
+            if t in tree:
+                off_tree.append((b, k, t))
+            elif t is not None:
+                tree[t] = tree[b] + (k,)
+                queue.append(t)
+    if all(None not in row for row in act):
+        n = len(blocks)
+        mult = tuple(tuple(reduce(lambda x, k: act[x][k], tree[j], i) for j in range(n))
+                     for i in range(n))
+        table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks))
+        table.verify()
+        return part, table, None
+    sign, names = {part.identity_block: 0}, []
     for g in ring.generators:
-        cls = part.block_of[g]
-        if cls == part.identity_block or cls in covered:
-            continue
-        out.append(cls)
-        covered.add(cls)
-        covered.add(part.block_of.get(ring.dual(g), cls))
+        cls = block_of.get(g)
+        if cls is not None and cls not in sign:
+            names.append(f"[{blocks[cls][0]}]")
+            sign[cls] = len(names)
+            sign.setdefault(block_of.get(ring.dual(g), cls), -len(names))
+    letter = [sign.get(block_of.get(g), 0) for g in ring.generators]
+    path = {b: [letter[k] for k in word] for b, word in tree.items()}
+    relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
+                for b, k, t in off_tree} - {()}
+    return part, None, (names, sorted(relators, key=lambda r: (len(r), _letter_key(r))))
+
+
+def _letter_key(word):
+    return [(abs(l), l < 0) for l in word]
+
+
+def _relator(word) -> tuple[int, ...]:
+    """A word of letters (0 is no letter) reduced freely and cyclically, as
+    the least rotation of it or of its inverse, by letter, then sign."""
+    out = []
+    for l in word:
+        if out and out[-1] == -l:
+            out.pop()
+        elif l:
+            out.append(l)
+    while len(out) > 1 and out[0] == -out[-1]:
+        out = out[1:-1]
+    inverse = [-l for l in reversed(out)]
+    return min((tuple(w[i:] + w[:i]) for w in (out, inverse) for i in range(len(w))),
+               key=_letter_key, default=())
+
+
+def _spelled(r: tuple[int, ...], names: list[str]) -> str:
+    """A relator as text, a power per run of one letter: [a]^2, [a][b][a]^-1[b]^-1."""
+    out = ""
+    for l, run in groupby(r):
+        power = len(list(run)) * (1 if l > 0 else -1)
+        out += names[abs(l) - 1] + ("" if power == 1 else f"^{power}")
     return out
 
 
-def _presentation(ring: FusionRing, res: CentralityResult, depth: int):
-    """Generator-class presentation discovered within the depth horizon."""
-    part = res.partition
-    gens = _generator_classes(ring, part)
-    relations = []
-    if len(gens) == 1:
-        g = gens[0]
-        cur = g
-        for k in range(2, depth + 2):
-            cur = res.products.get((cur, g))
-            if cur is None:
-                break
-            if cur == part.identity_block:
-                relations.append(f"g^{k}")
-                break
-    gen_labels = [part.blocks[g][0] for g in gens]
-    return {"generators": [f"[{l}]" for l in gen_labels],
-            "relations": relations}
-
-
-def _chain_result_at(ring: FusionRing, depth: int) -> CentralityResult:
-    """The chain classes on the window and their block products.
-
-    Each block product comes from one representative pair, the
-    lowest-depth member of each block; the classes are the fibres of the
-    universal grading, so any pair gives the same block.
-    """
-    part = merge_closure(ring, depth)
-    res = _quotient(ring, part, [blk[:1] for blk in part.blocks])
-    if res.witness is not None:
-        _, _, (a, b), landed = res.witness
-        raise InternalInconsistency(f"{a} x {b} meets several chain classes {landed}")
-    return res
-
-
-def _chain_signature(ring, res, depth):
-    if res.table is not None:
-        t = res.table
-        inv = abelian_invariants(t) if t.is_abelian() else None
-        return ("finite", t.size, t.is_abelian(), tuple(inv or ()))
-    pres = _presentation(ring, res, depth)
-    return ("presentation", len(pres["generators"]), tuple(pres["relations"]))
+def _presented(names: list[str], relators: list[tuple[int, ...]]) -> GroupDescriptor:
+    """The group <names | relators>, named as a free product of cyclic
+    groups when every relator is a power of one letter, unnamed otherwise.
+    The flag is left for the caller to set."""
+    pres = {"generators": names, "relations": [_spelled(r, names) for r in relators]}
+    if any(len(set(r)) > 1 for r in relators):
+        return GroupDescriptor(None, None, None, "exact", presentation=pres)
+    orders = [0] * len(names)  # 0: infinite cyclic
+    for r in relators:
+        orders[r[0] - 1] = math.gcd(orders[r[0] - 1], len(r))
+    factors = [d for d in orders if d != 1]
+    name = " * ".join(f"Z/{d}Z" if d else "Z" for d in factors) or "trivial"
+    cyclic = len(factors) <= 1  # a free product of two nontrivial groups is not abelian
+    order = math.prod(factors) if cyclic and 0 not in factors else None
+    return GroupDescriptor(order, cyclic, None if order is None else factors, "exact",
+                           presentation=pres, name=name)
 
 
 def _depth_flag(ring: FusionRing, depth: int, same_at_next) -> str:
@@ -508,38 +522,23 @@ def _depth_flag(ring: FusionRing, depth: int, same_at_next) -> str:
 
 def chain_group(ring: FusionRing, depth: int = 6,
                 candidates: Mapping[str, GroupTable] | None = None):
-    """Compute the chain group: the group of chain classes, with block
-    products read from representatives, identified structurally.
+    """The chain group read off the generators' block action (`_schreier`).
 
     Returns (GroupTable or presentation dict, GroupDescriptor).  Generated
-    rings are computed at `depth` and `depth`+1; agreement is reported as
-    stable_at_depth(depth), never as exact.
+    rings are computed at `depth` and `depth`+1; the same descriptor at
+    both is reported as stable_at_depth(depth), never as exact.
     """
-    res = _chain_result_at(ring, depth)
-    flag = _depth_flag(ring, depth, lambda: (
-        _chain_signature(ring, res, depth)
-        == _chain_signature(ring, _chain_result_at(ring, depth + 1), depth + 1)))
-    if res.table is not None:
-        desc = identify_group(res.table, candidates=candidates)
-        desc.flag = flag
-        return res.table, desc
+    def at(d):
+        _, table, pres = _schreier(ring, d)
+        if table is not None:
+            return table, identify_group(table, candidates=candidates)
+        desc = _presented(*pres)
+        return desc.presentation, desc
 
-    pres = _presentation(ring, res, depth)
-    name = None
-    order = None
-    invariants = None
-    abelian = None
-    if len(pres["generators"]) == 1:
-        abelian = True
-        if not pres["relations"]:
-            name = "Z"
-        else:
-            k = int(pres["relations"][0].split("^")[1])
-            name, order, invariants = f"Z/{k}Z", k, [k]
-    desc = GroupDescriptor(order=order, is_abelian=abelian,
-                           abelian_invariants=invariants, flag=flag,
-                           presentation=pres, name=name)
-    return pres, desc
+    found, desc = at(depth)
+    signature = desc.to_json()
+    desc.flag = _depth_flag(ring, depth, lambda: at(depth + 1)[1].to_json() == signature)
+    return found, desc
 
 
 # --------------------------------------------------------- identify_group

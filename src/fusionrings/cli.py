@@ -118,7 +118,7 @@ def load_restriction(path) -> RestrictionData:
         if "rule" in doc:
             make = _RESTRICTION_RULES[doc["rule"]]
             return make(source, target)
-        mapping = {entry["from"]: {t["label"]: int(t["n"]) for t in entry["to"]}
+        mapping = {entry["from"]: {t["label"]: t["n"] for t in entry["to"]}
                    for entry in doc["map"]}
         cat.require_labels(*mapping, *(l for m in mapping.values() for l in m))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -33,8 +33,8 @@ class BasisElement:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise MalformedRing(f"dim of {self.label!r} must be >= 1, got {self.dim}")
+        if type(self.dim) is not int or self.dim < 1:
+            raise MalformedRing(f"dim of {self.label!r} must be an int >= 1, got {self.dim!r}")
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ class FusionRing:
             for c, n in supp.items():
                 if c not in dims:
                     raise MalformedRing(f"fusion entry ({a!r},{b!r}) -> dangling {c!r}")
-                if n <= 0:
-                    raise MalformedRing(f"zero/negative multiplicity at ({a!r},{b!r},{c!r})")
-                clean[c] = int(n)
+                if type(n) is not int or n <= 0:
+                    raise MalformedRing(f"bad multiplicity {n!r} at ({a!r},{b!r},{c!r})")
+                clean[c] = n
             if not clean:
                 raise MalformedRing(f"empty support declared for ({a!r},{b!r})")
             table[(a, b)] = clean

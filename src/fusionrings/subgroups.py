@@ -32,9 +32,10 @@ class RestrictionData:
     def from_dict(cls, source: FusionRing, target: FusionRing,
                   mapping: Mapping[str, Support], name="restriction") -> "RestrictionData":
         table = {k: dict(v) for k, v in mapping.items()}
-        bad = [(k, lam) for k, v in table.items() for lam, n in v.items() if n <= 0]
+        bad = [(k, lam, n) for k, v in table.items() for lam, n in v.items()
+               if type(n) is not int or n <= 0]
         if bad:
-            raise InvalidRestriction(f"zero/negative multiplicity at {bad[0]}")
+            raise InvalidRestriction(f"multiplicity not a positive integer at {bad[0]}")
 
         def rule(label):
             try:

@@ -228,3 +228,11 @@ def test_16_su2_weight_restriction_validates_at_depth_30():
     with budget(1):
         report = fr.validate_restriction(weights, 30)
     assert str(report) == "valid (checked to depth 30)"
+
+
+def test_17_free_product_chain_group_at_depth_6():
+    ring = fr.free_product(fr.z_group_ring(), fr.group_ring(fr.cyclic_group(2)))
+    with budget(1):
+        _, desc = fr.chain_group(ring, 6)
+    assert desc.name == "Z * Z/2Z"
+    assert desc.flag == "stable_at_depth(6)"

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionrings as fr
+from fusionrings.cli import resolve_catalog
+from test_cli_golden import DATA, run_cli
 from fusionrings.errors import (
     AxiomViolation,
     MalformedFile,
@@ -234,3 +236,18 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         ring = fr.group_ring(fr.load_group(path))
         assert fr.validate_ring(ring).ok
+
+    def test_group_file_is_checked_once(self, monkeypatch):
+        calls = []
+        check = fr.GroupPresentationInput.check
+        monkeypatch.setattr(fr.GroupPresentationInput, "check",
+                            lambda g: calls.append(g) or check(g))
+        resolve_catalog(f"group:{DATA / 'z3_group.json'}")
+        assert len(calls) == 1
+
+    def test_group_file_that_is_no_group_is_input_error(self, tmp_path):
+        doc = json.loads((DATA / "z3_group.json").read_text())
+        doc["table"]["g1"]["g1"] = "g1"  # every entry an element, no group law
+        path = tmp_path / "not_a_group.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["chain-group", "--catalog", f"group:{path}"]) == (2, "")

@@ -1,15 +1,23 @@
-"""The congruence-closure chain relation against the full-square closure.
+"""The congruence-closure chain relation against the full-square closure,
+and the chain group of products against the theory.
 
 `full_square_closure` merges the constituents of every product of two
-window labels.  The chain group and center are rebuilt from it through
-public calls (unit class -> `is_central_subobject` -> table or
-presentation) and compared with `chain_group` and `center_subobject`.
+window labels.  The partition, the finite chain groups and the center are
+rebuilt from it through public calls (unit class -> `is_central_subobject`
+-> table) and compared with `merge_closure`, `chain_group` and
+`center_subobject`.  Presented chain groups are checked against
+U(A * B) = U(A) * U(B) and U(A x B) = U(A) x U(B) on catalog products.
 """
+
+import itertools
+import math
+import re
 
 import pytest
 
 import fusionrings as fr
 from fusionrings.central import UnionFind
+from fusionrings.cli import resolve_catalog
 
 DEPTHS = range(2, 7)
 
@@ -52,6 +60,9 @@ def full_square_unit_class(ring, depth):
 
 
 def full_square_centrality(ring, depth):
+    """The quotient by the full-square unit class.  The chain classes are
+    the fibres of a grading, so the product of two classes meets one class:
+    a witness of two is a fault in the closure or the ring."""
     members = full_square_unit_class(ring, depth)
     sigma = fr.check_subobject(ring, members,
                                depth=None if ring.is_explicit else depth)
@@ -60,61 +71,21 @@ def full_square_centrality(ring, depth):
     return res
 
 
-def _presentation(ring, res, depth):
-    part = res.partition
-    gens, covered = [], set()
-    for g in ring.generators:
-        cls = part.block_of[g]
-        if cls != part.identity_block and cls not in covered:
-            gens.append(cls)
-            covered |= {cls, part.block_of.get(ring.dual(g), cls)}
-    relations = []
-    if len(gens) == 1:
-        cur = gens[0]
-        for k in range(2, depth + 2):
-            cur = res.products.get((cur, gens[0]))
-            if cur is None:
-                break
-            if cur == part.identity_block:
-                relations.append(f"g^{k}")
-                break
-    return {"generators": [f"[{part.blocks[g][0]}]" for g in gens],
-            "relations": relations}
-
-
-def _signature(ring, res, depth):
-    if res.table is not None:
-        t = res.table
-        inv = fr.abelian_invariants(t) if t.is_abelian() else None
-        return ("finite", t.size, t.is_abelian(), tuple(inv or ()))
-    pres = _presentation(ring, res, depth)
-    return ("presentation", len(pres["generators"]), tuple(pres["relations"]))
+def full_square_table_descriptor(ring, depth):
+    """identify_group's JSON for the full-square quotient table, or None
+    when a block product leaves the window."""
+    res = full_square_centrality(ring, depth)
+    return None if res.table is None else fr.identify_group(res.table).to_json()
 
 
 def full_square_chain_descriptor(ring, depth):
-    """The chain-group descriptor as JSON, from the full-square pipeline."""
-    res = full_square_centrality(ring, depth)
-    if ring.is_explicit:
-        desc = fr.identify_group(res.table)
-        desc.flag = "exact"
-        return desc.to_json()
-    res_next = full_square_centrality(ring, depth + 1)
-    stable = _signature(ring, res, depth) == _signature(ring, res_next, depth + 1)
-    flag = f"{'stable' if stable else 'unstable'}_at_depth({depth})"
-    if res.table is not None:
-        desc = fr.identify_group(res.table)
-        desc.flag = flag
-        return desc.to_json()
-    pres = _presentation(ring, res, depth)
-    doc = {"order": None, "abelian": None, "invariants": None, "flag": flag,
-           "presentation": pres}
-    if len(pres["generators"]) == 1:
-        doc["abelian"] = True
-        if not pres["relations"]:
-            doc["name"] = "Z"
-        else:
-            k = int(pres["relations"][0].split("^")[1])
-            doc.update(order=k, invariants=[k], name=f"Z/{k}Z")
+    """The chain-group descriptor as JSON when the full-square quotient is
+    a finite table, flagged by comparing it with the one at depth + 1;
+    None when the table is partial."""
+    doc = full_square_table_descriptor(ring, depth)
+    if doc is not None and not ring.is_explicit:
+        stable = doc == full_square_table_descriptor(ring, depth + 1)
+        doc["flag"] = f"{'stable' if stable else 'unstable'}_at_depth({depth})"
     return doc
 
 
@@ -136,9 +107,17 @@ def test_merge_closure_matches_full_square_on_window(cases):
 
 
 def test_chain_group_matches_full_square_pipeline(cases):
+    """A finite chain group is the full-square quotient table, whose check
+    multiplies every member pair of every block pair; a partial one is a
+    presented group."""
     for name, ring, depth in cases:
-        _, desc = fr.chain_group(ring, depth)
-        assert desc.to_json() == full_square_chain_descriptor(ring, depth), (name, depth)
+        found, desc = fr.chain_group(ring, depth)
+        want = full_square_chain_descriptor(ring, depth)
+        if want is None:
+            assert desc.presentation is not None, (name, depth)
+            continue
+        assert desc.to_json() == want, (name, depth)
+        assert found.mult == full_square_centrality(ring, depth).table.mult, (name, depth)
 
 
 def test_center_contains_full_square_unit_class(cases):
@@ -152,3 +131,101 @@ def test_center_contains_full_square_unit_class(cases):
         assert new & window == old & window, (name, depth)
         assert old <= new, (name, depth)
         assert new <= set(ring.elements(2 * depth)), (name, depth)
+
+
+# ------------------------------------------------- products against theory
+
+# The chain class of each label of a factor, as an element of Z/m (m = 0
+# for Z): the factor's chain group is cyclic, generated by 1.
+DEGREE = {
+    "z": (0, lambda l: int(l[1:])),
+    "zn:2": (2, lambda l: 0 if l == "e" else int(l[1:])),
+    "zn:3": (3, lambda l: 0 if l == "e" else int(l[1:])),
+    "su2": (2, lambda l: int(l[1:])),
+    "so3": (1, lambda l: 0),
+    "au": (0, lambda l: l.count("u") - l.count("v")),
+}
+PAIRS = list(itertools.combinations_with_replacement(sorted(DEGREE), 2))
+
+
+def cyclic_name(m):
+    return "trivial" if m == 1 else "Z" if m == 0 else f"Z/{m}Z"
+
+
+def exponent_sums(relator, generators):
+    """The exponent of each generator in a relator spelled as chain_group
+    spells it: names in brackets, each with an optional ^power."""
+    sums, pos = [0] * len(generators), 0
+    while pos < len(relator):
+        i = max((i for i, g in enumerate(generators) if relator.startswith(g, pos)),
+                key=lambda i: len(generators[i]))
+        power = re.match(r"(\^(-?\d+))?", relator[pos + len(generators[i]):])
+        sums[i] += int(power.group(2) or 1)
+        pos += len(generators[i]) + power.end()
+    return sums
+
+
+@pytest.mark.parametrize("a, b", PAIRS, ids=[f"{a}+{b}" for a, b in PAIRS])
+def test_free_product_chain_group_is_free_product(a, b):
+    """U(A * B) = U(A) * U(B): a free product of cyclic groups, with one
+    power relator for each finite nontrivial factor."""
+    factors = [DEGREE[a][0], DEGREE[b][0]]
+    _, desc = fr.chain_group(resolve_catalog(f"free:{a}+{b}"), 4)
+    assert desc.name == " * ".join(cyclic_name(m) for m in factors if m != 1) or "trivial"
+    if desc.presentation is not None:
+        assert len(desc.presentation["relations"]) == sum(m > 1 for m in factors)
+    assert desc.flag == "stable_at_depth(4)"
+
+
+@pytest.mark.parametrize("a, b", PAIRS, ids=[f"{a}+{b}" for a, b in PAIRS])
+def test_direct_product_chain_group_is_direct_product(a, b):
+    """U(A x B) = U(A) x U(B).  A finite one is the product table.  A
+    presented one has relators that hold in U(A) x U(B), and among them the
+    commutator of the two factors' letters and the order of a finite
+    factor's letter, so it is U(A) x U(B) exactly."""
+    (ma, da), (mb, db) = DEGREE[a], DEGREE[b]
+    found, desc = fr.chain_group(resolve_catalog(f"prod:{a}+{b}"), 4)
+    if ma and mb:
+        mult = tuple(tuple(((i // mb + j // mb) % ma) * mb + (i + j) % mb
+                           for j in range(ma * mb)) for i in range(ma * mb))
+        reference = fr.GroupTable(mult, 0, tuple(map(str, range(ma * mb))))
+        assert fr.tables_isomorphic(found, reference)
+        return
+    gens = desc.presentation["generators"]
+    degrees = []  # each letter's class in U(A) x U(B)
+    for g in gens:
+        x, y = g[2:-2].split(",")
+        degrees.append((da(x) % ma if ma else da(x), db(y) % mb if mb else db(y)))
+    for relator in desc.presentation["relations"]:
+        sums = exponent_sums(relator, gens)
+        for k, m in enumerate((ma, mb)):
+            total = sum(n * d[k] for n, d in zip(sums, degrees))
+            assert (total % m if m else total) == 0, relator
+    letters = {}  # factor -> its one letter, which generates U(factor)
+    for g, degree in zip(gens, degrees):
+        nonzero = [(k, d) for k, d in enumerate(degree) if d]
+        assert len(nonzero) == 1, g
+        (k, d), = nonzero
+        assert k not in letters and math.gcd(d, (ma, mb)[k]) == 1, g
+        letters[k] = g
+    assert sorted(letters) == [k for k, m in enumerate((ma, mb)) if m != 1]
+    relators = set(desc.presentation["relations"])
+    if len(letters) == 2:
+        assert f"{letters[0]}{letters[1]}{letters[0]}^-1{letters[1]}^-1" in relators
+    for k, g in letters.items():
+        if (ma, mb)[k]:
+            assert f"{g}^{(ma, mb)[k]}" in relators
+    if len(letters) == 1:
+        assert desc.name == "Z"
+
+
+def test_chain_group_relators_of_catalog_products():
+    def relations(name):
+        _, desc = fr.chain_group(resolve_catalog(name), 6)
+        return desc.presentation["relations"]
+
+    assert relations("free:zn:2+zn:3") == ["[1:g1]^2", "[2:g1]^3"]
+    assert relations("free:z+zn:2") == ["[2:g1]^2"]
+    assert "[(z1,z0)][(z0,z1)][(z1,z0)]^-1[(z0,z1)]^-1" in relations("prod:z+z")
+    _, desc = fr.chain_group(resolve_catalog("free:(free:zn:2+zn:3)+z"), 4)
+    assert desc.name == "Z/2Z * Z/3Z * Z"

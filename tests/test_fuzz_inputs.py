@@ -20,6 +20,7 @@ RING_DOC = json.loads((DATA / "reps3.json").read_text())
 GROUP_DOC = json.loads((DATA / "z3_group.json").read_text())
 RESTRICTION_DOCS = [json.loads((DATA / f"{name}.json").read_text())
                     for name in ("parity", "genmap", "trivial")]
+IDENT_DOC = json.loads((DATA / "ident.json").read_text())
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10) | st.floats(allow_nan=False)
@@ -112,9 +113,17 @@ def _with(doc, path, value):
     (RESTRICTION_COMMANDS, {"source": "su2", "target": "su2",
                             "map": [{"from": "V0", "to": [{"label": 1.5, "n": 1}]}]}),
     (RESTRICTION_COMMANDS, _with(RESTRICTION_DOCS[1], ["map", 0, "to", 0, "n"], float("inf"))),
+    (RING_COMMANDS, _with(RING_DOC, ["basis", 1, "dim"], 1.9)),
+    (RING_COMMANDS, _with(RING_DOC, ["basis", 1, "dim"], "1")),
+    (RING_COMMANDS, _with(RING_DOC, ["fusion", 0, "n"], True)),
+    (RING_COMMANDS, _with(RING_DOC, ["fusion", 0, "n"], 1.5)),
+    (RESTRICTION_COMMANDS, _with(IDENT_DOC, ["map", 0, "to", 0, "n"], True)),
+    (RESTRICTION_COMMANDS, _with(IDENT_DOC, ["map", 0, "to", 0, "n"], 1.5)),
 ], ids=["ring-int", "ring-null", "basis-label-dict", "unit-dict", "dual-entry-dict",
         "fusion-label-dict", "truncated-at-str", "truncated-at-negative",
         "group-identity-dict", "group-row-list", "su2-rule-on-reps3",
-        "restricted-label-float", "multiplicity-infinite"])
+        "restricted-label-float", "multiplicity-infinite", "dim-float", "dim-str",
+        "multiplicity-bool", "multiplicity-float", "restricted-multiplicity-bool",
+        "restricted-multiplicity-float"])
 def test_wrong_type_is_input_error(commands, doc):
     assert _run_on_file(commands, doc) == [(2, "")] * len(commands)
