@@ -125,10 +125,23 @@ class GroupTable:
         for a in range(n):
             if not any(self.mult[a][b] == e for b in range(n)):
                 raise NotAGroup(f"no inverse for {name[a]!r}")
+        # Light's test: the middle elements b with (a b) c = a (b c) for all
+        # a, c are closed under products and hold the identity, so checking
+        # a generating set proves associativity.  A failure reruns the full
+        # scan, so the message names its first triple.
+        gens, inside = [], self.subgroup([])
+        for a in range(n):
+            if a not in inside:
+                gens.append(a)
+                inside = self.subgroup(gens)
+        m = self.mult
+        if all(m[m[a][b]][c] == m[a][m[b][c]]
+               for b in gens for a in range(n) for c in range(n)):
+            return
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
+                    if m[m[a][b]][c] != m[a][m[b][c]]:
                         raise NotAGroup("associativity fails at "
                                         f"({name[a]!r},{name[b]!r},{name[c]!r})")
 
@@ -372,6 +385,7 @@ def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
     """
     ring.labels()  # a finite table is needed
     part, t, _ = _schreier(ring, 0)  # the depth does not limit a complete table
+    t.verify()
     inverse = [row.index(t.identity) for row in t.mult]
     closures = {t.subgroup({t.mult[t.mult[g][a]][inverse[g]] for g in range(t.size)})
                 for a in range(t.size)}
@@ -420,12 +434,13 @@ def _schreier(ring: FusionRing, depth: int):
     a member of b times that generator: the closure put them all in one
     block, and it has already computed the products.  A breadth-first tree
     from the unit block gives every block a word in the generators.  When
-    the action is total on the window, U is finite and its verified table
-    is the action walked along the tree words.  Otherwise U is presented on
-    the generator classes, taken up to duals, by one relator for every edge
-    off the tree (Reidemeister-Schreier).  Returns (partition, table, None)
-    or (partition, None, (names, relators)), a relator being a tuple of
-    letters: i or -i for the i-th name or its inverse.
+    the action is total on the window, U is finite and its table, not yet
+    verified, is the action walked along the tree words.  Otherwise U is
+    presented on the generator classes, taken up to duals, by one relator
+    for every edge off the tree (Reidemeister-Schreier).  Returns
+    (partition, table, None) or (partition, None, (names, relators)), a
+    relator being a tuple of letters: i or -i for the i-th name or its
+    inverse.
     """
     part = merge_closure(ring, depth)
     blocks, block_of, fusion = part.blocks, part.block_of, ring.fusion
@@ -443,9 +458,7 @@ def _schreier(ring: FusionRing, depth: int):
         n = len(blocks)
         mult = tuple(tuple(reduce(lambda x, k: act[x][k], tree[j], i) for j in range(n))
                      for i in range(n))
-        table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks))
-        table.verify()
-        return part, table, None
+        return part, GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks)), None
     sign, names = {part.identity_block: 0}, []
     for g in ring.generators:
         cls = block_of.get(g)

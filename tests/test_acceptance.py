@@ -236,3 +236,18 @@ def test_17_free_product_chain_group_at_depth_6():
         _, desc = fr.chain_group(ring, 6)
     assert desc.name == "Z * Z/2Z"
     assert desc.flag == "stable_at_depth(6)"
+
+
+def test_18_validate_ring_on_z64():
+    ring = fr.group_ring(fr.cyclic_group(64))
+    with budget(0.5):
+        report = fr.validate_ring(ring)
+    assert str(report) == "valid"
+
+
+def test_19_chain_group_on_z64():
+    ring = fr.group_ring(fr.cyclic_group(64))
+    with budget(0.5):
+        _, desc = fr.chain_group(ring)
+    assert desc.name == "Z/64Z"
+    assert desc.flag == "exact"

@@ -165,6 +165,16 @@ class TestChainGroup:
         assert desc.name == "Z"
         assert desc.presentation["relations"] == []
 
+    def test_finite_table_is_verified_once(self, monkeypatch):
+        ring = fr.group_ring(fr.cyclic_group(48))
+        verify, calls = fr.GroupTable.verify, []
+        monkeypatch.setattr(fr.GroupTable, "verify",
+                            lambda table: calls.append(table) or verify(table))
+        table, desc = fr.chain_group(ring)
+        assert calls == [table] and desc.name == "Z/48Z"
+        fr.enumerate_central_subobjects(ring)
+        assert calls == [table, table]
+
     @given(st.integers(min_value=1, max_value=8))
     @settings(max_examples=8, deadline=None)
     def test_cyclic_group_ring_chain_group(self, n):

@@ -9,7 +9,9 @@ reads and sums the associativity terms in Counters;
 the window, calling the rule for every label it reads.
 `generated_subobject`, `enumerate_central_subobjects`, `validate_ring` and
 `validate_restriction` must give the same answers, and the same violations
-in the same order (or the same exception).  `reference_free_product`
+in the same order (or the same exception).  `reference_group_verify` scans
+every triple of a group table; `GroupTable.verify` must pass or raise the
+same `NotAGroup` message.  `reference_free_product`
 multiplies words as tuples of letters, memoized on the tuples;
 `free_product` must give the same supports, items and order.
 """
@@ -23,7 +25,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionrings as fr
 from fusionrings.central import search_budget
-from fusionrings.errors import DepthExceeded, InvalidRestriction, SearchBudgetExceeded
+from fusionrings.errors import (DepthExceeded, InvalidRestriction, NotAGroup,
+                                SearchBudgetExceeded)
 from fusionrings.ring import _associative, _reach
 
 DATA = Path(__file__).parent / "data"
@@ -163,6 +166,35 @@ def assert_same_report(ring, depth=6):
     return want
 
 
+def reference_group_verify(table):
+    n, name, mult = table.size, table.labels, table.mult
+    if not all(len(row) == n for row in mult):
+        raise NotAGroup("table not square")
+    if any(not (0 <= v < n) for row in mult for v in row):
+        raise NotAGroup("table entry out of range")
+    e = table.identity
+    for a in range(n):
+        if mult[e][a] != a or mult[a][e] != a:
+            raise NotAGroup(f"identity law fails at {name[a]!r}")
+    for a in range(n):
+        if not any(mult[a][b] == e for b in range(n)):
+            raise NotAGroup(f"no inverse for {name[a]!r}")
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
+                    raise NotAGroup("associativity fails at "
+                                    f"({name[a]!r},{name[b]!r},{name[c]!r})")
+
+
+def _verify_outcome(verify, table):
+    try:
+        verify(table)
+    except NotAGroup as exc:
+        return str(exc)
+    return None
+
+
 # ------------------------------------------------------------------ rings
 
 
@@ -173,6 +205,38 @@ def _zn(n):
 def _reps3_cubed():
     reps3 = fr.rep_s3_ring()
     return fr.direct_product(fr.direct_product(reps3, reps3), reps3)
+
+
+def _steiner_loop():
+    """The Steiner loop of order 10: the unit e and the points of AG(2, 3),
+    p(3x + y) for (x, y) in (Z/3)^2, with x x = e and x y the third point
+    of the line through x and y.  It has inverses and a unit but is not
+    associative."""
+    points = [(x, y) for x in range(3) for y in range(3)]
+    name = {pt: f"p{3 * pt[0] + pt[1]}" for pt in points}
+    elems = ("e",) + tuple(name[pt] for pt in points)
+    table = {}
+    for a in elems:
+        table[("e", a)] = table[(a, "e")] = a
+    for p in points:
+        for q in points:
+            third = tuple(-(u + v) % 3 for u, v in zip(p, q))
+            table[(name[p], name[q])] = "e" if p == q else name[third]
+    return fr.GroupPresentationInput(elems, table, "e")
+
+
+def _steiner_ring():
+    g = _steiner_loop()
+    return fr.FusionRing.explicit([fr.BasisElement(a, 1) for a in g.elements], "e",
+                                  {a: a for a in g.elements},
+                                  {pair: {c: 1} for pair, c in g.table.items()},
+                                  name="steiner")
+
+
+def _group_table(g):
+    index = {a: i for i, a in enumerate(g.elements)}
+    mult = tuple(tuple(index[g.table[(a, b)]] for b in g.elements) for a in g.elements)
+    return fr.GroupTable(mult, index[g.identity], g.elements)
 
 
 LATTICE_RINGS = {
@@ -333,8 +397,9 @@ def test_validate_ring_matches_reference_on_generated_windows(name, depths):
         assert_same_report(ring, depth)
 
 
-BASES = {"Z/3": lambda: _zn(3), "Z/4": lambda: _zn(4), "reps3": fr.rep_s3_ring,
-         "klein": lambda: fr.group_ring(fr.klein_group())}
+BASES = {"Z/3": lambda: _zn(3), "Z/4": lambda: _zn(4), "Z/8": lambda: _zn(8),
+         "reps3": fr.rep_s3_ring, "klein": lambda: fr.group_ring(fr.klein_group()),
+         "steiner": _steiner_ring}
 
 
 @settings(max_examples=80, deadline=None)
@@ -352,6 +417,47 @@ def test_validate_ring_matches_reference_on_random_corruption(data):
     corrupt = _retabled(ring, fusion=fusion, dual=dual, drop=drop,
                         truncated_at=1 if drop else None)
     assert_same_report(corrupt)
+
+
+def test_validate_ring_matches_reference_on_the_steiner_loop():
+    report = assert_same_report(_steiner_ring())
+    assert len(report.violations) == 432
+    assert {v.axiom for v in report.violations} == {"associativity"}
+    assert report.violations[0].witness == ("p0", "p1", "p3")
+
+
+# ------------------------------------------------------------ group tables
+
+
+def test_group_verify_on_the_steiner_loop_names_the_first_triple():
+    g = _steiner_loop()
+    message = "associativity fails at ('p0','p1','p3')"
+    table = _group_table(g)
+    assert _verify_outcome(reference_group_verify, table) == message
+    assert _verify_outcome(fr.GroupTable.verify, table) == message
+    with pytest.raises(NotAGroup):
+        fr.group_ring(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_group_verify_matches_reference(data):
+    n = data.draw(st.integers(1, 7))
+    e = data.draw(st.integers(0, n - 1))
+    # from Z/n with the identity moved to e, or from nothing
+    cyclic = data.draw(st.booleans())
+    mult = [[(a + b - e) % n if cyclic else None for b in range(n)] for a in range(n)]
+    mult[e] = list(range(n))
+    for a in range(n):
+        mult[a][e] = a
+    cells = [(a, b) for a in range(n) for b in range(n) if e not in (a, b)]
+    changed = (data.draw(st.lists(st.sampled_from(cells), max_size=3, unique=True))
+               if cyclic and cells else cells)
+    for a, b in changed:
+        mult[a][b] = data.draw(st.integers(0, n - 1))
+    table = fr.GroupTable(tuple(map(tuple, mult)), e, tuple(f"x{a}" for a in range(n)))
+    assert (_verify_outcome(fr.GroupTable.verify, table)
+            == _verify_outcome(reference_group_verify, table))
 
 
 # ------------------------------------------------------- restriction data
