@@ -12,7 +12,7 @@ from itertools import chain, permutations, product
 
 from .errors import InternalInconsistency, SearchBudgetExceeded
 from .central import merge_closure, search_budget
-from .ring import FusionRing
+from .ring import FusionRing, _light_middle
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,14 @@ class RingAutomorphism:
 def verify_automorphism(ring: FusionRing, phi: dict[str, str],
                         labels=None) -> bool:
     labels = list(labels if labels is not None else ring.labels())
+    return _preserves(ring, phi, labels, labels)
+
+
+def _preserves(ring: FusionRing, phi: dict[str, str], labels: list[str],
+               middle: list[str]) -> bool:
+    """Whether `phi` permutes `labels`, fixes the unit, preserves dims and
+    commutes with dual, and maps a x b to phi(a) x phi(b) for every a in
+    `labels` and b in `middle`."""
     if any(l not in phi for l in labels):
         return False
     if sorted(phi[l] for l in labels) != sorted(labels):
@@ -57,7 +65,7 @@ def verify_automorphism(ring: FusionRing, phi: dict[str, str],
         if phi.get(ring.dual(a)) != ring.dual(phi[a]):
             return False
     for a in labels:
-        for b in labels:
+        for b in middle:
             supp = ring.fusion[a, b]
             image = ring.fusion[phi[a], phi[b]]
             mapped = {}
@@ -80,10 +88,19 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     order of `_label_invariant`, then discovery; a generator's candidates
     are the unused generators with the same invariant whose dual agrees
     with the image already given to its dual.  Every other image is read
-    off the products: once a and b of the window both have images, the
-    constituents of a x b are matched to those of phi(a) x phi(b) by
-    (multiplicity, dim), trying every matching within an ambiguous group.
-    Each complete map is checked with `verify_automorphism` on the window.
+    off the products: once a and b both have images, the constituents of
+    a x b are matched to those of phi(a) x phi(b) by (multiplicity, dim),
+    trying every matching within an ambiguous group.
+
+    On a complete table with the unit law that passes Light's test
+    (`_light_middle`, given the labels in branching order), only the pairs
+    (a, b) with b in its middle set B are matched, and each complete map is
+    checked on those pairs (`_preserves`): the labels b with
+    phi(a x b) = phi(a) x phi(b) for all a hold the unit and are closed
+    under products, so B, from which every label is reached, proves phi
+    an automorphism.  On any other ring (a window, a truncated table, a
+    non-associative one) every pair of the window is matched and each
+    complete map is checked with `verify_automorphism` on the window.
     Raises SearchBudgetExceeded after `search_budget()` search nodes.
     """
     window = ring.elements(depth)
@@ -91,22 +108,25 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     gens = [g for g in dict.fromkeys(ring.generators) if g in inside]
     inv = {g: _label_invariant(ring, g) for g in gens}
     order = sorted(gens, key=lambda g: (inv[g], ring.order_key(g)))
+    middle = _middle(ring, order, depth)
+    # a label's image is matched in products by the labels of `right`
+    right = inside if middle is None else set(middle)
     budget = search_budget()
     nodes = 0
     found: dict[tuple, RingAutomorphism] = {}
 
     def assign(phi, used, pending, ext):
-        """Give the images in `ext`, queueing each window pair whose second
-        label just got its image."""
+        """Give the images in `ext`, queueing each pair (a, b) with a in the
+        window and b in `right` whose second image just came."""
         for c, t in ext.items():
             phi[c] = t
             used.add(t)
             if c in inside:
                 for y in phi:
-                    if y in inside:
+                    if y in right:
                         pending.append((c, y))
-                        if y != c:
-                            pending.append((y, c))
+                    if c in right and y != c and y in inside:
+                        pending.append((y, c))
 
     def branch(phi, used, pending, k, ext):
         node = (dict(phi), set(used), list(pending), k)
@@ -144,11 +164,25 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
                         continue
                     branch(phi, used, [], k + 1, {g: v})
             # a product may have sent a generator outside the generators
-            elif (all(phi[g] in inv for g in gens)
-                  and verify_automorphism(ring, phi, labels=window)):
+            elif all(phi[g] in inv for g in gens) and (
+                    verify_automorphism(ring, phi, labels=window) if middle is None
+                    else _preserves(ring, phi, window, middle)):
                 mapping = tuple(sorted((l, phi[l]) for l in window))
                 found[mapping] = RingAutomorphism(mapping, ring.checked_depth(depth))
     return [found[m] for m in sorted(found)]
+
+
+def _middle(ring: FusionRing, order: list[str], depth: int) -> list[str] | None:
+    """Light's middle set for the search, grown in branching order, on a
+    complete table (whose labels are all generators) with the unit law;
+    None elsewhere or when the table is not associative."""
+    if ring.checked_depth(depth) is not None:
+        return None
+    unit = ring.unit
+    if any(ring.fusion[unit, a] != {a: 1} or ring.fusion[a, unit] != {a: 1}
+           for a in order):
+        return None
+    return _light_middle(ring, order)
 
 
 def _label_invariant(ring: FusionRing, a: str):

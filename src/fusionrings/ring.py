@@ -397,9 +397,10 @@ def _reach(ring: FusionRing, window: Sequence[str],
 def _associative(ring: FusionRing, xs: Iterable[str],
                  pairs: Iterable[tuple[str, str]]) -> bool:
     """Whether (x y) h = x (y h) for every x in `xs` and (y, h) in `pairs`."""
-    # This is also validate_ring's reduced check.  The two sums are those of
-    # its full triple loop, kept inline in both: a shared helper called per
-    # triple made validate_ring on Z/16-Z/32 5-10% slower.
+    # Light's test (`_light_middle`, for validate_ring and automorphisms)
+    # runs here.  The two sums are those of validate_ring's full triple
+    # loop, kept inline in both: a shared helper called per triple made
+    # validate_ring on Z/16-Z/32 5-10% slower.
     fusion = ring.fusion
     xs = list(xs)
     for y, h in pairs:
@@ -416,6 +417,24 @@ def _associative(ring: FusionRing, xs: Iterable[str],
             if lhs != rhs:
                 return False
     return True
+
+
+def _light_middle(ring: FusionRing, window: Sequence[str]) -> list[str] | None:
+    """Light's associativity test on a complete table: a middle set B from
+    which `_reach` gets every label of `window`, grown in the window's
+    order, when (x b) y = x (b y) for every b in B and x, y in the window;
+    None when that check fails.
+
+    The middle labels b with (x b) y = x (b y) for all x, y are closed
+    under products, and a label is one of them when the other constituents
+    of a product of two of them are (multiplicities are positive).  So with
+    the unit law a returned B proves the table associative (Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2)."""
+    middle: list[str] = []
+    _reach(ring, window, middle)
+    if _associative(ring, window, [(b, c) for b in middle for c in window]):
+        return middle
+    return None
 
 
 # ------------------------------------------------------------------ validate
@@ -489,17 +508,12 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
                 if s3 is not None and s3.get(ring.dual(c), 0) != n:
                     report.add("conjugation", (a, b, c), "N(a,b)^c != N(dual b, dual a)^dual c")
 
-    # Light's test: the middle labels b with (x b) y = x (b y) for all x, y
-    # are closed under products, and a label is one of them when the other
-    # constituents of a product of two of them are (multiplicities are
-    # positive).  With the unit law, a middle set from which the reach gets
-    # every label proves associativity on a complete table.  A failure
-    # reruns the full scan below, which alone reports violations.
-    if report.ok and ring.checked_depth(depth) is None:
-        middle: list[str] = []
-        _reach(ring, labels, middle)
-        if _associative(ring, labels, [(b, c) for b in middle for c in labels]):
-            return report
+    # Light's test (`_light_middle`) on a complete table that passes every
+    # other axiom; a failure reruns the full scan below, which alone
+    # reports violations.
+    if (report.ok and ring.checked_depth(depth) is None
+            and _light_middle(ring, labels) is not None):
+        return report
     for a in labels:
         for b in labels:
             # a term the table cannot compute skips the triple (truncated tables)

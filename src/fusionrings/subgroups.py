@@ -308,6 +308,13 @@ def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:
     escapes the window; their products must be dim-1 singletons by the
     dimension homomorphism (verified).
     """
+    table = _grouplikes_table(ring, depth)
+    table.verify()
+    return table
+
+
+def _grouplikes_table(ring: FusionRing, depth: int) -> GroupTable:
+    """`grouplikes` without the group-law check."""
     seeds = [l for l in ring.elements(depth) if ring.dim(l) == 1]
     elems = generated_subobject(ring, seeds, depth).sorted_in(ring)
     index = {l: i for i, l in enumerate(elems)}
@@ -324,17 +331,16 @@ def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:
         return index[c]
 
     mult = tuple(tuple(times(a, b) for b in elems) for a in elems)
-    table = GroupTable(mult, index[ring.unit], tuple(elems))
-    table.verify()
-    return table
+    return GroupTable(mult, index[ring.unit], tuple(elems))
 
 
 def grouplikes_group(ring: FusionRing, depth: int = 6):
     """(GroupTable, GroupDescriptor) of the grouplikes, stamped as
     `chain_group` stamps its answer: on a window, by comparing the
-    grouplike labels at `depth` and `depth`+1."""
-    table = grouplikes(ring, depth)
+    grouplike labels at `depth` and `depth`+1.  `identify_group` verifies
+    the table; the labels at `depth`+1 need no group law."""
+    table = _grouplikes_table(ring, depth)
     desc = identify_group(table)
     desc.flag = _depth_flag(
-        ring, depth, lambda: grouplikes(ring, depth + 1).labels == table.labels)
+        ring, depth, lambda: _grouplikes_table(ring, depth + 1).labels == table.labels)
     return table, desc

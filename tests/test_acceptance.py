@@ -251,3 +251,10 @@ def test_19_chain_group_on_z64():
         _, desc = fr.chain_group(ring)
     assert desc.name == "Z/64Z"
     assert desc.flag == "exact"
+
+
+def test_20_automorphisms_of_z64():
+    ring = fr.group_ring(fr.cyclic_group(64))
+    with budget(0.15):
+        autos = fr.automorphisms(ring)
+    assert len(autos) == 32

@@ -203,13 +203,22 @@ class TestGrouplikes:
 
     def test_grouplikes_leaving_the_window_at_next_depth_are_unstable(
             self, su2, monkeypatch):
-        real = subgroups.grouplikes
+        real = subgroups._grouplikes_table
 
-        def grouplikes(ring, depth=6):
+        def grouplikes_table(ring, depth):
             if depth > 6:
                 raise DepthExceeded("closure left the window")
             return real(ring, depth)
 
-        monkeypatch.setattr(subgroups, "grouplikes", grouplikes)
+        monkeypatch.setattr(subgroups, "_grouplikes_table", grouplikes_table)
         _, desc = fr.grouplikes_group(su2, depth=6)
         assert desc.flag == "unstable_at_depth(6)"
+
+    def test_grouplikes_group_verifies_its_table_once(self, su2, z2ring, monkeypatch):
+        ring = fr.free_product(su2, z2ring)
+        verify, calls = fr.GroupTable.verify, []
+        monkeypatch.setattr(fr.GroupTable, "verify",
+                            lambda table: calls.append(table) or verify(table))
+        table, desc = fr.grouplikes_group(ring, 4)
+        assert calls == [table]
+        assert (desc.name, desc.flag) == ("Z/2Z", "stable_at_depth(4)")
