@@ -504,11 +504,12 @@ def _spelled(r: tuple[int, ...], names: list[str]) -> str:
 
 def _presented(names: list[str], relators: list[tuple[int, ...]]) -> GroupDescriptor:
     """The group <names | relators>, named as a free product of cyclic
-    groups when every relator is a power of one letter, unnamed otherwise.
-    The flag is left for the caller to set."""
+    groups when every relator is a power of one letter, as an abelian group
+    when the relators hold every commutator of two names (`_abelian`),
+    unnamed otherwise.  The flag is left for the caller to set."""
     pres = {"generators": names, "relations": [_spelled(r, names) for r in relators]}
     if any(len(set(r)) > 1 for r in relators):
-        return GroupDescriptor(None, None, None, "exact", presentation=pres)
+        return _abelian(names, relators, pres)
     orders = [0] * len(names)  # 0: infinite cyclic
     for r in relators:
         orders[r[0] - 1] = math.gcd(orders[r[0] - 1], len(r))
@@ -518,6 +519,62 @@ def _presented(names: list[str], relators: list[tuple[int, ...]]) -> GroupDescri
     order = math.prod(factors) if cyclic and 0 not in factors else None
     return GroupDescriptor(order, cyclic, None if order is None else factors, "exact",
                            presentation=pres, name=name)
+
+
+def _abelian(names: list[str], relators: list[tuple[int, ...]], pres: dict) -> GroupDescriptor:
+    """`_presented` for relators that are not all powers of one letter.
+    When every commutator of two names is a relator, the group is its own
+    abelianization, named from the Smith normal form of the exponent sums:
+    torsion factors smallest first, then one Z per free rank."""
+    k, present = len(names), set(relators)
+    if any(_relator((i, j, -i, -j)) not in present
+           for i in range(1, k + 1) for j in range(i + 1, k + 1)):
+        return GroupDescriptor(None, None, None, "exact", presentation=pres)
+    sums = [[sum((l > 0) - (l < 0) for l in r if abs(l) == i) for i in range(1, k + 1)]
+            for r in relators]
+    factors = _smith_factors(sums, k)
+    torsion = [d for d in factors if d != 1]
+    free = k - len(factors)
+    order = None if free else math.prod(torsion)
+    return GroupDescriptor(order, True, None if free else torsion, "exact", presentation=pres,
+                           name=" x ".join([f"Z/{d}Z" for d in torsion] + ["Z"] * free) or "trivial")
+
+
+def _smith_factors(rows: list[list[int]], width: int) -> list[int]:
+    """The nonzero diagonal of the Smith normal form of an integer matrix
+    with `width` columns, each entry dividing the next."""
+    rows = [list(r) for r in rows if any(r)]
+    cols = list(range(width))
+    out = []
+    while rows:
+        # the pivot: an entry of least absolute value
+        i, j = min(((i, j) for i, r in enumerate(rows) for j in cols if r[j]),
+                   key=lambda ij: abs(rows[ij[0]][ij[1]]))
+        pivot_row, p = rows[i], rows[i][j]
+        done = True
+        for r in rows:
+            if r is not pivot_row and r[j]:
+                q = r[j] // p
+                r[:] = [x - q * y for x, y in zip(r, pivot_row)]
+                done = done and not r[j]
+        for c in cols:
+            if c != j and pivot_row[c]:
+                q = pivot_row[c] // p
+                for r in rows:
+                    r[c] -= q * r[j]
+                done = done and not pivot_row[c]
+        if not done:
+            continue  # a remainder smaller than the pivot is left
+        rest = [r for r in rows if r is not pivot_row]
+        stray = next((r for r in rest if any(x % p for x in r)), None)
+        if stray is not None:
+            # the pivot must divide every entry left: bring one it does not divide into its row
+            pivot_row[:] = [x + y for x, y in zip(pivot_row, stray)]
+            continue
+        out.append(abs(p))
+        cols.remove(j)
+        rows = [r for r in rest if any(r[c] for c in cols)]
+    return out
 
 
 def _depth_flag(ring: FusionRing, depth: int, same_at_next) -> str:

@@ -110,10 +110,31 @@ _RESTRICTION_RULES = {
 }
 
 
-def load_restriction(path) -> RestrictionData:
+def _same_ring(r1: FusionRing, r2: FusionRing, depth: int) -> bool:
+    """Whether two rings have the same unit, generators and window
+    `elements(depth)`, with the same dimensions, duals and products on it."""
+    window = r1.elements(depth)
+    if ((r1.kind, r1.unit, set(r1.generators), set(window), r1.checked_depth(depth))
+            != (r2.kind, r2.unit, set(r2.generators), set(r2.elements(depth)),
+                r2.checked_depth(depth))):
+        return False
+    return (all(r1.dim(a) == r2.dim(a) and r1.dual(a) == r2.dual(a) for a in window)
+            and all(r1.fusion[a, b] == r2.fusion[a, b] for a in window for b in window))
+
+
+def load_restriction(path, ring_file=None, catalog_name=None, depth=6) -> RestrictionData:
+    """The restriction data in the file at `path`.  A ring given by
+    `--ring` or `--catalog` must be the file's source on the window
+    `elements(depth)`."""
+    given = (None if ring_file is None and catalog_name is None
+             else resolve_ring(ring_file, catalog_name))
     doc = cat.read_object(path)
     try:
         source = resolve_ring(doc["source"], None)
+        if given is not None and not _same_ring(given, source, depth):
+            option = (f"--ring {ring_file!r}" if ring_file is not None
+                      else f"--catalog {catalog_name!r}")
+            raise click.UsageError(f"{option} is not the restriction's source {doc['source']!r}")
         target = resolve_ring(doc["target"], None)
         if "rule" in doc:
             make = _RESTRICTION_RULES[doc["rule"]]
@@ -305,7 +326,7 @@ def central_subobjects_cmd(ring_file, catalog_name, depth, fmt):
 @click.option("--restriction", "restriction_file", required=True)
 def is_normal_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
     """Normality of a quantum subgroup given as restriction data."""
-    r = load_restriction(restriction_file)
+    r = load_restriction(restriction_file, ring_file, catalog_name, depth)
     res = is_normal(r, depth)
     payload = {"normal": res.normal, "checked_depth": res.checked_depth,
                "witness": list(res.witness) if res.witness else None}
@@ -324,7 +345,7 @@ def is_normal_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
 @click.option("--restriction", "restriction_file", required=True)
 def is_central_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
     """Centrality of a quantum subgroup given as restriction data."""
-    r = load_restriction(restriction_file)
+    r = load_restriction(restriction_file, ring_file, catalog_name, depth)
     res = is_central_subgroup(r, depth)
     payload = {"central": res.central, "checked_depth": res.checked_depth,
                "witness": [res.witness[0], res.witness[1]] if res.witness else None,

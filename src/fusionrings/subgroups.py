@@ -15,7 +15,14 @@ from .central import GroupTable, _depth_flag, identify_group, is_central_subobje
 @dataclass(frozen=True)
 class RestrictionData:
     """A fusion-compatible decomposition map from irreducibles of the big
-    ring to multisets of irreducibles of the subgroup's ring."""
+    ring to multisets of irreducibles of the subgroup's ring.
+
+    The questions (`is_normal`, `is_central_subgroup`,
+    `trivial_restriction_subobject`, `central_subgroup_cross_check`)
+    validate the data once per object and depth: a depth is recorded in
+    `validated` only when its validation succeeds, so a failure re-runs
+    and raises the same error on every call.  The public
+    `validate_restriction` always checks afresh."""
 
     source: FusionRing
     target: FusionRing
@@ -24,9 +31,13 @@ class RestrictionData:
     # label -> rule(label), read in place by the checks; the rule must be a
     # pure function of the label
     restricted: Memo = field(init=False, compare=False, repr=False)
+    # the depths at which validation succeeded; validity at a depth is a
+    # pure function of the rings, the rule and the depth
+    validated: set = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "restricted", Memo(self.rule))
+        object.__setattr__(self, "validated", set())
 
     @classmethod
     def from_dict(cls, source: FusionRing, target: FusionRing,
@@ -257,11 +268,6 @@ def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobje
     criterion; closure of constituents is verified through the restriction
     rule itself so it also covers constituents beyond the depth."""
     _require_valid(r, depth)
-    return _trivial_restriction_subobject(r, depth)
-
-
-def _trivial_restriction_subobject(r: RestrictionData, depth: int) -> Subobject:
-    """`trivial_restriction_subobject` on restriction data already validated."""
     explored = r.source.elements(depth)
     inside = set(explored)
 
@@ -285,7 +291,7 @@ def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
     """Consistency check: the restriction centrality test must agree
     with the coset-group criterion on the trivially-restricting subobject."""
     by_restriction = is_central_subgroup(r, depth).central
-    sigma = _trivial_restriction_subobject(r, depth)  # validated just above
+    sigma = trivial_restriction_subobject(r, depth)
     by_cosets = is_central_subobject(r.source, sigma, depth).central
     if by_restriction != by_cosets:
         raise InternalInconsistency(
@@ -295,9 +301,14 @@ def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
 
 
 def _require_valid(r: RestrictionData, depth: int):
+    """Raise InvalidRestriction unless `r` is valid at `depth`; a success
+    is recorded on `r`, so each depth is proved once."""
+    if depth in r.validated:
+        return
     report = validate_restriction(r, depth)
     if not report.ok:
         raise InvalidRestriction(str(report))
+    r.validated.add(depth)
 
 
 def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:

@@ -11,12 +11,13 @@ U(A * B) = U(A) * U(B) and U(A x B) = U(A) x U(B) on catalog products.
 
 import itertools
 import math
+import random
 import re
 
 import pytest
 
 import fusionrings as fr
-from fusionrings.central import UnionFind
+from fusionrings.central import UnionFind, _smith_factors
 from fusionrings.cli import resolve_catalog
 
 DEPTHS = range(2, 7)
@@ -182,7 +183,7 @@ def test_direct_product_chain_group_is_direct_product(a, b):
     """U(A x B) = U(A) x U(B).  A finite one is the product table.  A
     presented one has relators that hold in U(A) x U(B), and among them the
     commutator of the two factors' letters and the order of a finite
-    factor's letter, so it is U(A) x U(B) exactly."""
+    factor's letter, so it is U(A) x U(B) exactly, and named so."""
     (ma, da), (mb, db) = DEGREE[a], DEGREE[b]
     found, desc = fr.chain_group(resolve_catalog(f"prod:{a}+{b}"), 4)
     if ma and mb:
@@ -215,8 +216,10 @@ def test_direct_product_chain_group_is_direct_product(a, b):
     for k, g in letters.items():
         if (ma, mb)[k]:
             assert f"{g}^{(ma, mb)[k]}" in relators
-    if len(letters) == 1:
-        assert desc.name == "Z"
+    # an infinite factor: U is abelian, named by the Smith normal form
+    torsion = sorted(m for m in (ma, mb) if m > 1)
+    assert desc.name == " x ".join([f"Z/{m}Z" for m in torsion] + ["Z"] * (ma, mb).count(0))
+    assert desc.is_abelian is True
 
 
 def test_chain_group_relators_of_catalog_products():
@@ -229,3 +232,32 @@ def test_chain_group_relators_of_catalog_products():
     assert "[(z1,z0)][(z0,z1)][(z1,z0)]^-1[(z0,z1)]^-1" in relations("prod:z+z")
     _, desc = fr.chain_group(resolve_catalog("free:(free:zn:2+zn:3)+z"), 4)
     assert desc.name == "Z/2Z * Z/3Z * Z"
+
+
+def determinant_divisor_factors(rows, width):
+    """Invariant factors d_k = D_k / D_(k-1), D_k the gcd of the k x k
+    minors, up to the rank: the textbook oracle for `_smith_factors`."""
+    def det(m):
+        return m[0][0] if len(m) == 1 else sum(
+            (-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m)))
+
+    out, previous = [], 1
+    for k in range(1, min(len(rows), width) + 1):
+        d = 0
+        for rs in itertools.combinations(rows, k):
+            for cs in itertools.combinations(range(width), k):
+                d = math.gcd(d, det([[r[c] for c in cs] for r in rs]))
+        if d == 0:
+            break
+        out.append(d // previous)
+        previous = d
+    return out
+
+
+def test_smith_factors_match_determinant_divisors():
+    rng = random.Random(7)
+    for _ in range(300):
+        width = rng.randint(1, 4)
+        rows = [[rng.choice([0, rng.randint(-12, 12)]) for _ in range(width)]
+                for _ in range(rng.randint(0, 5))]
+        assert _smith_factors(rows, width) == determinant_divisor_factors(rows, width), rows

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import fusionrings as fr
 
 RUN = [sys.executable, "-m", "fusionrings.cli"]
+DATA = Path(__file__).parent / "data"
 
 
 def cli(*args, **kw):
@@ -230,6 +232,17 @@ class TestExitCodes:
                    for l in out.stderr.splitlines())
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
+
+    @pytest.mark.parametrize("command", ["is-normal", "is-central"])
+    def test_ring_option_must_be_the_restriction_source(self, command):
+        parity = str(DATA / "parity.json")
+        out = cli(command, "--catalog", "reps3", "--restriction", parity)
+        assert out.returncode == 2
+        assert "error: --catalog 'reps3' is not the restriction's source 'su2'" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+        out = cli(command, "--ring", "su2", "--restriction", parity)
+        assert out.returncode == 0, out.stderr
 
     def test_generated_source_with_map_file_rejected(self, tmp_path):
         rfile = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ import pytest
 import fusionrings as fr
 from fusionrings import subgroups
 from fusionrings.errors import DepthExceeded, InvalidRestriction
-from fusionrings.subgroups import _multiplicative_on_generators, _trivial_restriction_subobject
+from fusionrings.subgroups import _multiplicative_on_generators
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,50 @@ class TestCentrality:
             assert fr.central_subgroup_cross_check(r, depth=6) in (True, False)
 
 
+class TestValidationMemo:
+    """The questions validate a restriction once per object and depth."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = subgroups.validate_restriction
+
+        def counted(r, depth=6):
+            calls.append((r, depth))
+            return validate(r, depth)
+
+        monkeypatch.setattr(subgroups, "validate_restriction", counted)
+        return calls
+
+    def test_once_per_object_and_depth(self, su2, zring, validations):
+        r = fr.su2_weight_restriction(su2, zring)
+        for depth in (30, 30, 10, 10):
+            assert not fr.is_normal(r, depth).normal
+            assert not fr.is_central_subgroup(r, depth).central
+            assert fr.central_subgroup_cross_check(r, depth) is False
+        assert validations == [(r, 30), (r, 10)]
+        fresh = fr.su2_weight_restriction(su2, zring)
+        assert not fr.is_normal(fresh, 30).normal
+        assert validations == [(r, 30), (r, 10), (fresh, 30)]
+
+    def test_failure_is_not_recorded(self, reps3, validations):
+        r = fr.RestrictionData.from_dict(
+            reps3, reps3, {"1": {"1": 1}, "sgn": {"sgn": 1}, "rho": {"rho": 2}}, name="bad")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidRestriction) as err:
+                fr.is_normal(r)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and "dimension" in messages[0]
+        assert len(validations) == 2 and not r.validated
+
+    def test_public_validation_is_fresh(self, su2, z2ring):
+        r = fr.su2_parity_restriction(su2, z2ring)
+        assert fr.is_normal(r, 6).normal
+        first, second = fr.validate_restriction(r, 6), fr.validate_restriction(r, 6)
+        assert first is not second and first.ok and second.ok
+
+
 class TestTrivialRestrictionSubobject:
     def test_parity_kernel_is_even_part(self, parity, su2):
         sub = fr.trivial_restriction_subobject(parity, depth=6)
@@ -149,9 +193,11 @@ class TestTrivialRestrictionSubobject:
         r = fr.RestrictionData(su2, z2ring, rule, name="broken")
         with pytest.raises(InvalidRestriction):
             fr.trivial_restriction_subobject(r, depth=6)
-        # past validation, the closure check itself rejects V1 x V1 -> V2
+        # past validation (marked as done), the closure check itself
+        # rejects V1 x V1 -> V2
+        r.validated.add(6)
         with pytest.raises(InvalidRestriction, match="not fusion-closed"):
-            _trivial_restriction_subobject(r, depth=6)
+            fr.trivial_restriction_subobject(r, depth=6)
 
     def test_non_dual_closed_kernel_rejected(self, au2, z2ring):
         # words starting in v restrict to g1, so u restricts trivially and v does not
@@ -161,9 +207,11 @@ class TestTrivialRestrictionSubobject:
         r = fr.RestrictionData(au2, z2ring, rule, name="broken")
         with pytest.raises(InvalidRestriction, match="conjugation"):
             fr.trivial_restriction_subobject(r, depth=1)
-        # past validation, the closure check itself rejects u, whose dual is v
+        # past validation (marked as done), the closure check itself
+        # rejects u, whose dual is v
+        r.validated.add(1)
         with pytest.raises(InvalidRestriction, match="not dual-closed at 'u'"):
-            _trivial_restriction_subobject(r, depth=1)
+            fr.trivial_restriction_subobject(r, depth=1)
 
 
 class TestGrouplikes:
