@@ -57,7 +57,6 @@ from .central import (
     merge_closure,
     sigma_cosets,
     tables_isomorphic,
-    trivial_class,
 )
 from .subgroups import (
     RestrictionData,

@@ -58,6 +58,8 @@ def group_ring(g: GroupPresentationInput) -> FusionRing:
 
 
 def cyclic_group(n: int) -> GroupPresentationInput:
+    if n < 1:
+        raise MalformedRing(f"Z/nZ needs n >= 1, got {n}")
     elems = tuple("e" if k == 0 else f"g{k}" for k in range(n))
     table = {(elems[i], elems[j]): elems[(i + j) % n] for i in range(n) for j in range(n)}
     return GroupPresentationInput(elems, table, "e")

@@ -22,7 +22,7 @@ from .errors import (
     NotAGroup,
     SearchBudgetExceeded,
 )
-from .ring import FusionRing, Subobject, check_subobject, generated_subobject
+from .ring import FusionRing, Subobject, check_subobject
 
 log = logging.getLogger(__name__)
 
@@ -281,19 +281,6 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
     return CosetPartition.from_unionfind(ring, uf, labels)
 
 
-def trivial_class(ring: FusionRing, depth: int = 6) -> Subobject:
-    """The chain class of the unit (the trivially-chained elements),
-    returned as a subobject.
-
-    On a generated ring the class is taken on the window
-    `elements(2 * depth)`: every label that a product of two
-    `elements(depth)` labels can reach.
-    """
-    part = merge_closure(ring, 2 * depth)
-    members = part.blocks[part.identity_block]
-    return check_subobject(ring, members, depth=depth)  # guaranteed; hard error otherwise
-
-
 # -------------------------------------------------------------- sigma-cosets
 
 
@@ -409,18 +396,16 @@ def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
 
 
 def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
-    """The intersection of all central subobjects, computed as the unit's
-    chain class.  On a complete table it is cross-checked against the
-    adjoint subobject, generated by the supports of every x * dual(x)."""
-    ez = trivial_class(ring, depth)
-    if ring.checked_depth(depth) is None:
-        adjoint = generated_subobject(
-            ring, [c for x in ring.labels() for c in ring.fusion[x, ring.dual(x)]])
-        if adjoint != ez:
-            raise InternalInconsistency(
-                f"adjoint subobject {sorted(adjoint.members)} != "
-                f"unit chain class {sorted(ez.members)}")
-    return ez
+    """The intersection of all central subobjects: the unit's chain class,
+    which is also the adjoint subobject generated by the supports of every
+    x * dual(x) (Gelaki-Nikshych).
+
+    On a generated ring the class is taken on the window
+    `elements(2 * depth)`: every label that a product of two
+    `elements(depth)` labels can reach.
+    """
+    part = merge_closure(ring, 2 * depth)
+    return Subobject(frozenset(part.blocks[part.identity_block]))
 
 
 # --------------------------------------------------------------- chain group

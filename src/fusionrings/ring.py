@@ -214,6 +214,8 @@ class FusionRing:
             if self._levels[-1]:
                 raise DepthExceeded("generated ring enumeration needs a depth bound")
             depth = len(self._levels)
+        elif depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
         self._explore(depth)
         out = []
         for lvl in self._levels[: depth + 1]:

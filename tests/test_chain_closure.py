@@ -125,6 +125,7 @@ def test_center_contains_full_square_unit_class(cases):
     for name, ring, depth in cases:
         old = full_square_unit_class(ring, depth)
         new = fr.center_subobject(ring, depth).members
+        fr.check_subobject(ring, new, depth=depth)  # the unit class is fusion-closed
         if ring.is_explicit:
             assert new == old, name
             continue

@@ -211,6 +211,12 @@ class TestExitCodes:
         else:
             assert message in out.stderr and "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_cyclic_order_below_one_is_input_error(self, n):
+        out = cli("chain-group", "--catalog", f"zn:{n}")
+        assert out.returncode == 2
+        assert out.stderr == f"error: Z/nZ needs n >= 1, got {n}\n"
+
     def test_nested_free_product_labels(self):
         out = cli("product", "--catalog", "free:(free:zn:2+zn:3)+zn:2",
                   "1:[1:g1*2:g1]", "1:[2:g2*1:g1]")

@@ -305,7 +305,11 @@ def test_center_is_the_lattice_intersection(explicit_fixtures):
         inter = frozenset(ring.labels())
         for sub in pairwise_seed_lattice(ring):
             inter &= sub.members
-        assert fr.center_subobject(ring).members == inter, name
+        center = fr.center_subobject(ring)
+        assert center.members == inter, name
+        adjoint = fr.generated_subobject(
+            ring, [c for x in ring.labels() for c in ring.fusion[x, ring.dual(x)]])
+        assert adjoint == center, name  # Gelaki-Nikshych: the adjoint subobject
 
 
 def test_lattice_budget_is_its_size(monkeypatch):

@@ -131,6 +131,17 @@ class TestGeneratedRings:
                 assert au2.dim(a) * au2.dim(b) == sum(
                     n * au2.dim(c) for c, n in supp.items())
 
+    @pytest.mark.parametrize("call", [
+        lambda: fr.validate_ring(fr.rep_s3_ring(), -1),
+        lambda: fr.is_normal(fr.su2_weight_restriction(fr.su2_ring(), fr.z_group_ring()), -1),
+        lambda: fr.chain_group(fr.su2_ring(), -1),
+        lambda: fr.center_subobject(fr.su2_ring(), -1),  # its window is elements(-2)
+        lambda: fr.sigma_cosets(fr.su2_ring(), fr.Subobject(frozenset({"V0"})), -1),
+    ], ids=["validate_ring", "is_normal", "chain_group", "center_subobject", "sigma_cosets"])
+    def test_negative_depth_is_rejected(self, call):
+        with pytest.raises(ValueError, match=r"depth must be >= 0, got -[12]$"):
+            call()
+
 
 class TestSubobjects:
     def test_check_requires_unit(self, reps3):
