@@ -404,6 +404,7 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
     `elements(2 * depth)`: every label that a product of two
     `elements(depth)` labels can reach.
     """
+    ring.elements(depth)  # rejects a negative depth as given
     part = merge_closure(ring, 2 * depth)
     return Subobject(frozenset(part.blocks[part.identity_block]))
 

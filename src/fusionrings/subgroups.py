@@ -4,7 +4,7 @@ the trivially-restricting subobject, and grouplike extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import InternalInconsistency, InvalidRestriction
 from .ring import (FusionRing, Memo, Subobject, Support, ValidationReport, _associative,
@@ -133,68 +133,61 @@ def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport
             # the rule or a ring failed: the full scan raises it, or not,
             # at its own point
             pass
-    source, target = r.source.fusion, r.target.fusion
-    for a in explored:
-        ma = restricted[a]
-        for b in explored:
-            mb = restricted[b]
-            lhs = _sum((n * m, target[x, y]) for x, n in ma.items() for y, m in mb.items())
-            rhs = _sum((n, restricted[c]) for c, n in source[a, b].items())
-            # a zero multiplicity counts as absent
-            if lhs != rhs and any(lhs.get(c, 0) != rhs.get(c, 0) for c in lhs.keys() | rhs.keys()):
-                report.add("multiplicativity", (a, b), f"{lhs} != {rhs}")
+    for a, b, lhs, rhs in _multiplicativity_failures(r, explored, explored):
+        report.add("multiplicativity", (a, b), f"{lhs} != {rhs}")
     return report
+
+
+def _multiplicativity_failures(r: RestrictionData, xs: Collection[str], ys: Collection[str]):
+    """Yield (a, b, res(a) res(b), res(a x b)) for each a in `xs` and then
+    each b in `ys` where the two differ; a zero multiplicity counts as
+    absent."""
+    source, target, res = r.source.fusion, r.target.fusion, r.restricted
+    for a in xs:
+        ma = res[a]
+        for b in ys:
+            mb = res[b]
+            lhs = _sum((n * m, target[x, y]) for x, n in ma.items() for y, m in mb.items())
+            rhs = _sum((n, res[c]) for c, n in source[a, b].items())
+            if lhs != rhs and any(lhs.get(c, 0) != rhs.get(c, 0) for c in lhs.keys() | rhs.keys()):
+                yield a, b, lhs, rhs
 
 
 def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str]) -> bool:
     """True only if res(a x b) = res(a) res(b) for all a, b in `window`.
 
     Along the reach (`ring._reach`: each label b is the one new constituent
-    of b' x g, g a generator), the identity for (a, b) follows by induction
+    of b' x g, g a multiplier: a generator, or a window label added where
+    the generators stall), the identity for (a, b) follows by induction
     from these checks, all run here on the rings as given:
       - res(a x 1) = res(a) res(1) for a in the window;
-      - res(x x g) = res(x) res(g) for every generator g and every x in E,
-        the window and the constituents of a x b' for a in it and b' a
+      - res(x x g) = res(x) res(g) for every multiplier g and every x in
+        E, the window and the constituents of a x b' for a in it and b' a
         parent;
       - (a x b') x g = a x (b' x g) in the source, for a in the window and
         every parent edge;
       - (x y) h = x (y h) in the target, for x restricted from the window,
-        y from a parent and h from a generator.
+        y from a parent and h from a multiplier.
     Then N res(a x b) = (res(a) res(b')) res(g) - sum of res(a) res(o) over
     the other constituents o of b' x g, which is N res(a) res(b).  False
-    when the reach stalls, a check fails, or every window label is a
-    generator (as on an explicit table), where the full scan costs no
-    more."""
-    source, target = r.source, r.target
-    generators = source.generators
-    if set(window) <= set(generators):
+    when a check fails, or when every window label is a generator (as on
+    an explicit table), where the full scan costs no more."""
+    source, target, res = r.source, r.target, r.restricted
+    if set(window) <= set(source.generators):
         return False
-    edges = _reach(source, window)
-    if edges is None:
+    multipliers = list(source.generators)
+    edges = _reach(source, window, multipliers)
+    if any(_multiplicativity_failures(r, window, [source.unit])):
         return False
-    s_fus, t_fus, res = source.fusion, target.fusion, r.restricted
-
-    def restricted(supp):
-        return _sum((n, res[c]) for c, n in supp.items())
-
-    def restricted_product(m1, m2):
-        return _sum((n * k, t_fus[x, y]) for x, n in m1.items() for y, k in m2.items())
-
-    m_unit = res[source.unit]
-    for a in window:
-        if restricted(s_fus[a, source.unit]) != restricted_product(res[a], m_unit):
-            return False
     parents = dict.fromkeys(p for _, p, _ in edges)
     checked = dict.fromkeys(window)
     for a in window:
         for p in parents:
-            checked.update(dict.fromkeys(s_fus[a, p]))
-    for x in checked:
-        for g in generators:
-            if restricted(s_fus[x, g]) != restricted_product(res[x], res[g]):
-                return False
+            checked.update(dict.fromkeys(source.fusion[a, p]))
+    if any(_multiplicativity_failures(r, checked, multipliers)):
+        return False
     ys = dict.fromkeys(lam for p in parents for lam in res[p])
-    hs = dict.fromkeys(lam for g in generators for lam in res[g])
+    hs = dict.fromkeys(lam for g in multipliers for lam in res[g])
     return (_associative(source, window, [(p, g) for _, p, g in edges])
             and _associative(target, dict.fromkeys(lam for a in window for lam in res[a]),
                              [(y, h) for y in ys for h in hs]))
