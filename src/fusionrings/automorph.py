@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 
 from .errors import InternalInconsistency, SearchBudgetExceeded
-from .central import merge_closure, search_budget
+from .central import _schreier, search_budget
 from .ring import FusionRing, _light_middle
 
 
@@ -229,7 +229,7 @@ def action_on_chain_group(ring: FusionRing, auto: RingAutomorphism,
     """The induced permutation of chain-group blocks; raises if the
     automorphism fails to preserve the chain relation (it cannot, for a
     genuine automorphism)."""
-    part = merge_closure(ring, depth)
+    part = _schreier(ring, depth)[0]
     phi = auto.as_dict()
     action: dict[int, int] = {}
     for label in part.explored:

@@ -65,26 +65,23 @@ class UnionFind:
 class CosetPartition:
     """A partition of (an explored part of) the basis into cosets."""
 
-    ring: FusionRing
     blocks: tuple[tuple[str, ...], ...]
     block_of: dict[str, int]
     explored: tuple[str, ...]
     identity_block: int
 
     @classmethod
-    def from_unionfind(cls, ring: FusionRing, uf: UnionFind,
-                       explored: Iterable[str]) -> "CosetPartition":
-        """The union-find classes of the explored labels; labels the
-        union-find holds beyond them are left out."""
+    def from_classes(cls, ring: FusionRing, class_of, explored: Iterable[str]):
+        """The explored labels grouped by `class_of(label)`, such as a
+        union-find's `find`; labels it holds beyond them are left out."""
         explored = tuple(explored)
-        classes: dict[str, list[str]] = {}
+        classes: dict = {}
         for x in explored:
-            classes.setdefault(uf.find(x), []).append(x)
+            classes.setdefault(class_of(x), []).append(x)
         raw = [ring.sort_labels(members) for members in classes.values()]
         raw.sort(key=lambda blk: ring.order_key(blk[0]))
         block_of = {l: i for i, blk in enumerate(raw) for l in blk}
-        return cls(ring, tuple(tuple(b) for b in raw), block_of, explored,
-                   block_of[ring.unit])
+        return cls(tuple(tuple(b) for b in raw), block_of, explored, block_of[ring.unit])
 
     def same_partition(self, other: "CosetPartition") -> bool:
         """Equality as partitions."""
@@ -249,7 +246,7 @@ def merge_closure(ring: FusionRing, depth: int = 6) -> CosetPartition:
             for x, y in zip(explored, image):
                 other = image_of_class.setdefault(uf.find(x), y)
                 changed |= uf.union(other, y)
-    return CosetPartition.from_unionfind(ring, uf, explored)
+    return CosetPartition.from_classes(ring, uf.find, explored)
 
 
 def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
@@ -273,12 +270,12 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
                 nxt.add(frozenset(ext))
         frontier = nxt - supports
         supports |= frontier
-    uf = UnionFind()  # from_unionfind adds the labels no support merges
+    uf = UnionFind()  # its find adds the labels no support merges
     for supp in supports:
         members = list(supp)
         for other in members[1:]:
             uf.union(members[0], other)
-    return CosetPartition.from_unionfind(ring, uf, labels)
+    return CosetPartition.from_classes(ring, uf.find, labels)
 
 
 # -------------------------------------------------------------- sigma-cosets
@@ -286,17 +283,24 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
 
 def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPartition:
     """Partition of the explored basis under a ~ b iff supp(a x dual(b))
-    meets sigma, with transitive closure applied after the pairwise tests."""
+    meets sigma, with transitive closure applied after the pairwise tests
+    (read off the chain group where `_graded` proves it the same)."""
     sigma = check_subobject(ring, sigma.members, depth=depth)
+    graded = _graded(ring, sigma, depth)
+    return _pairwise_cosets(ring, sigma, depth) if graded is None else graded.partition
+
+
+def _pairwise_cosets(ring: FusionRing, sigma: Subobject, depth: int) -> CosetPartition:
     explored = ring.elements(depth)
+    members, fusion, duals = sigma.members, ring.fusion, [ring.dual(b) for b in explored]
     uf = UnionFind()
     related = 0
     for i, a in enumerate(explored):
-        for b in explored[i + 1:]:
-            if any(c in sigma.members for c in ring.fusion[a, ring.dual(b)]):
+        for b, db in zip(explored[i + 1:], duals[i + 1:]):
+            if not members.isdisjoint(fusion[a, db]):
                 uf.union(a, b)
                 related += 1
-    part = CosetPartition.from_unionfind(ring, uf, explored)
+    part = CosetPartition.from_classes(ring, uf.find, explored)
     # on a complete table the pairwise relation is already transitive (every
     # block a clique); closure is a defense against bad fusion data, so log
     # if it changed anything.  A window's relation may miss links beyond it.
@@ -304,11 +308,67 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
             and related != sum(len(blk) * (len(blk) - 1) // 2 for blk in part.blocks)):
         log.warning("sigma relation was not transitive; the closure merged more")
     unit_block = set(part.blocks[part.identity_block])
-    if unit_block != sigma.members & set(explored):
+    if unit_block != members & set(explored):
         raise InternalInconsistency(
-            f"unit block {sorted(unit_block)} != sigma {sorted(sigma.members)} "
+            f"unit block {sorted(unit_block)} != sigma {sorted(members)} "
             "on the explored basis")
     return part
+
+
+def _graded(ring: FusionRing, sigma: Subobject, depth: int):
+    """Sigma's CentralityResult read off `_schreier` where, on a fusion
+    ring, it provably equals the loops' answers; None elsewhere.
+    Complete table: the classes grade the ring by U (Gelaki-Nikshych;
+    Mueger), a x dual(b) lies in [a][b]^-1, so if sigma is the union of the
+    classes in a normal subgroup H the cosets are H's and the table U/H's.
+    Window, generators closed under duals (so is W = elements(d)): with M
+    the classes on elements(2d) and E the unit's, for x in W and a word w
+    of at most d generators all of x w lies in one class, and x ~ y iff
+    x w ~ y w (back through x' in (x' g) g*).  So a x dual(b) lies in one
+    class, E iff a ~ b, and if sigma meets elements(2d) in E alone the
+    cosets are M on W.  If dual maps classes into classes, a b for a, b in
+    blocks A, B lies in dual[dual(b0) dual(a0)]: no witness, and no table
+    when that class misses W.  Taken where U is presented and
+    |elements(2d)| |generators|, the closure's products (the size
+    extrapolated from W's growth until the memo has it), is at most a
+    quarter of the loop's n^2."""
+    if ring.checked_depth(depth) is None:
+        part, _, t, _ = _schreier(ring, depth)
+        h = {part.block_of.get(x) for x in sigma.members}
+        if (None in h or len(sigma) != sum(len(part.blocks[c]) for c in h)
+                or t.subgroup(h) != h or any({t.mult[g][c] for c in h} != {t.mult[c][g] for c in h}
+                                             for g in range(t.size))):
+            return None
+        out = CosetPartition.from_classes(
+            ring, lambda x: min(t.mult[part.block_of[x]][c] for c in h), part.explored)
+        table = t.quotient(frozenset(h))  # its cosets sorted and named as out's blocks
+        try:
+            table.verify()  # fails on some tables that break the axioms
+        except NotAGroup:
+            return None
+        return CentralityResult(True, out, table=table)
+    gens = set(ring.generators)
+    if depth < 1 or ring.is_explicit or any(ring.dual(g) not in gens for g in gens):
+        return None
+    window, memo = ring.elements(depth), ring.chain.get(2 * depth)
+    n = len(window)
+    wide_size = len(memo[0].explored) if memo else n * (n / len(ring.elements(depth - 1))) ** depth
+    if wide_size * len(gens) > n * n / 4:
+        return None
+    try:
+        wide, _, t, _ = _schreier(ring, 2 * depth)
+    except DepthExceeded:  # a product beyond the loop's reach
+        return None
+    of = wide.block_of
+    unit_class = set(wide.blocks[wide.identity_block])
+    if t is not None or {x for x in sigma.members if x in of} != unit_class:
+        return None
+    a = ring.dual(window[-1])
+    if (any(len({of.get(ring.dual(x)) for x in blk}) > 1 for blk in wide.blocks)
+            or {of.get(next(iter(ring.fusion[ring.dual(g), a]))) for g in gens}
+            <= {of[x] for x in window} | {None}):
+        return None
+    return CentralityResult(True, CosetPartition.from_classes(ring, of.get, window))
 
 
 @dataclass
@@ -331,20 +391,23 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
     meet two blocks is returned as the witness of a non-central result.
     Constituents beyond the explored partition are outside the
     depth-qualified claim.  When every block product lands in the
-    partition the verified group table is returned.
+    partition the verified group table is returned.  Where `_graded`
+    proves the answer it is read off the chain group instead.
     """
-    part = sigma_cosets(ring, sigma, depth)
-    blocks, block_of, fusion = part.blocks, part.block_of, ring.fusion
+    sigma = check_subobject(ring, sigma.members, depth=depth)
+    graded = _graded(ring, sigma, depth)
+    if graded is not None:
+        return graded
+    part = _pairwise_cosets(ring, sigma, depth)
+    blocks, get, fusion = part.blocks, part.block_of.get, ring.fusion
     products: dict[tuple[int, int], int] = {}
     for i, bi in enumerate(blocks):
         for j, bj in enumerate(blocks):
             seen: set[int] = set()
             for a in bi:
                 for b in bj:
-                    for c in fusion[a, b]:
-                        k = block_of.get(c)
-                        if k is not None:
-                            seen.add(k)
+                    seen.update(map(get, fusion[a, b]))
+                    seen.discard(None)
                     if len(seen) > 1:
                         return CentralityResult(
                             False, part, witness=(i, j, (a, b), sorted(seen)))
@@ -371,7 +434,7 @@ def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
     normal subgroups than the search budget.
     """
     ring.labels()  # a finite table is needed
-    part, t, _ = _schreier(ring, 0)  # the depth does not limit a complete table
+    part, _, t, _ = _schreier(ring, 0)  # the depth does not limit a complete table
     t.verify()
     inverse = [row.index(t.identity) for row in t.mult]
     closures = {t.subgroup({t.mult[t.mult[g][a]][inverse[g]] for g in range(t.size)})
@@ -405,7 +468,7 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
     `elements(depth)` labels can reach.
     """
     ring.elements(depth)  # rejects a negative depth as given
-    part = merge_closure(ring, 2 * depth)
+    part = _schreier(ring, 2 * depth)[0]
     return Subobject(frozenset(part.blocks[part.identity_block]))
 
 
@@ -413,8 +476,8 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
 
 
 def _schreier(ring: FusionRing, depth: int):
-    """The chain classes on the window, and the chain group U read off
-    their block action.
+    """The chain classes on the window, their block action, and the chain
+    group U read off it.
 
     Block b times generator k is the block of any in-window constituent of
     a member of b times that generator: the closure put them all in one
@@ -424,10 +487,14 @@ def _schreier(ring: FusionRing, depth: int):
     verified, is the action walked along the tree words.  Otherwise U is
     presented on the generator classes, taken up to duals, by one relator
     for every edge off the tree (Reidemeister-Schreier).  Returns
-    (partition, table, None) or (partition, None, (names, relators)), a
-    relator being a tuple of letters: i or -i for the i-th name or its
-    inverse.
+    (partition, action, table, None) or (partition, action, None,
+    (names, relators)), a relator being a tuple of letters: i or -i for
+    the i-th name or its inverse.  Kept in `ring.chain` by depth (by None
+    on a complete table, whose window is the whole basis at every depth).
     """
+    key = None if depth >= 0 and ring.checked_depth(depth) is None else depth
+    if key in ring.chain:
+        return ring.chain[key]
     part = merge_closure(ring, depth)
     blocks, block_of, fusion = part.blocks, part.block_of, ring.fusion
     act = [[next((block_of[c] for x in blk for c in fusion[x, g] if c in block_of), None)
@@ -444,7 +511,9 @@ def _schreier(ring: FusionRing, depth: int):
         n = len(blocks)
         mult = tuple(tuple(reduce(lambda x, k: act[x][k], tree[j], i) for j in range(n))
                      for i in range(n))
-        return part, GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks)), None
+        table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks))
+        ring.chain[key] = part, act, table, None
+        return ring.chain[key]
     sign, names = {part.identity_block: 0}, []
     for g in ring.generators:
         cls = block_of.get(g)
@@ -454,9 +523,13 @@ def _schreier(ring: FusionRing, depth: int):
             sign.setdefault(block_of.get(ring.dual(g), cls), -len(names))
     letter = [sign.get(block_of.get(g), 0) for g in ring.generators]
     path = {b: [letter[k] for k in word] for b, word in tree.items()}
+    # an edge along a tree edge, or back along one, gives the empty relator
     relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
-                for b, k, t in off_tree} - {()}
-    return part, None, (names, sorted(relators, key=lambda r: (len(r), _letter_key(r))))
+                for b, k, t in off_tree
+                if path[t] != path[b] + [letter[k]] and path[b] != path[t] + [-letter[k]]} - {()}
+    relators = sorted(relators, key=lambda r: (len(r), _letter_key(r)))
+    ring.chain[key] = part, act, None, (names, relators)
+    return ring.chain[key]
 
 
 def _letter_key(word):
@@ -585,7 +658,7 @@ def chain_group(ring: FusionRing, depth: int = 6,
     both is reported as stable_at_depth(depth), never as exact.
     """
     def at(d):
-        _, table, pres = _schreier(ring, d)
+        _, _, table, pres = _schreier(ring, d)
         if table is not None:
             return table, identify_group(table, candidates=candidates)
         desc = _presented(*pres)

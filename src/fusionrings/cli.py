@@ -16,11 +16,11 @@ import click
 from . import catalog as cat
 from .automorph import automorphisms
 from .central import (
+    _schreier,
     chain_group,
     chain_oracle,
     enumerate_central_subobjects,
     center_subobject,
-    merge_closure,
     sigma_cosets,
 )
 from .errors import FusionRingError
@@ -174,7 +174,7 @@ def emit(payload, fmt, table_text=None, dot=None):
 
 
 def run_oracle_check(ring: FusionRing, depth: int):
-    fast = merge_closure(ring, depth)
+    fast = _schreier(ring, depth)[0]  # the partition chain_group reads
     slow = chain_oracle(ring, max_len=6)
     if fast.same_partition(slow):
         return

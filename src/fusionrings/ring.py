@@ -101,6 +101,7 @@ class FusionRing:
         self._dual_fn = dual_fn
         self._dim_fn = dim_fn
         self.fusion = Memo(lambda ab: product_fn(*ab))
+        self.chain: dict = {}  # depth -> `central._schreier`'s answer
         # discovery levels; an empty last level means the basis is complete
         self._levels: list[list[str]] = [[unit]]
         # label -> (level, position within the level)

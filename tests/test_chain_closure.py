@@ -103,7 +103,7 @@ def cases(request, explicit_fixtures):
 def test_merge_closure_matches_full_square_on_window(cases):
     for name, ring, depth in cases:
         uf, explored = full_square_closure(ring, depth)
-        slow = fr.CosetPartition.from_unionfind(ring, uf, explored)
+        slow = fr.CosetPartition.from_classes(ring, uf.find, explored)
         assert fr.merge_closure(ring, depth).same_partition(slow), (name, depth)
 
 

@@ -60,6 +60,24 @@ class TestOtherCommands:
                              "--sigma", "chi0,chi2").stdout)
         assert len(doc["blocks"]) == 2
 
+    def test_cosets_of_a_subobject_beyond_the_unit_class(self):
+        out = cli("cosets", "--catalog", "z", "--depth", "3", "--sigma", "z0,z5,z-5")
+        assert out.returncode == 0
+        assert out.stdout == ('{"blocks":[["z0"],["z1"],["z-1"],["z2","z-3"],["z-2","z3"]],'
+                              '"explored":["z0","z1","z-1","z2","z-2","z3","z-3"],'
+                              '"identity_block":0}\n')
+
+    def test_cosets_table_on_a_complete_table(self):
+        out = cli("cosets", "--catalog", "zn:6", "--sigma", "e,g3", "--format", "table")
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[:3] == ["block 0 (identity): e, g3",
+                                               "block 1: g1, g4", "block 2: g2, g5"]
+
+    def test_cosets_of_an_inconsistent_window_is_input_error(self):
+        out = cli("cosets", "--catalog", "su2", "--depth", "4", "--sigma", "V0,V2,V4,V5")
+        assert out.returncode == 2
+        assert "unit block" in out.stderr
+
     def test_central_subobjects(self):
         doc = json.loads(cli("central-subobjects", "--catalog", "repz4").stdout)
         assert doc == [["chi0"], ["chi0", "chi2"],

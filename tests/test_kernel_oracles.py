@@ -14,8 +14,14 @@ every triple of a group table; `GroupTable.verify` must pass or raise the
 same `NotAGroup` message.  `reference_free_product`
 multiplies words as tuples of letters, memoized on the tuples;
 `free_product` must give the same supports, items and order.
+`reference_sigma_cosets` and `reference_is_central_subobject` test every
+pair of the window and every pair of coset blocks; `sigma_cosets` and
+`is_central_subobject`, which read the chain memo where the grading
+decides, must give every field of the same answers, or the same error.
 """
 
+import gc
+import weakref
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -24,9 +30,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionrings as fr
-from fusionrings.central import search_budget
-from fusionrings.errors import (DepthExceeded, InvalidRestriction, NotAGroup,
-                                SearchBudgetExceeded)
+from fusionrings.central import UnionFind, search_budget
+from fusionrings.errors import (DepthExceeded, FusionRingError, InternalInconsistency,
+                                InvalidRestriction, NotAGroup, SearchBudgetExceeded)
 from fusionrings.ring import _associative, _reach
 from fusionrings.subgroups import _multiplicative_on_generators
 
@@ -839,3 +845,275 @@ def test_free_product_matches_reference(name):
         for y in window:
             # the constituents of window pairs reach past the window
             assert list(ring.product(x, y).items()) == list(want.product(x, y).items())
+
+
+# ------------------------------------------------- cosets and centrality
+
+
+def reference_sigma_cosets(ring, sigma, depth=6):
+    """Every pair of the window tested against sigma, as
+    `sigma_cosets` did before it read the chain group."""
+    sigma = fr.check_subobject(ring, sigma.members, depth=depth)
+    explored = ring.elements(depth)
+    uf = UnionFind()
+    for i, a in enumerate(explored):
+        for b in explored[i + 1:]:
+            if any(c in sigma.members for c in ring.product(a, ring.dual(b))):
+                uf.union(a, b)
+    part = fr.CosetPartition.from_classes(ring, uf.find, explored)
+    unit_block = set(part.blocks[part.identity_block])
+    if unit_block != sigma.members & set(explored):
+        raise InternalInconsistency(
+            f"unit block {sorted(unit_block)} != sigma {sorted(sigma.members)} "
+            "on the explored basis")
+    return part
+
+
+def reference_is_central_subobject(ring, sigma, depth=6):
+    """Every pair of coset blocks multiplied, member by member."""
+    part = reference_sigma_cosets(ring, sigma, depth)
+    blocks, block_of = part.blocks, part.block_of
+    products = {}
+    for i, bi in enumerate(blocks):
+        for j, bj in enumerate(blocks):
+            seen = set()
+            for a in bi:
+                for b in bj:
+                    for c in ring.product(a, b):
+                        if c in block_of:
+                            seen.add(block_of[c])
+                    if len(seen) > 1:
+                        return fr.CentralityResult(False, part,
+                                                   witness=(i, j, (a, b), sorted(seen)))
+            if seen:
+                products[(i, j)] = seen.pop()
+    n = len(blocks)
+    if len(products) < n * n:
+        return fr.CentralityResult(True, part)
+    mult = tuple(tuple(products[(i, j)] for j in range(n)) for i in range(n))
+    table = fr.GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks))
+    table.verify()
+    return fr.CentralityResult(True, part, table=table)
+
+
+def _centrality_outcome(cosets, central, ring, sigma, depth):
+    """Every field of both answers, or the error either raises."""
+    try:
+        part, res = cosets(ring, sigma, depth), central(ring, sigma, depth)
+    except FusionRingError as exc:
+        return type(exc).__name__, str(exc)
+    t = res.table
+    return (part.blocks, part.identity_block, part.explored, part.block_of,
+            res.central, res.partition.blocks, res.partition.identity_block,
+            res.partition.explored, res.witness,
+            None if t is None else (t.mult, t.identity, t.labels))
+
+
+def assert_same_centrality(make, sigma, depth=6):
+    """The library against the references, on a fresh ring and on one
+    whose chain memo `center_subobject` has filled at 2 * depth."""
+    want = _centrality_outcome(reference_sigma_cosets, reference_is_central_subobject,
+                               make(), sigma, depth)
+    warm = make()
+    fr.center_subobject(warm, depth)
+    for ring in (make(), warm):
+        got = _centrality_outcome(fr.sigma_cosets, fr.is_central_subobject, ring, sigma, depth)
+        assert got == want, (sorted(sigma.members), depth)
+    return got
+
+
+def _sub(labels):
+    return fr.Subobject(frozenset(labels))
+
+
+def _balanced(ring, length):
+    return _sub(x for x in ring.elements(length) if x.count("u") == x.count("v"))
+
+
+def _unit_class(ring, depth):
+    part = fr.merge_closure(ring, depth)
+    return _sub(part.blocks[part.identity_block])
+
+
+def _evens(n):
+    return [f"V{k}" for k in range(0, n + 1, 2)]
+
+
+# the subobjects asked about in session-queries, and the windows that
+# border them: (name, ring, sigma from the ring, depth)
+WINDOW_CASES = [
+    ("su2 unit", fr.su2_ring, lambda r: _sub(["V0"]), 30),
+    ("su2 even", fr.su2_ring, lambda r: _sub(_evens(30)), 30),
+    ("su2 even to 2d", fr.su2_ring, lambda r: _sub(_evens(60)), 30),
+    ("so3 unit", fr.so3_ring, lambda r: _sub(["W0"]), 20),
+    ("so3 whole", fr.so3_ring, lambda r: _sub(r.elements(20)), 20),
+    ("au2 unit", lambda: fr.au_word_ring(2), lambda r: _sub(["e"]), 4),
+    *((f"au2 balanced to 2d, d{d}", lambda: fr.au_word_ring(2),
+       lambda r, d=d: _balanced(r, 2 * d), d) for d in (1, 2, 3, 4)),
+    ("au3 balanced to 2d", lambda: fr.au_word_ring(3), lambda r: _balanced(r, 6), 3),
+    *((f"z unit d{d}", fr.z_group_ring, lambda r: _sub(["z0"]), d) for d in (1, 3, 10, 30)),
+    *((f"{name} unit class at 2d, d{d}", make, lambda r, d=d: _unit_class(r, 2 * d), d)
+      for name, make in (("su2*Z/2", lambda: fr.free_product(fr.su2_ring(), _zn(2))),
+                         ("Z/2*Z/3", lambda: fr.free_product(_zn(2), _zn(3))),
+                         ("z x Z/2", lambda: fr.direct_product(fr.z_group_ring(), _zn(2))),
+                         ("au2 x z", lambda: fr.direct_product(fr.au_word_ring(2),
+                                                               fr.z_group_ring())))
+      for d in (1, 2, 3)),
+    # polynomial growth: deep enough that the closure on elements(2d) is cheap
+    *((f"{name} unit class at 2d, d{d}", make, lambda r, d=d: _unit_class(r, 2 * d), d)
+      for name, make, d in (
+          ("z x Z/2", lambda: fr.direct_product(fr.z_group_ring(), _zn(2)), 15),
+          ("z x z", lambda: fr.direct_product(fr.z_group_ring(), fr.z_group_ring()), 8),
+          ("so3 x z", lambda: fr.direct_product(fr.so3_ring(), fr.z_group_ring()), 8),
+          ("su2 x z", lambda: fr.direct_product(fr.su2_ring(), fr.z_group_ring()), 8))),
+    ("z x Z/2 unit class at d", lambda: fr.direct_product(fr.z_group_ring(), _zn(2)),
+     lambda r: _unit_class(r, 3), 3),
+    ("parity kernel", fr.su2_ring, lambda r: fr.trivial_restriction_subobject(
+        fr.su2_parity_restriction(r, _zn(2)), 30), 30),
+    ("weights kernel", fr.su2_ring, lambda r: fr.trivial_restriction_subobject(
+        fr.su2_weight_restriction(r, fr.z_group_ring()), 30), 30),
+]
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES, ids=[c[0] for c in WINDOW_CASES])
+def test_cosets_and_centrality_match_reference_on_windows(case):
+    _, make, sigma, depth = case
+    assert_same_centrality(make, sigma(make()), depth)
+
+
+# answers the window route must not change: a guard on the classes at
+# depth d alone, or on sigma's window part alone, got these wrong
+def test_su2_even_labels_and_v31_stay_inconsistent():
+    got = assert_same_centrality(fr.su2_ring, _sub(_evens(30) + ["V31"]), 30)
+    assert got[0] == "InternalInconsistency"
+
+
+@pytest.mark.parametrize("depth, blocks", [(3, 9), (4, 11)])
+def test_au2_balanced_words_within_the_window(depth, blocks):
+    ring = fr.au_word_ring(2)
+    got = assert_same_centrality(lambda: fr.au_word_ring(2), _balanced(ring, depth), depth)
+    assert len(got[0]) == blocks
+
+
+def test_z_subobject_beyond_the_unit():
+    got = assert_same_centrality(fr.z_group_ring, _sub(["z0", "z5", "z-5"]), 3)
+    assert [list(b) for b in got[0]] == [["z0"], ["z1"], ["z-1"], ["z2", "z-3"],
+                                         ["z-2", "z3"]]
+
+
+EXPLICIT_STRUCTURE = {
+    **{f"Z/{n}": (lambda n=n: _zn(n)) for n in (16, 24, 32, 40, 48)},
+    "s3": lambda: fr.group_ring(fr.s3_group()),
+    "klein": lambda: fr.group_ring(fr.klein_group()),
+    "reps3": fr.rep_s3_ring,
+    "repz4": fr.rep_z4_ring,
+    "reps3^3": _reps3_cubed,
+    "klein x Z/2": LATTICE_RINGS["klein x Z/2"],
+    "S3 x reps3": LATTICE_RINGS["S3 x reps3"],
+}
+
+
+def _small_subobjects(ring):
+    """The central subobjects and every subobject generated by at most two
+    labels: the joins of at most two principal subobjects."""
+    principal = {fr.generated_subobject(ring, [a]).members for a in ring.labels()}
+    out = {fr.generated_subobject(ring, p | q).members
+           for p in principal for q in principal}
+    return sorted(out | {s.members for s in fr.enumerate_central_subobjects(ring)},
+                  key=lambda m: (len(m), sorted(m)))
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_STRUCTURE))
+def test_cosets_and_centrality_match_reference_on_explicit_rings(name):
+    make = EXPLICIT_STRUCTURE[name]
+    for members in _small_subobjects(make()):
+        assert_same_centrality(make, fr.Subobject(members))
+
+
+CLASS_UNION_RINGS = {
+    **{f"Z/{n}": (lambda n=n: _zn(n)) for n in range(1, 25)},
+    "klein x Z/2": LATTICE_RINGS["klein x Z/2"],
+    "S3 x reps3": LATTICE_RINGS["S3 x reps3"],
+    "S3 x S3": LATTICE_RINGS["S3 x S3"],
+    "repz4 x Z/3": lambda: fr.direct_product(fr.rep_z4_ring(), _zn(3)),
+    "reps3 x Z/2": lambda: fr.direct_product(fr.rep_s3_ring(), _zn(2)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cosets_and_centrality_match_reference_on_unions_of_classes(data):
+    name = data.draw(st.sampled_from(sorted(CLASS_UNION_RINGS)))
+    make = CLASS_UNION_RINGS[name]
+    part = fr.merge_closure(make())
+    chosen = data.draw(st.sets(st.sampled_from(range(len(part.blocks)))))
+    members = {x for i in chosen | {part.identity_block} for x in part.blocks[i]}
+    assert_same_centrality(make, fr.Subobject(frozenset(members)))
+
+
+def _chain_group_answer(ring, depth, sigma):
+    table, desc = fr.chain_group(ring, depth)
+    return table.to_json() if isinstance(table, fr.GroupTable) else table, desc.to_json()
+
+
+def _is_central_answer(ring, depth, sigma):
+    res = fr.is_central_subobject(ring, sigma, depth)
+    return (res.central, res.partition.to_json(), res.witness,
+            None if res.table is None else res.table.to_json())
+
+
+def _action_answer(ring, depth, sigma):
+    auto = fr.automorphisms(ring, min(depth, 3))[-1]
+    return fr.action_on_chain_group(ring, auto, depth)
+
+
+# every reader of the chain memo, answering as plain data
+MEMO_READERS = {
+    "chain_group": _chain_group_answer,
+    "center_subobject": lambda ring, depth, sigma: fr.center_subobject(ring, depth),
+    "enumerate_central_subobjects":
+        lambda ring, depth, sigma: ring.is_explicit and fr.enumerate_central_subobjects(ring),
+    "sigma_cosets": lambda ring, depth, sigma: fr.sigma_cosets(ring, sigma, depth).to_json(),
+    "is_central_subobject": _is_central_answer,
+    "action_on_chain_group": _action_answer,
+}
+
+MEMO_RINGS = {
+    "su2": (fr.su2_ring, 6, lambda r: _sub(["V0"])),
+    "z": (fr.z_group_ring, 6, lambda r: _sub(["z0"])),
+    "au2": (lambda: fr.au_word_ring(2), 3, lambda r: _balanced(r, 6)),
+    "su2*Z/2": (lambda: fr.free_product(fr.su2_ring(), _zn(2)), 3,
+                lambda r: _unit_class(r, 6)),
+    "Z/12": (lambda: _zn(12), 6, lambda r: _sub(["e", "g4", "g8"])),
+    "S3 x reps3": (LATTICE_RINGS["S3 x reps3"], 6, lambda r: _unit_class(r, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_RINGS))
+@pytest.mark.parametrize("reader", sorted(MEMO_READERS))
+def test_memo_readers_answer_the_same_cold_and_warm(name, reader):
+    make, depth, sigma = MEMO_RINGS[name]
+    ask = MEMO_READERS[reader]
+    ring = make()
+    cold = ask(ring, depth, sigma(make()))
+    ring = make()
+    for other, ask_other in MEMO_READERS.items():
+        if other != reader:
+            ask_other(ring, depth, sigma(make()))
+    assert ring.chain
+    assert ask(ring, depth, sigma(make())) == cold
+
+
+def test_a_ring_is_freed_without_the_cycle_collector():
+    ring = fr.su2_ring()
+    fr.chain_group(ring, 6)
+    fr.center_subobject(ring, 6)
+    fr.sigma_cosets(ring, _sub(["V0"]), 6)
+    assert ring.chain
+    ref = weakref.ref(ring)
+    gc.disable()
+    try:
+        del ring
+        assert ref() is None
+    finally:
+        gc.enable()
