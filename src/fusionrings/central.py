@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
@@ -283,8 +284,7 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
 
 def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPartition:
     """Partition of the explored basis under a ~ b iff supp(a x dual(b))
-    meets sigma, with transitive closure applied after the pairwise tests
-    (read off the chain group where `_graded` proves it the same)."""
+    meets sigma, with transitive closure applied after the pairwise tests."""
     sigma = check_subobject(ring, sigma.members, depth=depth)
     graded = _graded(ring, sigma, depth)
     return _pairwise_cosets(ring, sigma, depth) if graded is None else graded.partition
@@ -316,59 +316,21 @@ def _pairwise_cosets(ring: FusionRing, sigma: Subobject, depth: int) -> CosetPar
 
 
 def _graded(ring: FusionRing, sigma: Subobject, depth: int):
-    """Sigma's CentralityResult read off `_schreier` where, on a fusion
-    ring, it provably equals the loops' answers; None elsewhere.
-    Complete table: the classes grade the ring by U (Gelaki-Nikshych;
-    Mueger), a x dual(b) lies in [a][b]^-1, so if sigma is the union of the
-    classes in a normal subgroup H the cosets are H's and the table U/H's.
-    Window, generators closed under duals (so is W = elements(d)): with M
-    the classes on elements(2d) and E the unit's, for x in W and a word w
-    of at most d generators all of x w lies in one class, and x ~ y iff
-    x w ~ y w (back through x' in (x' g) g*).  So a x dual(b) lies in one
-    class, E iff a ~ b, and if sigma meets elements(2d) in E alone the
-    cosets are M on W.  If dual maps classes into classes, a b for a, b in
-    blocks A, B lies in dual[dual(b0) dual(a0)]: no witness, and no table
-    when that class misses W.  Taken where U is presented and
-    |elements(2d)| |generators|, the closure's products (the size
-    extrapolated from W's growth until the memo has it), is at most a
-    quarter of the loop's n^2."""
-    if ring.checked_depth(depth) is None:
-        part, _, t, _ = _schreier(ring, depth)
-        h = {part.block_of.get(x) for x in sigma.members}
-        if (None in h or len(sigma) != sum(len(part.blocks[c]) for c in h)
-                or t.subgroup(h) != h or any({t.mult[g][c] for c in h} != {t.mult[c][g] for c in h}
-                                             for g in range(t.size))):
-            return None
-        out = CosetPartition.from_classes(
-            ring, lambda x: min(t.mult[part.block_of[x]][c] for c in h), part.explored)
-        table = t.quotient(frozenset(h))  # its cosets sorted and named as out's blocks
-        try:
-            table.verify()  # fails on some tables that break the axioms
-        except NotAGroup:
-            return None
+    """On a complete table, graded by U (a x dual(b) lies in [a][b]^-1), the loops'
+    answer when sigma is the classes of a normal H: H's cosets and U/H; else None."""
+    if ring.checked_depth(depth) is not None:
+        return None  # a window: the loops answer
+    part, t, _ = _schreier(ring, depth)
+    h = {part.block_of.get(x) for x in sigma.members}
+    if (None in h or len(sigma) != sum(len(part.blocks[c]) for c in h) or t.subgroup(h) != h
+            or any({t.mult[g][c] for c in h} != {t.mult[c][g] for c in h} for g in range(t.size))):
+        return None
+    out = CosetPartition.from_classes(
+        ring, lambda x: min(t.mult[part.block_of[x]][c] for c in h), part.explored)
+    table = t.quotient(frozenset(h))  # its cosets sorted and named as out's blocks
+    with suppress(NotAGroup):  # else the table breaks the axioms: the loops answer
+        table.verify()
         return CentralityResult(True, out, table=table)
-    gens = set(ring.generators)
-    if depth < 1 or ring.is_explicit or any(ring.dual(g) not in gens for g in gens):
-        return None
-    window, memo = ring.elements(depth), ring.chain.get(2 * depth)
-    n = len(window)
-    wide_size = len(memo[0].explored) if memo else n * (n / len(ring.elements(depth - 1))) ** depth
-    if wide_size * len(gens) > n * n / 4:
-        return None
-    try:
-        wide, _, t, _ = _schreier(ring, 2 * depth)
-    except DepthExceeded:  # a product beyond the loop's reach
-        return None
-    of = wide.block_of
-    unit_class = set(wide.blocks[wide.identity_block])
-    if t is not None or {x for x in sigma.members if x in of} != unit_class:
-        return None
-    a = ring.dual(window[-1])
-    if (any(len({of.get(ring.dual(x)) for x in blk}) > 1 for blk in wide.blocks)
-            or {of.get(next(iter(ring.fusion[ring.dual(g), a]))) for g in gens}
-            <= {of[x] for x in window} | {None}):
-        return None
-    return CentralityResult(True, CosetPartition.from_classes(ring, of.get, window))
 
 
 @dataclass
@@ -384,19 +346,17 @@ class CentralityResult:
 
 def is_central_subobject(ring: FusionRing, sigma: Subobject,
                          depth: int = 6) -> CentralityResult:
-    """Decide whether sigma's cosets form a group.
+    """Decide whether sigma's cosets form a group (off U where `_graded` can).
 
     Block i times block j is the one block met by the products of every
     member of block i with every member of block j; a pair whose products
     meet two blocks is returned as the witness of a non-central result.
     Constituents beyond the explored partition are outside the
     depth-qualified claim.  When every block product lands in the
-    partition the verified group table is returned.  Where `_graded`
-    proves the answer it is read off the chain group instead.
+    partition the verified group table is returned.
     """
     sigma = check_subobject(ring, sigma.members, depth=depth)
-    graded = _graded(ring, sigma, depth)
-    if graded is not None:
+    if (graded := _graded(ring, sigma, depth)) is not None:
         return graded
     part = _pairwise_cosets(ring, sigma, depth)
     blocks, get, fusion = part.blocks, part.block_of.get, ring.fusion
@@ -434,7 +394,7 @@ def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
     normal subgroups than the search budget.
     """
     ring.labels()  # a finite table is needed
-    part, _, t, _ = _schreier(ring, 0)  # the depth does not limit a complete table
+    part, t, _ = _schreier(ring, 0)  # the depth does not limit a complete table
     t.verify()
     inverse = [row.index(t.identity) for row in t.mult]
     closures = {t.subgroup({t.mult[t.mult[g][a]][inverse[g]] for g in range(t.size)})
@@ -476,8 +436,8 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
 
 
 def _schreier(ring: FusionRing, depth: int):
-    """The chain classes on the window, their block action, and the chain
-    group U read off it.
+    """The chain classes on the window, and the chain group U read off
+    their block action.
 
     Block b times generator k is the block of any in-window constituent of
     a member of b times that generator: the closure put them all in one
@@ -487,10 +447,9 @@ def _schreier(ring: FusionRing, depth: int):
     verified, is the action walked along the tree words.  Otherwise U is
     presented on the generator classes, taken up to duals, by one relator
     for every edge off the tree (Reidemeister-Schreier).  Returns
-    (partition, action, table, None) or (partition, action, None,
-    (names, relators)), a relator being a tuple of letters: i or -i for
-    the i-th name or its inverse.  Kept in `ring.chain` by depth (by None
-    on a complete table, whose window is the whole basis at every depth).
+    (partition, table, None) or (partition, None, (names, relators)), a
+    relator being a tuple of letters: i or -i for the i-th name or its
+    inverse.  Kept in `ring.chain` by depth, or by None on a complete table.
     """
     key = None if depth >= 0 and ring.checked_depth(depth) is None else depth
     if key in ring.chain:
@@ -512,8 +471,7 @@ def _schreier(ring: FusionRing, depth: int):
         mult = tuple(tuple(reduce(lambda x, k: act[x][k], tree[j], i) for j in range(n))
                      for i in range(n))
         table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks))
-        ring.chain[key] = part, act, table, None
-        return ring.chain[key]
+        return ring.chain.setdefault(key, (part, table, None))
     sign, names = {part.identity_block: 0}, []
     for g in ring.generators:
         cls = block_of.get(g)
@@ -523,13 +481,11 @@ def _schreier(ring: FusionRing, depth: int):
             sign.setdefault(block_of.get(ring.dual(g), cls), -len(names))
     letter = [sign.get(block_of.get(g), 0) for g in ring.generators]
     path = {b: [letter[k] for k in word] for b, word in tree.items()}
-    # an edge along a tree edge, or back along one, gives the empty relator
     relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
-                for b, k, t in off_tree
+                for b, k, t in off_tree  # skip the tree edges' empty relators
                 if path[t] != path[b] + [letter[k]] and path[b] != path[t] + [-letter[k]]} - {()}
     relators = sorted(relators, key=lambda r: (len(r), _letter_key(r)))
-    ring.chain[key] = part, act, None, (names, relators)
-    return ring.chain[key]
+    return ring.chain.setdefault(key, (part, None, (names, relators)))
 
 
 def _letter_key(word):
@@ -658,7 +614,7 @@ def chain_group(ring: FusionRing, depth: int = 6,
     both is reported as stable_at_depth(depth), never as exact.
     """
     def at(d):
-        _, _, table, pres = _schreier(ring, d)
+        _, table, pres = _schreier(ring, d)
         if table is not None:
             return table, identify_group(table, candidates=candidates)
         desc = _presented(*pres)

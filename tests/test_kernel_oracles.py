@@ -981,8 +981,9 @@ def test_cosets_and_centrality_match_reference_on_windows(case):
     assert_same_centrality(make, sigma(make()), depth)
 
 
-# answers the window route must not change: a guard on the classes at
-# depth d alone, or on sigma's window part alone, got these wrong
+# window answers that any route read off the chain classes must keep: a
+# guard on the classes at depth d alone, or on sigma's window part alone,
+# got these wrong
 def test_su2_even_labels_and_v31_stay_inconsistent():
     got = assert_same_centrality(fr.su2_ring, _sub(_evens(30) + ["V31"]), 30)
     assert got[0] == "InternalInconsistency"
