@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
@@ -286,11 +285,6 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
     """Partition of the explored basis under a ~ b iff supp(a x dual(b))
     meets sigma, with transitive closure applied after the pairwise tests."""
     sigma = check_subobject(ring, sigma.members, depth=depth)
-    graded = _graded(ring, sigma, depth)
-    return _pairwise_cosets(ring, sigma, depth) if graded is None else graded.partition
-
-
-def _pairwise_cosets(ring: FusionRing, sigma: Subobject, depth: int) -> CosetPartition:
     explored = ring.elements(depth)
     members, fusion, duals = sigma.members, ring.fusion, [ring.dual(b) for b in explored]
     uf = UnionFind()
@@ -315,24 +309,6 @@ def _pairwise_cosets(ring: FusionRing, sigma: Subobject, depth: int) -> CosetPar
     return part
 
 
-def _graded(ring: FusionRing, sigma: Subobject, depth: int):
-    """On a complete table, graded by U (a x dual(b) lies in [a][b]^-1), the loops'
-    answer when sigma is the classes of a normal H: H's cosets and U/H; else None."""
-    if ring.checked_depth(depth) is not None:
-        return None  # a window: the loops answer
-    part, t, _ = _schreier(ring, depth)
-    h = {part.block_of.get(x) for x in sigma.members}
-    if (None in h or len(sigma) != sum(len(part.blocks[c]) for c in h) or t.subgroup(h) != h
-            or any({t.mult[g][c] for c in h} != {t.mult[c][g] for c in h} for g in range(t.size))):
-        return None
-    out = CosetPartition.from_classes(
-        ring, lambda x: min(t.mult[part.block_of[x]][c] for c in h), part.explored)
-    table = t.quotient(frozenset(h))  # its cosets sorted and named as out's blocks
-    with suppress(NotAGroup):  # else the table breaks the axioms: the loops answer
-        table.verify()
-        return CentralityResult(True, out, table=table)
-
-
 @dataclass
 class CentralityResult:
     central: bool
@@ -346,7 +322,7 @@ class CentralityResult:
 
 def is_central_subobject(ring: FusionRing, sigma: Subobject,
                          depth: int = 6) -> CentralityResult:
-    """Decide whether sigma's cosets form a group (off U where `_graded` can).
+    """Decide whether sigma's cosets form a group.
 
     Block i times block j is the one block met by the products of every
     member of block i with every member of block j; a pair whose products
@@ -355,10 +331,7 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
     depth-qualified claim.  When every block product lands in the
     partition the verified group table is returned.
     """
-    sigma = check_subobject(ring, sigma.members, depth=depth)
-    if (graded := _graded(ring, sigma, depth)) is not None:
-        return graded
-    part = _pairwise_cosets(ring, sigma, depth)
+    part = sigma_cosets(ring, sigma, depth)
     blocks, get, fusion = part.blocks, part.block_of.get, ring.fusion
     products: dict[tuple[int, int], int] = {}
     for i, bi in enumerate(blocks):

@@ -197,7 +197,7 @@ def parse_sigma(sigma, sigma_file) -> Subobject:
     if (sigma is None) == (sigma_file is None):
         raise click.UsageError("exactly one of --sigma/--sigma-file is required")
     if sigma is not None:
-        members = [s.strip() for s in sigma.split(",") if s.strip()]
+        members = [s.strip() for s in cat.split_outside_brackets(sigma, ",") if s.strip()]
     else:
         try:
             members = json.loads(Path(sigma_file).read_text())

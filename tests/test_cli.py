@@ -73,6 +73,16 @@ class TestOtherCommands:
         assert out.stdout.splitlines()[:3] == ["block 0 (identity): e, g3",
                                                "block 1: g1, g4", "block 2: g2, g5"]
 
+    def test_sigma_labels_with_commas_match_the_sigma_file(self, tmp_path):
+        want = [["(e,e)", "(g1,e)"], ["(e,g1)", "(g1,g1)"]]
+        out = cli("cosets", "--catalog", "prod:zn:2+zn:2", "--sigma", "(e,e),(g1,e)")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["blocks"] == want
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(["(e,e)", "(g1,e)"]))
+        from_file = cli("cosets", "--catalog", "prod:zn:2+zn:2", "--sigma-file", str(path))
+        assert from_file.stdout == out.stdout
+
     def test_cosets_of_an_inconsistent_window_is_input_error(self):
         out = cli("cosets", "--catalog", "su2", "--depth", "4", "--sigma", "V0,V2,V4,V5")
         assert out.returncode == 2
