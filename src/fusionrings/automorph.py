@@ -53,16 +53,11 @@ def _preserves(ring: FusionRing, phi: dict[str, str], labels: list[str],
     """Whether `phi` permutes `labels`, fixes the unit, preserves dims and
     commutes with dual, and maps a x b to phi(a) x phi(b) for every a in
     `labels` and b in `middle`."""
-    if any(l not in phi for l in labels):
-        return False
-    if sorted(phi[l] for l in labels) != sorted(labels):
-        return False
-    if phi.get(ring.unit) != ring.unit:
+    if (any(l not in phi for l in labels) or phi.get(ring.unit) != ring.unit
+            or sorted(phi[l] for l in labels) != sorted(labels)):
         return False
     for a in labels:
-        if ring.dim(phi[a]) != ring.dim(a):
-            return False
-        if phi.get(ring.dual(a)) != ring.dual(phi[a]):
+        if ring.dim(phi[a]) != ring.dim(a) or phi.get(ring.dual(a)) != ring.dual(phi[a]):
             return False
     for a in labels:
         for b in middle:
@@ -92,15 +87,14 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     a x b are matched to those of phi(a) x phi(b) by (multiplicity, dim),
     trying every matching within an ambiguous group.
 
-    On a complete table with the unit law that passes Light's test
-    (`_light_middle`, given the labels in branching order), only the pairs
-    (a, b) with b in its middle set B are matched, and each complete map is
-    checked on those pairs (`_preserves`): the labels b with
-    phi(a x b) = phi(a) x phi(b) for all a hold the unit and are closed
-    under products, so B, from which every label is reached, proves phi
-    an automorphism.  On any other ring (a window, a truncated table, a
-    non-associative one) every pair of the window is matched and each
-    complete map is checked with `verify_automorphism` on the window.
+    Only the pairs (a, b) with b in a middle set are matched, and each
+    complete map is checked on those pairs (`_preserves`).  Where Light's
+    test applies (`_light_middle`, given the labels in branching order) the
+    middle set is its B: the labels b with phi(a x b) = phi(a) x phi(b)
+    for all a hold the unit and are closed under products, so B, from
+    which every label is reached, proves phi an automorphism.  Elsewhere
+    (a window, a truncated table, a non-associative one) it is the whole
+    window, and the check is the one `verify_automorphism` makes.
     Raises SearchBudgetExceeded after `search_budget()` search nodes.
     """
     window = ring.elements(depth)
@@ -108,9 +102,11 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     gens = [g for g in dict.fromkeys(ring.generators) if g in inside]
     inv = {g: _label_invariant(ring, g) for g in gens}
     order = sorted(gens, key=lambda g: (inv[g], ring.order_key(g)))
-    middle = _middle(ring, order, depth)
+    middle = _light_middle(ring, order)
+    if middle is None:
+        middle = window
     # a label's image is matched in products by the labels of `right`
-    right = inside if middle is None else set(middle)
+    right = set(middle)
     budget = search_budget()
     nodes = 0
     found: dict[tuple, RingAutomorphism] = {}
@@ -164,25 +160,11 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
                         continue
                     branch(phi, used, [], k + 1, {g: v})
             # a product may have sent a generator outside the generators
-            elif all(phi[g] in inv for g in gens) and (
-                    verify_automorphism(ring, phi, labels=window) if middle is None
-                    else _preserves(ring, phi, window, middle)):
+            elif (all(phi[g] in inv for g in gens)
+                  and _preserves(ring, phi, window, middle)):
                 mapping = tuple(sorted((l, phi[l]) for l in window))
                 found[mapping] = RingAutomorphism(mapping, ring.checked_depth(depth))
     return [found[m] for m in sorted(found)]
-
-
-def _middle(ring: FusionRing, order: list[str], depth: int) -> list[str] | None:
-    """Light's middle set for the search, grown in branching order, on a
-    complete table (whose labels are all generators) with the unit law;
-    None elsewhere or when the table is not associative."""
-    if ring.checked_depth(depth) is not None:
-        return None
-    unit = ring.unit
-    if any(ring.fusion[unit, a] != {a: 1} or ring.fusion[a, unit] != {a: 1}
-           for a in order):
-        return None
-    return _light_middle(ring, order)
 
 
 def _label_invariant(ring: FusionRing, a: str):

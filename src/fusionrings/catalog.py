@@ -90,21 +90,17 @@ def s3_group() -> GroupPresentationInput:
 
 def rep_ring_char_table(irreps: Sequence[tuple[str, int]], unit: str,
                         fusion: Mapping[tuple[str, str], Support],
-                        dual: Mapping[str, str] | None = None,
                         name="rep-ring") -> FusionRing:
-    """Ingest the representation ring of a finite group as data.
-
-    `dual` defaults to the unique partner with the unit in the product;
-    the result is validated and rejected on any axiom failure.
-    """
+    """Ingest the representation ring of a finite group as data, validated
+    and rejected on any axiom failure.  A label's dual is its one partner
+    with the unit in the product, the only dual the duality axiom allows."""
     labels = [lab for lab, _ in irreps]
-    if dual is None:
-        dual = {}
-        for a in labels:
-            partners = [b for b in labels if fusion.get((a, b), {}).get(unit, 0) == 1]
-            if len(partners) != 1:
-                raise MalformedRing(f"cannot infer dual of {a!r}")
-            dual[a] = partners[0]
+    dual = {}
+    for a in labels:
+        partners = [b for b in labels if fusion.get((a, b), {}).get(unit, 0) == 1]
+        if len(partners) != 1:
+            raise MalformedRing(f"cannot infer dual of {a!r}")
+        dual[a] = partners[0]
     ring = FusionRing.explicit([BasisElement(l, d) for l, d in irreps],
                                unit, dual, fusion, name=name)
     report = validate_ring(ring)

@@ -124,23 +124,22 @@ class GroupTable:
                 raise NotAGroup(f"no inverse for {name[a]!r}")
         # Light's test: the middle elements b with (a b) c = a (b c) for all
         # a, c are closed under products and hold the identity, so checking
-        # a generating set proves associativity.  A failure reruns the full
-        # scan, so the message names its first triple.
+        # a generating set proves associativity.  A failure rescans every
+        # middle, so the message names the first triple.
         gens, inside = [], self.subgroup([])
         for a in range(n):
             if a not in inside:
                 gens.append(a)
                 inside = self.subgroup(gens)
         m = self.mult
-        if all(m[m[a][b]][c] == m[a][m[b][c]]
-               for b in gens for a in range(n) for c in range(n)):
-            return
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if m[m[a][b]][c] != m[a][m[b][c]]:
-                        raise NotAGroup("associativity fails at "
-                                        f"({name[a]!r},{name[b]!r},{name[c]!r})")
+
+        def failures(middles):
+            return ((a, b, c) for a in range(n) for b in middles for c in range(n)
+                    if m[m[a][b]][c] != m[a][m[b][c]])
+
+        if next(failures(gens), None) is not None:
+            a, b, c = next(failures(range(n)))
+            raise NotAGroup(f"associativity fails at ({name[a]!r},{name[b]!r},{name[c]!r})")
 
     def element_order(self, a: int) -> int:
         cur, k = a, 1
@@ -585,6 +584,13 @@ def chain_group(ring: FusionRing, depth: int = 6,
     Returns (GroupTable or presentation dict, GroupDescriptor).  Generated
     rings are computed at `depth` and `depth`+1; the same descriptor at
     both is reported as stable_at_depth(depth), never as exact.
+
+    A named group is compared without its presentation, whose relators may
+    grow with the window (`prod:z+z` gains [a][b]^j[a]^-1[b]^-j at depth j).
+    `_presented` names a group only when its relators fix it, and the group
+    at `depth`+1 is a quotient of the one at `depth`; both named kinds are
+    finitely generated and residually finite, hence Hopfian, so equal names
+    make that quotient map an isomorphism.
     """
     def at(d):
         _, table, pres = _schreier(ring, d)
@@ -593,9 +599,12 @@ def chain_group(ring: FusionRing, depth: int = 6,
         desc = _presented(*pres)
         return desc.presentation, desc
 
+    def signature(d):
+        return d.order, d.is_abelian, d.abelian_invariants, d.name, None if d.name else d.presentation
+
     found, desc = at(depth)
-    signature = desc.to_json()
-    desc.flag = _depth_flag(ring, depth, lambda: at(depth + 1)[1].to_json() == signature)
+    first = signature(desc)
+    desc.flag = _depth_flag(ring, depth, lambda: signature(at(depth + 1)[1]) == first)
     return found, desc
 
 

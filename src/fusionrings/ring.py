@@ -412,16 +412,23 @@ def _associative(ring: FusionRing, xs: Iterable[str],
 
 
 def _light_middle(ring: FusionRing, window: Sequence[str]) -> list[str] | None:
-    """Light's associativity test on a complete table: a middle set B from
-    which `_reach` gets every label of `window`, grown in the window's
-    order, when (x b) y = x (b y) for every b in B and x, y in the window;
-    None when that check fails.
+    """Light's associativity test on a complete table (`window` holds every
+    label) with the unit law on `window`: a middle set B from which `_reach`
+    gets every label of `window`, grown in the window's order, when
+    (x b) y = x (b y) for every b in B and x, y in the window; None on any
+    other table or when that check fails.
 
     The middle labels b with (x b) y = x (b y) for all x, y are closed
     under products, and a label is one of them when the other constituents
     of a product of two of them are (multiplicities are positive).  So with
     the unit law a returned B proves the table associative (Clifford and
     Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2)."""
+    if not ring.is_explicit or ring.truncated_at is not None:
+        return None
+    unit = ring.unit
+    if any(ring.fusion[unit, a] != {a: 1} or ring.fusion[a, unit] != {a: 1}
+           for a in window):
+        return None
     middle: list[str] = []
     _reach(ring, window, middle)
     return middle if _associative(ring, window, [(b, c) for b in middle for c in window]) else None
@@ -498,13 +505,11 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
                 if s3 is not None and s3.get(ring.dual(c), 0) != n:
                     report.add("conjugation", (a, b, c), "N(a,b)^c != N(dual b, dual a)^dual c")
 
-    # Light's test (`_light_middle`) on a complete table that passes every
-    # other axiom; a failure reruns the full scan below, which alone
-    # reports violations.  The scan runs pair by pair and reports in
-    # (a, b, c) order, skipping a triple with a term the table cannot
-    # compute (truncated tables).
-    if (report.ok and ring.checked_depth(depth) is None
-            and _light_middle(ring, labels) is not None):
+    # Light's test (`_light_middle`) on a table that passes every other
+    # axiom; otherwise the full scan, which alone reports violations, pair
+    # by pair in (a, b, c) order, skipping a triple with a term the table
+    # cannot compute (truncated tables).
+    if report.ok and _light_middle(ring, labels) is not None:
         return report
     index = {a: i for i, a in enumerate(labels)}
     pairs = ((b, c) for b in labels for c in labels)

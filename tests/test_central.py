@@ -153,6 +153,15 @@ class TestChainGroup:
         assert desc.flag == "stable_at_depth(6)"
         assert desc.abelian_invariants == [2]
 
+    def test_named_group_is_stable_while_its_relators_grow(self):
+        # Z x Z gains the commutator [a][b]^j[a]^-1[b]^-j with each depth j
+        ring = fr.direct_product(fr.z_group_ring(), fr.z_group_ring())
+        _, desc = fr.chain_group(ring, 5)
+        _, deeper = fr.chain_group(ring, 6)
+        assert desc.name == deeper.name == "Z x Z"
+        assert len(deeper.presentation["relations"]) > len(desc.presentation["relations"])
+        assert desc.flag == "stable_at_depth(5)"
+
     def test_infinite_chain_group_presentation(self, zring):
         pres, desc = fr.chain_group(zring, 5)
         assert desc.name == "Z"
@@ -193,6 +202,14 @@ class TestGroupIdentification:
         reference, _ = fr.chain_group(s3ring)
         _, desc = fr.chain_group(s3ring, candidates={"S3": reference})
         assert desc.name == "S3"
+
+    @pytest.mark.parametrize("mult, message", [
+        (((0, 1), (1,)), "table not square"),
+        (((0, 1), (1, 2)), "table entry out of range"),
+    ])
+    def test_group_table_verify_rejects_malformed_table(self, mult, message):
+        with pytest.raises(NotAGroup, match=f"^{message}$"):
+            fr.GroupTable(mult, 0, ("e", "a")).verify()
 
     def test_group_table_verify_rejects_bad_table(self):
         mult = ((0, 1), (1, 1))  # not a latin square

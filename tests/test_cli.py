@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fusionrings as fr
+from fusionrings import cli as cli_module
 
 RUN = [sys.executable, "-m", "fusionrings.cli"]
 DATA = Path(__file__).parent / "data"
@@ -197,31 +198,81 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
-    @pytest.mark.parametrize("args, edit", [
-        (("chain-group", "--catalog", "su2", "--depth", "-1"), None),
-        (("validate", "--ring", "{file}"), ("ring", "unit", ["1"])),
-        (("validate", "--ring", "{file}"), ("ring", "dual", ["1", "sgn", "rho"])),
+    @pytest.mark.parametrize("args, edit, message", [
+        (("chain-group", "--catalog", "su2", "--depth", "-1"), None, None),
+        (("validate", "--ring", "{file}"), ("ring", "unit", ["1"]), None),
+        (("validate", "--ring", "{file}"), ("ring", "dual", ["1", "sgn", "rho"]), None),
         (("is-normal", "--catalog", "su2", "--restriction", "{file}"),
-         ("restriction", "source", 5)),
+         ("restriction", "source", 5), None),
         (("is-normal", "--catalog", "reps3", "--restriction", "{file}"),
-         ("restriction", "map", [{"from": "1", "to": [{"label": "1", "n": "x"}]}])),
-    ], ids=["negative-depth", "unit-list", "dual-list", "source-int", "multiplicity-str"])
-    def test_malformed_file_or_option_is_input_error(self, tmp_path, args, edit):
+         ("restriction", "map", [{"from": "1", "to": [{"label": "1", "n": "x"}]}]), None),
+        (("validate", "--ring", "{file}"), ("ring", "dual", lambda d: {**d, "rho": "ghost"}),
+         "dual map has dangling label ('rho', 'ghost')"),
+        (("validate", "--ring", "{file}"), ("ring", "dual", {"1": "1", "sgn": "sgn"}),
+         "dual map does not cover the basis"),
+        (("validate", "--ring", "{file}"),
+         ("ring", "fusion", lambda f: f + [{"a": "ghost", "b": "1", "c": "1", "n": 1}]),
+         "fusion entry with dangling pair ('ghost', '1')"),
+        (("validate", "--ring", "{file}"),
+         ("ring", "fusion", lambda f: f + [{"a": "1", "b": "1", "c": "ghost", "n": 1}]),
+         "fusion entry ('1','1') -> dangling 'ghost'"),
+        (("validate", "--ring", "{file}"), ("ring", "fusion", lambda f: f + f[:1]),
+         "duplicate fusion entry {'a': '1', 'b': '1', 'c': '1', 'n': 1}"),
+        (("chain-group", "--catalog", "group:{file}"), ("group", "elements", ["e", "g1", "g1"]),
+         "duplicate element labels"),
+        (("chain-group", "--catalog", "group:{file}"),
+         ("group", "table", lambda t: {**t, "e": {"e": "e", "g1": "g2", "g2": "g1"}}),
+         "identity law fails at 'g1'"),
+        (("cosets", "--catalog", "repz4", "--sigma", "chi0", "--sigma-file", "{file}"),
+         ("json", None, ["chi0"]), "exactly one of --sigma/--sigma-file is required"),
+        (("cosets", "--catalog", "repz4"), None,
+         "exactly one of --sigma/--sigma-file is required"),
+        (("cosets", "--catalog", "repz4", "--sigma-file", "{file}"), ("json", None, {"chi0": 1}),
+         "sigma file must hold a JSON list of labels"),
+        (("info", "--catalog", "repz4", "--format", "dot"), None,
+         "dot format not available for this command"),
+    ], ids=["negative-depth", "unit-list", "dual-list", "source-int", "multiplicity-str",
+            "dual-unknown-label", "dual-missing-label", "fusion-unknown-pair",
+            "fusion-unknown-constituent", "fusion-duplicate", "group-duplicate-label",
+            "group-identity-law", "sigma-both", "sigma-neither", "sigma-file-not-list",
+            "info-dot"])
+    def test_malformed_file_or_option_is_input_error(self, tmp_path, args, edit, message):
         path = tmp_path / "input.json"
         if edit is not None:
             kind, key, value = edit
-            if kind == "ring":
-                fr.save_ring(fr.rep_s3_ring(), path)
-                doc = json.loads(path.read_text())
+            if kind == "json":
+                doc = value
             else:
-                doc = {"source": "reps3", "target": "reps3", "map": []}
-            doc[key] = value
+                if kind == "ring":
+                    fr.save_ring(fr.rep_s3_ring(), path)
+                    doc = json.loads(path.read_text())
+                elif kind == "group":
+                    doc = json.loads((DATA / "z3_group.json").read_text())
+                else:
+                    doc = {"source": "reps3", "target": "reps3", "map": []}
+                doc[key] = value(doc[key]) if callable(value) else value
             path.write_text(json.dumps(doc))
         out = cli(*(a.replace("{file}", str(path)) for a in args))
         assert out.returncode == 2
         assert any(l.startswith("error:") for l in out.stderr.splitlines())
+        if message is not None:
+            assert out.stderr == f"error: {message}\n"
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
+
+    def test_oracle_disagreement_exits_3(self, monkeypatch, capsys):
+        # an oracle that merges nothing disagrees with the closure, which
+        # puts every label of Rep(S3) in one chain class
+        monkeypatch.setattr(cli_module, "chain_oracle", lambda ring, max_len: (
+            fr.CosetPartition.from_classes(ring, lambda label: label, ring.labels())))
+        monkeypatch.setattr(sys, "argv", ["fusionrings", "chain-group", "--catalog", "reps3",
+                                          "--oracle-check"])
+        with pytest.raises(SystemExit) as exc:
+            cli_module._main()
+        assert exc.value.code == 3
+        out = capsys.readouterr()
+        assert out.err == "oracle-check failed: (1, sgn) merged=True brute-force=False\n"
+        assert out.out == ""
 
     @pytest.mark.parametrize("catalog, code, message", [
         ("free:(free:zn:2+zn:3)+zn:2", 0, None),

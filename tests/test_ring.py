@@ -54,6 +54,12 @@ class TestExplicitConstruction:
         with pytest.raises(MalformedRing):
             fr.FusionRing.explicit(_z2_basis(), "e", {"e": "e", "g1": "g1"}, table)
 
+    def test_empty_support_rejected(self):
+        table = _z2_table()
+        table[("g1", "g1")] = {}
+        with pytest.raises(MalformedRing, match=r"empty support declared for \('g1','g1'\)"):
+            fr.FusionRing.explicit(_z2_basis(), "e", {"e": "e", "g1": "g1"}, table)
+
     def test_truncated_table_raises_depth_exceeded(self):
         table = _z2_table()
         del table[("g1", "g1")]
