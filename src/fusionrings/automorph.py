@@ -137,7 +137,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
         phi, used, pending, k = stack.pop()
         nodes += 1
         if nodes > budget:
-            raise SearchBudgetExceeded("automorphism search budget exhausted")
+            raise SearchBudgetExceeded("automorphism search budget exhausted", nodes, budget)
         while pending:
             alts = _match_pair(ring, phi, used, *pending.pop())
             if alts is None:

@@ -377,7 +377,7 @@ def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
     work = [bottom]
     while work:
         if len(normals) > budget:
-            raise SearchBudgetExceeded("central-subobject lattice too large")
+            raise SearchBudgetExceeded("central-subobject lattice too large", len(normals), budget)
         s = work.pop()
         for c in closures:
             if not c <= s:

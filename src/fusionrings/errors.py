@@ -45,7 +45,12 @@ class InvalidRestriction(FusionRingError):
 
 
 class SearchBudgetExceeded(FusionRingError):
-    """An enumeration or backtracking search hit the node budget."""
+    """An enumeration or backtracking search hit the node budget: `nodes`
+    is the count that went over it and `budget` the budget."""
+
+    def __init__(self, message, nodes=None, budget=None):
+        super().__init__(message)
+        self.nodes, self.budget = nodes, budget
 
 
 class InternalInconsistency(FusionRingError):

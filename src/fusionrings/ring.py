@@ -86,7 +86,8 @@ class FusionRing:
     and the breadth-first discovery order of the basis.  `explicit` seeds
     the table with a finite one and discovers the whole basis up front;
     `generated` discovers it level by level, one generator multiplication
-    per level.  All operations are pure.
+    per level.  All operations are pure.  Two memos keep derived facts:
+    `chain` (the chain group by depth) and `associative` (Light's verdict).
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -102,6 +103,7 @@ class FusionRing:
         self._dim_fn = dim_fn
         self.fusion = Memo(lambda ab: product_fn(*ab))
         self.chain: dict = {}  # depth -> `central._schreier`'s answer
+        self.associative: bool | None = None  # Light's verdict, see `_light_middle`
         # discovery levels; an empty last level means the basis is complete
         self._levels: list[list[str]] = [[unit]]
         # label -> (level, position within the level)
@@ -422,16 +424,23 @@ def _light_middle(ring: FusionRing, window: Sequence[str]) -> list[str] | None:
     under products, and a label is one of them when the other constituents
     of a product of two of them are (multiplicities are positive).  So with
     the unit law a returned B proves the table associative (Clifford and
-    Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2)."""
+    Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2), and
+    on an associative table every B passes.  So the verdict, kept in
+    `ring.associative` by the first call, holds for every order in which a
+    later call grows its own B."""
     if not ring.is_explicit or ring.truncated_at is not None:
         return None
     unit = ring.unit
-    if any(ring.fusion[unit, a] != {a: 1} or ring.fusion[a, unit] != {a: 1}
-           for a in window):
+    if ring.associative is None and any(
+            ring.fusion[unit, a] != {a: 1} or ring.fusion[a, unit] != {a: 1} for a in window):
+        ring.associative = False
+    if ring.associative is False:
         return None
     middle: list[str] = []
     _reach(ring, window, middle)
-    return middle if _associative(ring, window, [(b, c) for b in middle for c in window]) else None
+    if ring.associative is None:
+        ring.associative = _associative(ring, window, [(b, c) for b in middle for c in window])
+    return middle if ring.associative else None
 
 
 # ------------------------------------------------------------------ validate
@@ -442,8 +451,8 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
 
     Generated rings are validated on the depth-truncated sub-table; the
     report carries the stamp `ring.checked_depth(depth)`.  On a complete
-    table that passes every other axiom, associativity is checked for the
-    middle labels of a generating set only, and in full if that fails.
+    table that passes every other axiom, associativity is Light's verdict
+    (`_light_middle`, once per ring), checked in full if that fails.
     """
     report = ValidationReport(checked_depth=ring.checked_depth(depth))
     labels = ring.elements(depth)

@@ -1,8 +1,15 @@
 """Fusion-ring symmetries: search, verification, chain-group action."""
 
+from collections import Counter
+
 import pytest
 
 import fusionrings as fr
+from fusionrings import ring as ring_module
+from fusionrings.automorph import _label_invariant
+from test_automorph_oracles import (EXPLICIT, _loop_ring, _reps3_cubed_reversed,
+                                    label_backtracking)
+from test_kernel_oracles import CORRUPTED, _steiner_ring
 
 
 def _compose(f, g):
@@ -76,6 +83,88 @@ def test_search_budget_bounds_the_search(monkeypatch, reps3, su2):
     for ring in (reps3, su2):
         with pytest.raises(fr.SearchBudgetExceeded):
             fr.automorphisms(ring, 4)
+
+
+def test_budget_error_carries_the_nodes_used(monkeypatch, reps3):
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "1")
+    with pytest.raises(fr.SearchBudgetExceeded) as info:
+        fr.automorphisms(reps3)
+    assert (info.value.nodes, info.value.budget) == (2, 1)
+    assert str(info.value) == "automorphism search budget exhausted"
+    # the lattice of this abelian chain group has 16 subobjects
+    ring = fr.direct_product(fr.group_ring(fr.klein_group()),
+                             fr.group_ring(fr.cyclic_group(2)))
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "15")
+    with pytest.raises(fr.SearchBudgetExceeded) as info:
+        fr.enumerate_central_subobjects(ring)
+    assert (info.value.nodes, info.value.budget) == (16, 15)
+    assert str(info.value) == "central-subobject lattice too large"
+
+
+# complete tables -> whether each is associative with the unit law
+VERDICTS = {**{name: (build, True) for name, build in EXPLICIT.items()},
+            "reps3^3 reversed": (_reps3_cubed_reversed, True),
+            "loop of order 6": (_loop_ring, False),
+            "steiner": (_steiner_ring, False),
+            "broken unit law": (CORRUPTED["unit-law"], False)}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_light_verdict_does_not_depend_on_the_order_of_b(name):
+    # the verdict kept in `ring.associative` rests on Light's theorem: a
+    # passing B proves the table associative, so every B passes or none
+    build, associative = VERDICTS[name]
+    sample = build()
+    labels = list(sample.labels())
+    inv = {a: _label_invariant(sample, a) for a in labels}
+    branching = sorted(labels, key=lambda a: (inv[a], sample.order_key(a)))
+    for order in (labels, labels[::-1], branching):
+        ring = build()
+        middle = ring_module._light_middle(ring, order)
+        assert (middle is not None, ring.associative) == (associative, associative), \
+            (name, order)
+
+
+def _count_light_checks(monkeypatch):
+    """The calls to `_associativity_failures`, which runs Light's check,
+    from now on."""
+    calls = []
+    kernel = ring_module._associativity_failures
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(ring_module, "_associativity_failures", counted)
+    return calls
+
+
+def test_light_check_runs_once_per_ring(monkeypatch):
+    ring = EXPLICIT["reps3^3"]()
+    calls = _count_light_checks(monkeypatch)
+    assert fr.validate_ring(ring).ok
+    autos = fr.automorphisms(ring)
+    assert fr.validate_ring(ring).ok
+    assert len(calls) == 1
+    assert autos == label_backtracking(ring)
+
+
+def test_rings_validated_at_build_are_not_proved_again(monkeypatch):
+    reps3 = fr.rep_s3_ring()
+    calls = _count_light_checks(monkeypatch)
+    assert len(fr.automorphisms(reps3)) == 1
+    assert calls == []
+
+
+def test_non_associative_verdict_keeps_the_full_scan_and_search():
+    loop = _loop_ring()
+    autos = fr.automorphisms(loop)
+    assert autos == label_backtracking(loop)
+    for _ in range(2):
+        report = fr.validate_ring(loop)
+        assert Counter(v.axiom for v in report.violations) == {
+            "associativity": 44, "frobenius": 16, "conjugation": 8}
+    assert fr.automorphisms(loop) == autos
 
 
 class TestChainGroupAction:
