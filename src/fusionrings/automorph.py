@@ -80,7 +80,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     symmetries of a generated ring, verified to `depth`.
 
     The search branches only on generator images.  Generators are taken in
-    order of `_label_invariant`, then discovery; a generator's candidates
+    order of `_invariants`, then discovery; a generator's candidates
     are the unused generators with the same invariant whose dual agrees
     with the image already given to its dual.  Every other image is read
     off the products: once a and b both have images, the constituents of
@@ -100,7 +100,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     window = ring.elements(depth)
     inside = set(window)
     gens = [g for g in dict.fromkeys(ring.generators) if g in inside]
-    inv = {g: _label_invariant(ring, g) for g in gens}
+    inv = _invariants(ring, gens, window)
     order = sorted(gens, key=lambda g: (inv[g], ring.order_key(g)))
     middle = _light_middle(ring, order)
     if middle is None:
@@ -168,9 +168,29 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
 
 
 def _label_invariant(ring: FusionRing, a: str):
+    """What every automorphism keeps of a label: dim, self-duality and the
+    shape of a x a.  A map `automorphisms` accepts is injective, permutes the
+    window W and maps supp(x x y) onto supp(phi x x phi y) for x, y in W (via
+    Light's B), so also powers of a to phi(a)'s and W's complement to itself."""
     selfsq = ring.fusion[a, a]
     return (ring.dim(a), ring.dual(a) == a, selfsq.get(a, 0),
             tuple(sorted((n, ring.dim(c)) for c, n in selfsq.items())))
+
+
+def _invariants(ring: FusionRing, gens: list[str], window: list[str]):
+    """Every generator's `_label_invariant` (all first: a truncated table
+    names the same missing product), its walk p -> p x g while that is one
+    label (minus the steps, so longer walks sort first, and where it ended),
+    and how many labels x of `window` lie in g x x."""
+    inside = set(window)
+    inv = {g: _label_invariant(ring, g) for g in gens}
+    for g in gens:
+        p, k = g, 0
+        while (p != ring.unit and p in inside and k <= len(inside)
+               and list(ring.fusion[p, g].values()) == [1]):
+            p, k = next(iter(ring.fusion[p, g])), k + 1
+        inv[g] += ((-k, p == ring.unit, p in inside), sum(x in ring.fusion[g, x] for x in window))
+    return inv
 
 
 def _match_pair(ring: FusionRing, phi: dict[str, str], used: set[str],

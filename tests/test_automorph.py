@@ -1,14 +1,15 @@
 """Fusion-ring symmetries: search, verification, chain-group action."""
 
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
 import fusionrings as fr
 from fusionrings import ring as ring_module
-from fusionrings.automorph import _label_invariant
-from test_automorph_oracles import (EXPLICIT, _loop_ring, _reps3_cubed_reversed,
-                                    label_backtracking)
+from fusionrings.automorph import _invariants, _label_invariant
+from test_automorph_oracles import (EXPLICIT, _loop_ring, _reps3_cubed_reversed, _zn,
+                                    label_backtracking, reference)
 from test_kernel_oracles import CORRUPTED, _steiner_ring
 
 
@@ -99,6 +100,79 @@ def test_budget_error_carries_the_nodes_used(monkeypatch, reps3):
         fr.enumerate_central_subobjects(ring)
     assert (info.value.nodes, info.value.budget) == (16, 15)
     assert str(info.value) == "central-subobject lattice too large"
+
+
+def _generator_invariants(ring, depth):
+    window = ring.elements(depth)
+    return _invariants(ring, [g for g in dict.fromkeys(ring.generators) if g in window], window)
+
+
+# generated windows -> depth
+WINDOWS = {"su2 d4": (fr.su2_ring, 4),
+           "au2 d3": (lambda: fr.au_word_ring(2), 3),
+           "au2 d4": (lambda: fr.au_word_ring(2), 4),
+           "z d3": (fr.z_group_ring, 3),
+           "free:zn:2+zn:3 d3": (lambda: fr.free_product(_zn(2), _zn(3)), 3)}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT) + sorted(WINDOWS))
+def test_automorphisms_keep_the_refined_invariant(name):
+    # the search only tries images with an equal invariant, so every map
+    # the reference search finds must keep it, or the search would miss it
+    build, depth = WINDOWS.get(name, (EXPLICIT.get(name), 6))
+    ring = build()
+    inv = _generator_invariants(ring, depth)
+    autos = reference(ring, depth)
+    assert fr.automorphisms(ring, depth) == autos
+    assert autos
+    for auto in autos:
+        phi = auto.as_dict()
+        assert all(inv[phi[g]] == inv[g] for g in inv), (name, auto)
+
+
+def test_power_walks():
+    # the step count comes negated, then whether the walk ended at the
+    # unit and whether inside the window
+    assert _generator_invariants(fr.z_group_ring(), 3) == {
+        g: (1, False, 0, ((1, 1),), (-3, False, False), 0) for g in ("z1", "z-1")}
+    free = _generator_invariants(fr.free_product(_zn(2), _zn(3)), 3)
+    assert {g: inv[-2] for g, inv in free.items()} == {
+        "1:g1": (-1, True, True), "2:g1": (-2, True, True), "2:g2": (-2, True, True)}
+    # on Z/n an element of order m walks m - 1 steps back to the unit, so
+    # a generator of the group is branched on first and is Light's B alone
+    ring = _zn(32)
+    inv = _generator_invariants(ring, 6)
+    assert {g: -inv[g][-2][0] for g in ("g1", "g2", "g8", "g16")} == {
+        "g1": 31, "g2": 15, "g8": 3, "g16": 1}
+    order = sorted(inv, key=lambda g: (inv[g], ring.order_key(g)))
+    assert order[0] == "g1"
+    assert ring_module._light_middle(ring, order) == ["g1"]
+    # a label of dim 2 whose square is not one label does not walk
+    assert _generator_invariants(fr.rep_s3_ring(), 6)["rho"][-2] == (0, False, True)
+
+
+def test_refined_classes_keep_products_of_reps3_within_budget(monkeypatch):
+    # Rep(S3) has only the identity, so a power of it has the permutations
+    # of its factors; without the power walks and fixed counts these
+    # searches take 2,282 and 722,746 nodes, with them 47 and 282
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "100")
+    assert len(fr.automorphisms(EXPLICIT["reps3^3"]())) == 6
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "1000")
+    reps3 = fr.rep_s3_ring
+    ring = fr.direct_product(fr.direct_product(fr.direct_product(reps3(), reps3()),
+                                               reps3()), reps3())
+    autos = fr.automorphisms(ring)
+
+    def factors(label):
+        return label.replace("(", "").replace(")", "").split(",")
+
+    def permuted(sigma, label):
+        x = [factors(label)[i] for i in sigma]
+        return f"((({x[0]},{x[1]}),{x[2]}),{x[3]})"
+
+    assert {auto.mapping for auto in autos} == {
+        tuple(sorted((l, permuted(sigma, l)) for l in ring.labels()))
+        for sigma in permutations(range(4))}
 
 
 # complete tables -> whether each is associative with the unit law

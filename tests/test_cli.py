@@ -231,11 +231,14 @@ class TestExitCodes:
          "sigma file must hold a JSON list of labels"),
         (("info", "--catalog", "repz4", "--format", "dot"), None,
          "dot format not available for this command"),
+        # every generator's square is read before any other product
+        (("automorphisms", "--ring", str(DATA / "su2_depth4.json")), None,
+         "truncated table has no entry for ('V3','V3')"),
     ], ids=["negative-depth", "unit-list", "dual-list", "source-int", "multiplicity-str",
             "dual-unknown-label", "dual-missing-label", "fusion-unknown-pair",
             "fusion-unknown-constituent", "fusion-duplicate", "group-duplicate-label",
             "group-identity-law", "sigma-both", "sigma-neither", "sigma-file-not-list",
-            "info-dot"])
+            "info-dot", "automorphisms-truncated-table"])
     def test_malformed_file_or_option_is_input_error(self, tmp_path, args, edit, message):
         path = tmp_path / "input.json"
         if edit is not None:
