@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
@@ -34,7 +35,8 @@ def search_budget() -> int:
 
 
 class UnionFind:
-    """Plain union-find with path compression; nodes are labels."""
+    """Plain union-find with path compression; nodes are labels.  Used by
+    `sigma_cosets`, `chain_oracle` and the tests' reference closures."""
 
     def __init__(self):
         self.parent: dict[str, str] = {}
@@ -72,8 +74,8 @@ class CosetPartition:
 
     @classmethod
     def from_classes(cls, ring: FusionRing, class_of, explored: Iterable[str]):
-        """The explored labels grouped by `class_of(label)`, such as a
-        union-find's `find`; labels it holds beyond them are left out."""
+        """The explored labels grouped by `class_of(label)`, any key
+        function, such as a union-find's `find`; other labels are left out."""
         explored = tuple(explored)
         classes: dict = {}
         for x in explored:
@@ -219,33 +221,56 @@ def merge_closure(ring: FusionRing, depth: int = 6) -> CosetPartition:
     closure of right multiplication by the generators (every label is a
     generator of an explicit ring).
 
-    The constituents of every x * g are merged; then, until nothing
-    changes, the images under each generator of labels that share a class
-    are merged.  Constituents beyond the window take part in the merging
-    but not in the partition.
+    Labels are union-find nodes numbered by position: by their index in the
+    window, or by the next free number for a constituent beyond it, which
+    takes part in the merging but not in the partition.  The constituents
+    of every x * g are merged; then passes merge the images under each
+    generator of labels that share a class, until each generator maps every
+    class into one class: the window's (class, image class) pairs are as
+    many as its classes.  Every merge is forced, and the loop stops only
+    where a pass would merge nothing, so this is the least congruence.
     """
     explored = ring.elements(depth)
-    uf = UnionFind()
-    # images[k][i]: one constituent of explored[i] * generators[k]; the
-    # first pass puts all of that product's constituents in its class
+    index = defaultdict(lambda: len(index), ((x, i) for i, x in enumerate(explored)))
+    parent = list(range(len(explored)))
+
+    def find(i):  # with path halving
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    # images[k][i]: the node of one constituent of explored[i] * generators[k];
+    # the first pass puts all of that product's constituents in its class
     images = []
     for g in ring.generators:
         image = []
         for x in explored:
-            first, *rest = ring.fusion[x, g]
-            for c in rest:
-                uf.union(first, c)
+            first, *rest = map(index.__getitem__, ring.fusion[x, g])
             image.append(first)
+            if rest:
+                parent.extend(range(len(parent), len(index)))
+                r = find(first)
+                for c in rest:
+                    c = find(c)
+                    if c != r:
+                        parent[c] = r
         images.append(image)
-    changed = True
-    while changed:
-        changed = False
+    parent.extend(range(len(parent), len(index)))
+    while True:
+        root = list(map(find, range(len(parent))))
+        classes = len(set(root[:len(explored)]))
+        if all(len(set(zip(root, map(root.__getitem__, image)))) == classes
+               for image in images):
+            break
         for image in images:
-            image_of_class: dict[str, str] = {}
-            for x, y in zip(explored, image):
-                other = image_of_class.setdefault(uf.find(x), y)
-                changed |= uf.union(other, y)
-    return CosetPartition.from_classes(ring, uf.find, explored)
+            image_of_class: dict[int, int] = {}
+            for i, j in enumerate(image):
+                other = image_of_class.setdefault(find(i), j)
+                if other != j:
+                    r, c = find(other), find(j)
+                    if c != r:
+                        parent[c] = r
+    return CosetPartition.from_classes(ring, lambda x: root[index[x]], explored)
 
 
 def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
