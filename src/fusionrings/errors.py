@@ -17,7 +17,12 @@ class UnknownLabel(FusionRingError, KeyError):
 
 
 class DepthExceeded(FusionRingError):
-    """A computation on a generated ring escaped the requested depth bound."""
+    """A computation on a generated ring escaped the requested depth bound:
+    `label` is the first label found outside it, where one is named."""
+
+    def __init__(self, message, label=None):
+        super().__init__(message)
+        self.label = label
 
 
 class NotAGroup(FusionRingError):

@@ -394,6 +394,24 @@ def test_validate_ring_matches_reference_on_corrupted_table(axiom):
     assert axiom in {v.axiom for v in report.violations}
 
 
+# axiom -> an associative table that breaks it: Light's test passes, the
+# one pass of `validate_ring` fails and its loops write the report
+ASSOCIATIVE_CORRUPTED = {
+    "duality": lambda: _retabled(fr.group_ring(fr.klein_group()), dual={"a": "b", "b": "a"}),
+    "dual-dim": lambda: _retabled(fr.rep_s3_ring(), dual={"sgn": "rho", "rho": "sgn"}),
+    "dim-homomorphism": lambda: _retabled(fr.group_ring(fr.s3_group()), dims={"s": 2}),
+    "unit-dim": lambda: _retabled(_zn(2), dims={"e": 2}),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(ASSOCIATIVE_CORRUPTED))
+def test_validate_ring_matches_reference_on_associative_corrupted_table(axiom):
+    ring = ASSOCIATIVE_CORRUPTED[axiom]()
+    report = assert_same_report(ring)
+    assert axiom in {v.axiom for v in report.violations}
+    assert ring.associative is True
+
+
 def test_validate_ring_matches_reference_on_truncated_file():
     ring = fr.load_ring(DATA / "su2_depth4.json", validate=False)
     assert_same_report(ring)
@@ -415,7 +433,7 @@ def test_validate_ring_matches_reference_on_generated_windows(name, depths):
 
 BASES = {"Z/3": lambda: _zn(3), "Z/4": lambda: _zn(4), "Z/8": lambda: _zn(8),
          "reps3": fr.rep_s3_ring, "klein": lambda: fr.group_ring(fr.klein_group()),
-         "steiner": _steiner_ring}
+         "steiner": _steiner_ring, "s3": lambda: fr.group_ring(fr.s3_group())}
 
 
 @settings(max_examples=80, deadline=None)
@@ -430,7 +448,11 @@ def test_validate_ring_matches_reference_on_random_corruption(data):
     dual = data.draw(st.dictionaries(label, label, max_size=2))
     drop = data.draw(st.lists(st.tuples(label, label), max_size=2, unique=True))
     drop = [p for p in drop if p not in fusion]
-    corrupt = _retabled(ring, fusion=fusion, dual=dual, drop=drop,
+    # a label and its dual get the same drawn dim, so that on an associative
+    # table it is the dimension homomorphism that breaks
+    drawn = data.draw(st.dictionaries(label, st.integers(1, 3), max_size=2))
+    dims = {x: n for a, n in drawn.items() for x in (a, ring.dual(a))}
+    corrupt = _retabled(ring, fusion=fusion, dual=dual, dims=dims, drop=drop,
                         truncated_at=1 if drop else None)
     assert_same_report(corrupt)
 

@@ -238,6 +238,18 @@ class TestGrouplikes:
         with pytest.raises(DepthExceeded):
             fr.grouplikes(zring, depth=3)
 
+    def test_depth_exceeded_names_the_first_escaping_label(self):
+        # labels beyond the explored depth sort by length, then text: z4, z5, z-4
+        with pytest.raises(DepthExceeded, match="^closure escaped the depth bound$") as exc:
+            fr.grouplikes(fr.z_group_ring(), 3)
+        assert exc.value.label == "z4"
+        with pytest.raises(DepthExceeded, match="^seed lies outside") as exc:
+            fr.generated_subobject(fr.z_group_ring(), ["z-5", "z6"], 3)
+        assert exc.value.label == "z5"
+        with pytest.raises(DepthExceeded) as exc:
+            fr.z_group_ring().elements()
+        assert exc.value.label is None
+
     def test_mixed_direct_product_grouplikes(self, z2ring, su2):
         ring = fr.direct_product(z2ring, su2)
         table = fr.grouplikes(ring, depth=3)
