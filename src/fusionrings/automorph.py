@@ -84,6 +84,17 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     is the whole window, the pairs `verify_automorphism` checks.  Images
     never change along a branch and a map is complete only when all such
     pairs are matched, so `_preserves` multiplies no pair of it.
+
+    The accepted maps, on their domain E (the window and the constituents
+    matched), form a group: ring automorphisms, magma automorphisms of a
+    non-associative table, or, on a generated window W = phi(W), maps whose
+    composites still match the constituents of a x b for a, b in W.  So the
+    search walks the identity path only; below a branch on it, the maps of
+    any other alternative form a left coset of the maps below its identity
+    child.  One map per coset is searched, deepest branch first and only
+    where the images of the branch's points are not yet reached by
+    composing the maps found; the answers are the products of these
+    transversals, restricted to the window (where two cosets can agree).
     Raises SearchBudgetExceeded after `search_budget()` search nodes.
     """
     window = ring.elements(depth)
@@ -98,7 +109,6 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     right = set(middle)
     budget = search_budget()
     nodes = 0
-    found: dict[tuple, RingAutomorphism] = {}
 
     def assign(phi, used, pending, ext):
         """Give the images in `ext`, queueing each pair (a, b) with a in the
@@ -113,47 +123,79 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
                     if c in right and y != c and y in inside:
                         pending.append((y, c))
 
-    def branch(phi, used, pending, k, ext):
-        node = (dict(phi), set(used), list(pending), k)
-        assign(*node[:3], ext)
-        stack.append(node)
-
     # a node: images so far, their set, the window pairs with both images
     # not yet matched, and the position in `order` of the next branch
-    stack: list[tuple] = []
-    branch({}, set(), [], 0, {ring.unit: ring.unit})
-    while stack:
-        phi, used, pending, k = stack.pop()
+    def child(node, ext, k):
+        phi, used, pending = dict(node[0]), set(node[1]), list(node[2])
+        assign(phi, used, pending, ext)
+        return phi, used, pending, k
+
+    def expand(node):
+        """Count `node` and give it its forced images; then the alternatives
+        (new images, next position) of its branch, [] at a dead end, or
+        None when its map is complete and accepted."""
+        nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded("automorphism search budget exhausted", nodes, budget)
+        phi, used, pending, k = node
         while pending:
             alts = _match_pair(ring, phi, used, *pending.pop())
+            if alts is None or len(alts) > 1:
+                return [(ext, k) for ext in alts or ()]
+            assign(phi, used, pending, alts[0])
+        while k < len(order) and order[k] in phi:
+            k += 1
+        if k < len(order):
+            g = order[k]
+            dual_image = phi.get(ring.dual(g))
+            return [({g: v}, k + 1) for v in order if v not in used and inv[v] == inv[g]
+                    and dual_image in (None, ring.dual(v))]
+        # a product may have sent a generator outside the generators
+        return None if all(phi[g] in inv for g in gens) and _preserves(ring, phi, window) else []
+
+    def first(node):
+        """The first accepted map below `node`, or None."""
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            alts = expand(node)
             if alts is None:
-                break
-            if len(alts) == 1:
-                assign(phi, used, pending, alts[0])
-                continue
-            for ext in alts:
-                branch(phi, used, pending, k, ext)
-            break
-        else:  # every pending pair matched: branch on a generator, or finish
-            while k < len(order) and order[k] in phi:
-                k += 1
-            if k < len(order):
-                g = order[k]
-                dual_image = phi.get(ring.dual(g))
-                for v in order:
-                    if (v in used or inv[v] != inv[g] or
-                            dual_image not in (None, ring.dual(v))):
-                        continue
-                    branch(phi, used, [], k + 1, {g: v})
-            # a product may have sent a generator outside the generators
-            elif (all(phi[g] in inv for g in gens)
-                  and _preserves(ring, phi, window)):
-                mapping = tuple(sorted((l, phi[l]) for l in window))
-                found[mapping] = RingAutomorphism(mapping, ring.checked_depth(depth))
-    return [found[m] for m in sorted(found)]
+                return node[0]
+            stack.extend(child(node, *alt) for alt in reversed(alts))
+        return None
+
+    node = child(({}, set(), [], 0), {ring.unit: ring.unit}, 0)
+    levels = []
+    while (alts := expand(node)) is not None:
+        levels.append((node, alts))
+        node = child(node, *next(a for a in alts if all(c == t for c, t in a[0].items())))
+    identity, found = node[0], []
+    autos = [{l: l for l in window}]
+    for node, alts in reversed(levels):
+        points = list(alts[0][0])
+        reps = {tuple(points): identity}
+        for ext, k in alts:
+            if tuple(ext[p] for p in points) not in reps and (sigma := first(child(node, ext, k))):
+                found.append(sigma)
+                _close_orbit(reps, found, points)
+        autos = [{l: t[phi[l]] for l in window} for t in reps.values() for phi in autos]
+    maps = {tuple(sorted(phi.items())) for phi in autos}
+    return [RingAutomorphism(m, ring.checked_depth(depth)) for m in sorted(maps)]
+
+
+def _close_orbit(reps: dict[tuple, dict], gens: list[dict], points: list[str]):
+    """Extend `reps`, one map per image of `points`, until it holds every
+    image reached by composing `gens` with its maps."""
+    todo = list(reps.values())
+    while todo:
+        r = todo.pop()
+        for s in gens:
+            m = {x: s[y] for x, y in r.items()}
+            key = tuple(m[p] for p in points)
+            if key not in reps:
+                reps[key] = m
+                todo.append(m)
 
 
 def _label_invariant(ring: FusionRing, a: str):

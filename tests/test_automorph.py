@@ -6,10 +6,10 @@ from itertools import permutations
 import pytest
 
 import fusionrings as fr
-from fusionrings import ring as ring_module
+from fusionrings import central as central_module, ring as ring_module
 from fusionrings.automorph import _invariants, _label_invariant
-from test_automorph_oracles import (EXPLICIT, _loop_ring, _reps3_cubed_reversed, _zn,
-                                    label_backtracking, reference)
+from test_automorph_oracles import (EXPLICIT, _loop_ring, _rep_d4_on_rho, _reps3_cubed_reversed,
+                                    _zn, label_backtracking, reference)
 from test_kernel_oracles import CORRUPTED, _steiner_ring
 
 
@@ -37,15 +37,6 @@ class TestExplicitSearch:
     def test_s3_group_ring_inner_and_outer(self, s3ring):
         # Aut(S3) has order 6
         assert len(fr.automorphisms(s3ring)) == 6
-
-    def test_group_closure_and_inverses(self, kleinring):
-        autos = fr.automorphisms(kleinring)
-        dicts = [a.as_dict() for a in autos]
-        for f in dicts:
-            inv = {v: k for k, v in f.items()}
-            assert inv in dicts
-            for g in dicts:
-                assert _compose(f, g) in dicts
 
     def test_verify_rejects_non_automorphism(self, repz4):
         phi = {"chi0": "chi0", "chi1": "chi2", "chi2": "chi1", "chi3": "chi3"}
@@ -151,16 +142,22 @@ def test_power_walks():
     assert _generator_invariants(fr.rep_s3_ring(), 6)["rho"][-2] == (0, False, True)
 
 
+def _reps3_power(n):
+    ring = fr.rep_s3_ring()
+    for _ in range(n - 1):
+        ring = fr.direct_product(ring, fr.rep_s3_ring())
+    return ring
+
+
 def test_refined_classes_keep_products_of_reps3_within_budget(monkeypatch):
     # Rep(S3) has only the identity, so a power of it has the permutations
     # of its factors; without the power walks and fixed counts these
-    # searches take 2,282 and 722,746 nodes, with them 47 and 282
+    # searches take 2,282 and 722,746 nodes, with them 47 and 282, and
+    # searching one map per coset 21 and 36
     monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "100")
     assert len(fr.automorphisms(EXPLICIT["reps3^3"]())) == 6
     monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "1000")
-    reps3 = fr.rep_s3_ring
-    ring = fr.direct_product(fr.direct_product(fr.direct_product(reps3(), reps3()),
-                                               reps3()), reps3())
+    ring = _reps3_power(4)
     autos = fr.automorphisms(ring)
 
     def factors(label):
@@ -173,6 +170,71 @@ def test_refined_classes_keep_products_of_reps3_within_budget(monkeypatch):
     assert {auto.mapping for auto in autos} == {
         tuple(sorted((l, permuted(sigma, l)) for l in ring.labels()))
         for sigma in permutations(range(4))}
+
+
+# ring -> (search budget, automorphisms by theory); without the stabilizer
+# chain these searches take 22,906, 218, 33 and 282 nodes
+THEORY = {"(Z/2)^4": (lambda: fr.direct_product(EXPLICIT["klein x Z/2"](), _zn(2)), 50, 20160),
+          "klein x Z/2": (EXPLICIT["klein x Z/2"], 20, 168),
+          "Z/64": (lambda: _zn(64), 10, 32),
+          "reps3^4": (lambda: _reps3_power(4), 50, 24)}
+
+
+@pytest.mark.parametrize("name", sorted(THEORY))
+def test_one_search_per_coset_stays_within_budget(monkeypatch, name):
+    # |GL(4,2)| = 20,160 and |GL(3,2)| = 168 for the elementary abelian
+    # groups, phi(64) = 32 units of Z/64, and the 4! permutations of the
+    # factors of Rep(S3)^4
+    build, budget, count = THEORY[name]
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(budget))
+    autos = fr.automorphisms(build())
+    assert len(autos) == len({auto.mapping for auto in autos}) == count
+    if name == "Z/64":
+        def label(k):
+            return f"g{k}" if k else "e"
+
+        assert {auto.mapping for auto in autos} == {
+            tuple(sorted((label(k), label(u * k % 64)) for k in range(64)))
+            for u in range(1, 64, 2)}
+
+
+# rings the group properties are checked on -> depths
+GROUPS = {**{name: (build, (6,)) for name, build in EXPLICIT.items()},
+          "klein": (lambda: fr.group_ring(fr.klein_group()), (6,)),
+          "au2": (lambda: fr.au_word_ring(2), (4,)),
+          "Rep(D4) on rho": (_rep_d4_on_rho, (1, 2, 3)),
+          "free:zn:2+zn:3": (lambda: fr.free_product(_zn(2), _zn(3)), (3,))}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_group_closure_and_inverses(name):
+    # the search composes the maps it finds, so they must form a group:
+    # window restrictions compose, because every map permutes the window,
+    # and no two answers are the same map (on Rep(D4) at depth 1 the six
+    # maps found on the window and rho x rho restrict to one)
+    build, depths = GROUPS[name]
+    ring = build()
+    for depth in depths:
+        autos = fr.automorphisms(ring, depth)
+        dicts = [a.as_dict() for a in autos]
+        assert len({a.mapping for a in autos}) == len(autos)
+        assert {x: x for x in ring.elements(depth)} in dicts
+        for f in dicts:
+            assert {v: k for k, v in f.items()} in dicts
+            for g in dicts:
+                assert _compose(f, g) in dicts, (name, depth)
+
+
+@pytest.mark.parametrize("name", ["repz4", "klein", "s3", "Z/16", "klein x Z/2", "s3 x reps3"])
+def test_action_on_chain_group_is_an_automorphism_of_u(name, explicit_fixtures):
+    ring = explicit_fixtures.get(name) or EXPLICIT[name]()
+    mult = central_module._schreier(ring, 6)[1].mult
+    elements = range(len(mult))
+    for auto in fr.automorphisms(ring):
+        act = fr.action_on_chain_group(ring, auto)
+        assert sorted(act) == sorted(act.values()) == list(elements), (name, auto)
+        assert all(act[mult[a][b]] == mult[act[a]][act[b]]
+                   for a in elements for b in elements), (name, auto)
 
 
 # complete tables -> whether each is associative with the unit law
