@@ -91,11 +91,11 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     composites still match the constituents of a x b for a, b in W.  So the
     search walks the identity path only; below a branch on it, the maps of
     any other alternative form a left coset of the maps below its identity
-    child.  One map per coset is searched, deepest branch first and only
-    where the images of the branch's points are not yet reached by
-    composing the maps found; the answers are the products of these
-    transversals, restricted to the window (where two cosets can agree).
-    Raises SearchBudgetExceeded after `search_budget()` search nodes.
+    child.  One map per coset is searched, deepest branch first, unless
+    composing the maps found reaches its images of the branch's points.
+    The answers are the transversals' products on the window, deduplicated
+    at each step.  Raises SearchBudgetExceeded once the search nodes plus
+    the maps composed pass `search_budget()`.
     """
     window = ring.elements(depth)
     inside = set(window)
@@ -109,6 +109,12 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     right = set(middle)
     budget = search_budget()
     nodes = 0
+
+    def spend(n):
+        nonlocal nodes
+        nodes += n
+        if nodes > budget:
+            raise SearchBudgetExceeded("automorphism search budget exhausted", nodes, budget)
 
     def assign(phi, used, pending, ext):
         """Give the images in `ext`, queueing each pair (a, b) with a in the
@@ -134,10 +140,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
         """Count `node` and give it its forced images; then the alternatives
         (new images, next position) of its branch, [] at a dead end, or
         None when its map is complete and accepted."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded("automorphism search budget exhausted", nodes, budget)
+        spend(1)
         phi, used, pending, k = node
         while pending:
             alts = _match_pair(ring, phi, used, *pending.pop())
@@ -163,7 +166,6 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
             if alts is None:
                 return node[0]
             stack.extend(child(node, *alt) for alt in reversed(alts))
-        return None
 
     node = child(({}, set(), [], 0), {ring.unit: ring.unit}, 0)
     levels = []
@@ -171,7 +173,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
         levels.append((node, alts))
         node = child(node, *next(a for a in alts if all(c == t for c, t in a[0].items())))
     identity, found = node[0], []
-    autos = [{l: l for l in window}]
+    autos = {tuple(window)}  # the answers' images of the window, in order
     for node, alts in reversed(levels):
         points = list(alts[0][0])
         reps = {tuple(points): identity}
@@ -179,23 +181,24 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
             if tuple(ext[p] for p in points) not in reps and (sigma := first(child(node, ext, k))):
                 found.append(sigma)
                 _close_orbit(reps, found, points)
-        autos = [{l: t[phi[l]] for l in window} for t in reps.values() for phi in autos]
-    maps = {tuple(sorted(phi.items())) for phi in autos}
-    return [RingAutomorphism(m, ring.checked_depth(depth)) for m in sorted(maps)]
+        if len(reps) > 1:
+            spend(len(reps) * len(autos))
+            autos = {tuple(t[x] for x in a) for t in reps.values() for a in autos}
+    maps = sorted(tuple(sorted(zip(window, a))) for a in autos)
+    return [RingAutomorphism(m, ring.checked_depth(depth)) for m in maps]
 
 
 def _close_orbit(reps: dict[tuple, dict], gens: list[dict], points: list[str]):
-    """Extend `reps`, one map per image of `points`, until it holds every
-    image reached by composing `gens` with its maps."""
-    todo = list(reps.values())
+    """Extend `reps`, one map per image of `points`, from closed under
+    composing with `gens[:-1]` to closed under composing with `gens`."""
+    todo = [(r, gens[-1:]) for r in reps.values()]
     while todo:
-        r = todo.pop()
-        for s in gens:
+        r, by = todo.pop()
+        for s in by:
             m = {x: s[y] for x, y in r.items()}
-            key = tuple(m[p] for p in points)
-            if key not in reps:
+            if (key := tuple(m[p] for p in points)) not in reps:
                 reps[key] = m
-                todo.append(m)
+                todo.append((m, gens))
 
 
 def _label_invariant(ring: FusionRing, a: str):

@@ -172,21 +172,26 @@ def test_refined_classes_keep_products_of_reps3_within_budget(monkeypatch):
         for sigma in permutations(range(4))}
 
 
-# ring -> (search budget, automorphisms by theory); without the stabilizer
-# chain these searches take 22,906, 218, 33 and 282 nodes
-THEORY = {"(Z/2)^4": (lambda: fr.direct_product(EXPLICIT["klein x Z/2"](), _zn(2)), 50, 20160),
-          "klein x Z/2": (EXPLICIT["klein x Z/2"], 20, 168),
-          "Z/64": (lambda: _zn(64), 10, 32),
-          "reps3^4": (lambda: _reps3_power(4), 50, 24)}
+# ring -> (search nodes allowed, automorphisms by theory, maps composed);
+# the maps composed are the orders of the stabilizer chain's groups: the
+# maps fixing the first k branch points, for k = 0, 1, ... while that is
+# more than the identity.  Without the stabilizer chain these searches take
+# 22,906, 218, 33 and 282 nodes, over these budgets but for Z/64 (its 4
+# search nodes replace 33 that reach its 32 maps one by one)
+THEORY = {"(Z/2)^4": (lambda: fr.direct_product(EXPLICIT["klein x Z/2"](), _zn(2)), 50, 20160,
+                      20160 + 1344 + 96 + 8),
+          "klein x Z/2": (EXPLICIT["klein x Z/2"], 20, 168, 168 + 24 + 4),
+          "Z/64": (lambda: _zn(64), 10, 32, 32),
+          "reps3^4": (lambda: _reps3_power(4), 50, 24, 24 + 6 + 2)}
 
 
 @pytest.mark.parametrize("name", sorted(THEORY))
 def test_one_search_per_coset_stays_within_budget(monkeypatch, name):
     # |GL(4,2)| = 20,160 and |GL(3,2)| = 168 for the elementary abelian
     # groups, phi(64) = 32 units of Z/64, and the 4! permutations of the
-    # factors of Rep(S3)^4
-    build, budget, count = THEORY[name]
-    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(budget))
+    # factors of Rep(S3)^4; the budget counts search nodes and maps composed
+    build, nodes, count, composed = THEORY[name]
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(nodes + composed))
     autos = fr.automorphisms(build())
     assert len(autos) == len({auto.mapping for auto in autos}) == count
     if name == "Z/64":
@@ -196,6 +201,17 @@ def test_one_search_per_coset_stays_within_budget(monkeypatch, name):
         assert {auto.mapping for auto in autos} == {
             tuple(sorted((label(k), label(u * k % 64)) for k in range(64)))
             for u in range(1, 64, 2)}
+
+
+def test_budget_bounds_the_maps_composed(monkeypatch):
+    # (Z/2)^5 has |GL(5,2)| = 9,999,360 automorphisms; a few dozen search
+    # nodes find their transversals, and the products are refused before
+    # they are built: 16 + 384 maps fit in the budget, the next 10,752 not
+    ring = fr.direct_product(THEORY["(Z/2)^4"][0](), _zn(2))
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "10000")
+    with pytest.raises(fr.SearchBudgetExceeded) as info:
+        fr.automorphisms(ring)
+    assert 16 + 384 + 10752 < info.value.nodes < 16 + 384 + 10752 + 50
 
 
 # rings the group properties are checked on -> depths
