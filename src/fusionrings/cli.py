@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Fusion-ring computations: chain groups, centers, cosets, subgroups, automorphisms.
 
 Exit codes: 0 success, 1 domain negative (invalid ring, NotNormal,
 NotCentral -- the witness is printed), 2 input/usage error, 3 oracle
@@ -7,11 +7,10 @@ cross-validation failure.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
-
-import click
 
 from . import catalog as cat
 from .automorph import automorphisms
@@ -42,13 +41,17 @@ EXIT_INPUT = 2
 EXIT_ORACLE = 3
 
 
+class UsageError(FusionRingError):
+    """A malformed command line or option value."""
+
+
 def _int_param(name: str) -> int:
     """The integer after the colon of a catalog name such as zn:N."""
     text = name.split(":", 1)[1]
     try:
         return int(text)
     except ValueError:
-        raise click.UsageError(f"catalog name {name!r}: {text!r} is not an integer") from None
+        raise UsageError(f"catalog name {name!r}: {text!r} is not an integer") from None
 
 
 def resolve_catalog(name: str) -> FusionRing:
@@ -80,11 +83,11 @@ def resolve_catalog(name: str) -> FusionRing:
             left, *rest = cat.split_outside_brackets(name[len(prefix):], "+")
             right = "+".join(rest)  # split at the first top-level +
             if not (left and right):
-                raise click.UsageError(f"catalog name {name!r} needs two factors, {prefix}NAME+NAME: "
-                                       f"its {'second' if left else 'first'} factor is missing")
+                raise UsageError(f"catalog name {name!r} needs two factors, {prefix}NAME+NAME: "
+                                 f"its {'second' if left else 'first'} factor is missing")
             left, right = (p[1:-1] if p[:1] == "(" and p[-1:] == ")" else p for p in (left, right))
             return ctor(resolve_catalog(left), resolve_catalog(right))
-    raise click.UsageError(f"unknown catalog name {name!r}")
+    raise UsageError(f"unknown catalog name {name!r}")
 
 
 CATALOG_HELP = ("su2 | so3 | au[:n] | z | zn:N | s3 | klein | reps3 | repz4 | "
@@ -93,7 +96,7 @@ CATALOG_HELP = ("su2 | so3 | au[:n] | z | zn:N | s3 | klein | reps3 | repz4 | "
 
 def resolve_ring(ring_file, catalog_name, validate=True) -> FusionRing:
     if (ring_file is None) == (catalog_name is None):
-        raise click.UsageError("exactly one of --ring/--catalog is required")
+        raise UsageError("exactly one of --ring/--catalog is required")
     if catalog_name is not None:
         return resolve_catalog(catalog_name)
     if Path(ring_file).exists():
@@ -103,10 +106,10 @@ def resolve_ring(ring_file, catalog_name, validate=True) -> FusionRing:
 
 
 _RESTRICTION_RULES = {
-    "su2_parity": lambda src, tgt: su2_parity_restriction(src, tgt),
-    "su2_weights": lambda src, tgt: su2_weight_restriction(src, tgt),
+    "su2_parity": su2_parity_restriction,
+    "su2_weights": su2_weight_restriction,
     "identity": lambda src, tgt: identity_restriction(src),
-    "trivial": lambda src, tgt: trivial_restriction(src, tgt),
+    "trivial": trivial_restriction,
 }
 
 
@@ -134,7 +137,7 @@ def load_restriction(path, ring_file=None, catalog_name=None, depth=6) -> Restri
         if given is not None and not _same_ring(given, source, depth):
             option = (f"--ring {ring_file!r}" if ring_file is not None
                       else f"--catalog {catalog_name!r}")
-            raise click.UsageError(f"{option} is not the restriction's source {doc['source']!r}")
+            raise UsageError(f"{option} is not the restriction's source {doc['source']!r}")
         target = resolve_ring(doc["target"], None)
         if "rule" in doc:
             make = _RESTRICTION_RULES[doc["rule"]]
@@ -143,34 +146,21 @@ def load_restriction(path, ring_file=None, catalog_name=None, depth=6) -> Restri
                    for entry in doc["map"]}
         cat.require_labels(*mapping, *(l for m in mapping.values() for l in m))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise click.UsageError(f"bad restriction file: {exc}")
+        raise UsageError(f"bad restriction file: {exc}")
     return RestrictionData.from_dict(source, target, mapping,
                                      name=Path(path).stem)
 
 
-def ring_options(f):
-    f = click.option("--ring", "ring_file", default=None,
-                     help="Ring JSON file (or a catalog name).")(f)
-    f = click.option("--catalog", "catalog_name", default=None,
-                     help=f"Catalog ring: {CATALOG_HELP}")(f)
-    f = click.option("--depth", default=6, show_default=True,
-                     type=click.IntRange(min=0),
-                     help="Exploration depth for generated rings.")(f)
-    f = click.option("--format", "fmt", default="json", show_default=True,
-                     type=click.Choice(["json", "table", "dot"]))(f)
-    return f
-
-
-def emit(payload, fmt, table_text=None, dot=None):
+def emit(payload, fmt, table_text, dot=None):
     """Print the payload in `fmt`; `dot` renders the DOT text on demand."""
     if fmt == "json":
-        click.echo(canonical_json(payload), nl=False)
+        sys.stdout.write(canonical_json(payload))
     elif fmt == "table":
-        click.echo(table_text if table_text is not None else str(payload))
+        print(table_text)
+    elif dot is None:
+        raise UsageError("dot format not available for this command")
     else:
-        if dot is None:
-            raise click.UsageError("dot format not available for this command")
-        click.echo(dot(), nl=False)
+        sys.stdout.write(dot())
 
 
 def run_oracle_check(ring: FusionRing, depth: int):
@@ -185,8 +175,8 @@ def run_oracle_check(ring: FusionRing, depth: int):
             in_fast = fast.block_of[a] == fast.block_of[b]
             in_slow = slow.block_of[a] == slow.block_of[b]
             if in_fast != in_slow:
-                click.echo(f"oracle-check failed: ({a}, {b}) merged={in_fast} "
-                           f"brute-force={in_slow}", err=True)
+                print(f"oracle-check failed: ({a}, {b}) merged={in_fast} "
+                      f"brute-force={in_slow}", file=sys.stderr)
                 sys.exit(EXIT_ORACLE)
     sys.exit(EXIT_ORACLE)
 
@@ -195,27 +185,61 @@ def parse_sigma(sigma, sigma_file) -> Subobject:
     """The labels given for sigma; `sigma_cosets` checks that they form a
     subobject."""
     if (sigma is None) == (sigma_file is None):
-        raise click.UsageError("exactly one of --sigma/--sigma-file is required")
+        raise UsageError("exactly one of --sigma/--sigma-file is required")
     if sigma is not None:
         members = [s.strip() for s in cat.split_outside_brackets(sigma, ",") if s.strip()]
     else:
         try:
             members = json.loads(Path(sigma_file).read_text())
         except (OSError, ValueError) as exc:
-            raise click.UsageError(f"unreadable sigma file: {exc}")
+            raise UsageError(f"unreadable sigma file: {exc}")
         if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
-            raise click.UsageError("sigma file must hold a JSON list of labels")
+            raise UsageError("sigma file must hold a JSON list of labels")
     return Subobject(frozenset(members))
 
 
-@click.group()
-def main():
-    """Fusion-ring computations: chain groups, centers, cosets, subgroup
-    tests and automorphisms."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises `UsageError` instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
-@main.command()
-@ring_options
+def non_negative_int(text: str) -> int:
+    """An option value that is an integer of at least 0."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+RING_OPTIONS = _Parser(add_help=False)
+RING_OPTIONS.add_argument("--ring", dest="ring_file", help="Ring JSON file (or a catalog name).")
+RING_OPTIONS.add_argument("--catalog", dest="catalog_name", help=f"Catalog ring: {CATALOG_HELP}")
+RING_OPTIONS.add_argument("--depth", type=non_negative_int, default=6,
+                          help="Exploration depth for generated rings (default: 6).")
+RING_OPTIONS.add_argument("--format", dest="fmt", choices=["json", "table", "dot"],
+                          default="json", help="Output format (default: json).")
+
+# argparse would take an option prefix such as --cat for --catalog
+PARSER = _Parser(prog="fusionrings", allow_abbrev=False, description=__doc__)
+COMMANDS = PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def command(name, *arguments, ring=True):
+    """Register the decorated function as the command `name`, to be called
+    with the values of the ring options (when `ring`) and of `arguments`,
+    each a name or flag and the keywords of its `add_argument` call."""
+    def register(fn):
+        sub = COMMANDS.add_parser(name, parents=[RING_OPTIONS] if ring else [],
+                                  allow_abbrev=False, help=fn.__doc__, description=fn.__doc__)
+        for flag, kw in arguments:
+            sub.add_argument(flag, **kw)
+        sub.set_defaults(run=fn)
+        return fn
+    return register
+
+
+@command("validate")
 def validate(ring_file, catalog_name, depth, fmt):
     """Check the fusion-ring axioms; nonempty report exits 1."""
     ring = resolve_ring(ring_file, catalog_name, validate=False)
@@ -229,8 +253,7 @@ def validate(ring_file, catalog_name, depth, fmt):
         sys.exit(EXIT_NEGATIVE)
 
 
-@main.command()
-@ring_options
+@command("info")
 def info(ring_file, catalog_name, depth, fmt):
     """Basis summary of a ring (explored part for generated rings)."""
     ring = resolve_ring(ring_file, catalog_name)
@@ -243,10 +266,7 @@ def info(ring_file, catalog_name, depth, fmt):
     emit(payload, fmt, table_text=text)
 
 
-@main.command()
-@ring_options
-@click.argument("a")
-@click.argument("b")
+@command("product", ("a", {}), ("b", {}))
 def product(ring_file, catalog_name, depth, fmt, a, b):
     """Fusion product a x b with multiplicities."""
     ring = resolve_ring(ring_file, catalog_name)
@@ -256,9 +276,7 @@ def product(ring_file, catalog_name, depth, fmt, a, b):
          table_text=" + ".join(f"{n}*{c}" if n > 1 else c for c, n in ordered))
 
 
-@main.command(name="chain-group")
-@ring_options
-@click.option("--oracle-check", is_flag=True)
+@command("chain-group", ("--oracle-check", {"action": "store_true"}))
 def chain_group_cmd(ring_file, catalog_name, depth, fmt, oracle_check):
     """Chain group of the ring (dual of the center)."""
     ring = resolve_ring(ring_file, catalog_name)
@@ -272,9 +290,7 @@ def chain_group_cmd(ring_file, catalog_name, depth, fmt, oracle_check):
     emit(payload, fmt, table_text=text, dot=lambda: merge_graph_dot(ring, depth))
 
 
-@main.command()
-@ring_options
-@click.option("--oracle-check", is_flag=True)
+@command("center", ("--oracle-check", {"action": "store_true"}))
 def center(ring_file, catalog_name, depth, fmt, oracle_check):
     """Center subobject and center group."""
     ring = resolve_ring(ring_file, catalog_name)
@@ -297,10 +313,8 @@ def center(ring_file, catalog_name, depth, fmt, oracle_check):
     emit(payload, fmt, table_text=text, dot=lambda: dot)
 
 
-@main.command()
-@ring_options
-@click.option("--sigma", default=None, help="Comma-separated subobject labels.")
-@click.option("--sigma-file", default=None, help="JSON list of labels.")
+@command("cosets", ("--sigma", {"help": "Comma-separated subobject labels."}),
+         ("--sigma-file", {"help": "JSON list of labels."}))
 def cosets(ring_file, catalog_name, depth, fmt, sigma, sigma_file):
     """Sigma-coset partition for a given subobject."""
     ring = resolve_ring(ring_file, catalog_name)
@@ -310,8 +324,7 @@ def cosets(ring_file, catalog_name, depth, fmt, sigma, sigma_file):
          dot=lambda: merge_graph_dot(ring, depth))
 
 
-@main.command(name="central-subobjects")
-@ring_options
+@command("central-subobjects")
 def central_subobjects_cmd(ring_file, catalog_name, depth, fmt):
     """All central subobjects of a finite explicit ring, sorted by size."""
     ring = resolve_ring(ring_file, catalog_name)
@@ -321,9 +334,7 @@ def central_subobjects_cmd(ring_file, catalog_name, depth, fmt):
     emit(payload, fmt, table_text=text)
 
 
-@main.command(name="is-normal")
-@ring_options
-@click.option("--restriction", "restriction_file", required=True)
+@command("is-normal", ("--restriction", {"dest": "restriction_file", "required": True}))
 def is_normal_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
     """Normality of a quantum subgroup given as restriction data."""
     r = load_restriction(restriction_file, ring_file, catalog_name, depth)
@@ -340,9 +351,7 @@ def is_normal_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
         sys.exit(EXIT_NEGATIVE)
 
 
-@main.command(name="is-central")
-@ring_options
-@click.option("--restriction", "restriction_file", required=True)
+@command("is-central", ("--restriction", {"dest": "restriction_file", "required": True}))
 def is_central_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
     """Centrality of a quantum subgroup given as restriction data."""
     r = load_restriction(restriction_file, ring_file, catalog_name, depth)
@@ -359,8 +368,7 @@ def is_central_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
         sys.exit(EXIT_NEGATIVE)
 
 
-@main.command(name="grouplikes")
-@ring_options
+@command("grouplikes")
 def grouplikes_cmd(ring_file, catalog_name, depth, fmt):
     """Group of dimension-1 basis elements (dual of the abelianization)."""
     ring = resolve_ring(ring_file, catalog_name)
@@ -371,8 +379,7 @@ def grouplikes_cmd(ring_file, catalog_name, depth, fmt):
          table_text=f"grouplikes: {{{', '.join(table.labels)}}} = {desc.name}")
 
 
-@main.command(name="automorphisms")
-@ring_options
+@command("automorphisms")
 def automorphisms_cmd(ring_file, catalog_name, depth, fmt):
     """Fusion-ring automorphisms (generator-level for generated rings)."""
     ring = resolve_ring(ring_file, catalog_name)
@@ -387,25 +394,18 @@ def automorphisms_cmd(ring_file, catalog_name, depth, fmt):
     emit(payload, fmt, table_text=text)
 
 
-@main.command(name="catalog")
+@command("catalog", ring=False)
 def catalog_cmd():
     """List the built-in catalog names."""
-    click.echo(CATALOG_HELP)
+    print(CATALOG_HELP)
 
 
 def _main():
     try:
-        main(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_INPUT)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_INPUT)
-    except click.exceptions.Abort:
-        sys.exit(EXIT_INPUT)
+        args = vars(PARSER.parse_args())
+        args.pop("run")(**args)
     except FusionRingError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_INPUT)
 
 

@@ -187,13 +187,21 @@ class TestExitCodes:
         ("chain-group", "--catalog", "zn:abc"),
         ("cosets", "--catalog", "repz4", "--sigma-file", "{missing}"),
         ("product", "--catalog", "su2", "V1", "X3"),
+        # malformed command lines, rejected by the parser itself
+        (),
+        ("bogus",),
+        ("chain-group", "--cat", "su2"),  # no option name may be abbreviated
+        ("product", "--catalog", "su2", "V1"),
+        ("catalog", "extra"),
+        ("chain-group", "--catalog", "su2", "--format", "xml"),
+        ("chain-group", "--catalog", "su2", "--depth", "abc"),
     ])
     def test_malformed_input_is_input_error(self, tmp_path, args):
         missing = str(tmp_path / "missing.json")
         out = cli(*(a.replace("{missing}", missing) for a in args))
         assert out.returncode == 2
         assert any(l.startswith("error:") for l in out.stderr.splitlines())
-        if args[0] == "product":
+        if "X3" in args:
             assert "error: unknown label 'X3'" in out.stderr.splitlines()
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
@@ -262,6 +270,17 @@ class TestExitCodes:
             assert out.stderr == f"error: {message}\n"
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
+
+    @pytest.mark.parametrize("args, names", [
+        (("--help",), ["validate", "info", "product", "chain-group", "center", "cosets",
+                       "central-subobjects", "is-normal", "is-central", "grouplikes",
+                       "automorphisms", "catalog"]),
+        (("chain-group", "--help"), ["--ring", "--catalog", "--depth", "--format"]),
+    ])
+    def test_help_exits_0(self, args, names):
+        out = cli(*args)
+        assert out.returncode == 0, out.stderr
+        assert all(name in out.stdout for name in names)
 
     def test_oracle_disagreement_exits_3(self, monkeypatch, capsys):
         # an oracle that merges nothing disagrees with the closure, which
@@ -351,3 +370,10 @@ class TestDeterminism:
     def test_byte_identical_runs(self, args):
         outs = {cli(*args).stdout for _ in range(3)}
         assert len(outs) == 1
+
+
+def test_cli_imports_no_click():
+    # the command line runs on the standard library alone
+    out = subprocess.run([sys.executable, "-c", "import sys, fusionrings.cli; "
+                          "sys.exit('click' in sys.modules)"], capture_output=True)
+    assert out.returncode == 0, out.stderr

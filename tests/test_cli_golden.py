@@ -8,13 +8,14 @@ re-record after a deliberate output change, run this file as a script:
 `PYTHONPATH=src python tests/test_cli_golden.py`.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from fusionrings import cli
 
@@ -28,15 +29,15 @@ def run_cli(args):
     saved_argv, saved_cwd = sys.argv, os.getcwd()
     sys.argv = ["fusionrings", *args]
     os.chdir(DATA)
+    stdout = io.StringIO()
     try:
-        with CliRunner().isolation() as (stdout, _, _):
+        with contextlib.redirect_stdout(stdout):
             try:
                 cli._main()
                 code = 0
             except SystemExit as exc:
                 code = exc.code
-            sys.stdout.flush()
-            return code, stdout.getvalue().decode()
+        return code, stdout.getvalue()
     finally:
         sys.argv = saved_argv
         os.chdir(saved_cwd)
