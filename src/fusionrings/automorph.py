@@ -8,7 +8,8 @@ data needed to certify a lift is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, permutations, product
+from operator import mul
 
 from .errors import InternalInconsistency, SearchBudgetExceeded
 from .central import _schreier, search_budget
@@ -23,16 +24,6 @@ class RingAutomorphism:
 
     mapping: tuple[tuple[str, str], ...]  # sorted (label, image) pairs
     depth: int | None = None  # None: exact (explicit ring)
-
-    @classmethod
-    def from_dict(cls, phi: dict[str, str], depth=None):
-        return cls(tuple(sorted(phi.items())), depth=depth)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.mapping)
-
-    def apply(self, label: str) -> str:
-        return dict(self.mapping)[label]
 
     @property
     def is_identity(self) -> bool:
@@ -95,7 +86,10 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     composing the maps found reaches its images of the branch's points.
     The answers are the transversals' products on the window, deduplicated
     at each step.  Raises SearchBudgetExceeded once the search nodes plus
-    the maps composed pass `search_budget()`.
+    the products' sizes pass `search_budget()`; the sizes, the prefix
+    products of the transversals' orders, are counted before any map is
+    composed.  On a complete table they are the maps composed; on a window
+    where distinct maps agree they bound them from above.
     """
     window = ring.elements(depth)
     inside = set(window)
@@ -172,8 +166,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     while (alts := expand(node)) is not None:
         levels.append((node, alts))
         node = child(node, *next(a for a in alts if all(c == t for c, t in a[0].items())))
-    identity, found = node[0], []
-    autos = {tuple(window)}  # the answers' images of the window, in order
+    identity, found, transversals = node[0], [], []
     for node, alts in reversed(levels):
         points = list(alts[0][0])
         reps = {tuple(points): identity}
@@ -182,8 +175,12 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
                 found.append(sigma)
                 _close_orbit(reps, found, points)
         if len(reps) > 1:
-            spend(len(reps) * len(autos))
-            autos = {tuple(t[x] for x in a) for t in reps.values() for a in autos}
+            transversals.append(reps.values())
+    for size in accumulate(map(len, transversals), mul):
+        spend(size)
+    autos = {tuple(window)}  # the answers' images of the window, in order
+    for reps in transversals:
+        autos = {tuple(t[x] for x in a) for t in reps for a in autos}
     maps = sorted(tuple(sorted(zip(window, a))) for a in autos)
     return [RingAutomorphism(m, ring.checked_depth(depth)) for m in maps]
 
@@ -266,7 +263,7 @@ def action_on_chain_group(ring: FusionRing, auto: RingAutomorphism,
     automorphism fails to preserve the chain relation (it cannot, for a
     genuine automorphism)."""
     part = _schreier(ring, depth)[0]
-    phi = auto.as_dict()
+    phi = auto.to_json()
     action: dict[int, int] = {}
     for label in part.explored:
         if label not in phi:

@@ -8,9 +8,9 @@ A brute-force word-support oracle validates the closure on finite rings.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
@@ -24,8 +24,6 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .ring import FusionRing, Subobject, check_subobject
-
-log = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -320,11 +318,11 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
                 related += 1
     part = CosetPartition.from_classes(ring, uf.find, explored)
     # on a complete table the pairwise relation is already transitive (every
-    # block a clique); closure is a defense against bad fusion data, so log
+    # block a clique); closure is a defense against bad fusion data, so warn
     # if it changed anything.  A window's relation may miss links beyond it.
     if (ring.checked_depth(depth) is None
             and related != sum(len(blk) * (len(blk) - 1) // 2 for blk in part.blocks)):
-        log.warning("sigma relation was not transitive; the closure merged more")
+        warnings.warn("sigma relation was not transitive; the closure merged more")
     unit_block = set(part.blocks[part.identity_block])
     if unit_block != members & set(explored):
         raise InternalInconsistency(

@@ -1,5 +1,6 @@
 """Fusion-ring symmetries: search, verification, chain-group action."""
 
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
@@ -28,7 +29,7 @@ class TestExplicitSearch:
         autos = fr.automorphisms(z3ring)
         assert len(autos) == 2
         flips = [a for a in autos if not a.is_identity]
-        assert flips[0].apply("g1") == "g2"
+        assert flips[0].to_json()["g1"] == "g2"
 
     def test_klein_ring_full_linear_group(self, kleinring):
         autos = fr.automorphisms(kleinring)
@@ -62,8 +63,8 @@ class TestGeneratedSearch:
         autos = fr.automorphisms(au2, depth=3)
         assert len(autos) == 2
         swap = [a for a in autos if not a.is_identity][0]
-        assert swap.apply("u") == "v"
-        assert swap.apply("uv") == "vu"
+        assert swap.to_json()["u"] == "v"
+        assert swap.to_json()["uv"] == "vu"
 
     def test_z_ring_inversion(self, zring):
         autos = fr.automorphisms(zring, depth=3)
@@ -117,7 +118,7 @@ def test_automorphisms_keep_the_refined_invariant(name):
     assert fr.automorphisms(ring, depth) == autos
     assert autos
     for auto in autos:
-        phi = auto.as_dict()
+        phi = auto.to_json()
         assert all(inv[phi[g]] == inv[g] for g in inv), (name, auto)
 
 
@@ -214,6 +215,23 @@ def test_budget_bounds_the_maps_composed(monkeypatch):
     assert 16 + 384 + 10752 < info.value.nodes < 16 + 384 + 10752 + 50
 
 
+def test_default_budget_refuses_before_composing(monkeypatch):
+    # under the default budget of 10^6 the products' sizes 16, 384, 10,752,
+    # 322,560 and 9,999,360 = |GL(5,2)| are counted before any is built, so
+    # (Z/2)^5 is refused after 40 search nodes with no map composed
+    monkeypatch.delenv("FUSIONRING_SEARCH_BUDGET", raising=False)
+    ring = fr.direct_product(THEORY["(Z/2)^4"][0](), _zn(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(fr.SearchBudgetExceeded) as info:
+            fr.automorphisms(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.nodes, info.value.budget) == (40 + 10_333_072, 10 ** 6)
+    assert peak < 10 * 2 ** 20
+
+
 # rings the group properties are checked on -> depths
 GROUPS = {**{name: (build, (6,)) for name, build in EXPLICIT.items()},
           "klein": (lambda: fr.group_ring(fr.klein_group()), (6,)),
@@ -232,7 +250,7 @@ def test_group_closure_and_inverses(name):
     ring = build()
     for depth in depths:
         autos = fr.automorphisms(ring, depth)
-        dicts = [a.as_dict() for a in autos]
+        dicts = [a.to_json() for a in autos]
         assert len({a.mapping for a in autos}) == len(autos)
         assert {x: x for x in ring.elements(depth)} in dicts
         for f in dicts:
@@ -328,7 +346,7 @@ class TestChainGroupAction:
 
     def test_inversion_acts_by_inversion(self, z4ring):
         autos = fr.automorphisms(z4ring)
-        inv = next(a for a in autos if a.apply("g1") == "g3")
+        inv = next(a for a in autos if a.to_json()["g1"] == "g3")
         action = fr.action_on_chain_group(z4ring, inv)
         part = fr.merge_closure(z4ring)
         assert action[part.block_of["g1"]] == part.block_of["g3"]

@@ -86,7 +86,7 @@ def label_backtracking(ring: FusionRing) -> list[RingAutomorphism]:
             used.remove(v)
 
     extend(0, {}, set())
-    out = sorted({RingAutomorphism.from_dict(phi) for phi in results},
+    out = sorted({RingAutomorphism(tuple(sorted(phi.items()))) for phi in results},
                  key=lambda auto: auto.mapping)
     return out
 
@@ -196,9 +196,8 @@ def generator_permutations(ring: FusionRing, depth: int) -> list[RingAutomorphis
     # every survivor must preserve fusion on the whole explored square
     survivors = [phi for phi in results
                  if verify_automorphism(ring, phi, labels=explored)]
-    dedup = {tuple(sorted((l, phi[l]) for l in explored)): phi for phi in survivors}
-    return [RingAutomorphism.from_dict({l: phi[l] for l in explored}, depth=depth)
-            for _, phi in sorted(dedup.items())]
+    mappings = {tuple(sorted((l, phi[l]) for l in explored)) for phi in survivors}
+    return [RingAutomorphism(mapping, depth=depth) for mapping in sorted(mappings)]
 
 
 def reference(ring, depth=6):
@@ -323,7 +322,7 @@ def test_ambiguous_constituents_branch():
     # that product: every matching of the three is tried, and all six
     # survive (the fusion rules of Rep(D4) are symmetric in a, b, c)
     autos = fr.automorphisms(_rep_d4_on_rho(), 2)
-    images = {tuple(a.apply(x) for x in "abc") for a in autos}
+    images = {tuple(a.to_json()[x] for x in "abc") for a in autos}
     assert images == set(permutations("abc"))
 
 

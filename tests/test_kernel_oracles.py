@@ -32,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionrings as fr
+from fusionrings import ring as ring_module
 from fusionrings.central import UnionFind, search_budget
 from fusionrings.errors import (DepthExceeded, FusionRingError, InternalInconsistency,
                                 InvalidRestriction, NotAGroup, SearchBudgetExceeded)
@@ -410,6 +411,20 @@ def test_validate_ring_matches_reference_on_associative_corrupted_table(axiom):
     report = assert_same_report(ring)
     assert axiom in {v.axiom for v in report.violations}
     assert ring.associative is True
+
+
+def test_proved_associative_table_skips_the_associativity_scan(monkeypatch):
+    # a broken dim fails the one pass, but Light's test has proved the table
+    # associative, so the loops write the report without the n^3 scan
+    ring = _retabled(_zn(16), dims={"g5": 2})
+    report = assert_same_report(ring)
+    assert ring.associative is True
+    scans = []
+    kernel = ring_module._associativity_failures
+    monkeypatch.setattr(ring_module, "_associativity_failures",
+                        lambda *args: scans.append(args) or kernel(*args))
+    assert str(fr.validate_ring(ring)) == str(report)
+    assert scans == []
 
 
 def test_validate_ring_matches_reference_on_truncated_file():
