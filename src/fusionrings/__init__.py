@@ -72,6 +72,12 @@ from .subgroups import (
     trivial_restriction_subobject,
     validate_restriction,
 )
-from .automorph import RingAutomorphism, action_on_chain_group, automorphisms
+from .automorph import (
+    AutomorphismGroup,
+    RingAutomorphism,
+    action_on_chain_group,
+    automorphism_group,
+    automorphisms,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, permutations, product
+from math import prod
 from operator import mul
 
 from .errors import InternalInconsistency, SearchBudgetExceeded
@@ -53,11 +54,89 @@ def _preserves(ring: FusionRing, phi: dict[str, str], labels: list[str]) -> bool
                for a in labels)
 
 
+@dataclass(frozen=True)
+class AutomorphismGroup:
+    """The group of the maps `automorphisms` lists: its order, the orders of
+    its stabilizer chain's transversals (deepest branch first), and the maps
+    the coset searches found, which generate it, on the window (no identity,
+    sorted like `automorphisms`)."""
+
+    order: int
+    transversal_sizes: tuple[int, ...]
+    generators: tuple[RingAutomorphism, ...]
+    depth: int | None = None  # None: exact (explicit ring)
+
+
 def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     """The automorphisms of the window `ring.elements(depth)` that permute
     the generators: every automorphism of an explicit ring (whose labels
     are all generators, so the answer is exact), the generator-level
     symmetries of a generated ring, verified to `depth`.
+
+    The products of the transversals of `_search`'s stabilizer chain,
+    restricted to the window, deduplicated at each step and sorted.  Raises
+    SearchBudgetExceeded once the search nodes plus the products' sizes
+    pass `search_budget()`; the sizes, the prefix products of the
+    transversals' orders, are counted before any map is composed.  On a
+    complete table they are the maps composed; on a window where distinct
+    maps agree they bound them from above.  The chain is searched once per
+    window (`_searched`); the budget is spent on every call as by a fresh
+    search, and every call composes a new list.
+    """
+    window, budget, (nodes, _, transversals) = _searched(ring, depth)
+    for size in accumulate(map(len, transversals), mul):
+        nodes = _spent(nodes + size, budget)
+    autos = {tuple(window)}  # the answers' images of the window, in order
+    for reps in transversals:
+        autos = {tuple(t[x] for x in a) for t in reps for a in autos}
+    maps = sorted(tuple(sorted(zip(window, a))) for a in autos)
+    return [RingAutomorphism(m, ring.checked_depth(depth)) for m in maps]
+
+
+def automorphism_group(ring: FusionRing, depth: int = 6) -> AutomorphismGroup:
+    """The group of `automorphisms(ring, depth)`, read off the same kept
+    search, which raises SearchBudgetExceeded where `automorphisms` does.
+    On a complete table its order is the product of the transversals'
+    orders, and no map is composed.  On a window distinct maps of the
+    search's domain can agree (Rep(D4) on rho), so the order is the length
+    of the list, whose composing spends the budget as in `automorphisms`."""
+    window, _, (_, found, transversals) = _searched(ring, depth)
+    stamp = ring.checked_depth(depth)
+    sizes = tuple(map(len, transversals))
+    order = prod(sizes) if stamp is None else len(automorphisms(ring, depth))
+    maps = {tuple(sorted((x, s[x]) for x in window)) for s in found}
+    gens = [RingAutomorphism(m, stamp) for m in sorted(maps) if any(a != b for a, b in m)]
+    return AutomorphismGroup(order, sizes, tuple(gens), stamp)
+
+
+def _searched(ring: FusionRing, depth: int):
+    """The window `ring.elements(depth)`, `search_budget()`, and the
+    window's `_search` answer, kept in `ring.automorphism_chain` by depth,
+    or by None on a complete table; a search that raises keeps nothing.
+    An answer kept with more nodes than the budget raises as a fresh
+    search would, when its node count first passed the budget."""
+    window = ring.elements(depth)
+    budget = search_budget()
+    key = None if ring.checked_depth(depth) is None else depth
+    if key not in ring.automorphism_chain:
+        ring.automorphism_chain[key] = _search(ring, window, budget)
+    entry = ring.automorphism_chain[key]
+    _spent(min(entry[0], budget + 1), budget)
+    return window, budget, entry
+
+
+def _spent(nodes: int, budget: int) -> int:
+    """`nodes`; raises SearchBudgetExceeded when it is over `budget`."""
+    if nodes > budget:
+        raise SearchBudgetExceeded("automorphism search budget exhausted", nodes, budget)
+    return nodes
+
+
+def _search(ring: FusionRing, window: tuple[str, ...], budget: int):
+    """A stabilizer chain of the window's automorphisms: the search nodes
+    used, the maps the coset searches found, and the transversals with more
+    than one map, deepest branch first, each map a dict on the search's
+    domain.  Raises SearchBudgetExceeded once the nodes pass `budget`.
 
     The search branches only on generator images.  Generators are taken in
     order of `_invariants`, then discovery; a generator's candidates
@@ -84,14 +163,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     any other alternative form a left coset of the maps below its identity
     child.  One map per coset is searched, deepest branch first, unless
     composing the maps found reaches its images of the branch's points.
-    The answers are the transversals' products on the window, deduplicated
-    at each step.  Raises SearchBudgetExceeded once the search nodes plus
-    the products' sizes pass `search_budget()`; the sizes, the prefix
-    products of the transversals' orders, are counted before any map is
-    composed.  On a complete table they are the maps composed; on a window
-    where distinct maps agree they bound them from above.
     """
-    window = ring.elements(depth)
     inside = set(window)
     gens = [g for g in dict.fromkeys(ring.generators) if g in inside]
     inv = _invariants(ring, gens, window)
@@ -101,14 +173,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
         middle = window
     # a label's image is matched in products by the labels of `right`
     right = set(middle)
-    budget = search_budget()
     nodes = 0
-
-    def spend(n):
-        nonlocal nodes
-        nodes += n
-        if nodes > budget:
-            raise SearchBudgetExceeded("automorphism search budget exhausted", nodes, budget)
 
     def assign(phi, used, pending, ext):
         """Give the images in `ext`, queueing each pair (a, b) with a in the
@@ -134,7 +199,8 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
         """Count `node` and give it its forced images; then the alternatives
         (new images, next position) of its branch, [] at a dead end, or
         None when its map is complete and accepted."""
-        spend(1)
+        nonlocal nodes
+        nodes = _spent(nodes + 1, budget)
         phi, used, pending, k = node
         while pending:
             alts = _match_pair(ring, phi, used, *pending.pop())
@@ -175,14 +241,8 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
                 found.append(sigma)
                 _close_orbit(reps, found, points)
         if len(reps) > 1:
-            transversals.append(reps.values())
-    for size in accumulate(map(len, transversals), mul):
-        spend(size)
-    autos = {tuple(window)}  # the answers' images of the window, in order
-    for reps in transversals:
-        autos = {tuple(t[x] for x in a) for t in reps for a in autos}
-    maps = sorted(tuple(sorted(zip(window, a))) for a in autos)
-    return [RingAutomorphism(m, ring.checked_depth(depth)) for m in maps]
+            transversals.append(tuple(reps.values()))
+    return nodes, tuple(found), tuple(transversals)
 
 
 def _close_orbit(reps: dict[tuple, dict], gens: list[dict], points: list[str]):

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     DepthExceeded,
+    FusionRingError,
     InternalInconsistency,
     NotAGroup,
     SearchBudgetExceeded,
@@ -29,7 +30,15 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 def search_budget() -> int:
-    return int(os.environ.get("FUSIONRING_SEARCH_BUDGET", DEFAULT_BUDGET))
+    """`FUSIONRING_SEARCH_BUDGET`, a non-negative decimal integer, or the
+    default when it is unset."""
+    text = os.environ.get("FUSIONRING_SEARCH_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    if not (text.isascii() and text.isdigit()):
+        raise FusionRingError("FUSIONRING_SEARCH_BUDGET must be a non-negative decimal "
+                              f"integer, got {text!r}")
+    return int(text)
 
 
 class UnionFind:

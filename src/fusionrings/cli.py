@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as cat
-from .automorph import automorphisms
+from .automorph import automorphism_group, automorphisms
 from .central import (
     _schreier,
     chain_group,
@@ -379,6 +379,11 @@ def grouplikes_cmd(ring_file, catalog_name, depth, fmt):
          table_text=f"grouplikes: {{{', '.join(table.labels)}}} = {desc.name}")
 
 
+def _map_line(auto) -> str:
+    return ("identity" if auto.is_identity
+            else " ".join(f"{x}->{y}" for x, y in auto.mapping if x != y))
+
+
 @command("automorphisms")
 def automorphisms_cmd(ring_file, catalog_name, depth, fmt):
     """Fusion-ring automorphisms (generator-level for generated rings)."""
@@ -387,11 +392,17 @@ def automorphisms_cmd(ring_file, catalog_name, depth, fmt):
     payload = {"count": len(autos),
                "automorphisms": [a.to_json() for a in autos],
                "depth": ring.checked_depth(depth)}
-    text = "\n".join(
-        "identity" if a.is_identity else
-        " ".join(f"{x}->{y}" for x, y in a.mapping if x != y)
-        for a in autos)
-    emit(payload, fmt, table_text=text)
+    emit(payload, fmt, table_text="\n".join(map(_map_line, autos)))
+
+
+@command("automorphism-group")
+def automorphism_group_cmd(ring_file, catalog_name, depth, fmt):
+    """Order, transversal sizes and generators of the automorphism group."""
+    group = automorphism_group(resolve_ring(ring_file, catalog_name), depth)
+    payload = {"order": group.order, "transversal_sizes": list(group.transversal_sizes),
+               "generators": [g.to_json() for g in group.generators], "depth": group.depth}
+    emit(payload, fmt, table_text="\n".join([f"order: {group.order}",
+                                              *map(_map_line, group.generators)]))
 
 
 @command("catalog", ring=False)

@@ -86,8 +86,10 @@ class FusionRing:
     and the breadth-first discovery order of the basis.  `explicit` seeds
     the table with a finite one and discovers the whole basis up front;
     `generated` discovers it level by level, one generator multiplication
-    per level.  All operations are pure.  Two memos keep derived facts:
-    `chain` (the chain group by depth) and `associative` (Light's verdict).
+    per level.  All operations are pure.  Three memos keep derived facts:
+    `chain` (the chain group by depth), `associative` (Light's verdict) and
+    `automorphism_chain` (the automorphism search's stabilizer chain by
+    depth).
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -104,6 +106,7 @@ class FusionRing:
         self.fusion = Memo(lambda ab: product_fn(*ab))
         self.chain: dict = {}  # depth -> `central._schreier`'s answer
         self.associative: bool | None = None  # Light's verdict, see `_light_middle`
+        self.automorphism_chain: dict = {}  # depth -> `automorph._search`'s answer
         # discovery levels; an empty last level means the basis is complete
         self._levels: list[list[str]] = [[unit]]
         # label -> (level, position within the level)

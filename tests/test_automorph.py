@@ -1,17 +1,23 @@
 """Fusion-ring symmetries: search, verification, chain-group action."""
 
+import math
 import tracemalloc
 from collections import Counter
-from itertools import permutations
+from itertools import accumulate, permutations
+from operator import mul
+from pathlib import Path
 
 import pytest
 
 import fusionrings as fr
-from fusionrings import central as central_module, ring as ring_module
+from fusionrings import automorph as automorph_module, central as central_module, \
+    ring as ring_module
 from fusionrings.automorph import _invariants, _label_invariant
 from test_automorph_oracles import (EXPLICIT, _loop_ring, _rep_d4_on_rho, _reps3_cubed_reversed,
                                     _zn, label_backtracking, reference)
 from test_kernel_oracles import CORRUPTED, _steiner_ring
+
+DATA = Path(__file__).parent / "data"
 
 
 def _compose(f, g):
@@ -230,6 +236,179 @@ def test_default_budget_refuses_before_composing(monkeypatch):
         tracemalloc.stop()
     assert (info.value.nodes, info.value.budget) == (40 + 10_333_072, 10 ** 6)
     assert peak < 10 * 2 ** 20
+
+
+def _count_matches(monkeypatch):
+    """The calls to `_match_pair`, the search's product matching, from now
+    on."""
+    calls = []
+    match = automorph_module._match_pair
+
+    def counted(*args):
+        calls.append(args[3:])
+        return match(*args)
+
+    monkeypatch.setattr(automorph_module, "_match_pair", counted)
+    return calls
+
+
+@pytest.mark.parametrize("build, depth", [(EXPLICIT["klein x Z/2"], 6),
+                                          (lambda: fr.au_word_ring(2), 4)])
+def test_second_call_reads_the_kept_chain(monkeypatch, build, depth):
+    ring = build()
+    first = fr.automorphisms(ring, depth)
+    calls = _count_matches(monkeypatch)
+    second = fr.automorphisms(ring, depth)
+    assert calls == []
+    assert second == first and second is not first
+
+
+def _outcome(ring):
+    """The automorphisms of `ring`, or the (nodes, budget) of their refusal."""
+    try:
+        return fr.automorphisms(ring)
+    except fr.SearchBudgetExceeded as exc:
+        return exc.nodes, exc.budget
+
+
+@pytest.mark.parametrize("name", sorted(THEORY) + ["reps3"])
+def test_kept_chain_spends_the_budget_as_a_fresh_search(monkeypatch, name):
+    # every budget around the search nodes and each prefix sum of the
+    # products' sizes gives a kept chain the answer or refusal of a fresh one
+    build = fr.rep_s3_ring if name == "reps3" else THEORY[name][0]
+    kept, fresh = build(), build()
+    fr.automorphisms(kept)
+    entry = kept.automorphism_chain[None]
+    nodes, _, transversals = entry
+    sums = [nodes + s for s in accumulate(accumulate(map(len, transversals), mul))]
+    budgets = set(range(nodes + 2)) | {s + d for s in sums for d in (-1, 0, 1)}
+    refusals = []
+    for budget in sorted(budgets):
+        monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(budget))
+        fresh.automorphism_chain.clear()
+        outcome = _outcome(fresh)
+        assert _outcome(kept) == outcome, (name, budget)
+        if isinstance(outcome, tuple):
+            refusals.append(outcome)
+    assert kept.automorphism_chain == {None: entry}
+    assert len(refusals) == len(budgets) - 2  # all but the last two budgets
+    if name == "reps3":
+        assert (2, 1) in refusals
+
+
+def test_a_refused_search_keeps_nothing(monkeypatch):
+    ring = fr.rep_s3_ring()
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "1")
+    with pytest.raises(fr.SearchBudgetExceeded):
+        fr.automorphisms(ring)
+    assert ring.automorphism_chain == {}
+    truncated = fr.load_ring(DATA / "su2_depth4.json")
+    monkeypatch.delenv("FUSIONRING_SEARCH_BUDGET")
+    with pytest.raises(fr.DepthExceeded):
+        fr.automorphisms(truncated)
+    assert truncated.automorphism_chain == {}
+    assert len(fr.automorphisms(ring)) == 1
+    assert list(ring.automorphism_chain) == [None]
+
+
+def test_kept_chains_are_keyed_like_the_chain_group(monkeypatch):
+    # a generated window has one entry per depth; a complete table one
+    au2 = fr.au_word_ring(2)
+    assert len(fr.automorphisms(au2, 3)) == len(fr.automorphisms(au2, 4)) == 2
+    assert sorted(au2.automorphism_chain) == [3, 4]
+    ring = EXPLICIT["reps3^3"]()
+    first = fr.automorphisms(ring, 3)
+    calls = _count_matches(monkeypatch)
+    assert fr.automorphisms(ring, 6) == first
+    assert calls == [] and list(ring.automorphism_chain) == [None]
+
+
+def test_budget_is_read_on_a_kept_chain(monkeypatch):
+    ring = fr.rep_s3_ring()
+    fr.automorphisms(ring)
+    for text in ("abc", "", "1e3", " 5", "-1", "+5"):
+        monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", text)
+        with pytest.raises(fr.FusionRingError) as info:
+            fr.automorphisms(ring)
+        assert str(info.value) == ("FUSIONRING_SEARCH_BUDGET must be a non-negative "
+                                   f"decimal integer, got {text!r}")
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "007")
+    assert central_module.search_budget() == 7
+
+
+def _gl2_order(r):
+    return math.prod(2 ** r - 2 ** i for i in range(r))
+
+
+def _elementary_abelian(r):
+    ring = _zn(2)
+    for _ in range(r - 1):
+        ring = fr.direct_product(ring, _zn(2))
+    return ring
+
+
+@pytest.mark.parametrize("n", range(16, 65))
+def test_group_order_of_z_n_is_euler_phi(n):
+    group = fr.automorphism_group(_zn(n))
+    assert group.order == sum(math.gcd(n, u) == 1 for u in range(n))
+    assert group.order == math.prod(group.transversal_sizes)
+    assert group.depth is None
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_group_order_of_elementary_abelian_is_gl(monkeypatch, r):
+    monkeypatch.delenv("FUSIONRING_SEARCH_BUDGET", raising=False)
+    ring = _elementary_abelian(r)
+    tracemalloc.start()
+    try:
+        group = fr.automorphism_group(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == _gl2_order(r)
+    assert peak < 10 * 2 ** 20
+    if r == 5:
+        # the order, 9,999,360, is read off the chain; the list stays refused
+        assert group.transversal_sizes == (16, 24, 28, 30, 31)
+        with pytest.raises(fr.SearchBudgetExceeded) as info:
+            fr.automorphisms(ring)
+        assert (info.value.nodes, info.value.budget) == (40 + 10_333_072, 10 ** 6)
+
+
+def _closure(gens, window):
+    """The window maps that are products of `gens`, as mappings."""
+    identity = tuple(sorted((x, x) for x in window))
+    out, todo = {identity}, [dict(identity)]
+    while todo:
+        f = todo.pop()
+        for g in gens:
+            h = _compose(g, f)
+            if (m := tuple(sorted(h.items()))) not in out:
+                out.add(m)
+                todo.append(h)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT) + sorted(WINDOWS))
+def test_generators_generate_the_list(name):
+    build, depth = WINDOWS.get(name, (EXPLICIT.get(name), 6))
+    ring = build()
+    group = fr.automorphism_group(ring, depth)
+    autos = fr.automorphisms(ring, depth)
+    assert not any(g.is_identity for g in group.generators)
+    assert list(group.generators) == sorted(group.generators, key=lambda g: g.mapping)
+    assert {g.depth for g in group.generators} <= {ring.checked_depth(depth)}
+    assert _closure([g.to_json() for g in group.generators], ring.elements(depth)) == \
+        {a.mapping for a in autos}
+    assert group.order == len(autos)
+
+
+def test_window_order_counts_the_window_maps():
+    # at depth 1 the six matchings of a, b, c in rho x rho all fix {1, rho}
+    group = fr.automorphism_group(_rep_d4_on_rho(), 1)
+    assert (group.order, group.transversal_sizes, group.generators, group.depth) == \
+        (1, (6,), (), 1)
+    assert fr.automorphism_group(_rep_d4_on_rho(), 2).order == 6
 
 
 # rings the group properties are checked on -> depths

@@ -271,10 +271,21 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("command", ["automorphisms", "automorphism-group",
+                                         "central-subobjects"])
+    @pytest.mark.parametrize("budget", ["abc", "", "1e3"])
+    def test_malformed_search_budget_is_input_error(self, command, budget):
+        out = cli(command, "--catalog", "klein",
+                  env=dict(os.environ, FUSIONRING_SEARCH_BUDGET=budget))
+        assert out.returncode == 2
+        assert out.stderr == ("error: FUSIONRING_SEARCH_BUDGET must be a non-negative "
+                              f"decimal integer, got {budget!r}\n")
+        assert out.stdout == ""
+
     @pytest.mark.parametrize("args, names", [
         (("--help",), ["validate", "info", "product", "chain-group", "center", "cosets",
                        "central-subobjects", "is-normal", "is-central", "grouplikes",
-                       "automorphisms", "catalog"]),
+                       "automorphisms", "automorphism-group", "catalog"]),
         (("chain-group", "--help"), ["--ring", "--catalog", "--depth", "--format"]),
     ])
     def test_help_exits_0(self, args, names):
