@@ -413,28 +413,25 @@ def save_ring(ring: FusionRing, path, depth: int = 6):
 def load_ring(path, validate: bool = True) -> FusionRing:
     """Load an explicit ring from the JSON schema; validates the axioms
     unless `validate` is False (callers that report violations themselves)."""
-    doc = read_object(path)
-    for key in ("basis", "unit", "dual", "fusion"):
-        if key not in doc:
-            raise MalformedFile(f"missing key {key!r}")
+    doc = read_object(path, ("basis", "unit", "dual", "fusion"))
     truncated = doc.get("truncated_at")
     if truncated is not None and (type(truncated) is not int or truncated < 0):
         raise MalformedFile(f"truncated_at must be a non-negative integer, not {truncated!r}")
-    try:
-        if not isinstance(doc["dual"], dict):
-            raise MalformedFile("dual must be a map of labels")
-        basis = [BasisElement(b["label"], b["dim"]) for b in doc["basis"]]
-        require_labels(doc["unit"], *doc["dual"].values(), *(b.label for b in basis))
-        fusion: dict[tuple[str, str], Support] = {}
-        for entry in doc["fusion"]:
-            key = (entry["a"], entry["b"])
-            require_labels(*key, entry["c"])
-            supp = fusion.setdefault(key, {})
-            if entry["c"] in supp:
-                raise MalformedFile(f"duplicate fusion entry {entry}")
-            supp[entry["c"]] = entry["n"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedFile(str(exc)) from exc
+    if not isinstance(doc["dual"], dict):
+        raise MalformedFile("dual must be a map of labels")
+    for key in ("basis", "fusion"):
+        if not isinstance(doc[key], list):
+            raise MalformedFile(f"{key} must be a list of objects")
+    basis = [BasisElement(*_fields(b, ("label", "dim"), "basis entry")) for b in doc["basis"]]
+    require_labels(doc["unit"], *doc["dual"].values(), *(b.label for b in basis))
+    fusion: dict[tuple[str, str], Support] = {}
+    for entry in doc["fusion"]:
+        a, b, c, n = _fields(entry, ("a", "b", "c", "n"), "fusion entry")
+        require_labels(a, b, c)
+        supp = fusion.setdefault((a, b), {})
+        if c in supp:
+            raise MalformedFile(f"duplicate fusion entry {entry}")
+        supp[c] = n
     ring = FusionRing.explicit(basis, doc["unit"], doc["dual"], fusion,
                                name=Path(path).stem, truncated_at=truncated)
     if validate:
@@ -447,26 +444,37 @@ def load_ring(path, validate: bool = True) -> FusionRing:
 def load_group(path) -> GroupPresentationInput:
     """Load a finite group presentation: {"elements", "identity", "table"}
     where table is a nested map row-label -> col-label -> product."""
-    doc = read_object(path)
-    try:
-        elements, rows = tuple(doc["elements"]), doc["table"]
-        require_labels(doc["identity"], *elements)
-        table = {(a, b): rows[a][b] for a in elements for b in elements}
-        require_labels(*table.values())
-    except (KeyError, TypeError) as exc:
-        raise MalformedFile(str(exc)) from exc
-    return GroupPresentationInput(elements, table, doc["identity"])
+    doc = read_object(path, ("elements", "identity", "table"))
+    elements, identity, rows = doc["elements"], doc["identity"], doc["table"]
+    if not isinstance(elements, list):
+        raise MalformedFile("elements must be a list of labels")
+    require_labels(identity, *elements)
+    table = {(a, b): p for a, row in zip(elements, _fields(rows, elements, "table"))
+             for b, p in zip(elements, _fields(row, elements, f"table row {a!r}"))}
+    require_labels(*table.values())
+    return GroupPresentationInput(tuple(elements), table, identity)
 
 
-def read_object(path) -> dict:
-    """The JSON object held by the file at `path`."""
+def read_object(path, keys=()) -> dict:
+    """The JSON object held by the file at `path`, which must have `keys`."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise MalformedFile(str(exc)) from exc
     if not isinstance(doc, dict):
         raise MalformedFile(f"{path} does not hold a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise MalformedFile(f"missing key {key!r}")
     return doc
+
+
+def _fields(obj, keys, what):
+    """The values of `keys` in `obj`, or MalformedFile naming `what`, the
+    shape it must have and the value it has."""
+    if isinstance(obj, dict) and all(k in obj for k in keys):
+        return [obj[k] for k in keys]
+    raise MalformedFile(f"{what} must be an object with keys {', '.join(keys)}, got {obj!r}")
 
 
 def require_labels(*values):

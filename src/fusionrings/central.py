@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
@@ -82,15 +81,17 @@ class CosetPartition:
     @classmethod
     def from_classes(cls, ring: FusionRing, class_of, explored: Iterable[str]):
         """The explored labels grouped by `class_of(label)`, any key
-        function, such as a union-find's `find`; other labels are left out."""
+        function, such as a union-find's `find`; other labels are left out.
+        `explored` must come in `ring.order_key` order, as `elements()` and
+        `labels()` give it: then each block's members, and the blocks by
+        their first members, are in that order too."""
         explored = tuple(explored)
         classes: dict = {}
         for x in explored:
             classes.setdefault(class_of(x), []).append(x)
-        raw = [ring.sort_labels(members) for members in classes.values()]
-        raw.sort(key=lambda blk: ring.order_key(blk[0]))
-        block_of = {l: i for i, blk in enumerate(raw) for l in blk}
-        return cls(tuple(tuple(b) for b in raw), block_of, explored, block_of[ring.unit])
+        blocks = tuple(map(tuple, classes.values()))
+        block_of = {l: i for i, blk in enumerate(blocks) for l in blk}
+        return cls(blocks, block_of, explored, block_of[ring.unit])
 
     def same_partition(self, other: "CosetPartition") -> bool:
         """Equality as partitions."""
@@ -230,54 +231,46 @@ def merge_closure(ring: FusionRing, depth: int = 6) -> CosetPartition:
 
     Labels are union-find nodes numbered by position: by their index in the
     window, or by the next free number for a constituent beyond it, which
-    takes part in the merging but not in the partition.  The constituents
-    of every x * g are merged; then passes merge the images under each
-    generator of labels that share a class, until each generator maps every
-    class into one class: the window's (class, image class) pairs are as
-    many as its classes.  Every merge is forced, and the loop stops only
-    where a pass would merge nothing, so this is the least congruence.
+    takes part in the merging but not in the partition.  One pass records
+    one constituent of each x * g as x's image under g and queues merging
+    the others with it.  A class keeps one image per generator (none if it
+    holds no window label); a merge hands the absorbed class's images to
+    the survivor, or queues each pair where both have one (Downey, Sethi
+    and Tarjan 1980).  An empty queue leaves a congruence, the least one,
+    as every merge is forced.
     """
     explored = ring.elements(depth)
-    index = defaultdict(lambda: len(index), ((x, i) for i, x in enumerate(explored)))
-    parent = list(range(len(explored)))
+    index = {x: i for i, x in enumerate(explored)}
+    fusion, generators = ring.fusion, ring.generators
+    images, queue = [], []
+    for g in generators:
+        image = []
+        for x in explored:
+            constituents = iter(fusion[x, g])
+            first = index.setdefault(next(constituents), len(index))
+            image.append(first)
+            for c in constituents:
+                queue.append((first, index.setdefault(c, len(index))))
+        images.append(image)
+    # per-label tuples, made after the pass so as not to fragment the product memo
+    images = list(zip(*images)) + [None] * (len(index) - len(explored))
+    parent = list(range(len(index)))
 
     def find(i):  # with path halving
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    # images[k][i]: the node of one constituent of explored[i] * generators[k];
-    # the first pass puts all of that product's constituents in its class
-    images = []
-    for g in ring.generators:
-        image = []
-        for x in explored:
-            first, *rest = map(index.__getitem__, ring.fusion[x, g])
-            image.append(first)
-            if rest:
-                parent.extend(range(len(parent), len(index)))
-                r = find(first)
-                for c in rest:
-                    c = find(c)
-                    if c != r:
-                        parent[c] = r
-        images.append(image)
-    parent.extend(range(len(parent), len(index)))
-    while True:
-        root = list(map(find, range(len(parent))))
-        classes = len(set(root[:len(explored)]))
-        if all(len(set(zip(root, map(root.__getitem__, image)))) == classes
-               for image in images):
-            break
-        for image in images:
-            image_of_class: dict[int, int] = {}
-            for i, j in enumerate(image):
-                other = image_of_class.setdefault(find(i), j)
-                if other != j:
-                    r, c = find(other), find(j)
-                    if c != r:
-                        parent[c] = r
-    return CosetPartition.from_classes(ring, lambda x: root[index[x]], explored)
+    while queue:
+        a, b = queue.pop()
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+            if images[a] is None:
+                images[a] = images[b]
+            elif images[b] is not None:
+                queue.extend(zip(images[a], images[b]))
+    return CosetPartition.from_classes(ring, lambda x: find(index[x]), explored)
 
 
 def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:

@@ -235,7 +235,8 @@ class FusionRing:
             discovered = []
             for x in frontier:
                 for g in self.generators:
-                    for c in sorted(self.fusion[x, g], key=_label_sort_key):
+                    cs = self.fusion[x, g]
+                    for c in sorted(cs, key=_label_sort_key) if len(cs) > 1 else cs:
                         if c not in self._discovery:
                             self._discovery[c] = (level, len(discovered))
                             discovered.append(c)
@@ -248,9 +249,6 @@ class FusionRing:
         if found is not None:
             return (0,) + found
         return (1,) + _label_sort_key(label)
-
-    def sort_labels(self, labels: Iterable[str]) -> list[str]:
-        return sorted(labels, key=self.order_key)
 
     # ------------------------------------------------------------- products
 
@@ -292,7 +290,7 @@ class Subobject:
         return len(self.members)
 
     def sorted_in(self, ring: FusionRing) -> list[str]:
-        return ring.sort_labels(self.members)
+        return sorted(self.members, key=ring.order_key)
 
 
 def check_subobject(ring: FusionRing, members: Iterable[str], depth: int | None = None) -> Subobject:

@@ -1,6 +1,6 @@
 """The congruence-closure chain relation against the full-square closure
-and the label-keyed loop it replaced, and the chain group of products
-against the theory.
+and the label-keyed loop it replaced, the order of the partitions, and the
+chain group of products against the theory.
 
 `full_square_closure` merges the constituents of every product of two
 window labels.  The partition, the finite chain groups and the center are
@@ -16,6 +16,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fusionrings as fr
 from fusionrings.central import UnionFind, _smith_factors
@@ -54,10 +55,26 @@ def full_square_closure(ring, depth):
     return uf, explored
 
 
+def sorted_partition(ring, class_of, explored):
+    """`CosetPartition.from_classes` as it was before it relied on the
+    order of `explored`: each block sorted by `ring.order_key`, then the
+    blocks by their first members."""
+    explored = tuple(explored)
+    classes = {}
+    for x in explored:
+        classes.setdefault(class_of(x), []).append(x)
+    raw = [sorted(members, key=ring.order_key) for members in classes.values()]
+    raw.sort(key=lambda blk: ring.order_key(blk[0]))
+    block_of = {l: i for i, blk in enumerate(raw) for l in blk}
+    return fr.CosetPartition(tuple(tuple(b) for b in raw), block_of, explored,
+                             block_of[ring.unit])
+
+
 def reference_merge_closure(ring, depth):
     """The label-keyed closure that `merge_closure` replaced: merge the
     constituents of every x * g, then merge the images of labels that share
-    a class, pass after pass, until a whole pass changes nothing."""
+    a class, pass after pass, until a whole pass changes nothing.  The
+    partition is built by `sorted_partition`."""
     explored = ring.elements(depth)
     uf = UnionFind()
     images = []
@@ -77,7 +94,7 @@ def reference_merge_closure(ring, depth):
             for x, y in zip(explored, image):
                 other = image_of_class.setdefault(uf.find(x), y)
                 changed |= uf.union(other, y)
-    return fr.CosetPartition.from_classes(ring, uf.find, explored)
+    return sorted_partition(ring, uf.find, explored)
 
 
 def full_square_unit_class(ring, depth):
@@ -141,8 +158,9 @@ def test_merge_closure_equals_reference_loop(cases):
         assert fr.merge_closure(ring, depth) == reference_merge_closure(ring, depth), (name, depth)
 
 
-# su2*Z/2 at depths 10 and 12 takes 5 and 6 passes that merge something;
-# products of window labels of z and Z/2 * Z/3 at depth 10 leave the window
+# on su2*Z/2 at depths 10 and 12 the reference loop takes 5 and 6 passes that
+# merge something; products of window labels of z and Z/2 * Z/3 at depth 10
+# leave the window
 DEEP = [("su2*z2", 10), ("su2*z2", 12), ("au2", 10), ("z", 10), ("free:zn:2+zn:3", 10)]
 
 
@@ -152,6 +170,49 @@ def test_merge_closure_equals_reference_loop_on_deep_windows(name, depth):
     part = fr.merge_closure(ring, depth)
     assert part == reference_merge_closure(ring, depth)
     assert set(part.block_of) == set(ring.elements(depth))  # no label beyond the window
+
+
+@st.composite
+def random_tables(draw):
+    """Labels x0 (the unit) to x{n-1} and a table giving each pair a
+    nonempty list of distinct constituents: no fusion-ring axiom holds."""
+    labels = [f"x{i}" for i in range(draw(st.integers(1, 6)))]
+    constituents = st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)
+    return labels, {(a, b): {c: draw(st.integers(1, 2)) for c in draw(constituents)}
+                    for a in labels for b in labels}
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_tables(), st.data())
+def test_merge_closure_equals_reference_loop_on_random_tables(drawn, data):
+    """An explicit ring on the table, or a generated ring reading it with a
+    proper subset of the labels as generators, so that a window's products
+    reach constituents beyond it."""
+    labels, table = drawn
+    if len(labels) == 1 or data.draw(st.booleans()):
+        ring = fr.FusionRing.explicit([fr.BasisElement(l, 1) for l in labels], "x0",
+                                      {l: l for l in labels}, table)
+    else:
+        gens = data.draw(st.lists(st.sampled_from(labels), min_size=1,
+                                  max_size=len(labels) - 1, unique=True))
+        ring = fr.FusionRing.generated("x0", gens, lambda a, b: table[a, b],
+                                       lambda a: a, lambda a: 1)
+    for depth in range(5):
+        assert fr.merge_closure(ring, depth) == reference_merge_closure(ring, depth), depth
+
+
+def test_partitions_come_in_order_key_order(cases):
+    """`from_classes` groups its labels in the order it is given them.  The
+    callers give a window in discovery order, so the blocks are those of
+    the construction that sorts them."""
+    for name, ring, depth in cases:
+        parts = [fr.merge_closure(ring, depth),
+                 fr.sigma_cosets(ring, fr.center_subobject(ring, depth), depth)]
+        if ring.is_explicit:
+            parts.append(fr.chain_oracle(ring, max_len=6))
+        for part in parts:
+            assert part == sorted_partition(ring, part.block_of.__getitem__, part.explored), (
+                name, depth)
 
 
 def test_chain_group_matches_full_square_pipeline(cases):

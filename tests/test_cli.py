@@ -242,11 +242,35 @@ class TestExitCodes:
         # every generator's square is read before any other product
         (("automorphisms", "--ring", str(DATA / "su2_depth4.json")), None,
          "truncated table has no entry for ('V3','V3')"),
+        # a malformed entry or key is named with the shape it must have
+        (("validate", "--ring", "{file}"),
+         ("ring", "fusion", lambda f: [{k: v for k, v in f[0].items() if k != "n"}] + f[1:]),
+         "fusion entry must be an object with keys a, b, c, n, "
+         "got {'a': '1', 'b': '1', 'c': '1'}"),
+        (("validate", "--ring", "{file}"),
+         ("ring", "basis", lambda b: b[:1] + [{"label": "sgn"}] + b[2:]),
+         "basis entry must be an object with keys label, dim, got {'label': 'sgn'}"),
+        (("validate", "--ring", "{file}"), ("ring", "fusion", {"a": "1", "b": "1"}),
+         "fusion must be a list of objects"),
+        (("chain-group", "--catalog", "group:{file}"),
+         ("group", "table", lambda t: {**t, "g1": {"g1": "g2", "g2": "e"}}),
+         "table row 'g1' must be an object with keys e, g1, g2, got {'g1': 'g2', 'g2': 'e'}"),
+        (("chain-group", "--catalog", "group:{file}"),
+         ("group", "table", lambda t: {"e": t["e"], "g1": t["g1"]}),
+         "table must be an object with keys e, g1, g2, got "
+         "{'e': {'e': 'e', 'g1': 'g1', 'g2': 'g2'}, 'g1': {'e': 'g1', 'g1': 'g2', 'g2': 'e'}}"),
+        (("chain-group", "--catalog", "group:{file}"), ("group", "elements", "eg"),
+         "elements must be a list of labels"),
+        (("chain-group", "--catalog", "group:{file}"),
+         ("json", None, {"elements": ["e"], "table": {"e": {"e": "e"}}}),
+         "missing key 'identity'"),
     ], ids=["negative-depth", "unit-list", "dual-list", "source-int", "multiplicity-str",
             "dual-unknown-label", "dual-missing-label", "fusion-unknown-pair",
             "fusion-unknown-constituent", "fusion-duplicate", "group-duplicate-label",
             "group-identity-law", "sigma-both", "sigma-neither", "sigma-file-not-list",
-            "info-dot", "automorphisms-truncated-table"])
+            "info-dot", "automorphisms-truncated-table", "fusion-entry-without-n",
+            "basis-entry-without-dim", "fusion-object", "group-row-without-column",
+            "group-table-without-row", "group-elements-string", "group-without-identity"])
     def test_malformed_file_or_option_is_input_error(self, tmp_path, args, edit, message):
         path = tmp_path / "input.json"
         if edit is not None:
