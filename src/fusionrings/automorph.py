@@ -111,13 +111,11 @@ def automorphism_group(ring: FusionRing, depth: int = 6) -> AutomorphismGroup:
 
 def _searched(ring: FusionRing, depth: int):
     """The window `ring.elements(depth)`, `search_budget()`, and the
-    window's `_search` answer, kept in `ring.automorphism_chain` by depth,
-    or by None on a complete table; a search that raises keeps nothing.
+    window's `_search` answer, kept in `ring.automorphism_chain` under
+    `ring.window_key(depth)`; a search that raises keeps nothing.
     An answer kept with more nodes than the budget raises as a fresh
     search would, when its node count first passed the budget."""
-    window = ring.elements(depth)
-    budget = search_budget()
-    key = None if ring.checked_depth(depth) is None else depth
+    window, budget, key = ring.elements(depth), search_budget(), ring.window_key(depth)
     if key not in ring.automorphism_chain:
         ring.automorphism_chain[key] = _search(ring, window, budget)
     entry = ring.automorphism_chain[key]

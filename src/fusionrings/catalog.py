@@ -419,18 +419,14 @@ def load_ring(path, validate: bool = True) -> FusionRing:
         raise MalformedFile(f"truncated_at must be a non-negative integer, not {truncated!r}")
     if not isinstance(doc["dual"], dict):
         raise MalformedFile("dual must be a map of labels")
-    for key in ("basis", "fusion"):
-        if not isinstance(doc[key], list):
-            raise MalformedFile(f"{key} must be a list of objects")
-    basis = [BasisElement(*_fields(b, ("label", "dim"), "basis entry")) for b in doc["basis"]]
+    basis = [BasisElement(*b) for b in _entries(doc["basis"], ("label", "dim"), "basis")]
     require_labels(doc["unit"], *doc["dual"].values(), *(b.label for b in basis))
     fusion: dict[tuple[str, str], Support] = {}
-    for entry in doc["fusion"]:
-        a, b, c, n = _fields(entry, ("a", "b", "c", "n"), "fusion entry")
+    for a, b, c, n in _entries(doc["fusion"], ("a", "b", "c", "n"), "fusion"):
         require_labels(a, b, c)
         supp = fusion.setdefault((a, b), {})
         if c in supp:
-            raise MalformedFile(f"duplicate fusion entry {entry}")
+            raise MalformedFile(f"duplicate fusion entry {dict(a=a, b=b, c=c, n=n)}")
         supp[c] = n
     ring = FusionRing.explicit(basis, doc["unit"], doc["dual"], fusion,
                                name=Path(path).stem, truncated_at=truncated)
@@ -475,6 +471,13 @@ def _fields(obj, keys, what):
     if isinstance(obj, dict) and all(k in obj for k in keys):
         return [obj[k] for k in keys]
     raise MalformedFile(f"{what} must be an object with keys {', '.join(keys)}, got {obj!r}")
+
+
+def _entries(items, keys, what):
+    """The `_fields` of each entry of `items`, which must be a list."""
+    if not isinstance(items, list):
+        raise MalformedFile(f"{what} must be a list of objects")
+    return [_fields(x, keys, f"{what} entry") for x in items]
 
 
 def require_labels(*values):

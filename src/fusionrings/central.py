@@ -136,12 +136,7 @@ class GroupTable:
         # a, c are closed under products and hold the identity, so checking
         # a generating set proves associativity.  A failure rescans every
         # middle, so the message names the first triple.
-        gens, inside = [], self.subgroup([])
-        for a in range(n):
-            if a not in inside:
-                gens.append(a)
-                inside = self.subgroup(gens)
-        m = self.mult
+        gens, m = self.generators(), self.mult
 
         def failures(middles):
             return ((a, b, c) for a in range(n) for b in middles for c in range(n)
@@ -159,9 +154,19 @@ class GroupTable:
         return k
 
     def is_abelian(self) -> bool:
-        n = self.size
-        return all(self.mult[a][b] == self.mult[b][a]
-                   for a in range(n) for b in range(a + 1, n))
+        """Whether the generators commute pairwise; a group law is assumed."""
+        gens, m = self.generators(), self.mult
+        return all(m[a][b] == m[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
+
+    def generators(self) -> list[int]:
+        """A generating set: each element, in index order, that is not in
+        the subgroup generated by the ones before it."""
+        gens, inside = [], self.subgroup([])
+        for a in range(self.size):
+            if a not in inside:
+                gens.append(a)
+                inside = self.subgroup(gens)
+        return gens
 
     def subgroup(self, gens: Iterable[int]) -> frozenset[int]:
         """The subgroup generated by `gens`: the identity closed under right
@@ -446,9 +451,9 @@ def _schreier(ring: FusionRing, depth: int):
     for every edge off the tree (Reidemeister-Schreier).  Returns
     (partition, table, None) or (partition, None, (names, relators)), a
     relator being a tuple of letters: i or -i for the i-th name or its
-    inverse.  Kept in `ring.chain` by depth, or by None on a complete table.
+    inverse.  Kept in `ring.chain` under `ring.window_key(depth)`.
     """
-    key = None if depth >= 0 and ring.checked_depth(depth) is None else depth
+    key = ring.window_key(depth)
     if key in ring.chain:
         return ring.chain[key]
     part = merge_closure(ring, depth)
@@ -650,7 +655,14 @@ def abelian_invariants(table: GroupTable) -> list[int]:
 
 
 def tables_isomorphic(t1: GroupTable, t2: GroupTable) -> bool:
-    """Backtracking isomorphism test; fine for order <= 24 or so."""
+    """Whether two group tables are isomorphic; both must be group laws, as
+    `identify_group` verifies its table first and takes candidates as given.
+
+    An isomorphism is fixed by the images of t1's generators
+    (`GroupTable.generators`), each tried on the elements of t2 of its
+    order.  The images placed so far are closed under phi(x g) = phi(x) phi(g)
+    and dropped when an element gets two images or two elements get one.
+    Closed over every generator, phi is a bijection respecting products."""
     n = t1.size
     if n != t2.size:
         return False
@@ -658,60 +670,33 @@ def tables_isomorphic(t1: GroupTable, t2: GroupTable) -> bool:
     orders2 = [t2.element_order(a) for a in range(n)]
     if sorted(orders1) != sorted(orders2):
         return False
-    phi: dict[int, int] = {t1.identity: t2.identity}
-    inv: dict[int, int] = {t2.identity: t1.identity}
-    elems = sorted((a for a in range(n) if a != t1.identity),
-                   key=lambda a: (-orders1[a], a))
+    gens = t1.generators()
 
-    def consistent(a, v):
-        for b, w in list(phi.items()) + [(a, v)]:
-            for (x, y, fx, fy) in ((a, b, v, w), (b, a, w, v)):
-                prod = t1.mult[x][y]
-                image = t2.mult[fx][fy]
-                if prod in phi:
-                    if phi[prod] != image:
-                        return False
-                elif image in inv:
-                    return False  # image taken by a different preimage
-        return True
+    def extend(images):
+        phi, taken, work = {t1.identity: t2.identity}, {t2.identity}, [t1.identity]
+        for x in work:
+            for g, v in zip(gens, images):
+                y, w = t1.mult[x][g], t2.mult[phi[x]][v]
+                if y not in phi and w not in taken:
+                    phi[y] = w
+                    taken.add(w)
+                    work.append(y)
+                elif phi.get(y) != w:
+                    return False
+        return len(images) == len(gens) or any(
+            extend(images + [v]) for v in range(n) if orders2[v] == orders1[gens[len(images)]])
 
-    def extend(k):
-        if k == len(elems):
-            return True
-        a = elems[k]
-        for v in range(n):
-            if v in inv or orders2[v] != orders1[a]:
-                continue
-            if not consistent(a, v):
-                continue
-            phi[a] = v
-            inv[v] = a
-            if extend(k + 1):
-                return True
-            del phi[a]
-            del inv[v]
-        return False
-
-    return extend(0)
+    return extend([])
 
 
 def identify_group(table: GroupTable,
                    candidates: Mapping[str, GroupTable] | None = None) -> GroupDescriptor:
-    """Order and abelian invariants of a finite table; names it by
-    matching any caller-supplied candidate tables."""
+    """Order and abelian invariants of a finite table; names it by the
+    first caller-supplied candidate group table isomorphic to it."""
     table.verify()
-    n = table.size
     abelian = table.is_abelian()
     invariants = abelian_invariants(table) if abelian else None
-    name = None
-    if n == 1:
-        name = "trivial"
-    elif abelian:
-        name = " x ".join(f"Z/{d}Z" for d in invariants)
-    if candidates:
-        for cand_name, cand in candidates.items():
-            if tables_isomorphic(table, cand):
-                name = cand_name
-                break
-    return GroupDescriptor(order=n, is_abelian=abelian,
+    name = (" x ".join(f"Z/{d}Z" for d in invariants) or "trivial") if abelian else None
+    name = next((c for c, t in (candidates or {}).items() if tables_isomorphic(table, t)), name)
+    return GroupDescriptor(order=table.size, is_abelian=abelian,
                            abelian_invariants=invariants, flag="exact", name=name)

@@ -22,7 +22,7 @@ from .central import (
     center_subobject,
     sigma_cosets,
 )
-from .errors import FusionRingError
+from .errors import FusionRingError, MalformedFile
 from .ring import FusionRing, Subobject, validate_ring
 from .serialize import canonical_json, merge_graph_dot, partition_table
 from .subgroups import (
@@ -131,22 +131,27 @@ def load_restriction(path, ring_file=None, catalog_name=None, depth=6) -> Restri
     `elements(depth)`."""
     given = (None if ring_file is None and catalog_name is None
              else resolve_ring(ring_file, catalog_name))
-    doc = cat.read_object(path)
-    try:
-        source = resolve_ring(doc["source"], None)
-        if given is not None and not _same_ring(given, source, depth):
-            option = (f"--ring {ring_file!r}" if ring_file is not None
-                      else f"--catalog {catalog_name!r}")
-            raise UsageError(f"{option} is not the restriction's source {doc['source']!r}")
-        target = resolve_ring(doc["target"], None)
-        if "rule" in doc:
-            make = _RESTRICTION_RULES[doc["rule"]]
-            return make(source, target)
-        mapping = {entry["from"]: {t["label"]: t["n"] for t in entry["to"]}
-                   for entry in doc["map"]}
-        cat.require_labels(*mapping, *(l for m in mapping.values() for l in m))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bad restriction file: {exc}")
+    doc = cat.read_object(path, ("source", "target"))
+    for key in ("source", "target"):
+        if not isinstance(doc[key], str):
+            raise MalformedFile(f"{key} must be a ring file or catalog name, got {doc[key]!r}")
+    source = resolve_ring(doc["source"], None)
+    if given is not None and not _same_ring(given, source, depth):
+        option = (f"--ring {ring_file!r}" if ring_file is not None
+                  else f"--catalog {catalog_name!r}")
+        raise UsageError(f"{option} is not the restriction's source {doc['source']!r}")
+    target = resolve_ring(doc["target"], None)
+    if "rule" in doc:
+        make = _RESTRICTION_RULES.get(doc["rule"]) if isinstance(doc["rule"], str) else None
+        if make is None:
+            raise MalformedFile(f"unknown rule {doc['rule']!r}; the rules are "
+                                + ", ".join(_RESTRICTION_RULES))
+        return make(source, target)
+    mapping = {}
+    for label, to in cat._entries(doc.get("map"), ("from", "to"), "map"):
+        pairs = cat._entries(to, ("label", "n"), "to")
+        cat.require_labels(label, *(l for l, _ in pairs))
+        mapping[label] = dict(pairs)
     return RestrictionData.from_dict(source, target, mapping,
                                      name=Path(path).stem)
 

@@ -87,9 +87,9 @@ class FusionRing:
     the table with a finite one and discovers the whole basis up front;
     `generated` discovers it level by level, one generator multiplication
     per level.  All operations are pure.  Three memos keep derived facts:
-    `chain` (the chain group by depth), `associative` (Light's verdict) and
-    `automorphism_chain` (the automorphism search's stabilizer chain by
-    depth).
+    `chain` and `automorphism_chain` (the chain group and the automorphism
+    search's stabilizer chain, by `window_key`) and `associative` (Light's
+    verdict).
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -104,9 +104,9 @@ class FusionRing:
         self._dual_fn = dual_fn
         self._dim_fn = dim_fn
         self.fusion = Memo(lambda ab: product_fn(*ab))
-        self.chain: dict = {}  # depth -> `central._schreier`'s answer
+        self.chain: dict = {}  # window key -> `central._schreier`'s answer
         self.associative: bool | None = None  # Light's verdict, see `_light_middle`
-        self.automorphism_chain: dict = {}  # depth -> `automorph._search`'s answer
+        self.automorphism_chain: dict = {}  # window key -> `automorph._search`'s answer
         # discovery levels; an empty last level means the basis is complete
         self._levels: list[list[str]] = [[unit]]
         # label -> (level, position within the level)
@@ -198,6 +198,13 @@ class FusionRing:
         if self.is_explicit:
             return self.truncated_at
         return depth
+
+    def window_key(self, depth: int) -> int | None:
+        """The memo key of the window `elements(depth)`: None on a complete
+        table, else `depth`; ValueError on a negative depth, memo or not."""
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
+        return None if self.checked_depth(depth) is None else depth
 
     def dim(self, label: str) -> int:
         return self._dim_fn(label)

@@ -19,10 +19,10 @@ class RestrictionData:
 
     The questions (`is_normal`, `is_central_subgroup`,
     `trivial_restriction_subobject`, `central_subgroup_cross_check`)
-    validate the data once per object and depth: a depth is recorded in
-    `validated` only when its validation succeeds, so a failure re-runs
-    and raises the same error on every call.  The public
-    `validate_restriction` always checks afresh."""
+    validate the data once per object and source window: the source's
+    `window_key(depth)` is recorded in `validated` only when validation
+    succeeds, so a failure re-runs and raises the same error on every
+    call.  The public `validate_restriction` always checks afresh."""
 
     source: FusionRing
     target: FusionRing
@@ -31,8 +31,8 @@ class RestrictionData:
     # label -> rule(label), read in place by the checks; the rule must be a
     # pure function of the label
     restricted: Memo = field(init=False, compare=False, repr=False)
-    # the depths at which validation succeeded; validity at a depth is a
-    # pure function of the rings, the rule and the depth
+    # the source window keys at which validation succeeded; validity is a
+    # pure function of the rings, the rule and the source window
     validated: set = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -73,8 +73,9 @@ def trivial_restriction(ring: FusionRing, unit_ring: FusionRing) -> RestrictionD
 def su2_parity_restriction(su2: FusionRing, z2ring: FusionRing) -> RestrictionData:
     """SU(2) -> Z2 center branching: V_n restricts to (n+1) copies of the
     parity character."""
-    labels = z2ring.labels()
-    nontrivial = next(l for l in labels if l != z2ring.unit)
+    nontrivial = next((l for l in z2ring.labels() if l != z2ring.unit), None)
+    if nontrivial is None:
+        raise InvalidRestriction("su2 parity needs a target with a label other than the unit")
 
     def rule(label):
         n = _su2_index(label)
@@ -295,13 +296,13 @@ def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
 
 def _require_valid(r: RestrictionData, depth: int):
     """Raise InvalidRestriction unless `r` is valid at `depth`; a success
-    is recorded on `r`, so each depth is proved once."""
-    if depth in r.validated:
-        return
-    report = validate_restriction(r, depth)
-    if not report.ok:
-        raise InvalidRestriction(str(report))
-    r.validated.add(depth)
+    is recorded on `r`, so each source window is proved once."""
+    key = r.source.window_key(depth)
+    if key not in r.validated:
+        report = validate_restriction(r, depth)
+        if not report.ok:
+            raise InvalidRestriction(str(report))
+        r.validated.add(key)
 
 
 def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:

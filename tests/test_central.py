@@ -1,13 +1,16 @@
 """Chain classes, coset partitions, central subobjects, group identification."""
 
 import math
-from itertools import product
+import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionrings as fr
 from fusionrings.errors import NotAGroup
+
+from test_acceptance import budget
 
 
 class TestMergeClosure:
@@ -211,11 +214,94 @@ class TestGroupIdentification:
         with pytest.raises(NotAGroup, match=f"^{message}$"):
             fr.GroupTable(mult, 0, ("e", "a")).verify()
 
+    @pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
+    def test_relabeled_cyclic_tables_are_isomorphic(self, n):
+        cyclic = _abelian([n])
+        with budget(1):
+            assert fr.tables_isomorphic(_shuffled(cyclic, n), _shuffled(cyclic, n + 1))
+
+    @pytest.mark.parametrize("orders1, orders2", [
+        ([2] * 5, [2] * 5), ([4, 8], [2, 16]), ([4, 8], [8, 4]), ([2, 16], [32]),
+        ([2, 3, 8], [48]), ([2, 2, 12], [4, 12]), ([2, 4, 6], [4, 12]),
+    ])
+    def test_abelian_tables_are_isomorphic_exactly_when_invariant_factors_agree(
+            self, orders1, orders2):
+        t1, t2 = _shuffled(_abelian(orders1), 1), _shuffled(_abelian(orders2), 2)
+        with budget(1):
+            assert (fr.tables_isomorphic(t1, t2)
+                    == (_invariant_factors(orders1) == _invariant_factors(orders2)))
+
+    def test_s3_x_z8(self):
+        s3_z8 = _table([(p, k) for p in permutations(range(3)) for k in range(8)],
+                       lambda a, b: (tuple(a[0][i] for i in b[0]), (a[1] + b[1]) % 8),
+                       ((0, 1, 2), 0))
+        with budget(1):
+            assert fr.tables_isomorphic(s3_z8, _shuffled(s3_z8, 3))
+            assert not fr.tables_isomorphic(s3_z8, _shuffled(_abelian([48]), 4))
+            assert not fr.tables_isomorphic(_abelian([48]), s3_z8)
+
+    def test_same_element_orders_but_not_isomorphic(self):
+        # Z/4 x| Z/4, with b a b^-1 = a^-1, is not abelian, but has the 1, 3
+        # and 12 elements of order 1, 2 and 4 that Z/4 x Z/4 has, so only
+        # the search can tell them apart
+        semidirect = _table(list(product(range(4), range(4))),
+                            lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4),
+                            (0, 0))
+        abelian = _abelian([4, 4])
+        assert (sorted(map(semidirect.element_order, range(16)))
+                == sorted(map(abelian.element_order, range(16))))
+        semidirect.verify()
+        assert not semidirect.is_abelian() and abelian.is_abelian()
+        for t1, t2 in ((abelian, semidirect), (semidirect, _shuffled(abelian, 5)),
+                       (_shuffled(semidirect, 6), abelian)):
+            assert not fr.tables_isomorphic(t1, t2)
+        assert fr.tables_isomorphic(semidirect, _shuffled(semidirect, 7))
+
+    @pytest.mark.parametrize("orders", [[1], [32], [2] * 5, [2, 3, 8], [4, 4]])
+    def test_generators_generate_greedily(self, orders):
+        table = _shuffled(_abelian(orders), 8)
+        gens = table.generators()
+        assert table.subgroup(gens) == frozenset(range(table.size))
+        assert all(g not in table.subgroup(gens[:k]) for k, g in enumerate(gens))
+        assert gens == sorted(gens)
+
+    def test_chain_group_names_a_shuffled_cyclic_group(self):
+        group = fr.cyclic_group(32)
+        elements = list(group.elements)
+        random.Random(0).shuffle(elements)
+        ring = fr.group_ring(fr.GroupPresentationInput(tuple(elements), group.table, "e"))
+        with budget(1):
+            _, desc = fr.chain_group(ring, candidates={"C32": _abelian([32])})
+        assert desc.name == "C32" and desc.abelian_invariants == [32]
+
     def test_group_table_verify_rejects_bad_table(self):
         mult = ((0, 1), (1, 1))  # not a latin square
         table = fr.GroupTable(mult, 0, ("e", "a"))
         with pytest.raises(NotAGroup):
             table.verify()
+
+
+def _table(elements, law, identity):
+    """The GroupTable of `law` on `elements`, built from the law itself."""
+    index = {x: i for i, x in enumerate(elements)}
+    mult = tuple(tuple(index[law(a, b)] for b in elements) for a in elements)
+    return fr.GroupTable(mult, index[identity], tuple(map(str, elements)))
+
+
+def _abelian(orders):
+    """Z/n1 x ... x Z/nk, listed in lexicographic order."""
+    return _table(list(product(*(range(n) for n in orders))),
+                  lambda x, y: tuple((a + b) % n for a, b, n in zip(x, y, orders)),
+                  tuple(0 for _ in orders))
+
+
+def _shuffled(table, seed):
+    """The same group with its elements listed in a random order."""
+    new = list(range(table.size))
+    random.Random(seed).shuffle(new)  # element i becomes element new[i]
+    old = sorted(range(table.size), key=new.__getitem__)
+    mult = tuple(tuple(new[table.mult[a][b]] for b in old) for a in old)
+    return fr.GroupTable(mult, new[table.identity], tuple(table.labels[a] for a in old))
 
 
 def _invariant_factors(orders):

@@ -264,13 +264,28 @@ class TestExitCodes:
         (("chain-group", "--catalog", "group:{file}"),
          ("json", None, {"elements": ["e"], "table": {"e": {"e": "e"}}}),
          "missing key 'identity'"),
+        (("is-normal", "--restriction", "{file}", "--depth", "3"),
+         ("restriction", "map", [{"from": "1", "to": [{"label": "1"}]}]),
+         "to entry must be an object with keys label, n, got {'label': '1'}"),
+        (("is-normal", "--restriction", "{file}", "--depth", "3"),
+         ("restriction", "map", {"from": "1", "to": [{"label": "1", "n": 1}]}),
+         "map must be a list of objects"),
+        (("is-normal", "--restriction", "{file}", "--depth", "3"), ("restriction", "rule", "nope"),
+         "unknown rule 'nope'; the rules are su2_parity, su2_weights, identity, trivial"),
+        (("is-normal", "--restriction", "{file}", "--depth", "3"),
+         ("json", None, {"target": "reps3", "rule": "identity"}), "missing key 'source'"),
+        (("is-normal", "--restriction", "{file}", "--depth", "3"),
+         ("json", None, {"source": "su2", "target": "zn:1", "rule": "su2_parity"}),
+         "su2 parity needs a target with a label other than the unit"),
     ], ids=["negative-depth", "unit-list", "dual-list", "source-int", "multiplicity-str",
             "dual-unknown-label", "dual-missing-label", "fusion-unknown-pair",
             "fusion-unknown-constituent", "fusion-duplicate", "group-duplicate-label",
             "group-identity-law", "sigma-both", "sigma-neither", "sigma-file-not-list",
             "info-dot", "automorphisms-truncated-table", "fusion-entry-without-n",
             "basis-entry-without-dim", "fusion-object", "group-row-without-column",
-            "group-table-without-row", "group-elements-string", "group-without-identity"])
+            "group-table-without-row", "group-elements-string", "group-without-identity",
+            "restriction-to-without-n", "restriction-map-object", "restriction-unknown-rule",
+            "restriction-without-source", "restriction-parity-without-nontrivial"])
     def test_malformed_file_or_option_is_input_error(self, tmp_path, args, edit, message):
         path = tmp_path / "input.json"
         if edit is not None:

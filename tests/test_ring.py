@@ -148,6 +148,21 @@ class TestGeneratedRings:
         with pytest.raises(ValueError, match=r"depth must be >= 0, got -1$"):
             call()
 
+    @pytest.mark.parametrize("ask", [
+        fr.chain_group, fr.automorphisms, fr.automorphism_group,
+        lambda ring, depth: fr.is_normal(fr.identity_restriction(ring), depth),
+    ], ids=["chain_group", "automorphisms", "automorphism_group", "is_normal"])
+    def test_negative_depth_is_rejected_beside_a_kept_answer(self, ask):
+        # a complete table keeps its answers under window_key None, which
+        # every depth maps to; a negative depth must still raise every time
+        ring = fr.rep_s3_ring()
+        assert [ring.window_key(d) for d in (0, 6, 9)] == [None] * 3
+        assert fr.su2_ring().window_key(6) == 6
+        ask(ring, 6)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"depth must be >= 0, got -1$"):
+                ask(ring, -1)
+
 
 class TestSubobjects:
     def test_check_requires_unit(self, reps3):

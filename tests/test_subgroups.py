@@ -129,7 +129,8 @@ class TestCentrality:
 
 
 class TestValidationMemo:
-    """The questions validate a restriction once per object and depth."""
+    """The questions validate a restriction once per object and source
+    window."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
@@ -153,6 +154,13 @@ class TestValidationMemo:
         fresh = fr.su2_weight_restriction(su2, zring)
         assert not fr.is_normal(fresh, 30).normal
         assert validations == [(r, 30), (r, 10), (fresh, 30)]
+
+    def test_once_per_window_of_a_complete_source(self, validations):
+        # Rep(S3)'s window is its whole table at every depth
+        r = fr.identity_restriction(fr.rep_s3_ring())
+        for depth in (6, 7, 8):
+            assert fr.is_normal(r, depth).normal
+        assert validations == [(r, 6)]
 
     def test_failure_is_not_recorded(self, reps3, validations):
         r = fr.RestrictionData.from_dict(
