@@ -312,7 +312,12 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
 
 def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPartition:
     """Partition of the explored basis under a ~ b iff supp(a x dual(b))
-    meets sigma, with transitive closure applied after the pairwise tests."""
+    meets sigma, with transitive closure applied after the pairwise tests.
+    Kept in `ring.cosets` unless it raised or warned, so those recur."""
+    # a negative depth is a key no entry has, so it raises where a fresh call does
+    key = frozenset(sigma.members), depth if depth < 0 else ring.window_key(depth)
+    if key in ring.cosets:
+        return ring.cosets[key][0]
     sigma = check_subobject(ring, sigma.members, depth=depth)
     explored = ring.elements(depth)
     members, fusion, duals = sigma.members, ring.fusion, [ring.dual(b) for b in explored]
@@ -327,14 +332,17 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
     # on a complete table the pairwise relation is already transitive (every
     # block a clique); closure is a defense against bad fusion data, so warn
     # if it changed anything.  A window's relation may miss links beyond it.
-    if (ring.checked_depth(depth) is None
-            and related != sum(len(blk) * (len(blk) - 1) // 2 for blk in part.blocks)):
+    warned = (ring.checked_depth(depth) is None
+              and related != sum(len(blk) * (len(blk) - 1) // 2 for blk in part.blocks))
+    if warned:
         warnings.warn("sigma relation was not transitive; the closure merged more")
     unit_block = set(part.blocks[part.identity_block])
     if unit_block != members & set(explored):
         raise InternalInconsistency(
             f"unit block {sorted(unit_block)} != sigma {sorted(members)} "
             "on the explored basis")
+    if not warned:
+        ring.cosets[key] = [part, None]
     return part
 
 
@@ -358,9 +366,19 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
     meet two blocks is returned as the witness of a non-central result.
     Constituents beyond the explored partition are outside the
     depth-qualified claim.  When every block product lands in the
-    partition the verified group table is returned.
+    partition the verified group table is returned, and kept beside the
+    partition in sigma's `ring.cosets` entry; a NotAGroup is not.
     """
     part = sigma_cosets(ring, sigma, depth)
+    key = frozenset(sigma.members), depth if depth < 0 else ring.window_key(depth)
+    entry = ring.cosets.get(key, [part, None])
+    if entry[1] is None:
+        entry[1] = _centrality(ring, part)
+    return entry[1]
+
+
+def _centrality(ring: FusionRing, part: CosetPartition) -> CentralityResult:
+    """`is_central_subobject` on the cosets `part`."""
     blocks, get, fusion = part.blocks, part.block_of.get, ring.fusion
     products: dict[tuple[int, int], int] = {}
     for i, bi in enumerate(blocks):

@@ -86,10 +86,10 @@ class FusionRing:
     and the breadth-first discovery order of the basis.  `explicit` seeds
     the table with a finite one and discovers the whole basis up front;
     `generated` discovers it level by level, one generator multiplication
-    per level.  All operations are pure.  Three memos keep derived facts:
-    `chain` and `automorphism_chain` (the chain group and the automorphism
-    search's stabilizer chain, by `window_key`) and `associative` (Light's
-    verdict).
+    per level.  All operations are pure.  Four memos keep derived facts:
+    `chain`, `automorphism_chain` and `cosets` (the chain group, the
+    automorphism search's stabilizer chain and a subobject's cosets, by
+    `window_key`) and `associative` (Light's verdict).
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -107,6 +107,7 @@ class FusionRing:
         self.chain: dict = {}  # window key -> `central._schreier`'s answer
         self.associative: bool | None = None  # Light's verdict, see `_light_middle`
         self.automorphism_chain: dict = {}  # window key -> `automorph._search`'s answer
+        self.cosets: dict = {}  # (members, window key) -> [partition, verdict or None]
         # discovery levels; an empty last level means the basis is complete
         self._levels: list[list[str]] = [[unit]]
         # label -> (level, position within the level)
@@ -305,16 +306,17 @@ def check_subobject(ring: FusionRing, members: Iterable[str], depth: int | None 
 
     For generated rings only the explored part (within `depth`) is checked
     for fusion closure; constituents are still tested for membership via
-    their canonical labels.
+    their canonical labels.  Errors name the first failure in `order_key` order.
     """
     members = frozenset(members)
     if ring.unit not in members:
         raise NotASubobject("missing unit")
-    for a in members:
+    ordered = sorted(members, key=ring.order_key)
+    for a in ordered:
         if ring.dual(a) not in members:
             raise NotASubobject(f"not dual-closed at {a!r}")
     explored = None if depth is None else set(ring.elements(depth))
-    probe = members if explored is None else members & explored
+    probe = ordered if explored is None else [a for a in ordered if a in explored]
     for a in probe:
         for b in probe:
             for c in ring.fusion[a, b]:

@@ -4,6 +4,7 @@ the trivially-restricting subobject, and grouplike extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import InternalInconsistency, InvalidRestriction
@@ -260,17 +261,19 @@ def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobje
 
     Cross-checked on request by the caller against the coset-group
     criterion; closure of constituents is verified through the restriction
-    rule itself so it also covers constituents beyond the depth."""
+    rule itself so it also covers constituents beyond the depth.  Members
+    are walked in window order, so an error names the first failure."""
     _require_valid(r, depth)
     explored = r.source.elements(depth)
     inside = set(explored)
 
+    @cache  # each label is decided once per call
     def trivially_restricts(tau):
         return r.restricted[tau] == {r.target.unit: r.source.dim(tau)}
 
-    members = {tau for tau in explored if trivially_restricts(tau)}
+    members = [tau for tau in explored if trivially_restricts(tau)]
     for a in members:
-        if r.source.dual(a) not in members and r.source.dual(a) in inside:
+        if r.source.dual(a) in inside and not trivially_restricts(r.source.dual(a)):
             raise InvalidRestriction(f"trivially-restricting set not dual-closed at {a!r}")
         for b in members:
             for c in r.source.fusion[a, b]:

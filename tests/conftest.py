@@ -82,3 +82,17 @@ def zring():
 @pytest.fixture(scope="session")
 def generated_fixtures(su2, so3, au2, zring):
     return {"su2": su2, "so3": so3, "au2": au2, "z": zring}
+
+
+@pytest.fixture
+def non_transitive_ring():
+    """An unvalidated table where, for sigma = {1}, x ~ y and y ~ z through
+    the unit, but not x ~ z.  A fresh ring per test."""
+    labels = ["1", "x", "y", "z"]
+    fusion = {(a, b): {"x": 1} for a in labels for b in labels}
+    for a in labels:
+        fusion[("1", a)] = fusion[(a, "1")] = {a: 1}
+    for pair in (("x", "y"), ("y", "x"), ("y", "z"), ("z", "y")):
+        fusion[pair] = {"1": 1}
+    return fr.FusionRing.explicit([fr.BasisElement(l, 1) for l in labels], "1",
+                                  {l: l for l in labels}, fusion)

@@ -58,16 +58,8 @@ class TestSigmaCosets:
         part = fr.sigma_cosets(s3ring, sub)
         assert len(part.blocks) == 2
 
-    def test_non_transitive_relation_is_logged(self):
-        # unvalidated table: x ~ y and y ~ z through the unit, but not x ~ z
-        labels = ["1", "x", "y", "z"]
-        fusion = {(a, b): {"x": 1} for a in labels for b in labels}
-        for a in labels:
-            fusion[("1", a)] = fusion[(a, "1")] = {a: 1}
-        for pair in (("x", "y"), ("y", "x"), ("y", "z"), ("z", "y")):
-            fusion[pair] = {"1": 1}
-        ring = fr.FusionRing.explicit([fr.BasisElement(l, 1) for l in labels], "1",
-                                      {l: l for l in labels}, fusion)
+    def test_non_transitive_relation_is_logged(self, non_transitive_ring):
+        ring = non_transitive_ring
         with pytest.warns(UserWarning, match="not transitive"):
             part = fr.sigma_cosets(ring, fr.check_subobject(ring, ["1"]))
         assert part.block_of["x"] == part.block_of["z"]

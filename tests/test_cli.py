@@ -84,6 +84,19 @@ class TestOtherCommands:
         from_file = cli("cosets", "--catalog", "prod:zn:2+zn:2", "--sigma-file", str(path))
         assert from_file.stdout == out.stdout
 
+    @pytest.mark.parametrize("seed", ["1", "5"])
+    @pytest.mark.parametrize("sigma, message", [
+        ("e,g1,g5", "not dual-closed at 'g1'"),
+        ("e,g1,g11", "not fusion-closed: 'g2' in 'g1' x 'g1'"),
+    ])
+    def test_subobject_errors_name_the_first_failure_in_ring_order(self, seed, sigma, message):
+        # the members are walked in ring order, not in the hash order of their set
+        out = cli("cosets", "--catalog", "zn:12", "--sigma", sigma,
+                  env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert out.returncode == 2
+        assert out.stderr == f"error: {message}\n"
+        assert out.stdout == ""
+
     def test_cosets_of_an_inconsistent_window_is_input_error(self):
         out = cli("cosets", "--catalog", "su2", "--depth", "4", "--sigma", "V0,V2,V4,V5")
         assert out.returncode == 2

@@ -17,7 +17,7 @@ multiplies words as tuples of letters, memoized on the tuples;
 `reference_sigma_cosets` and `reference_is_central_subobject` test every
 pair of the window and every pair of coset blocks; `sigma_cosets` and
 `is_central_subobject` must give every field of the same answers, or the
-same error.  On unions of chain classes the grading theorem is checked
+same error, on every call, whatever their coset memo holds.  On unions of chain classes the grading theorem is checked
 against them: sigma is central exactly when `enumerate_central_subobjects`
 lists it, and its table is the chain group's quotient by sigma's classes.
 """
@@ -35,7 +35,8 @@ import fusionrings as fr
 from fusionrings import ring as ring_module
 from fusionrings.central import UnionFind, search_budget
 from fusionrings.errors import (DepthExceeded, FusionRingError, InternalInconsistency,
-                                InvalidRestriction, NotAGroup, SearchBudgetExceeded)
+                                InvalidRestriction, NotAGroup, NotASubobject,
+                                SearchBudgetExceeded)
 from fusionrings.ring import _associative, _reach
 from fusionrings.subgroups import _multiplicative_on_generators
 
@@ -950,14 +951,17 @@ def _centrality_outcome(cosets, central, ring, sigma, depth):
 
 def assert_same_centrality(make, sigma, depth=6):
     """The library against the references, on a fresh ring and on one
-    whose chain memo `center_subobject` has filled at 2 * depth."""
+    whose chain memo `center_subobject` has filled at 2 * depth, each
+    asked twice: the second time the coset memo holds what the first kept."""
     want = _centrality_outcome(reference_sigma_cosets, reference_is_central_subobject,
                                make(), sigma, depth)
     warm = make()
     fr.center_subobject(warm, depth)
-    for ring in (make(), warm):
-        got = _centrality_outcome(fr.sigma_cosets, fr.is_central_subobject, ring, sigma, depth)
-        assert got == want, (sorted(sigma.members), depth)
+    for ring in (make(), make(), warm):
+        for _ in range(2):
+            got = _centrality_outcome(fr.sigma_cosets, fr.is_central_subobject,
+                                      ring, sigma, depth)
+            assert got == want, (sorted(sigma.members), depth)
     return got
 
 
@@ -1117,9 +1121,9 @@ def _action_answer(ring, depth, sigma):
     return fr.action_on_chain_group(ring, auto, depth)
 
 
-# every reader of the chain memo, answering as plain data; `sigma_cosets`
-# and `is_central_subobject` read no memo, but must answer the same beside
-# the readers that fill it
+# every reader of the chain memo and of the coset memo (`sigma_cosets`
+# and `is_central_subobject`), answering as plain data; each must answer
+# the same cold and beside the others that fill both memos
 MEMO_READERS = {
     "chain_group": _chain_group_answer,
     "center_subobject": lambda ring, depth, sigma: fr.center_subobject(ring, depth),
@@ -1152,7 +1156,7 @@ def test_memo_readers_answer_the_same_cold_and_warm(name, reader):
     for other, ask_other in MEMO_READERS.items():
         if other != reader:
             ask_other(ring, depth, sigma(make()))
-    assert ring.chain
+    assert ring.chain and ring.cosets
     assert ask(ring, depth, sigma(make())) == cold
 
 
@@ -1160,8 +1164,8 @@ def test_a_ring_is_freed_without_the_cycle_collector():
     ring = fr.su2_ring()
     fr.chain_group(ring, 6)
     fr.center_subobject(ring, 6)
-    fr.sigma_cosets(ring, _sub(["V0"]), 6)
-    assert ring.chain
+    fr.is_central_subobject(ring, _sub(["V0"]), 6)
+    assert ring.chain and [entry[1] is not None for entry in ring.cosets.values()] == [True]
     ref = weakref.ref(ring)
     gc.disable()
     try:
@@ -1169,3 +1173,55 @@ def test_a_ring_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ------------------------------------------------------- the coset memo
+
+
+@pytest.mark.parametrize("ask", [fr.sigma_cosets, fr.is_central_subobject],
+                         ids=["sigma_cosets", "is_central_subobject"])
+@pytest.mark.parametrize("sigma, depth, error", [
+    (["V0", "V1"], 6, NotASubobject),
+    (_evens(30) + ["V31"], 30, InternalInconsistency),
+], ids=["not a subobject", "su2 even and V31"])
+def test_coset_errors_recur_and_are_not_kept(ask, sigma, depth, error):
+    ring = fr.su2_ring()
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            ask(ring, _sub(sigma), depth)
+        messages.add(str(info.value))
+    assert len(messages) == 1 and not ring.cosets
+
+
+def test_a_non_transitive_partition_warns_on_every_call(non_transitive_ring):
+    for ask in (fr.sigma_cosets, fr.is_central_subobject) * 2:
+        with pytest.warns(UserWarning, match="not transitive"):
+            ask(non_transitive_ring, _sub(["1"]))
+    assert not non_transitive_ring.cosets
+
+
+def test_a_block_table_that_is_no_group_raises_on_every_call():
+    # the Steiner loop's cosets of {e} are its elements, whose table is not associative
+    ring = _steiner_ring()
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(NotAGroup) as info:
+            fr.is_central_subobject(ring, _sub(["e"]))
+        messages.add(str(info.value))
+    assert messages == {"associativity fails at ('p0','p1','p3')"}
+    # the partition is kept, the failed verdict is not
+    assert [entry[1] for entry in ring.cosets.values()] == [None]
+
+
+@pytest.mark.parametrize("first", [3, 4])
+def test_au2_windows_keep_their_own_cosets(first):
+    # one entry per subobject and window: the balanced words up to length d
+    # give 9 and 11 blocks, and those up to length 4 give 7 at depth 3
+    ring = fr.au_word_ring(2)
+    asks = [(d, length) for d in (first, 7 - first) for length in (d, 4)]
+    for _ in range(2):
+        got = {(d, length): len(fr.sigma_cosets(ring, _balanced(ring, length), d).blocks)
+               for d, length in asks}
+        assert got == {(3, 3): 9, (3, 4): 7, (4, 4): 11}
+    assert len(ring.cosets) == 3

@@ -151,7 +151,10 @@ class TestGeneratedRings:
     @pytest.mark.parametrize("ask", [
         fr.chain_group, fr.automorphisms, fr.automorphism_group,
         lambda ring, depth: fr.is_normal(fr.identity_restriction(ring), depth),
-    ], ids=["chain_group", "automorphisms", "automorphism_group", "is_normal"])
+        lambda ring, depth: fr.sigma_cosets(ring, fr.Subobject(frozenset(ring.labels())), depth),
+        lambda ring, depth: fr.is_central_subobject(ring, fr.Subobject(frozenset(["1"])), depth),
+    ], ids=["chain_group", "automorphisms", "automorphism_group", "is_normal", "sigma_cosets",
+            "is_central_subobject"])
     def test_negative_depth_is_rejected_beside_a_kept_answer(self, ask):
         # a complete table keeps its answers under window_key None, which
         # every depth maps to; a negative depth must still raise every time

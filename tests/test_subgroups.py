@@ -204,7 +204,8 @@ class TestTrivialRestrictionSubobject:
         # past validation (marked as done), the closure check itself
         # rejects V1 x V1 -> V2
         r.validated.add(6)
-        with pytest.raises(InvalidRestriction, match="not fusion-closed"):
+        with pytest.raises(InvalidRestriction,
+                           match=r"not fusion-closed: 'V2' in 'V1' x 'V1'$"):
             fr.trivial_restriction_subobject(r, depth=6)
 
     def test_non_dual_closed_kernel_rejected(self, au2, z2ring):
