@@ -67,14 +67,14 @@ class ValidationReport:
 
 
 class Memo(dict):
-    """A table that fills each missing entry once, with dict(fill(key)).
+    """A table that fills each missing entry once, with fill(key).
     Entries are read in place and must not be mutated."""
 
     def __init__(self, fill: Callable):
         self.fill = fill
 
     def __missing__(self, key):
-        value = self[key] = dict(self.fill(key))
+        value = self[key] = self.fill(key)
         return value
 
 
@@ -103,7 +103,7 @@ class FusionRing:
         self.truncated_at: int | None = None
         self._dual_fn = dual_fn
         self._dim_fn = dim_fn
-        self.fusion = Memo(lambda ab: product_fn(*ab))
+        self.fusion = Memo(lambda ab: dict(product_fn(*ab)))
         self.chain: dict = {}  # window key -> `central._schreier`'s answer
         self.associative: bool | None = None  # Light's verdict, see `_light_middle`
         self.automorphism_chain: dict = {}  # window key -> `automorph._search`'s answer
@@ -462,83 +462,24 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     """Check every fusion-ring axiom, reporting all failures with witnesses.
 
     Generated rings are validated on the depth-truncated sub-table; the
-    report carries the stamp `ring.checked_depth(depth)`.  A complete table
-    Light's test proves associative (`_light_middle`, once per ring) needs
-    one pass, `_trace_laws_hold`: with tau the coefficient of the unit,
-    duality and the involution give N(a,b)^c = tau(a b c*) and tau(xy) =
-    tau(yx), so by associativity N(a*,c)^b = N(c,b*)^a = N(b*,a*)^c* =
-    tau(a* c b*), and the conjugation law gives both Frobenius laws
-    (Etingof-Gelaki-Nikshych-Ostrik, Tensor Categories, 2015, 3.1).  Other
-    tables, and one failing the pass, take the loops below, which alone
-    write a report; every check the pass makes is one of theirs.
+    report carries the stamp `ring.checked_depth(depth)`.  One loop,
+    `_laws`, checks every axiom but associativity.  On a complete table
+    Light's test proves associative (`_light_middle`, once per ring) it
+    skips the Frobenius laws: with tau the coefficient of the unit, duality
+    and the involution give N(a,b)^c = tau(a b c*) and tau(xy) = tau(yx), so
+    by associativity N(a*,c)^b = N(c,b*)^a = N(b*,a*)^c* = tau(a* c b*), and
+    the conjugation law gives both Frobenius laws (Etingof-Gelaki-Nikshych-
+    Ostrik, Tensor Categories, 2015, 3.1).  The proof needs the other laws,
+    so a violation there reruns the loop with them.  Only other tables take
+    the associativity scan.
     """
-    report = ValidationReport(checked_depth=ring.checked_depth(depth))
     labels = ring.elements(depth)
-    unit = ring.unit
-    fusion = ring.fusion
-    if _light_middle(ring, labels) is not None and _trace_laws_hold(ring, labels):
-        return report
-
-    def prod(a, b):
-        # identities with any uncomputable term are skipped (truncated tables)
-        try:
-            return fusion[a, b]
-        except DepthExceeded:
-            return None
-
-    for a in labels:
-        if ring.dual(ring.dual(a)) != a:
-            report.add("dual-involution", (a,), f"dual(dual({a})) = {ring.dual(ring.dual(a))}")
-        if ring.dim(ring.dual(a)) != ring.dim(a):
-            report.add("dual-dim", (a,), "dim(dual(a)) != dim(a)")
-    if ring.dual(unit) != unit:
-        report.add("dual-unit", (unit,), "dual(unit) != unit")
-    if ring.dim(unit) != 1:
-        report.add("unit-dim", (unit,), f"dim(unit) = {ring.dim(unit)}")
-
-    for a in labels:
-        left, right = prod(unit, a), prod(a, unit)
-        if left is not None and left != {a: 1}:
-            report.add("unit-law", (unit, a), f"1 x {a} = {left}")
-        if right is not None and right != {a: 1}:
-            report.add("unit-law", (a, unit), f"{a} x 1 = {right}")
-
-    for a in labels:
-        da = ring.dual(a)
-        for b in labels:
-            supp = prod(a, b)
-            if supp is None:
-                continue
-            n_unit = supp.get(unit, 0)
-            want = 1 if b == da else 0
-            if n_unit != want:
-                report.add("duality", (a, b), f"N({a},{b})^1 = {n_unit}, expected {want}")
-            # dimension homomorphism
-            lhs = ring.dim(a) * ring.dim(b)
-            rhs = sum(n * ring.dim(c) for c, n in supp.items())
-            if lhs != rhs:
-                report.add("dim-homomorphism", (a, b), f"{lhs} != {rhs}")
-            if not supp:
-                continue
-            # Frobenius symmetry and conjugation anti-multiplicativity,
-            # checked against every constituent
-            db = ring.dual(b)
-            s3 = prod(db, da)
-            for c, n in supp.items():
-                s1 = prod(da, c)
-                if s1 is not None and s1.get(b, 0) != n:
-                    report.add("frobenius", (a, b, c), "N(a,b)^c != N(dual a, c)^b")
-                s2 = prod(c, db)
-                if s2 is not None and s2.get(a, 0) != n:
-                    report.add("frobenius", (a, b, c), "N(a,b)^c != N(c, dual b)^a")
-                if s3 is not None and s3.get(ring.dual(c), 0) != n:
-                    report.add("conjugation", (a, b, c), "N(a,b)^c != N(dual b, dual a)^dual c")
-
-    # A table Light's test proves associative gets here only with a law above
-    # reported, and has no associativity failure.  Other tables take the full
-    # scan, in (a, b, c) order, skipping triples with a term the table cannot
-    # compute (truncated tables).
-    if ring.associative:
+    proved = _light_middle(ring, labels) is not None
+    report = _laws(ring, labels, frobenius=not proved)
+    if proved and not report.ok:
+        report = _laws(ring, labels, frobenius=True)
+    report.checked_depth = ring.checked_depth(depth)
+    if proved:
         return report
     index = {a: i for i, a in enumerate(labels)}
     pairs = ((b, c) for b in labels for c in labels)
@@ -549,25 +490,67 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     return report
 
 
-def _trace_laws_hold(ring: FusionRing, labels: Sequence[str]) -> bool:
-    """Every check of `validate_ring` but associativity and Frobenius, on a complete table."""
-    dual = {a: ring.dual(a) for a in labels}
-    dim = {a: ring.dim(a) for a in labels}
+def _laws(ring: FusionRing, labels: Sequence[str], frobenius: bool) -> ValidationReport:
+    """Every check of `validate_ring` but associativity, in its report's
+    order; the Frobenius laws only when `frobenius`.  A law with a term the
+    table cannot compute (a truncated table) is skipped."""
+    report = ValidationReport()
     unit, fusion = ring.unit, ring.fusion
-    if dual[unit] != unit or dim[unit] != 1 or any(
-            dual[dual[a]] != a or dim[dual[a]] != dim[a] for a in labels):
-        return False
+    if ring.is_explicit:
+        dual = {a: ring.dual(a) for a in labels}
+        dim = {a: ring.dim(a) for a in labels}
+        prod = fusion.get  # a truncated table's missing pair reads None
+    else:
+        dual, dim = Memo(ring.dual), Memo(ring.dim)  # constituents beyond the window too
+
+        def prod(ab):
+            try:
+                return fusion[ab]
+            except DepthExceeded:
+                return None
+
     for a in labels:
-        da, dima = dual[a], dim[a]
+        if dual[dual[a]] != a:
+            report.add("dual-involution", (a,), f"dual(dual({a})) = {dual[dual[a]]}")
+        if dim[dual[a]] != dim[a]:
+            report.add("dual-dim", (a,), "dim(dual(a)) != dim(a)")
+    if dual[unit] != unit:
+        report.add("dual-unit", (unit,), "dual(unit) != unit")
+    if dim[unit] != 1:
+        report.add("unit-dim", (unit,), f"dim(unit) = {dim[unit]}")
+    for a in labels:
+        left, right = prod((unit, a)), prod((a, unit))
+        if left is not None and left != {a: 1}:
+            report.add("unit-law", (unit, a), f"1 x {a} = {left}")
+        if right is not None and right != {a: 1}:
+            report.add("unit-law", (a, unit), f"{a} x 1 = {right}")
+
+    found = report.violations
+    for a in labels:
+        da = dual[a]
         for b in labels:
-            supp, conj = fusion[a, b], fusion[dual[b], da]
-            if supp.get(unit, 0) != (b == da):
-                return False
-            total = 0
+            supp = prod((a, b))
+            if supp is None:
+                continue
+            n_unit = supp.get(unit, 0)
+            want = 1 if b == da else 0
+            if n_unit != want:
+                report.add("duality", (a, b), f"N({a},{b})^1 = {n_unit}, expected {want}")
+            # the dimension homomorphism, reported before the constituent
+            # laws: Frobenius symmetry and conjugation anti-multiplicativity
+            db, start, total = dual[b], len(found), 0
+            conj = prod((db, da))
             for c, n in supp.items():
-                if conj.get(dual[c], 0) != n:
-                    return False
                 total += n * dim[c]
-            if total != dima * dim[b]:
-                return False
-    return True
+                if frobenius:
+                    s1, s2 = prod((da, c)), prod((c, db))
+                    if s1 is not None and s1.get(b, 0) != n:
+                        report.add("frobenius", (a, b, c), "N(a,b)^c != N(dual a, c)^b")
+                    if s2 is not None and s2.get(a, 0) != n:
+                        report.add("frobenius", (a, b, c), "N(a,b)^c != N(c, dual b)^a")
+                if conj is not None and conj.get(dual[c], 0) != n:
+                    report.add("conjugation", (a, b, c), "N(a,b)^c != N(dual b, dual a)^dual c")
+            if total != dim[a] * dim[b]:
+                found.insert(start, ValidationViolation(
+                    "dim-homomorphism", (a, b), f"{dim[a] * dim[b]} != {total}"))
+    return report

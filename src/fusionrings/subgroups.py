@@ -4,7 +4,6 @@ the trivially-restricting subobject, and grouplike extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import InternalInconsistency, InvalidRestriction
@@ -34,11 +33,13 @@ class RestrictionData:
     restricted: Memo = field(init=False, compare=False, repr=False)
     # the source window keys at which validation succeeded; validity is a
     # pure function of the rings, the rule and the source window
-    validated: set = field(init=False, compare=False, repr=False)
+    validated: set = field(default_factory=set, init=False, compare=False, repr=False)
+    # source window key -> `trivial_restriction_subobject`'s answer
+    trivial: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "restricted", Memo(self.rule))
-        object.__setattr__(self, "validated", set())
+        rule = self.rule  # not self: the memo must not keep the object alive
+        object.__setattr__(self, "restricted", Memo(lambda label: dict(rule(label))))
 
     @classmethod
     def from_dict(cls, source: FusionRing, target: FusionRing,
@@ -262,26 +263,29 @@ def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobje
     Cross-checked on request by the caller against the coset-group
     criterion; closure of constituents is verified through the restriction
     rule itself so it also covers constituents beyond the depth.  Members
-    are walked in window order, so an error names the first failure."""
+    are walked in window order, so an error names the first failure.
+    The answer is kept in `r.trivial` by source window; an error is not."""
+    key = r.source.window_key(depth)
+    if key in r.trivial:
+        return r.trivial[key]
     _require_valid(r, depth)
     explored = r.source.elements(depth)
     inside = set(explored)
 
-    @cache  # each label is decided once per call
-    def trivially_restricts(tau):
-        return r.restricted[tau] == {r.target.unit: r.source.dim(tau)}
+    trivially_restricts = Memo(  # each label is decided once per call
+        lambda tau: r.restricted[tau] == {r.target.unit: r.source.dim(tau)})
 
-    members = [tau for tau in explored if trivially_restricts(tau)]
+    members = [tau for tau in explored if trivially_restricts[tau]]
     for a in members:
-        if r.source.dual(a) in inside and not trivially_restricts(r.source.dual(a)):
+        if r.source.dual(a) in inside and not trivially_restricts[r.source.dual(a)]:
             raise InvalidRestriction(f"trivially-restricting set not dual-closed at {a!r}")
         for b in members:
             for c in r.source.fusion[a, b]:
                 # constituents beyond the depth are still checked via the rule
-                if not trivially_restricts(c):
+                if not trivially_restricts[c]:
                     raise InvalidRestriction(
                         f"trivially-restricting set not fusion-closed: {c!r} in {a!r} x {b!r}")
-    return Subobject(frozenset(members))
+    return r.trivial.setdefault(key, Subobject(frozenset(members)))
 
 
 def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:

@@ -397,12 +397,16 @@ def test_validate_ring_matches_reference_on_corrupted_table(axiom):
 
 
 # axiom -> an associative table that breaks it: Light's test passes, the
-# one pass of `validate_ring` fails and its loops write the report
+# law loop of `validate_ring` without the Frobenius laws reports a
+# violation, and the loop with them writes the report
 ASSOCIATIVE_CORRUPTED = {
     "duality": lambda: _retabled(fr.group_ring(fr.klein_group()), dual={"a": "b", "b": "a"}),
     "dual-dim": lambda: _retabled(fr.rep_s3_ring(), dual={"sgn": "rho", "rho": "sgn"}),
     "dim-homomorphism": lambda: _retabled(fr.group_ring(fr.s3_group()), dims={"s": 2}),
     "unit-dim": lambda: _retabled(_zn(2), dims={"e": 2}),
+    # (rho, rho) breaks duality, the dimension homomorphism and Frobenius
+    "frobenius": lambda: _retabled(fr.rep_s3_ring(), dual={"sgn": "rho", "rho": "sgn"},
+                                   dims={"rho": 3}),
 }
 
 
@@ -412,6 +416,14 @@ def test_validate_ring_matches_reference_on_associative_corrupted_table(axiom):
     report = assert_same_report(ring)
     assert axiom in {v.axiom for v in report.violations}
     assert ring.associative is True
+
+
+def test_a_pairs_dimension_violation_precedes_its_constituent_violations():
+    report = assert_same_report(ASSOCIATIVE_CORRUPTED["frobenius"]())
+    assert len(report.violations) == 23
+    assert [v.axiom for v in report.violations if v.witness[:2] == ("rho", "rho")] == [
+        "duality", "dim-homomorphism", "frobenius", "frobenius", "frobenius", "frobenius",
+        "conjugation", "conjugation"]
 
 
 def test_proved_associative_table_skips_the_associativity_scan(monkeypatch):

@@ -208,6 +208,22 @@ class TestTrivialRestrictionSubobject:
                            match=r"not fusion-closed: 'V2' in 'V1' x 'V1'$"):
             fr.trivial_restriction_subobject(r, depth=6)
 
+    def test_answer_is_kept_per_source_window(self, su2, z2ring):
+        r = fr.su2_parity_restriction(su2, z2ring)
+        at6, at30 = (fr.trivial_restriction_subobject(r, depth) for depth in (6, 30))
+        assert r.trivial == {6: at6, 30: at30} and at6 != at30
+        assert fr.trivial_restriction_subobject(r, 30) is at30
+
+    def test_closure_error_recurs_and_is_not_kept(self, su2, z2ring):
+        r = fr.RestrictionData(su2, z2ring, lambda label: {
+            "g1" if label == "V2" else "e": su2.dim(label)}, name="broken")
+        r.validated.add(6)
+        for _ in range(2):
+            with pytest.raises(InvalidRestriction,
+                               match=r"not fusion-closed: 'V2' in 'V1' x 'V1'$"):
+                fr.trivial_restriction_subobject(r, depth=6)
+        assert r.trivial == {}
+
     def test_non_dual_closed_kernel_rejected(self, au2, z2ring):
         # words starting in v restrict to g1, so u restricts trivially and v does not
         def rule(label):
