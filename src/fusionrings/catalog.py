@@ -17,7 +17,7 @@ from .errors import (
     UnknownLabel,
 )
 from .central import GroupTable
-from .ring import BasisElement, FusionRing, Support, validate_ring
+from .ring import BasisElement, FusionRing, Memo, Support, validate_ring
 
 
 # -------------------------------------------------------------- group rings
@@ -57,32 +57,29 @@ def group_ring(g: GroupPresentationInput) -> FusionRing:
     return FusionRing.explicit(basis, g.identity, dual, fusion, name="group-ring")
 
 
+def _group(names: Sequence[str], mul) -> GroupPresentationInput:
+    """The group on `names`, the first the identity, whose product of the
+    i-th and the j-th name is the mul(i, j)-th."""
+    table = {(a, b): names[mul(i, j)] for i, a in enumerate(names) for j, b in enumerate(names)}
+    return GroupPresentationInput(tuple(names), table, names[0])
+
+
 def cyclic_group(n: int) -> GroupPresentationInput:
     if n < 1:
         raise MalformedRing(f"Z/nZ needs n >= 1, got {n}")
-    elems = tuple("e" if k == 0 else f"g{k}" for k in range(n))
-    table = {(elems[i], elems[j]): elems[(i + j) % n] for i in range(n) for j in range(n)}
-    return GroupPresentationInput(elems, table, "e")
+    return _group(["e", *(f"g{k}" for k in range(1, n))], lambda i, j: (i + j) % n)
 
 
 def klein_group() -> GroupPresentationInput:
-    elems = ("e", "a", "b", "ab")
-    idx = {e: i for i, e in enumerate(elems)}
     # Klein four = Z2 x Z2 via bitwise xor on indices
-    table = {(x, y): elems[idx[x] ^ idx[y]] for x in elems for y in elems}
-    return GroupPresentationInput(elems, table, "e")
+    return _group(("e", "a", "b", "ab"), lambda i, j: i ^ j)
 
 
 def s3_group() -> GroupPresentationInput:
     perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
-    names = ["e", "r", "r2", "s", "sr", "sr2"]
-    lookup = {p: n for p, n in zip(perms, names)}
-
-    def compose(p, q):  # (p*q)(i) = p(q(i))
-        return tuple(p[q[i]] for i in range(3))
-
-    table = {(lookup[p], lookup[q]): lookup[compose(p, q)] for p in perms for q in perms}
-    return GroupPresentationInput(tuple(names), table, "e")
+    # (p*q)(i) = p(q(i))
+    return _group(("e", "r", "r2", "s", "sr", "sr2"),
+                  lambda i, j: perms.index(tuple(perms[i][k] for k in perms[j])))
 
 
 # ------------------------------------------------------- finite rep rings
@@ -131,13 +128,19 @@ def rep_z4_ring() -> FusionRing:
 
 
 # -------------------------------------------------- generated catalog rings
-# Each family's label parser raises UnknownLabel for a label outside the
-# family.  Oracles parse their arguments, so a product checks its labels
-# whenever the ring's fusion table misses.
+# Every oracle, dual and dim of a generated family parses the labels it is
+# given, so a label outside the family raises UnknownLabel whenever the
+# ring's fusion table misses.  The towers su2, so3 and z are `_indexed_ring`s.
 
 
-def _index_parser(prefix: str, signed: bool = False):
-    """Parser of the labels prefix + str(n), n >= 0 unless `signed`."""
+def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, dim,
+                  name: str, signed: bool = False) -> FusionRing:
+    """The generated ring on the labels prefix + str(n), n >= 0 unless
+    `signed`, with unit index 0 and the given generator indices.  The
+    product of the labels of x and y is the sum, each with multiplicity 1,
+    of the labels of `constituents(x, y)`; `dual` and `dim` map an index to
+    its dual's index and to its dimension.  Any other spelling, such as a
+    leading zero or a `+`, is an unknown label."""
 
     def parse(lab: str) -> int:
         try:
@@ -148,7 +151,12 @@ def _index_parser(prefix: str, signed: bool = False):
             raise UnknownLabel(lab)
         return n
 
-    return parse
+    def oracle(a, b):
+        return {prefix + str(c): 1 for c in constituents(parse(a), parse(b))}
+
+    return FusionRing.generated(prefix + "0", [prefix + str(g) for g in generators], oracle,
+                                dual_fn=lambda l: prefix + str(dual(parse(l))),
+                                dim_fn=lambda l: dim(parse(l)), name=name)
 
 
 def su2_ring() -> FusionRing:
@@ -156,47 +164,20 @@ def su2_ring() -> FusionRing:
 
     The same ring serves SU_q(2) and B_u(Q), which share these fusion rules.
     """
-    parse = _index_parser("V")
-
-    def oracle(a, b):
-        x, y = parse(a), parse(b)
-        return {f"V{c}": 1 for c in range(abs(x - y), x + y + 1, 2)}
-
-    return FusionRing.generated("V0", ["V1"], oracle,
-                                dual_fn=lambda l: f"V{parse(l)}",
-                                dim_fn=lambda l: parse(l) + 1,
-                                name="su2")
+    return _indexed_ring("V", [1], lambda x, y: range(abs(x - y), x + y + 1, 2),
+                         lambda x: x, lambda x: x + 1, "su2")
 
 
 def so3_ring() -> FusionRing:
     """SO(3) fusion (integer spins); also serves A_aut(B, tau)."""
-    parse = _index_parser("W")
-
-    def oracle(a, b):
-        x, y = parse(a), parse(b)
-        return {f"W{c}": 1 for c in range(abs(x - y), x + y + 1)}
-
-    return FusionRing.generated("W0", ["W1"], oracle,
-                                dual_fn=lambda l: f"W{parse(l)}",
-                                dim_fn=lambda l: 2 * parse(l) + 1,
-                                name="so3")
+    return _indexed_ring("W", [1], lambda x, y: range(abs(x - y), x + y + 1),
+                         lambda x: x, lambda x: 2 * x + 1, "so3")
 
 
 def z_group_ring() -> FusionRing:
     """Group ring of Z (dual of the circle group), as a generated ring."""
-    parse = _index_parser("z", signed=True)
-
-    def oracle(a, b):
-        return {f"z{parse(a) + parse(b)}": 1}
-
-    def dim(lab):
-        parse(lab)
-        return 1
-
-    return FusionRing.generated("z0", ["z1", "z-1"], oracle,
-                                dual_fn=lambda l: f"z{-parse(l)}",
-                                dim_fn=dim,
-                                name="z-group-ring")
+    return _indexed_ring("z", [1, -1], lambda x, y: (x + y,), lambda x: -x,
+                         lambda x: 1, "z-group-ring", signed=True)
 
 
 _AU_BAR = {"u": "v", "v": "u"}
@@ -233,22 +214,18 @@ def au_word_ring(n: int = 2) -> FusionRing:
             out[(x[: len(x) - k - 1] + y[k + 1:]) or "e"] = 1
         return out
 
-    dims: dict[str, int] = {"": 1, "u": n, "v": n}
-
-    def dim(lab):
-        w = word(lab)
-        if w in dims:
-            return dims[w]
-        p, c = w[:-1], w[-1]
-        d = dim(p if p else "e") * n
-        if p and p[-1] == _AU_BAR[c]:
-            d -= dim(p[:-1] if p[:-1] else "e")
-        dims[w] = d
+    def word_dim(w):  # w non-empty; its last two letters may cancel
+        d = n * dims[w[:-1]]
+        if w[-2:-1] == _AU_BAR[w[-1]]:
+            d -= dims[w[:-2]]
         return d
+
+    dims = Memo(word_dim)
+    dims[""] = 1
 
     return FusionRing.generated("e", ["u", "v"], oracle,
                                 dual_fn=lambda l: bar(word(l)) or "e",
-                                dim_fn=dim,
+                                dim_fn=lambda l: dims[word(l)],
                                 name=f"au-word-ring(n={n})")
 
 

@@ -613,16 +613,17 @@ def _smith_factors(rows: list[list[int]], width: int) -> list[int]:
 
 
 def _depth_flag(ring: FusionRing, depth: int, same_at_next) -> str:
-    """`exact` on a complete table; otherwise `stable_at_depth(depth)` when
-    `same_at_next()` finds the answer at `depth`+1 the same, and
-    `unstable_at_depth(depth)` when it differs or leaves the window."""
-    if ring.checked_depth(depth) is None:
+    """`exact` on a complete table; otherwise, with k the answer's stamp
+    `ring.checked_depth(depth)`, `stable_at_depth(k)` when `same_at_next()`
+    finds the answer at `depth`+1 the same, and `unstable_at_depth(k)` when
+    it differs or leaves the window."""
+    if (stamp := ring.checked_depth(depth)) is None:
         return "exact"
     try:
         stable = same_at_next()
     except DepthExceeded:
         stable = False
-    return f"{'stable' if stable else 'unstable'}_at_depth({depth})"
+    return f"{'stable' if stable else 'unstable'}_at_depth({stamp})"
 
 
 def chain_group(ring: FusionRing, depth: int = 6,

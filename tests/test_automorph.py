@@ -110,7 +110,11 @@ WINDOWS = {"su2 d4": (fr.su2_ring, 4),
            "au2 d3": (lambda: fr.au_word_ring(2), 3),
            "au2 d4": (lambda: fr.au_word_ring(2), 4),
            "z d3": (fr.z_group_ring, 3),
-           "free:zn:2+zn:3 d3": (lambda: fr.free_product(_zn(2), _zn(3)), 3)}
+           "free:zn:2+zn:3 d3": (lambda: fr.free_product(_zn(2), _zn(3)), 3),
+           # 22 labels; the square of 2:g1*1:rho*2:g1*1:sgn clashes in size
+           "free:reps3+zn:2 d4": (lambda: fr.free_product(fr.rep_s3_ring(), _zn(2)), 4),
+           # 29 labels; some pair's free constituents differ from its image's in count
+           "free:reps3+reps3 d3": (lambda: fr.free_product(fr.rep_s3_ring(), fr.rep_s3_ring()), 3)}
 
 
 @pytest.mark.parametrize("name", sorted(EXPLICIT) + sorted(WINDOWS))

@@ -138,6 +138,8 @@ class TestGeneratedFamilies:
                 ring.product(ring.generators[0], label)
             with pytest.raises(UnknownLabel):
                 ring.dim(label)
+            with pytest.raises(UnknownLabel):
+                ring.dual(label)
 
 
 class TestProductsOfRings:

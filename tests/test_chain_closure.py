@@ -343,6 +343,16 @@ def test_chain_group_relators_of_catalog_products():
     assert desc.name == "Z/2Z * Z/3Z * Z"
 
 
+def test_chain_group_of_a_free_product_with_a_nonabelian_factor_is_unnamed():
+    # U(S3 * Z/2) = S3 * Z/2 is infinite and not abelian; its relators are
+    # neither all powers of one letter nor all commutators, so no name fits
+    ring = fr.free_product(fr.group_ring(fr.s3_group()), fr.group_ring(fr.cyclic_group(2)))
+    pres, desc = fr.chain_group(ring, 2)
+    assert (desc.name, desc.order, desc.flag) == (None, None, "stable_at_depth(2)")
+    assert desc.is_abelian is not True
+    assert {"[1:r]^3", "[2:g1]^2"} <= set(pres["relations"])
+
+
 def determinant_divisor_factors(rows, width):
     """Invariant factors d_k = D_k / D_(k-1), D_k the gcd of the k x k
     minors, up to the rank: the textbook oracle for `_smith_factors`."""

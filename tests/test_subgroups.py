@@ -1,11 +1,15 @@
 """Restriction data: validation, normality, centrality, grouplike elements."""
 
+from pathlib import Path
+
 import pytest
 
 import fusionrings as fr
 from fusionrings import subgroups
 from fusionrings.errors import DepthExceeded, InvalidRestriction
 from fusionrings.subgroups import _multiplicative_on_generators
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +289,12 @@ class TestGrouplikes:
         assert desc.flag == "stable_at_depth(6)"
         table, desc = fr.grouplikes_group(reps3)
         assert (set(table.labels), desc.flag) == ({"1", "sgn"}, "exact")
+
+    @pytest.mark.parametrize("depth", [2, 6])
+    def test_grouplikes_of_a_truncated_table_carry_its_depth(self, depth):
+        ring = fr.load_ring(DATA / "su2_depth4.json")
+        table, desc = fr.grouplikes_group(ring, depth)
+        assert (table.labels, desc.flag) == (("V0",), "stable_at_depth(4)")
 
     def test_grouplikes_leaving_the_window_at_next_depth_are_unstable(
             self, su2, monkeypatch):
