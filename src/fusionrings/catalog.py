@@ -215,6 +215,9 @@ def au_word_ring(n: int = 2) -> FusionRing:
         return out
 
     def word_dim(w):  # w non-empty; its last two letters may cancel
+        if w[:-1] not in dims:  # fill the prefixes shortest first: each fill recurses once
+            for k in range(1, len(w) - 1):
+                dims[w[:k]]
         d = n * dims[w[:-1]]
         if w[-2:-1] == _AU_BAR[w[-1]]:
             d -= dims[w[:-2]]

@@ -40,33 +40,12 @@ def search_budget() -> int:
     return int(text)
 
 
-class UnionFind:
-    """Plain union-find with path compression; nodes are labels.  Used by
-    `sigma_cosets`, `chain_oracle` and the tests' reference closures."""
-
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> bool:
-        """Merge the classes of x and y; True when they were distinct."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
+def _find(parent: list[int], i: int) -> int:
+    """The root of i in the union-find `parent` over label positions,
+    halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
 
 
 @dataclass
@@ -260,22 +239,16 @@ def merge_closure(ring: FusionRing, depth: int = 6) -> CosetPartition:
     # per-label tuples, made after the pass so as not to fragment the product memo
     images = list(zip(*images)) + [None] * (len(index) - len(explored))
     parent = list(range(len(index)))
-
-    def find(i):  # with path halving
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
     while queue:
         a, b = queue.pop()
-        a, b = find(a), find(b)
+        a, b = _find(parent, a), _find(parent, b)
         if a != b:
             parent[b] = a
             if images[a] is None:
                 images[a] = images[b]
             elif images[b] is not None:
                 queue.extend(zip(images[a], images[b]))
-    return CosetPartition.from_classes(ring, lambda x: find(index[x]), explored)
+    return CosetPartition.from_classes(ring, lambda x: _find(parent, index[x]), explored)
 
 
 def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
@@ -299,12 +272,13 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
                 nxt.add(frozenset(ext))
         frontier = nxt - supports
         supports |= frontier
-    uf = UnionFind()  # its find adds the labels no support merges
+    index = {x: i for i, x in enumerate(labels)}
+    parent = list(range(len(labels)))
     for supp in supports:
-        members = list(supp)
-        for other in members[1:]:
-            uf.union(members[0], other)
-    return CosetPartition.from_classes(ring, uf.find, labels)
+        first, *rest = (index[x] for x in supp)
+        for other in rest:
+            parent[_find(parent, other)] = _find(parent, first)
+    return CosetPartition.from_classes(ring, lambda x: _find(parent, index[x]), labels)
 
 
 # -------------------------------------------------------------- sigma-cosets
@@ -321,14 +295,15 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
     sigma = check_subobject(ring, sigma.members, depth=depth)
     explored = ring.elements(depth)
     members, fusion, duals = sigma.members, ring.fusion, [ring.dual(b) for b in explored]
-    uf = UnionFind()
+    parent = list(range(len(explored)))
     related = 0
     for i, a in enumerate(explored):
-        for b, db in zip(explored[i + 1:], duals[i + 1:]):
+        for j, db in enumerate(duals[i + 1:], i + 1):
             if not members.isdisjoint(fusion[a, db]):
-                uf.union(a, b)
+                parent[_find(parent, j)] = _find(parent, i)
                 related += 1
-    part = CosetPartition.from_classes(ring, uf.find, explored)
+    roots = {x: _find(parent, i) for i, x in enumerate(explored)}
+    part = CosetPartition.from_classes(ring, roots.get, explored)
     # on a complete table the pairwise relation is already transitive (every
     # block a clique); closure is a defense against bad fusion data, so warn
     # if it changed anything.  A window's relation may miss links beyond it.
@@ -539,31 +514,24 @@ def _spelled(r: tuple[int, ...], names: list[str]) -> str:
 
 def _presented(names: list[str], relators: list[tuple[int, ...]]) -> GroupDescriptor:
     """The group <names | relators>, named as a free product of cyclic
-    groups when every relator is a power of one letter, as an abelian group
-    when the relators hold every commutator of two names (`_abelian`),
-    unnamed otherwise.  The flag is left for the caller to set."""
-    pres = {"generators": names, "relations": [_spelled(r, names) for r in relators]}
-    if any(len(set(r)) > 1 for r in relators):
-        return _abelian(names, relators, pres)
-    orders = [0] * len(names)  # 0: infinite cyclic
-    for r in relators:
-        orders[r[0] - 1] = math.gcd(orders[r[0] - 1], len(r))
-    factors = [d for d in orders if d != 1]
-    name = " * ".join(f"Z/{d}Z" if d else "Z" for d in factors) or "trivial"
-    cyclic = len(factors) <= 1  # a free product of two nontrivial groups is not abelian
-    order = math.prod(factors) if cyclic and 0 not in factors else None
-    return GroupDescriptor(order, cyclic, None if order is None else factors, "exact",
-                           presentation=pres, name=name)
-
-
-def _abelian(names: list[str], relators: list[tuple[int, ...]], pres: dict) -> GroupDescriptor:
-    """`_presented` for relators that are not all powers of one letter.
-    When every commutator of two names is a relator, the group is its own
+    groups when every relator is a power of one letter and two or more
+    factors are nontrivial.  Otherwise, when the relators are such powers
+    or hold every commutator of two names, the group is its own
     abelianization, named from the Smith normal form of the exponent sums:
-    torsion factors smallest first, then one Z per free rank."""
-    k, present = len(names), set(relators)
-    if any(_relator((i, j, -i, -j)) not in present
-           for i in range(1, k + 1) for j in range(i + 1, k + 1)):
+    torsion factors smallest first, then one Z per free rank.  Any other
+    group is left unnamed.  The flag is left for the caller to set."""
+    pres = {"generators": names, "relations": [_spelled(r, names) for r in relators]}
+    k = len(names)
+    if all(len(set(r)) == 1 for r in relators):
+        orders = [0] * k  # 0: infinite cyclic
+        for r in relators:
+            orders[r[0] - 1] = math.gcd(orders[r[0] - 1], len(r))
+        factors = [d for d in orders if d != 1]
+        if len(factors) > 1:  # a free product of two nontrivial groups is not abelian
+            return GroupDescriptor(None, False, None, "exact", presentation=pres,
+                                   name=" * ".join(f"Z/{d}Z" if d else "Z" for d in factors))
+    elif not {_relator((i, j, -i, -j))
+              for i in range(1, k + 1) for j in range(i + 1, k + 1)} <= set(relators):
         return GroupDescriptor(None, None, None, "exact", presentation=pres)
     sums = [[sum((l > 0) - (l < 0) for l in r if abs(l) == i) for i in range(1, k + 1)]
             for r in relators]

@@ -11,7 +11,6 @@ arbitrary precision by construction.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -81,15 +80,15 @@ class Memo(dict):
 class FusionRing:
     """Immutable fusion ring.
 
-    A unit, generators, exact dual/dim functions over canonical labels, the
-    fusion table `fusion[a, b]` filled from the product function on a miss,
-    and the breadth-first discovery order of the basis.  `explicit` seeds
-    the table with a finite one and discovers the whole basis up front;
-    `generated` discovers it level by level, one generator multiplication
-    per level.  All operations are pure.  Four memos keep derived facts:
-    `chain`, `automorphism_chain` and `cosets` (the chain group, the
-    automorphism search's stabilizer chain and a subobject's cosets, by
-    `window_key`) and `associative` (Light's verdict).
+    A unit, generators, the exact functions `dual` and `dim` over canonical
+    labels, the fusion table `fusion[a, b]` filled from the product function
+    on a miss, and the breadth-first discovery order of the basis.
+    `explicit` seeds the table with a finite one and discovers the whole
+    basis up front; `generated` discovers it level by level, one generator
+    multiplication per level.  All operations are pure.  Four memos keep
+    derived facts: `chain`, `automorphism_chain` and `cosets` (the chain
+    group, the automorphism search's stabilizer chain and a subobject's
+    cosets, by `window_key`) and `associative` (Light's verdict).
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -101,8 +100,8 @@ class FusionRing:
         self.generators = tuple(generators)
         self.basis: tuple[BasisElement, ...] = ()  # the table's basis, if any
         self.truncated_at: int | None = None
-        self._dual_fn = dual_fn
-        self._dim_fn = dim_fn
+        self.dual = dual_fn
+        self.dim = dim_fn
         self.fusion = Memo(lambda ab: dict(product_fn(*ab)))
         self.chain: dict = {}  # window key -> `central._schreier`'s answer
         self.associative: bool | None = None  # Light's verdict, see `_light_middle`
@@ -207,12 +206,6 @@ class FusionRing:
             raise ValueError(f"depth must be >= 0, got {depth}")
         return None if self.checked_depth(depth) is None else depth
 
-    def dim(self, label: str) -> int:
-        return self._dim_fn(label)
-
-    def dual(self, label: str) -> str:
-        return self._dual_fn(label)
-
     def labels(self) -> tuple[str, ...]:
         """All basis labels of an explicit ring, in input order."""
         if not self.is_explicit:
@@ -269,16 +262,21 @@ class FusionRing:
         """Left-associated iterated fusion of a nonempty word."""
         if not word:
             raise UnknownLabel("")  # the empty word
-        acc = Counter({word[0]: 1})
-        # touch to raise UnknownLabel early
-        self.dim(word[0])
+        self.dim(word[0])  # raises UnknownLabel early
+        acc = {word[0]: 1}
         for z in word[1:]:
-            nxt = Counter()
-            for x, m in acc.items():
-                for c, n in self.fusion[x, z].items():
-                    nxt[c] += m * n
-            acc = nxt
-        return dict(acc)
+            acc = _sum((m, self.fusion[x, z]) for x, m in acc.items())
+        return acc
+
+
+def _sum(terms) -> Support:
+    """The sum of n * supp over the (n, supp) terms."""
+    out = {}
+    get = out.get
+    for n, supp in terms:
+        for c, m in supp.items():
+            out[c] = get(c, 0) + n * m
+    return out
 
 
 def _label_sort_key(label: str):

@@ -3,16 +3,15 @@ the trivially-restricting subobject, and grouplike extraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import InternalInconsistency, InvalidRestriction
 from .ring import (FusionRing, Memo, Subobject, Support, ValidationReport, _associative,
-                   _reach, generated_subobject)
+                   _reach, _sum, generated_subobject)
 from .central import GroupTable, _depth_flag, identify_group, is_central_subobject
 
 
-@dataclass(frozen=True)
 class RestrictionData:
     """A fusion-compatible decomposition map from irreducibles of the big
     ring to multisets of irreducibles of the subgroup's ring.
@@ -24,22 +23,17 @@ class RestrictionData:
     succeeds, so a failure re-runs and raises the same error on every
     call.  The public `validate_restriction` always checks afresh."""
 
-    source: FusionRing
-    target: FusionRing
-    rule: Callable[[str], Support]
-    name: str = "restriction"
-    # label -> rule(label), read in place by the checks; the rule must be a
-    # pure function of the label
-    restricted: Memo = field(init=False, compare=False, repr=False)
-    # the source window keys at which validation succeeded; validity is a
-    # pure function of the rings, the rule and the source window
-    validated: set = field(default_factory=set, init=False, compare=False, repr=False)
-    # source window key -> `trivial_restriction_subobject`'s answer
-    trivial: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        rule = self.rule  # not self: the memo must not keep the object alive
-        object.__setattr__(self, "restricted", Memo(lambda label: dict(rule(label))))
+    def __init__(self, source: FusionRing, target: FusionRing,
+                 rule: Callable[[str], Support], name: str = "restriction"):
+        self.source, self.target, self.rule, self.name = source, target, rule, name
+        # label -> rule(label), read in place by the checks; the rule must be a
+        # pure function of the label
+        self.restricted = Memo(lambda label: dict(rule(label)))
+        # the source window keys at which validation succeeded; validity is a
+        # pure function of the rings, the rule and the source window
+        self.validated: set = set()
+        # source window key -> `trivial_restriction_subobject`'s answer
+        self.trivial: dict = {}
 
     @classmethod
     def from_dict(cls, source: FusionRing, target: FusionRing,
@@ -194,16 +188,6 @@ def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str]) -> 
     return (_associative(source, window, [(p, g) for _, p, g in edges])
             and _associative(target, dict.fromkeys(lam for a in window for lam in res[a]),
                              [(y, h) for y in ys for h in hs]))
-
-
-def _sum(terms) -> Support:
-    """The sum of n * supp over the (n, supp) terms."""
-    out = {}
-    get = out.get
-    for n, supp in terms:
-        for c, m in supp.items():
-            out[c] = get(c, 0) + n * m
-    return out
 
 
 @dataclass

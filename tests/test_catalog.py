@@ -1,6 +1,7 @@
 """Builders: group rings, character rings, generated families, products, IO."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,15 @@ class TestGeneratedFamilies:
         assert au2.dim("u") == 2
         assert au2.dim("uv") == 3
         assert au2.dim("uu") == 4
+
+    def test_au_dims_of_long_words(self):
+        """The dims fill their prefixes in a loop, not one frame per letter,
+        and keep the dimension homomorphism on a long mixed word."""
+        au2 = fr.au_word_ring(2)
+        assert au2.dim("u" * 2000) == 2 ** 2000
+        w = "".join(random.Random(5).choice("uv") for _ in range(1500))
+        assert au2.dim("u") * au2.dim(w) == sum(
+            n * au2.dim(c) for c, n in au2.product(w, "u").items())
 
     def test_au_dual_is_reversed_swap(self, au2):
         assert au2.dual("uv") == "uv"
@@ -206,6 +216,12 @@ class TestSerialization:
         loaded = fr.load_ring(path)
         assert loaded.truncated_at == 4
         assert loaded.product("V1", "V2") == su2.product("V1", "V2")
+
+    def test_truncated_table_saves_back_byte_for_byte(self, tmp_path):
+        """`save_ring` skips the pairs a truncated table cannot multiply."""
+        path = tmp_path / "su2.json"
+        fr.save_ring(fr.load_ring(DATA / "su2_depth4.json"), path)
+        assert path.read_bytes() == (DATA / "su2_depth4.json").read_bytes()
 
     def test_truncated_ring_is_checked_to_its_depth(self, tmp_path, su2):
         path = tmp_path / "su2.json"

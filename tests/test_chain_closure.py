@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionrings as fr
-from fusionrings.central import UnionFind, _smith_factors
+from fusionrings.central import _presented, _relator, _smith_factors
 from fusionrings.cli import resolve_catalog
+from union_find import UnionFind
 
 DEPTHS = range(2, 7)
 
@@ -351,6 +352,22 @@ def test_chain_group_of_a_free_product_with_a_nonabelian_factor_is_unnamed():
     assert (desc.name, desc.order, desc.flag) == (None, None, "stable_at_depth(2)")
     assert desc.is_abelian is not True
     assert {"[1:r]^3", "[2:g1]^2"} <= set(pres["relations"])
+
+
+@pytest.mark.parametrize("names, relators, want", [
+    # a trivial letter beside one factor: gcd(4, 6) = 2 and b = 1
+    ("ab", [(1,) * 4, (1,) * 6, (2,)], (2, True, [2], "Z/2Z")),
+    ("a", [], (None, True, None, "Z")),
+    ("", [], (1, True, [], "trivial")),
+    ("ab", [(1, 1), (1, 2, -1, -2)], (None, True, None, "Z/2Z x Z")),
+    ("ab", [(1, 1), (2, 2, 2)], (None, False, None, "Z/2Z * Z/3Z")),
+    # a mixed relator without the commutator: neither rule applies
+    ("ab", [(1, 1, 2, 2)], (None, None, None, None)),
+])
+def test_presented_names_groups_from_theory(names, relators, want):
+    desc = _presented([f"[{x}]" for x in names], [_relator(r) for r in relators])
+    assert (desc.order, desc.is_abelian, desc.abelian_invariants, desc.name) == want
+    assert desc.flag == "exact"
 
 
 def determinant_divisor_factors(rows, width):

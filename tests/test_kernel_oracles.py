@@ -33,12 +33,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionrings as fr
 from fusionrings import ring as ring_module
-from fusionrings.central import UnionFind, search_budget
+from fusionrings.central import search_budget
 from fusionrings.errors import (DepthExceeded, FusionRingError, InternalInconsistency,
                                 InvalidRestriction, NotAGroup, NotASubobject,
                                 SearchBudgetExceeded)
 from fusionrings.ring import _associative, _reach
 from fusionrings.subgroups import _multiplicative_on_generators
+from union_find import UnionFind
 
 DATA = Path(__file__).parent / "data"
 
