@@ -17,7 +17,7 @@ from .errors import (
     UnknownLabel,
 )
 from .central import GroupTable
-from .ring import BasisElement, FusionRing, Memo, Support, validate_ring
+from .ring import BasisElement, FusionRing, Support, validate_ring
 
 
 # -------------------------------------------------------------- group rings
@@ -187,8 +187,10 @@ def au_word_ring(n: int = 2) -> FusionRing:
     """The free-unitary word ring: basis = words over {u, v} with v = dual u.
 
     Fusion of x and y sums over all cancelling factorizations x = a.g,
-    y = dual(g).b, contributing the concatenation a.b.  Dims are defined
-    recursively so the dimension homomorphism holds with dim(u) = n.
+    y = dual(g).b, contributing the concatenation a.b.  A word's dim is
+    read off the ring's own table: n dim(w[:-1]), less dim(w[:-2]) when the
+    last two letters cancel, so the dimension homomorphism holds with
+    dim(u) = n.
     """
     if n < 2:
         raise MalformedRing("au_word_ring needs dim parameter n >= 2")
@@ -214,22 +216,20 @@ def au_word_ring(n: int = 2) -> FusionRing:
             out[(x[: len(x) - k - 1] + y[k + 1:]) or "e"] = 1
         return out
 
-    def word_dim(w):  # w non-empty; its last two letters may cancel
-        if w[:-1] not in dims:  # fill the prefixes shortest first: each fill recurses once
+    def dim(lab):  # a non-empty word; its last two letters may cancel
+        w = word(lab)
+        if w[:-1] not in ring.dims:  # fill the prefixes shortest first: each fill recurses once
             for k in range(1, len(w) - 1):
-                dims[w[:k]]
-        d = n * dims[w[:-1]]
+                ring.dim(w[:k])
+        d = n * ring.dim(w[:-1] or "e")
         if w[-2:-1] == _AU_BAR[w[-1]]:
-            d -= dims[w[:-2]]
+            d -= ring.dim(w[:-2] or "e")
         return d
 
-    dims = Memo(word_dim)
-    dims[""] = 1
-
-    return FusionRing.generated("e", ["u", "v"], oracle,
-                                dual_fn=lambda l: bar(word(l)) or "e",
-                                dim_fn=lambda l: dims[word(l)],
-                                name=f"au-word-ring(n={n})")
+    ring = FusionRing.generated("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
+                                dim_fn=dim, name=f"au-word-ring(n={n})")
+    ring.dims["e"] = 1  # the empty word
+    return ring
 
 
 # --------------------------------------------------------------- products

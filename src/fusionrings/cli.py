@@ -48,10 +48,10 @@ class UsageError(FusionRingError):
 def _int_param(name: str) -> int:
     """The integer after the colon of a catalog name such as zn:N."""
     text = name.split(":", 1)[1]
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"catalog name {name!r}: {text!r} is not an integer") from None
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"catalog name {name!r}: {text!r} is not an integer")
+    return int(text)
 
 
 def resolve_catalog(name: str) -> FusionRing:
@@ -211,8 +211,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def non_negative_int(text: str) -> int:
-    """An option value that is an integer of at least 0."""
-    if int(text) < 0:
+    """An option value that is an integer of at least 0, in ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(text)
     return int(text)
 

@@ -80,10 +80,12 @@ class Memo(dict):
 class FusionRing:
     """Immutable fusion ring.
 
-    A unit, generators, the exact functions `dual` and `dim` over canonical
-    labels, the fusion table `fusion[a, b]` filled from the product function
-    on a miss, and the breadth-first discovery order of the basis.
-    `explicit` seeds the table with a finite one and discovers the whole
+    A unit, generators, three tables over canonical labels, each filled
+    once from its given function on a miss -- `fusion[a, b]` from the
+    product, `duals[a]` from the dual and `dims[a]` from the dim, read
+    also as `dual(a)` and `dim(a)` -- and the breadth-first discovery order
+    of the basis.  A fill that raises (UnknownLabel) keeps no entry.
+    `explicit` seeds the tables with finite ones and discovers the whole
     basis up front; `generated` discovers it level by level, one generator
     multiplication per level.  All operations are pure.  Four memos keep
     derived facts: `chain`, `automorphism_chain` and `cosets` (the chain
@@ -100,9 +102,9 @@ class FusionRing:
         self.generators = tuple(generators)
         self.basis: tuple[BasisElement, ...] = ()  # the table's basis, if any
         self.truncated_at: int | None = None
-        self.dual = dual_fn
-        self.dim = dim_fn
         self.fusion = Memo(lambda ab: dict(product_fn(*ab)))
+        self.duals, self.dims = Memo(dual_fn), Memo(dim_fn)
+        self.dual, self.dim = self.duals.__getitem__, self.dims.__getitem__
         self.chain: dict = {}  # window key -> `central._schreier`'s answer
         self.associative: bool | None = None  # Light's verdict, see `_light_middle`
         self.automorphism_chain: dict = {}  # window key -> `automorph._search`'s answer
@@ -153,24 +155,18 @@ class FusionRing:
                     if (a, b) not in table:
                         raise MalformedRing(f"missing fusion entry for ({a!r},{b!r})")
 
-        def lookup(mapping):
-            def get(label):
-                try:
-                    return mapping[label]
-                except KeyError:
-                    raise UnknownLabel(label) from None
-            return get
-
-        def missing(a, b):  # reached only on a table miss
-            for x in (a, b):
+        def missing(*key):  # reached only on a miss of one of the three tables
+            for x in key:
                 if x not in dims:
                     raise UnknownLabel(x)
-            raise DepthExceeded(f"truncated table has no entry for ({a!r},{b!r})")
+            raise DepthExceeded(f"truncated table has no entry for ({key[0]!r},{key[1]!r})")
 
-        ring = cls(unit, labels, missing, lookup(dual), lookup(dims), name=name)
+        ring = cls(unit, labels, missing, missing, missing, name=name)
         ring.basis = basis
         ring.truncated_at = truncated_at
         ring.fusion.update(table)
+        ring.duals.update(dual)
+        ring.dims.update(dims)
         ring._levels = [labels, []]
         ring._discovery = {l: (0, i) for i, l in enumerate(labels)}
         return ring
@@ -494,12 +490,11 @@ def _laws(ring: FusionRing, labels: Sequence[str], frobenius: bool) -> Validatio
     table cannot compute (a truncated table) is skipped."""
     report = ValidationReport()
     unit, fusion = ring.unit, ring.fusion
-    if ring.is_explicit:
-        dual = {a: ring.dual(a) for a in labels}
-        dim = {a: ring.dim(a) for a in labels}
+    if ring.is_explicit:  # plain dicts read faster than the tables
+        dual, dim = dict(ring.duals), dict(ring.dims)
         prod = fusion.get  # a truncated table's missing pair reads None
     else:
-        dual, dim = Memo(ring.dual), Memo(ring.dim)  # constituents beyond the window too
+        dual, dim = ring.duals, ring.dims  # constituents beyond the window too
 
         def prod(ab):
             try:

@@ -12,6 +12,7 @@ from test_cli_golden import DATA, run_cli
 from fusionrings.errors import (
     AxiomViolation,
     MalformedFile,
+    MalformedRing,
     NotAGroup,
     UnknownLabel,
 )
@@ -60,6 +61,14 @@ class TestCharacterRings:
                 irreps=[("1", 1), ("x", 2)], unit="1",
                 fusion={("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
                         ("x", "1"): {"x": 1}, ("x", "x"): {"1": 1}})
+
+    def test_char_table_without_a_dual_rejected(self):
+        # no label multiplies x to the unit
+        with pytest.raises(MalformedRing, match=r"^cannot infer dual of 'x'$"):
+            fr.rep_ring_char_table(
+                irreps=[("1", 1), ("x", 2)], unit="1",
+                fusion={("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
+                        ("x", "1"): {"x": 1}, ("x", "x"): {"x": 2}})
 
 
 class TestGeneratedFamilies:

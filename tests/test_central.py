@@ -214,7 +214,7 @@ class TestGroupIdentification:
 
     @pytest.mark.parametrize("orders1, orders2", [
         ([2] * 5, [2] * 5), ([4, 8], [2, 16]), ([4, 8], [8, 4]), ([2, 16], [32]),
-        ([2, 3, 8], [48]), ([2, 2, 12], [4, 12]), ([2, 4, 6], [4, 12]),
+        ([2, 3, 8], [48]), ([2, 2, 12], [4, 12]), ([2, 4, 6], [4, 12]), ([2], [3]),
     ])
     def test_abelian_tables_are_isomorphic_exactly_when_invariant_factors_agree(
             self, orders1, orders2):

@@ -252,6 +252,12 @@ class TestExitCodes:
          "sigma file must hold a JSON list of labels"),
         (("info", "--catalog", "repz4", "--format", "dot"), None,
          "dot format not available for this command"),
+        (("info", "--ring", "{file}"), ("text", None, "not json"),
+         "Expecting value: line 1 column 1 (char 0)"),
+        (("chain-group", "--catalog", "group:{file}"),
+         ("group", "table", lambda t: {**t, "g1": {**t["g1"], "g1": "x"}}),
+         "table not total at ('g1','g1')"),
+        (("chain-group", "--catalog", "au:1"), None, "au_word_ring needs dim parameter n >= 2"),
         # every generator's square is read before any other product
         (("automorphisms", "--ring", str(DATA / "su2_depth4.json")), None,
          "truncated table has no entry for ('V3','V3')"),
@@ -294,7 +300,8 @@ class TestExitCodes:
             "dual-unknown-label", "dual-missing-label", "fusion-unknown-pair",
             "fusion-unknown-constituent", "fusion-duplicate", "group-duplicate-label",
             "group-identity-law", "sigma-both", "sigma-neither", "sigma-file-not-list",
-            "info-dot", "automorphisms-truncated-table", "fusion-entry-without-n",
+            "info-dot", "ring-not-json", "group-product-not-an-element", "au-dim-below-two",
+            "automorphisms-truncated-table", "fusion-entry-without-n",
             "basis-entry-without-dim", "fusion-object", "group-row-without-column",
             "group-table-without-row", "group-elements-string", "group-without-identity",
             "restriction-to-without-n", "restriction-map-object", "restriction-unknown-rule",
@@ -303,7 +310,7 @@ class TestExitCodes:
         path = tmp_path / "input.json"
         if edit is not None:
             kind, key, value = edit
-            if kind == "json":
+            if kind in ("json", "text"):
                 doc = value
             else:
                 if kind == "ring":
@@ -314,7 +321,7 @@ class TestExitCodes:
                 else:
                     doc = {"source": "reps3", "target": "reps3", "map": []}
                 doc[key] = value(doc[key]) if callable(value) else value
-            path.write_text(json.dumps(doc))
+            path.write_text(doc if kind == "text" else json.dumps(doc))
         out = cli(*(a.replace("{file}", str(path)) for a in args))
         assert out.returncode == 2
         assert any(l.startswith("error:") for l in out.stderr.splitlines())
@@ -380,6 +387,25 @@ class TestExitCodes:
         out = cli("chain-group", "--catalog", f"zn:{n}")
         assert out.returncode == 2
         assert out.stderr == f"error: Z/nZ needs n >= 1, got {n}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("--catalog", "zn:1_0"), "catalog name 'zn:1_0': '1_0' is not an integer"),
+        (("--catalog", "zn:\u0663"), "catalog name 'zn:\u0663': '\u0663' is not an integer"),
+        (("--catalog", "zn: 4"), "catalog name 'zn: 4': ' 4' is not an integer"),
+        (("--catalog", "au:+3"), "catalog name 'au:+3': '+3' is not an integer"),
+        (("--catalog", "su2", "--depth", "1_0"),
+         "argument --depth: invalid non_negative_int value: '1_0'"),
+        (("--catalog", "su2", "--depth", "+4"),
+         "argument --depth: invalid non_negative_int value: '+4'"),
+    ], ids=["zn-underscore", "zn-arabic-indic", "zn-space", "au-plus", "depth-underscore",
+            "depth-plus"])
+    def test_integers_are_ascii_digits(self, args, message):
+        # as labels and FUSIONRING_SEARCH_BUDGET are: no sign but a catalog
+        # parameter's `-`, no `_`, no space and no other script's digits
+        out = cli("chain-group", *args)
+        assert out.returncode == 2
+        assert out.stderr == f"error: {message}\n"
+        assert out.stdout == ""
 
     def test_nested_free_product_labels(self):
         out = cli("product", "--catalog", "free:(free:zn:2+zn:3)+zn:2",

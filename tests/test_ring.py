@@ -78,6 +78,10 @@ class TestProducts:
     def test_unit_law(self, reps3):
         for a in reps3.labels():
             assert reps3.product(reps3.unit, a) == {a: 1}
+
+    def test_empty_word_is_unknown(self, reps3):
+        with pytest.raises(UnknownLabel):
+            reps3.product_word([])
             assert reps3.product(a, reps3.unit) == {a: 1}
 
     def test_word_product_matches_fold(self, s3ring):
@@ -219,3 +223,41 @@ class TestValidation:
         report = fr.validate_ring(ring)
         assert not report.ok
         assert any(("g1", "g1") == tuple(v.witness[:2]) for v in report.violations)
+
+
+class TestTables:
+    """Dims and duals, like products, are tables that fill each label once."""
+
+    @staticmethod
+    def _counted_su2():
+        su2, calls = fr.su2_ring(), Counter()
+
+        def counted(kind, fn):
+            def call(label):
+                calls[kind, label] += 1
+                return fn(label)
+            return call
+
+        ring = fr.FusionRing.generated("V0", ["V1"], su2.product,
+                                       counted("dual", su2.dual), counted("dim", su2.dim))
+        return ring, calls
+
+    def test_dims_and_duals_fill_once(self):
+        ring, calls = self._counted_su2()
+        for _ in range(2):
+            fr.grouplikes(ring, 6)
+            fr.validate_ring(ring, 3)
+        assert {l for kind, l in calls if kind == "dim"} >= set(ring.elements(6))
+        assert {l for kind, l in calls if kind == "dual"} >= set(ring.elements(3))
+        assert set(calls.values()) == {1}
+
+    def test_unknown_label_is_never_kept(self, reps3):
+        ring, calls = self._counted_su2()
+        for _ in range(2):
+            with pytest.raises(UnknownLabel):
+                ring.dim("X3")
+        assert calls["dim", "X3"] == 2
+        assert "X3" not in ring.dims
+        with pytest.raises(UnknownLabel):
+            reps3.dual("nope")
+        assert "nope" not in reps3.duals
