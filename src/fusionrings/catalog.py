@@ -218,17 +218,18 @@ def au_word_ring(n: int = 2) -> FusionRing:
 
     def dim(lab):  # a non-empty word; its last two letters may cancel
         w = word(lab)
-        if w[:-1] not in ring.dims:  # fill the prefixes shortest first: each fill recurses once
+        if w[:-1] not in dims:  # fill the prefixes shortest first: each fill recurses once
             for k in range(1, len(w) - 1):
-                ring.dim(w[:k])
-        d = n * ring.dim(w[:-1] or "e")
+                dims[w[:k]]
+        d = n * dims[w[:-1] or "e"]
         if w[-2:-1] == _AU_BAR[w[-1]]:
-            d -= ring.dim(w[:-2] or "e")
+            d -= dims[w[:-2] or "e"]
         return d
 
     ring = FusionRing.generated("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
                                 dim_fn=dim, name=f"au-word-ring(n={n})")
-    ring.dims["e"] = 1  # the empty word
+    dims = ring.dims  # dim reads the table, not the ring, so the ring holds no cycle
+    dims["e"] = 1  # the empty word
     return ring
 
 

@@ -1173,11 +1173,12 @@ def test_memo_readers_answer_the_same_cold_and_warm(name, reader):
     assert ask(ring, depth, sigma(make())) == cold
 
 
-def test_a_ring_is_freed_without_the_cycle_collector():
-    ring = fr.su2_ring()
+@pytest.mark.parametrize("make", [fr.su2_ring, lambda: fr.au_word_ring(2)], ids=["su2", "au(2)"])
+def test_a_ring_is_freed_without_the_cycle_collector(make):
+    ring = make()
     fr.chain_group(ring, 6)
     fr.center_subobject(ring, 6)
-    fr.is_central_subobject(ring, _sub(["V0"]), 6)
+    fr.is_central_subobject(ring, _sub([ring.unit]), 6)
     assert ring.chain and [entry[1] is not None for entry in ring.cosets.values()] == [True]
     ref = weakref.ref(ring)
     gc.disable()

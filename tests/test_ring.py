@@ -78,11 +78,11 @@ class TestProducts:
     def test_unit_law(self, reps3):
         for a in reps3.labels():
             assert reps3.product(reps3.unit, a) == {a: 1}
+            assert reps3.product(a, reps3.unit) == {a: 1}
 
     def test_empty_word_is_unknown(self, reps3):
         with pytest.raises(UnknownLabel):
             reps3.product_word([])
-            assert reps3.product(a, reps3.unit) == {a: 1}
 
     def test_word_product_matches_fold(self, s3ring):
         word = ["r", "s", "r2", "sr"]
