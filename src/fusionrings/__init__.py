@@ -24,7 +24,6 @@ from .ring import (
     validate_ring,
 )
 from .catalog import (
-    GroupPresentationInput,
     au_word_ring,
     cyclic_group,
     direct_product,

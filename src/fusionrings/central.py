@@ -86,7 +86,7 @@ class CosetPartition:
 
 @dataclass
 class GroupTable:
-    """A finite group as an index matrix over coset blocks."""
+    """A finite group as an index matrix, the library's one group type."""
 
     mult: tuple[tuple[int, ...], ...]
     identity: int
@@ -97,9 +97,13 @@ class GroupTable:
         return len(self.mult)
 
     def verify(self):
-        """Raise NotAGroup unless the table is a group law; elements are
-        named by their labels."""
+        """Raise NotAGroup unless the table is a group law with one distinct
+        label per element; elements are named by their labels."""
         n, name = self.size, self.labels
+        if not 0 <= self.identity < n:  # so an empty table has no identity
+            raise NotAGroup(f"identity {self.identity!r} not among {n} elements")
+        if len(name) != n or len(set(name)) != n:
+            raise NotAGroup(f"labels {name!r} are not one distinct label per element")
         if not all(len(row) == n for row in self.mult):
             raise NotAGroup("table not square")
         if any(not (0 <= v < n) for row in self.mult for v in row):

@@ -25,11 +25,15 @@ def merge_graph_dot(ring: FusionRing, depth: int = 6) -> str:
                     edges.add((x, y) if ring.order_key(x) <= ring.order_key(y) else (y, x))
     lines = ["graph merge {"]
     for l in explored:
-        lines.append(f'  "{l}" [label="{l} (dim {ring.dim(l)})"];')
+        lines.append(f'  {_quoted(l)} [label={_quoted(f"{l} (dim {ring.dim(l)})")}];')
     for x, y in sorted(edges, key=lambda e: (ring.order_key(e[0]), ring.order_key(e[1]))):
-        lines.append(f'  "{x}" -- "{y}";')
+        lines.append(f'  {_quoted(x)} -- {_quoted(y)};')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _quoted(text: str) -> str:  # a quoted DOT ID, its backslashes and quotes escaped
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def partition_table(part: CosetPartition) -> str:

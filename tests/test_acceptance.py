@@ -58,12 +58,7 @@ def test_03_s3_group_ring_chain_group_is_s3(s3ring):
     assert not desc.is_abelian
     assert desc.flag == "exact"
     # independent reference table straight from the permutation group
-    g = fr.s3_group()
-    idx = {lab: i for i, lab in enumerate(g.elements)}
-    mult = tuple(tuple(idx[g.table[(a, b)]] for b in g.elements)
-                 for a in g.elements)
-    reference = fr.GroupTable(mult, idx[g.identity], g.elements)
-    assert fr.tables_isomorphic(table, reference)
+    assert fr.tables_isomorphic(table, fr.s3_group())
 
 
 def test_04_au_chain_group_is_infinite_cyclic(au2):

@@ -20,20 +20,20 @@ from fusionrings.errors import (
 
 class TestGroupPresentations:
     def test_cyclic_check(self):
-        fr.cyclic_group(5).check()
+        fr.cyclic_group(5).verify()
 
     def test_s3_is_a_group_of_order_6(self):
         g = fr.s3_group()
-        g.check()
-        assert len(g.elements) == 6
+        g.verify()
+        assert len(g.labels) == 6
 
     def test_broken_table_rejected(self):
         g = fr.cyclic_group(3)
-        table = dict(g.table)
-        table[("g1", "g1")] = "g1"  # breaks inverses
-        broken = fr.GroupPresentationInput(g.elements, table, g.identity)
+        mult = [list(row) for row in g.mult]
+        mult[1][1] = 1  # g1 g1 = g1 breaks inverses
+        broken = fr.GroupTable(tuple(map(tuple, mult)), g.identity, g.labels)
         with pytest.raises(NotAGroup):
-            broken.check()
+            broken.verify()
 
     def test_group_ring_dims_are_one(self, s3ring):
         assert all(s3ring.dim(l) == 1 for l in s3ring.labels())
@@ -43,6 +43,35 @@ class TestGroupPresentations:
             for b in kleinring.labels():
                 supp = kleinring.product(a, b)
                 assert list(supp.values()) == [1]
+
+
+class TestGroupRingRoundTrip:
+    S3 = ("e", "r", "r2", "s", "sr", "sr2")
+
+    # the pointed part of a fusion ring is the group ring of its grouplikes
+    @pytest.mark.parametrize("name, grouplikes", [
+        ("prod:s3+reps3", {f"({g},{c})" for g in S3 for c in ("1", "sgn")}),
+        ("klein", {"e", "a", "b", "ab"}),
+        ("repz4", {"chi0", "chi1", "chi2", "chi3"}),
+        ("free:su2+zn:2", {"e", "2:g1"}),
+    ])
+    def test_group_ring_of_the_grouplikes_is_the_pointed_part(self, name, grouplikes):
+        ring = resolve_catalog(name)
+        pointed = fr.group_ring(fr.grouplikes(ring, 4))
+        assert set(pointed.labels()) == grouplikes
+        for a in grouplikes:
+            assert (pointed.dim(a), pointed.dual(a)) == (1, ring.dual(a))
+            for b in grouplikes:
+                assert pointed.product(a, b) == ring.product(a, b)
+
+    # the chain group of the group ring C*(G) is G itself
+    @pytest.mark.parametrize("group", [
+        fr.s3_group, fr.klein_group, lambda: fr.cyclic_group(12),
+        lambda: fr.load_group(DATA / "z3_group.json"),
+    ], ids=["s3", "klein", "Z/12", "z3-file"])
+    def test_chain_group_of_a_group_ring_is_the_group(self, group):
+        table = group()
+        assert fr.tables_isomorphic(fr.chain_group(fr.group_ring(table))[0], table)
 
 
 class TestCharacterRings:
@@ -256,9 +285,9 @@ class TestSerialization:
 
     def test_load_group_file(self, tmp_path):
         g = fr.cyclic_group(3)
-        doc = {"elements": list(g.elements), "identity": g.identity,
-               "table": {a: {b: g.table[(a, b)] for b in g.elements}
-                         for a in g.elements}}
+        doc = {"elements": list(g.labels), "identity": g.labels[g.identity],
+               "table": {g.labels[a]: {g.labels[b]: g.labels[c] for b, c in enumerate(row)}
+                         for a, row in enumerate(g.mult)}}
         path = tmp_path / "z3.json"
         path.write_text(json.dumps(doc))
         ring = fr.group_ring(fr.load_group(path))
@@ -266,9 +295,9 @@ class TestSerialization:
 
     def test_group_file_is_checked_once(self, monkeypatch):
         calls = []
-        check = fr.GroupPresentationInput.check
-        monkeypatch.setattr(fr.GroupPresentationInput, "check",
-                            lambda g: calls.append(g) or check(g))
+        verify = fr.GroupTable.verify
+        monkeypatch.setattr(fr.GroupTable, "verify",
+                            lambda g: calls.append(g) or verify(g))
         resolve_catalog(f"group:{DATA / 'z3_group.json'}")
         assert len(calls) == 1
 

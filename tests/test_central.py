@@ -206,6 +206,20 @@ class TestGroupIdentification:
         with pytest.raises(NotAGroup, match=f"^{message}$"):
             fr.GroupTable(mult, 0, ("e", "a")).verify()
 
+    @pytest.mark.parametrize("table, message", [
+        (fr.GroupTable((), 0, ()), "identity 0 not among 0 elements"),
+        (fr.GroupTable(((0,),), 5, ("e",)), "identity 5 not among 1 elements"),
+        (fr.GroupTable(((0, 1), (1, 1)), 0, ("e",)),
+         "labels ('e',) are not one distinct label per element"),
+        (fr.GroupTable(((0, 1), (1, 0)), 0, ("e", "e")),
+         "labels ('e', 'e') are not one distinct label per element"),
+    ], ids=["empty", "identity-outside", "too-few-labels", "repeated-label"])
+    def test_group_table_verify_rejects_malformed_input(self, table, message):
+        for check in (fr.GroupTable.verify, fr.group_ring):
+            with pytest.raises(NotAGroup) as exc:
+                check(table)
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
     def test_relabeled_cyclic_tables_are_isomorphic(self, n):
         cyclic = _abelian([n])
@@ -258,10 +272,12 @@ class TestGroupIdentification:
         assert gens == sorted(gens)
 
     def test_chain_group_names_a_shuffled_cyclic_group(self):
-        group = fr.cyclic_group(32)
-        elements = list(group.elements)
-        random.Random(0).shuffle(elements)
-        ring = fr.group_ring(fr.GroupPresentationInput(tuple(elements), group.table, "e"))
+        order = list(range(32))
+        random.Random(0).shuffle(order)  # the k-th element listed is g(order[k])
+        at = {a: k for k, a in enumerate(order)}
+        mult = tuple(tuple(at[(a + b) % 32] for b in order) for a in order)
+        labels = tuple(f"g{a}" if a else "e" for a in order)
+        ring = fr.group_ring(fr.GroupTable(mult, at[0], labels))
         with budget(1):
             _, desc = fr.chain_group(ring, candidates={"C32": _abelian([32])})
         assert desc.name == "C32" and desc.abelian_invariants == [32]

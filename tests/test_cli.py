@@ -137,6 +137,24 @@ class TestOtherCommands:
         assert out.returncode == 0
         assert out.stdout.lstrip().startswith("graph")
 
+    @pytest.mark.parametrize("args", [("chain-group",), ("center",), ("cosets", "--sigma", "e")])
+    def test_dot_escapes_quotes_and_backslashes_in_labels(self, tmp_path, args):
+        path = tmp_path / "z3.json"  # relabeled: g1 is a"b and g2 is c\d
+        text = (DATA / "z3_group.json").read_text()
+        path.write_text(text.replace("g1", 'a\\"b').replace("g2", "c\\\\d"))
+        out = cli(*args, "--catalog", f"group:{path}", "--format", "dot")
+        assert out.stdout == ('graph merge {\n  "e" [label="e (dim 1)"];\n'
+                              '  "a\\"b" [label="a\\"b (dim 1)"];\n'
+                              '  "c\\\\d" [label="c\\\\d (dim 1)"];\n}\n')
+
+    def test_dot_escapes_labels_on_edges(self, tmp_path):
+        path = tmp_path / "reps3.json"  # relabeled: rho is r\h"o
+        fr.save_ring(fr.rep_s3_ring(), path)
+        path.write_text(path.read_text().replace('"rho"', '"r\\\\h\\"o"'))
+        out = cli("chain-group", "--ring", str(path), "--format", "dot")
+        assert out.stdout.splitlines()[-3:] == [
+            '  "1" -- "r\\\\h\\"o";', '  "sgn" -- "r\\\\h\\"o";', "}"]
+
     def test_validate_file_ring(self, tmp_path):
         path = tmp_path / "ring.json"
         fr.save_ring(fr.rep_s3_ring(), path)
