@@ -16,7 +16,7 @@ from .errors import (
     UnknownLabel,
 )
 from .central import GroupTable
-from .ring import BasisElement, FusionRing, Support, validate_ring
+from .ring import BasisElement, FusionRing, Memo, Support, validate_ring
 
 
 # -------------------------------------------------------------- group rings
@@ -111,7 +111,9 @@ def rep_z4_ring() -> FusionRing:
 # -------------------------------------------------- generated catalog rings
 # Every oracle, dual and dim of a generated family parses the labels it is
 # given, so a label outside the family raises UnknownLabel whenever the
-# ring's fusion table misses.  The towers su2, so3 and z are `_indexed_ring`s.
+# ring's fusion table misses.  A family parses through a `Memo`, so each
+# label is parsed once per ring; a parse that fails keeps no entry and
+# raises again.  The towers su2, so3 and z are `_indexed_ring`s.
 
 
 def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, dim,
@@ -123,7 +125,7 @@ def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, di
     its dual's index and to its dimension.  Any other spelling, such as a
     leading zero or a `+`, is an unknown label."""
 
-    def parse(lab: str) -> int:
+    def index_of(lab: str) -> int:
         try:
             n = int(lab[len(prefix):])
         except ValueError:
@@ -132,12 +134,14 @@ def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, di
             raise UnknownLabel(lab)
         return n
 
-    def oracle(a, b):
-        return {prefix + str(c): 1 for c in constituents(parse(a), parse(b))}
+    parse, label = Memo(index_of), Memo(lambda n: prefix + str(n))
 
-    return FusionRing.generated(prefix + "0", [prefix + str(g) for g in generators], oracle,
-                                dual_fn=lambda l: prefix + str(dual(parse(l))),
-                                dim_fn=lambda l: dim(parse(l)), name=name)
+    def oracle(a, b):
+        return {label[c]: 1 for c in constituents(parse[a], parse[b])}
+
+    return FusionRing.generated(label[0], [label[g] for g in generators], oracle,
+                                dual_fn=lambda l: label[dual(parse[l])],
+                                dim_fn=lambda l: dim(parse[l]), name=name)
 
 
 def su2_ring() -> FusionRing:
@@ -224,16 +228,18 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
     def pair(a, b):
         return f"({a},{b})"
 
-    def unpair(lab):
+    def components(lab):
         if lab[:1] == "(" and lab[-1:] == ")":
             parts = split_outside_brackets(lab[1:-1], ",")
             if len(parts) == 2:
                 return parts
         raise UnknownLabel(lab)
 
+    unpair = Memo(components)
+
     def oracle(x, y):
-        a1, b1 = unpair(x)
-        a2, b2 = unpair(y)
+        a1, b1 = unpair[x]
+        a2, b2 = unpair[y]
         out = {}
         for c1, n1 in r1.fusion[a1, a2].items():
             for c2, n2 in r2.fusion[b1, b2].items():
@@ -241,11 +247,11 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
         return out
 
     def dual_fn(lab):
-        a, b = unpair(lab)
+        a, b = unpair[lab]
         return pair(r1.dual(a), r2.dual(b))
 
     def dim_fn(lab):
-        a, b = unpair(lab)
+        a, b = unpair[lab]
         return r1.dim(a) * r2.dim(b)
 
     unit, name = pair(r1.unit, r2.unit), f"{r1.name}x{r2.name}"
@@ -277,7 +283,7 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
     def label_of(word) -> str:
         return "*".join(letter(i, l) for i, l in word) or "e"
 
-    def letters_of(lab: str) -> tuple[tuple[int, str], ...]:
+    def word_letters(lab: str) -> tuple[tuple[int, str], ...]:
         """The alternating letters of a word; UnknownLabel for anything else."""
         if lab == "e":
             return ()
@@ -297,26 +303,28 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
             out.append((i, flab))
         return tuple(out)
 
+    letters_of = Memo(word_letters)
+
     def oracle(x, y):
-        s, t = letters_of(x), letters_of(y)
+        s, t = letters_of[x], letters_of[y]
         if not (s and t) or s[-1][0] != t[0][0]:
             return {label_of(s + t): 1}
         (fi, sl), (_, tl) = s[-1], t[0]
         fac, out = factors[fi], {}
         for c, m in fac.fusion[sl, tl].items():
             if c == fac.unit:  # from this ring's own table; these words are the shorter ones
-                rec = ring.fusion[label_of(s[:-1]), label_of(t[1:])]
+                rec = fusion[label_of(s[:-1]), label_of(t[1:])]
                 out.update((w, m * k) for w, k in rec.items())
             else:
                 out[label_of(s[:-1] + ((fi, c),) + t[1:])] = m
         return out
 
     def dual_fn(lab):
-        return label_of((i, factors[i].dual(l)) for i, l in reversed(letters_of(lab)))
+        return label_of((i, factors[i].dual(l)) for i, l in reversed(letters_of[lab]))
 
     def dim_fn(lab):
         d = 1
-        for i, l in letters_of(lab):
+        for i, l in letters_of[lab]:
             d *= factors[i].dim(l)
         return d
 
@@ -324,6 +332,7 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
             for g in fac.generators if g != fac.unit]
     ring = FusionRing.generated("e", gens, oracle, dual_fn=dual_fn,
                                 dim_fn=dim_fn, name=f"{r1.name}*{r2.name}")
+    fusion = ring.fusion  # the oracle reads the table, not the ring, so the ring holds no cycle
     return ring
 
 

@@ -88,9 +88,11 @@ class FusionRing:
     `explicit` seeds the tables with finite ones and discovers the whole
     basis up front; `generated` discovers it level by level, one generator
     multiplication per level.  All operations are pure.  Four memos keep
-    derived facts: `chain`, `automorphism_chain` and `cosets` (the chain
-    group, the automorphism search's stabilizer chain and a subobject's
-    cosets, by `window_key`) and `associative` (Light's verdict).
+    derived facts by `window_key`: `chain`, `automorphism_chain` and
+    `cosets` (the chain group, the automorphism search's stabilizer chain
+    and a subobject's cosets) and `associative` (Light's verdict on a
+    complete table; on a window, the verdict on the source associativity
+    a restriction proof uses, `subgroups._multiplicative_on_generators`).
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -106,7 +108,7 @@ class FusionRing:
         self.duals, self.dims = Memo(dual_fn), Memo(dim_fn)
         self.dual, self.dim = self.duals.__getitem__, self.dims.__getitem__
         self.chain: dict = {}  # window key -> `central._schreier`'s answer
-        self.associative: bool | None = None  # Light's verdict, see `_light_middle`
+        self.associative: dict = {}  # window key -> associativity verdict, see above
         self.automorphism_chain: dict = {}  # window key -> `automorph._search`'s answer
         self.cosets: dict = {}  # (members, window key) -> [partition, verdict or None]
         # discovery levels; an empty last level means the basis is complete
@@ -387,7 +389,9 @@ def _associativity_failures(ring: FusionRing, xs: Iterable[str],
     """Yield (x, y, h, lhs, rhs) where lhs = (x y) h differs from
     rhs = x (y h), for each (y, h) in `pairs` and then each x in `xs`.  A
     triple with a term the table cannot compute (a truncated table) is
-    yielded with lhs and rhs None."""
+    yielded with lhs and rhs None.  Where x y = n u and y h = n v, the
+    triple holds when u h = x v, compared in place; the sums run only when
+    that fails, reading the same entries in the same order."""
     fusion = ring.fusion
     xs = list(xs)
     for y, h in pairs:
@@ -396,10 +400,16 @@ def _associativity_failures(ring: FusionRing, xs: Iterable[str],
         except DepthExceeded:
             yield from ((x, y, h, None, None) for x in xs)
             continue
+        v1, n1 = next(iter(yh.items())) if len(yh) == 1 else (None, 0)
         for x in xs:
-            lhs, rhs = {}, {}
             try:
-                for u, n in fusion[x, y].items():
+                xy = fusion[x, y]
+                if n1 and len(xy) == 1:
+                    (u1, n), = xy.items()
+                    if n == n1 and fusion[u1, h] == fusion[x, v1]:
+                        continue
+                lhs, rhs = {}, {}
+                for u, n in xy.items():
                     for c, m in fusion[u, h].items():
                         lhs[c] = lhs.get(c, 0) + n * m
                 for v, n in yh.items():
@@ -432,21 +442,22 @@ def _light_middle(ring: FusionRing, window: Sequence[str]) -> list[str] | None:
     the unit law a returned B proves the table associative (Clifford and
     Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2), and
     on an associative table every B passes.  So the verdict, kept in
-    `ring.associative` by the first call, holds for every order in which a
-    later call grows its own B."""
+    `ring.associative` under the complete table's window key None by the
+    first call, holds for every order in which a later call grows its own B."""
     if not ring.is_explicit or ring.truncated_at is not None:
         return None
-    unit = ring.unit
-    if ring.associative is None and any(
+    unit, verdict = ring.unit, ring.associative.get(None)
+    if verdict is None and any(
             ring.fusion[unit, a] != {a: 1} or ring.fusion[a, unit] != {a: 1} for a in window):
-        ring.associative = False
-    if ring.associative is False:
+        verdict = ring.associative[None] = False
+    if verdict is False:
         return None
     middle: list[str] = []
     _reach(ring, window, middle)
-    if ring.associative is None:
-        ring.associative = _associative(ring, window, [(b, c) for b in middle for c in window])
-    return middle if ring.associative else None
+    if verdict is None:
+        verdict = ring.associative[None] = _associative(
+            ring, window, [(b, c) for b in middle for c in window])
+    return middle if verdict else None
 
 
 # ------------------------------------------------------------------ validate

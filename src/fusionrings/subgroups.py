@@ -4,7 +4,7 @@ the trivially-restricting subobject, and grouplike extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping
 
 from .errors import InternalInconsistency, InvalidRestriction
 from .ring import (FusionRing, Memo, Subobject, Support, ValidationReport, _associative,
@@ -93,7 +93,7 @@ def su2_weight_restriction(su2: FusionRing, zring: FusionRing) -> RestrictionDat
 
 def _su2_index(label: str) -> int:
     """n for the su2 label Vn; InvalidRestriction for any other label."""
-    if label[:1] != "V" or not label[1:].isdecimal():
+    if label[:1] != "V" or not label[1:].isdecimal() or f"V{int(label[1:])}" != label:
         raise InvalidRestriction(f"an su2 rule cannot restrict {label!r}")
     return int(label[1:])
 
@@ -124,7 +124,7 @@ def validate_restriction(r: RestrictionData, depth: int = 6) -> ValidationReport
             report.add("conjugation", (tau,), "map(dual tau) != dual of map(tau)")
     if report.ok:
         try:
-            if _multiplicative_on_generators(r, explored):
+            if _multiplicative_on_generators(r, depth):
                 return report
         except Exception:
             # the rule or a ring failed: the full scan raises it, or not,
@@ -150,8 +150,9 @@ def _multiplicativity_failures(r: RestrictionData, xs: Collection[str], ys: Coll
                 yield a, b, lhs, rhs
 
 
-def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str]) -> bool:
-    """True only if res(a x b) = res(a) res(b) for all a, b in `window`.
+def _multiplicative_on_generators(r: RestrictionData, depth: int) -> bool:
+    """True only if res(a x b) = res(a) res(b) for all a, b in the
+    window `r.source.elements(depth)`.
 
     Along the reach (`ring._reach`: each label b is the one new constituent
     of b' x g, g a multiplier: a generator, or a window label added where
@@ -162,7 +163,9 @@ def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str]) -> 
         E, the window and the constituents of a x b' for a in it and b' a
         parent;
       - (a x b') x g = a x (b' x g) in the source, for a in the window and
-        every parent edge;
+        every parent edge: a fact about the source window alone, whose
+        verdict is kept in `source.associative` under `window_key(depth)`
+        (a check that raises keeps nothing);
       - (x y) h = x (y h) in the target, for x restricted from the window,
         y from a parent and h from a multiplier.
     Then N res(a x b) = (res(a) res(b')) res(g) - sum of res(a) res(o) over
@@ -170,6 +173,7 @@ def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str]) -> 
     when a check fails, or when every window label is a generator (as on
     an explicit table), where the full scan costs no more."""
     source, target, res = r.source, r.target, r.restricted
+    window = source.elements(depth)
     if set(window) <= set(source.generators):
         return False
     multipliers = list(source.generators)
@@ -185,7 +189,10 @@ def _multiplicative_on_generators(r: RestrictionData, window: Sequence[str]) -> 
         return False
     ys = dict.fromkeys(lam for p in parents for lam in res[p])
     hs = dict.fromkeys(lam for g in multipliers for lam in res[g])
-    return (_associative(source, window, [(p, g) for _, p, g in edges])
+    key = source.window_key(depth)
+    if key not in source.associative:
+        source.associative[key] = _associative(source, window, [(p, g) for _, p, g in edges])
+    return (source.associative[key]
             and _associative(target, dict.fromkeys(lam for a in window for lam in res[a]),
                              [(y, h) for y in ys for h in hs]))
 

@@ -32,11 +32,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionrings as fr
-from fusionrings import ring as ring_module
+from fusionrings import catalog, ring as ring_module
 from fusionrings.central import search_budget
 from fusionrings.errors import (DepthExceeded, FusionRingError, InternalInconsistency,
                                 InvalidRestriction, NotAGroup, NotASubobject,
-                                SearchBudgetExceeded)
+                                SearchBudgetExceeded, UnknownLabel)
 from fusionrings.ring import _associative, _reach
 from fusionrings.subgroups import _multiplicative_on_generators
 from union_find import UnionFind
@@ -413,7 +413,7 @@ def test_validate_ring_matches_reference_on_associative_corrupted_table(axiom):
     ring = ASSOCIATIVE_CORRUPTED[axiom]()
     report = assert_same_report(ring)
     assert axiom in {v.axiom for v in report.violations}
-    assert ring.associative is True
+    assert ring.associative == {None: True}
 
 
 def test_a_pairs_dimension_violation_precedes_its_constituent_violations():
@@ -429,7 +429,7 @@ def test_proved_associative_table_skips_the_associativity_scan(monkeypatch):
     # associative, so the loops write the report without the n^3 scan
     ring = _retabled(_zn(16), dims={"g5": 2})
     report = assert_same_report(ring)
-    assert ring.associative is True
+    assert ring.associative == {None: True}
     scans = []
     kernel = ring_module._associativity_failures
     monkeypatch.setattr(ring_module, "_associativity_failures",
@@ -716,6 +716,65 @@ def test_non_associative_source_falls_back_to_the_full_scan(zring):
     assert [v[:2] for v in want[0]] == [("multiplicativity", ("V4", "V4"))]
 
 
+def _premise_runs(monkeypatch):
+    """The rings of the `_associativity_failures` calls from now on, one
+    entry per call."""
+    runs = []
+    kernel = ring_module._associativity_failures
+
+    def counted(ring, xs, pairs):
+        runs.append(ring)
+        return kernel(ring, xs, pairs)
+
+    monkeypatch.setattr(ring_module, "_associativity_failures", counted)
+    return runs
+
+
+def test_restrictions_from_one_source_window_prove_its_premise_once(monkeypatch):
+    runs = _premise_runs(monkeypatch)
+    su2 = fr.su2_ring()
+    for r in (fr.su2_parity_restriction(su2, _zn(2)),
+              fr.su2_weight_restriction(su2, fr.z_group_ring())):
+        assert assert_same_restriction_report(r, 30)[1] == "valid (checked to depth 30)"
+    assert [ring for ring in runs if ring is su2] == [su2]
+    assert su2.associative == {30: True}
+    # the verdict belongs to the ring: a fresh su2 proves its premise again
+    fresh = fr.su2_ring()
+    assert fr.validate_restriction(fr.su2_parity_restriction(fresh, _zn(2)), 30).ok
+    assert [ring for ring in runs if ring is fresh] == [fresh]
+
+
+def test_a_failed_source_premise_is_kept_and_each_restriction_scans(monkeypatch):
+    depth = 4
+    ring = _su2_with_square(depth)
+    runs = _premise_runs(monkeypatch)
+    for r in (fr.su2_weight_restriction(ring, fr.z_group_ring()),
+              fr.su2_parity_restriction(ring, _zn(2))):
+        want = assert_same_restriction_report(r, depth)
+        assert [v[:2] for v in want[0]] == [("multiplicativity", ("V4", "V4"))]
+    assert [r for r in runs if r is ring] == [ring] and ring.associative == {depth: False}
+
+
+def test_a_source_premise_that_raises_is_not_kept(monkeypatch):
+    su2 = fr.su2_ring()
+    kernel = ring_module._associativity_failures
+    runs = []
+
+    def flaky(ring, xs, pairs):  # the first premise on su2 raises
+        if ring is su2:
+            runs.append(ring)
+            if len(runs) == 1:
+                raise RuntimeError("premise")
+        return kernel(ring, xs, pairs)
+
+    monkeypatch.setattr(ring_module, "_associativity_failures", flaky)
+    r = fr.su2_weight_restriction(su2, fr.z_group_ring())
+    assert assert_same_restriction_report(r, 6)[1] == "valid (checked to depth 6)"
+    assert len(runs) == 1 and su2.associative == {}
+    assert assert_same_restriction_report(r, 6)[1] == "valid (checked to depth 6)"
+    assert len(runs) == 2 and su2.associative == {6: True}
+
+
 def test_non_associative_target_falls_back_to_the_full_scan(su2):
     z = fr.z_group_ring()
 
@@ -803,8 +862,7 @@ def test_stalled_reach_falls_back_to_the_full_scan():
     multipliers = list(source.generators)
     _reach(source, source.elements(2), multipliers)
     assert multipliers == ["rho", "a", "b"]
-    assert _multiplicative_on_generators(fr.identity_restriction(source),
-                                         source.elements(2)) is True
+    assert _multiplicative_on_generators(fr.identity_restriction(source), 2) is True
     source = _rep_d4_on_rho(broken=True)
     r = fr.RestrictionData(source, _rep_d4_on_rho(), lambda l: {l: 1}, name="identity")
     want = assert_same_restriction_report(r, 2)
@@ -894,6 +952,40 @@ def test_free_product_matches_reference(name):
         for y in window:
             # the constituents of window pairs reach past the window
             assert list(ring.product(x, y).items()) == list(want.product(x, y).items())
+
+
+def _splits(monkeypatch):
+    """How often `catalog.split_outside_brackets` splits each text from now on."""
+    seen = Counter()
+    split = catalog.split_outside_brackets
+
+    def counted(text, sep):
+        seen[text, sep] += 1
+        return split(text, sep)
+
+    monkeypatch.setattr(catalog, "split_outside_brackets", counted)
+    return seen
+
+
+@pytest.mark.parametrize("ask", [
+    lambda: fr.chain_group(fr.direct_product(fr.su2_ring(), fr.su2_ring()), 8),
+    lambda: fr.chain_group(fr.free_product(fr.su2_ring(), fr.direct_product(_zn(2), _zn(2))), 3),
+], ids=["su2xsu2 d8", "su2*(Z/2xZ/2) d3"])
+def test_a_generated_label_is_parsed_once_per_ring(monkeypatch, ask):
+    seen = _splits(monkeypatch)
+    ask()
+    assert seen and max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("make, pair", [(fr.su2_ring, ("V03", "V1")),
+                                        (fr.z_group_ring, ("z01", "z1"))], ids=["su2", "z"])
+def test_a_failed_parse_raises_on_every_read(make, pair):
+    ring = make()
+    ring.elements(4)
+    for _ in range(3):
+        with pytest.raises(UnknownLabel):
+            ring.fusion[pair]
+    assert pair not in ring.fusion
 
 
 # ------------------------------------------------- cosets and centrality
@@ -1169,7 +1261,11 @@ def test_memo_readers_answer_the_same_cold_and_warm(name, reader):
     assert ask(ring, depth, sigma(make())) == cold
 
 
-@pytest.mark.parametrize("make", [fr.su2_ring, lambda: fr.au_word_ring(2)], ids=["su2", "au(2)"])
+@pytest.mark.parametrize("make", [
+    fr.su2_ring, lambda: fr.au_word_ring(2), fr.z_group_ring,
+    lambda: fr.direct_product(fr.su2_ring(), fr.su2_ring()),
+    lambda: fr.free_product(fr.su2_ring(), _zn(2)),
+], ids=["su2", "au(2)", "z", "su2xsu2", "su2*Z/2"])
 def test_a_ring_is_freed_without_the_cycle_collector(make):
     ring = make()
     fr.chain_group(ring, 6)

@@ -6,7 +6,7 @@ import pytest
 
 import fusionrings as fr
 from fusionrings import subgroups
-from fusionrings.errors import DepthExceeded, InvalidRestriction
+from fusionrings.errors import DepthExceeded, InvalidRestriction, UnknownLabel
 from fusionrings.subgroups import _multiplicative_on_generators
 
 DATA = Path(__file__).parent / "data"
@@ -31,6 +31,16 @@ class TestValidation:
         unit_ring = fr.group_ring(fr.cyclic_group(1))
         r = fr.trivial_restriction(reps3, unit_ring)
         assert fr.validate_restriction(r).ok
+
+    @pytest.mark.parametrize("label", ["V03", "V\u0663", "V+3", "V", "W3", "V-1"])
+    def test_su2_rules_restrict_only_su2_labels(self, su2, parity, weights, label):
+        # the spellings su2 itself rejects, such as a leading zero or an
+        # Arabic-Indic digit
+        with pytest.raises(UnknownLabel):
+            su2.dim(label)
+        for r in (parity, weights):
+            with pytest.raises(InvalidRestriction, match="an su2 rule cannot restrict"):
+                r.restrict(label)
 
     def test_parity_valid(self, parity):
         assert fr.validate_restriction(parity, depth=6).ok
@@ -69,13 +79,13 @@ class TestValidation:
         # fails or raises, so only this test sees a proof that stopped working
         r = {"parity": parity, "weights": weights, "identity": fr.identity_restriction(su2),
              "trivial": fr.trivial_restriction(su2, fr.group_ring(fr.cyclic_group(1)))}[name]
-        assert _multiplicative_on_generators(r, su2.elements(depth)) is True
+        assert _multiplicative_on_generators(r, depth) is True
 
     @pytest.mark.parametrize("name,depth", [("so3", 6), ("au2", 3), ("z", 8)])
     def test_generator_proof_goes_through_on_identity(self, generated_fixtures, name, depth):
         ring = generated_fixtures[name]
         r = fr.identity_restriction(ring)
-        assert _multiplicative_on_generators(r, ring.elements(depth)) is True
+        assert _multiplicative_on_generators(r, depth) is True
 
     @pytest.mark.parametrize("name, label, depth, want", [
         ("repz4", "chi1", 6, ["conjugation", "conjugation"]), ("su2", "V3", 4, [])])
