@@ -12,7 +12,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import groupby
 from typing import Iterable, Mapping
 
@@ -84,9 +84,11 @@ class CosetPartition:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupTable:
-    """A finite group as an index matrix, the library's one group type."""
+    """A finite group as an index matrix, the library's one group type.
+    Immutable, so it keeps each fact once found: a pass of `verify`,
+    `generators()`, the element orders and `normal_subgroups()`."""
 
     mult: tuple[tuple[int, ...], ...]
     identity: int
@@ -99,6 +101,10 @@ class GroupTable:
     def verify(self):
         """Raise NotAGroup unless the table is a group law with one distinct
         label per element; elements are named by their labels."""
+        self._verified  # a cached_property: kept only when no check raises
+
+    @cached_property
+    def _verified(self) -> None:
         n, name = self.size, self.labels
         if not 0 <= self.identity < n:  # so an empty table has no identity
             raise NotAGroup(f"identity {self.identity!r} not among {n} elements")
@@ -131,10 +137,14 @@ class GroupTable:
 
     def element_order(self, a: int) -> int:
         cur, k = a, 1
-        while cur != self.identity:
+        while cur != self.identity and k <= self.size:  # a non-group's powers may never reach it
             cur = self.mult[cur][a]
             k += 1
         return k
+
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        return tuple(map(self.element_order, range(self.size)))
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise; a group law is assumed."""
@@ -144,12 +154,16 @@ class GroupTable:
     def generators(self) -> list[int]:
         """A generating set: each element, in index order, that is not in
         the subgroup generated by the ones before it."""
+        return list(self._generators)
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
         gens, inside = [], self.subgroup([])
         for a in range(self.size):
             if a not in inside:
                 gens.append(a)
                 inside = self.subgroup(gens)
-        return gens
+        return tuple(gens)
 
     def subgroup(self, gens: Iterable[int]) -> frozenset[int]:
         """The subgroup generated by `gens`: the identity closed under right
@@ -163,6 +177,34 @@ class GroupTable:
             out |= new
             work.extend(new)
         return frozenset(out)
+
+    def normal_subgroups(self) -> frozenset[frozenset[int]]:
+        """The normal subgroups of a group law: from the trivial one, each
+        found is joined with the normal closure of every element not inside
+        it.  Kept once found; with more than `search_budget()` the search runs
+        again, so SearchBudgetExceeded is raised as a fresh search raises it."""
+        budget, kept = search_budget(), self.__dict__.get("_normals")
+        if kept is not None and len(kept) <= budget:
+            return kept
+        m, e = self.mult, self.identity
+        inverse = [row.index(e) for row in m]
+        closures = {self.subgroup({m[m[g][a]][inverse[g]] for g in range(self.size)})
+                    for a in range(self.size)}
+        normals = {frozenset([e])}
+        work = list(normals)
+        while work:
+            if len(normals) > budget:
+                raise SearchBudgetExceeded("central-subobject lattice too large",
+                                           len(normals), budget)
+            s = work.pop()
+            for c in closures:
+                if not c <= s:
+                    j = self.subgroup(s | c)
+                    if j not in normals:
+                        normals.add(j)
+                        work.append(j)
+        self.__dict__["_normals"] = normals = frozenset(normals)  # as cached_property does
+        return normals
 
     def quotient(self, normal: frozenset[int]) -> "GroupTable":
         """The table of the cosets of the normal subgroup `normal`, each
@@ -386,33 +428,14 @@ def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
 
     The chain classes are the components of the universal grading by the
     chain group U, so a subobject is central exactly when it is the union
-    of the classes in a normal subgroup of U.  The normal subgroups are
-    found as a worklist of joins: starting from the trivial subgroup, each
-    one found is joined with the normal closure of every element not
-    already inside it.  SearchBudgetExceeded is raised when U has more
-    normal subgroups than the search budget.
+    of the classes in a normal subgroup of U, one of
+    `GroupTable.normal_subgroups` (which raises SearchBudgetExceeded).
     """
     ring.labels()  # a finite table is needed
     part, t, _ = _schreier(ring, 0)  # the depth does not limit a complete table
     t.verify()
-    inverse = [row.index(t.identity) for row in t.mult]
-    closures = {t.subgroup({t.mult[t.mult[g][a]][inverse[g]] for g in range(t.size)})
-                for a in range(t.size)}
-    budget = search_budget()
-    bottom = frozenset([t.identity])
-    normals = {bottom}
-    work = [bottom]
-    while work:
-        if len(normals) > budget:
-            raise SearchBudgetExceeded("central-subobject lattice too large", len(normals), budget)
-        s = work.pop()
-        for c in closures:
-            if not c <= s:
-                j = t.subgroup(s | c)
-                if j not in normals:
-                    normals.add(j)
-                    work.append(j)
-    out = [Subobject(frozenset(l for i in n for l in part.blocks[i])) for n in normals]
+    out = [Subobject(frozenset(l for i in n for l in part.blocks[i]))
+           for n in t.normal_subgroups()]
     out.sort(key=lambda s: (len(s.members), tuple(sorted(s.members))))
     return out
 
@@ -639,26 +662,27 @@ def abelian_invariants(table: GroupTable) -> list[int]:
     is the largest factor and the others are those of the quotient."""
     out = []
     while table.size > 1:
-        a = max(range(table.size), key=table.element_order)
-        out.append(table.element_order(a))
+        out.append(max(table._orders))
+        a = table._orders.index(out[-1])
         table = table.quotient(table.subgroup([a]))
     return out[::-1]
 
 
 def tables_isomorphic(t1: GroupTable, t2: GroupTable) -> bool:
-    """Whether two group tables are isomorphic; both must be group laws, as
-    `identify_group` verifies its table first and takes candidates as given.
+    """Whether two group tables are isomorphic; NotAGroup unless both are
+    group laws (`GroupTable.verify`, whose verdict each table keeps).
 
     An isomorphism is fixed by the images of t1's generators
     (`GroupTable.generators`), each tried on the elements of t2 of its
     order.  The images placed so far are closed under phi(x g) = phi(x) phi(g)
     and dropped when an element gets two images or two elements get one.
     Closed over every generator, phi is a bijection respecting products."""
+    t1.verify()
+    t2.verify()
     n = t1.size
     if n != t2.size:
         return False
-    orders1 = [t1.element_order(a) for a in range(n)]
-    orders2 = [t2.element_order(a) for a in range(n)]
+    orders1, orders2 = t1._orders, t2._orders
     if sorted(orders1) != sorted(orders2):
         return False
     gens = t1.generators()

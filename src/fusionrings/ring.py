@@ -87,12 +87,12 @@ class FusionRing:
     of the basis.  A fill that raises (UnknownLabel) keeps no entry.
     `explicit` seeds the tables with finite ones and discovers the whole
     basis up front; `generated` discovers it level by level, one generator
-    multiplication per level.  All operations are pure.  Four memos keep
-    derived facts by `window_key`: `chain`, `automorphism_chain` and
-    `cosets` (the chain group, the automorphism search's stabilizer chain
-    and a subobject's cosets) and `associative` (Light's verdict on a
-    complete table; on a window, the verdict on the source associativity
-    a restriction proof uses, `subgroups._multiplicative_on_generators`).
+    multiplication per level.  All operations are pure.  Five memos keep
+    derived facts by `window_key`: `chain`, `automorphism_chain`, `cosets`,
+    `reports` (the chain group, the automorphism search's stabilizer chain,
+    a subobject's cosets, `validate_ring`'s report) and `associative`
+    (Light's verdict on a complete table; on a window, the verdict on the
+    source associativity a restriction proof uses, `subgroups._multiplicative_on_generators`).
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -109,6 +109,7 @@ class FusionRing:
         self.dual, self.dim = self.duals.__getitem__, self.dims.__getitem__
         self.chain: dict = {}  # window key -> `central._schreier`'s answer
         self.associative: dict = {}  # window key -> associativity verdict, see above
+        self.reports: dict = {}  # window key -> `validate_ring`'s report, handed out as copies
         self.automorphism_chain: dict = {}  # window key -> `automorph._search`'s answer
         self.cosets: dict = {}  # (members, window key) -> [partition, verdict or None]
         # discovery levels; an empty last level means the basis is complete
@@ -476,23 +477,28 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     the conjugation law gives both Frobenius laws (Etingof-Gelaki-Nikshych-
     Ostrik, Tensor Categories, 2015, 3.1).  The proof needs the other laws,
     so a violation there reruns the loop with them.  Only other tables take
-    the associativity scan.
+    the associativity scan.  The first call keeps its report, whatever it
+    says, in `ring.reports` under `ring.window_key(depth)`; every call
+    returns a copy of it.
     """
-    labels = ring.elements(depth)
-    proved = _light_middle(ring, labels) is not None
-    report = _laws(ring, labels, frobenius=not proved)
-    if proved and not report.ok:
-        report = _laws(ring, labels, frobenius=True)
-    report.checked_depth = ring.checked_depth(depth)
-    if proved:
-        return report
-    index = {a: i for i, a in enumerate(labels)}
-    pairs = ((b, c) for b in labels for c in labels)
-    failures = [f for f in _associativity_failures(ring, labels, pairs) if f[3] is not None]
-    failures.sort(key=lambda f: (index[f[0]], index[f[1]], index[f[2]]))
-    for a, b, c, lhs, rhs in failures:
-        report.add("associativity", (a, b, c), f"{lhs} != {rhs}")
-    return report
+    key = ring.window_key(depth)
+    if key not in ring.reports:
+        labels = ring.elements(depth)
+        proved = _light_middle(ring, labels) is not None
+        report = _laws(ring, labels, frobenius=not proved)
+        if proved and not report.ok:
+            report = _laws(ring, labels, frobenius=True)
+        report.checked_depth = ring.checked_depth(depth)
+        if not proved:
+            index = {a: i for i, a in enumerate(labels)}
+            pairs = ((b, c) for b in labels for c in labels)
+            failures = [f for f in _associativity_failures(ring, labels, pairs) if f[3] is not None]
+            failures.sort(key=lambda f: (index[f[0]], index[f[1]], index[f[2]]))
+            for a, b, c, lhs, rhs in failures:
+                report.add("associativity", (a, b, c), f"{lhs} != {rhs}")
+        ring.reports[key] = report
+    kept = ring.reports[key]
+    return ValidationReport(list(kept.violations), kept.checked_depth)
 
 
 def _laws(ring: FusionRing, labels: Sequence[str], frobenius: bool) -> ValidationReport:

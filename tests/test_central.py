@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 from itertools import permutations, product
 
 import pytest
@@ -285,8 +286,25 @@ class TestGroupIdentification:
     def test_group_table_verify_rejects_bad_table(self):
         mult = ((0, 1), (1, 1))  # not a latin square
         table = fr.GroupTable(mult, 0, ("e", "a"))
-        with pytest.raises(NotAGroup):
-            table.verify()
+        for _ in range(3):  # a failed verdict is not kept
+            with pytest.raises(NotAGroup, match="^no inverse for 'a'$"):
+                table.verify()
+
+    def test_identify_group_rejects_a_candidate_that_is_no_group(self):
+        # no power of b is the identity, so a search by element orders would not end
+        bad = fr.GroupTable(((0, 1), (1, 1)), 0, ("a", "b"))
+
+        def hung(signum, frame):
+            raise TimeoutError("identify_group did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(NotAGroup, match="^no inverse for 'b'$"):
+                fr.identify_group(fr.cyclic_group(2), candidates={"bad": bad})
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def _table(elements, law, identity):

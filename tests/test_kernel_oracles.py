@@ -22,6 +22,7 @@ against them: sigma is central exactly when `enumerate_central_subobjects`
 lists it, and its table is the chain group's quotient by sigma's classes.
 """
 
+import dataclasses
 import gc
 import weakref
 from collections import Counter
@@ -322,15 +323,27 @@ def test_center_is_the_lattice_intersection(explicit_fixtures):
 
 
 def test_lattice_budget_is_its_size(monkeypatch):
-    ring = fr.direct_product(fr.group_ring(fr.klein_group()), _zn(2))
+    def make():
+        return fr.direct_product(fr.group_ring(fr.klein_group()), _zn(2))
+
+    ring = make()
     size = len(fr.enumerate_central_subobjects(ring))  # abelian: every subobject
     assert size == 16
     monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(size))
     assert len(fr.enumerate_central_subobjects(ring)) == size
     monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(size - 1))
-    for enumerate_lattice in (fr.enumerate_central_subobjects, pairwise_seed_lattice):
-        with pytest.raises(SearchBudgetExceeded):
-            enumerate_lattice(ring)
+    raised = []
+    # the lattice kept on `ring` raises as the search on a fresh ring does
+    for enumerate_lattice, r in ((fr.enumerate_central_subobjects, ring),
+                                 (fr.enumerate_central_subobjects, make()),
+                                 (pairwise_seed_lattice, ring)):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            enumerate_lattice(r)
+        raised.append((str(info.value), info.value.nodes, info.value.budget))
+    assert raised[0] == raised[1]
+    assert raised[0][2] == size - 1 < raised[0][1]
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(size))
+    assert len(fr.enumerate_central_subobjects(ring)) == size
 
 
 def _closure_outcome(close, ring, seed, depth=None, message=True):
@@ -434,8 +447,23 @@ def test_proved_associative_table_skips_the_associativity_scan(monkeypatch):
     kernel = ring_module._associativity_failures
     monkeypatch.setattr(ring_module, "_associativity_failures",
                         lambda *args: scans.append(args) or kernel(*args))
+    ring.reports.clear()  # so the laws run again, with the verdict kept
     assert str(fr.validate_ring(ring)) == str(report)
     assert scans == []
+
+
+@pytest.mark.parametrize("axiom", ["associativity", "dim-homomorphism"])
+def test_validation_keeps_one_report_and_hands_out_copies(axiom):
+    ring = CORRUPTED[axiom]()
+    want = assert_same_report(ring)
+    got = fr.validate_ring(ring)
+    got.violations.clear()
+    got.add("unit-law", ("e",), "edited")
+    assert _violations(fr.validate_ring(ring, 3)) == _violations(want)
+    assert list(ring.reports) == [None]  # one window: the complete table
+    su2 = fr.su2_ring()
+    assert fr.validate_ring(su2, 4).ok and fr.validate_ring(su2, 5).ok
+    assert list(su2.reports) == [4, 5]
 
 
 def test_validate_ring_matches_reference_on_truncated_file():
@@ -1206,8 +1234,8 @@ def test_cosets_and_centrality_match_reference_on_unions_of_classes(data):
         assert res.table == fr.chain_group(ring)[0].quotient(h)
 
 
-def _chain_group_answer(ring, depth, sigma):
-    table, desc = fr.chain_group(ring, depth)
+def _chain_group_answer(ring, depth, sigma, candidates=None):
+    table, desc = fr.chain_group(ring, depth, candidates)
     return table.to_json() if isinstance(table, fr.GroupTable) else table, desc.to_json()
 
 
@@ -1227,6 +1255,10 @@ def _action_answer(ring, depth, sigma):
 # the same cold and beside the others that fill both memos
 MEMO_READERS = {
     "chain_group": _chain_group_answer,
+    "chain_group+candidates": lambda ring, depth, sigma: _chain_group_answer(
+        ring, depth, sigma,
+        {"C2": fr.cyclic_group(2), "C12": fr.cyclic_group(12), "S3": fr.s3_group()}),
+    "validate_ring": lambda ring, depth, sigma: dataclasses.asdict(fr.validate_ring(ring, depth)),
     "center_subobject": lambda ring, depth, sigma: fr.center_subobject(ring, depth),
     "enumerate_central_subobjects":
         lambda ring, depth, sigma: ring.is_explicit and fr.enumerate_central_subobjects(ring),
