@@ -117,12 +117,13 @@ def rep_z4_ring() -> FusionRing:
 
 
 def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, dim,
-                  name: str, signed: bool = False) -> FusionRing:
+                  name: str, modulus: int, signed: bool = False) -> FusionRing:
     """The generated ring on the labels prefix + str(n), n >= 0 unless
     `signed`, with unit index 0 and the given generator indices.  The
     product of the labels of x and y is the sum, each with multiplicity 1,
     of the labels of `constituents(x, y)`; `dual` and `dim` map an index to
-    its dual's index and to its dimension.  Any other spelling, such as a
+    its dual's index and to its dimension.  The ring is graded by the index
+    modulo `modulus` (in Z when it is 0).  Any other spelling, such as a
     leading zero or a `+`, is an unknown label."""
 
     def index_of(lab: str) -> int:
@@ -141,28 +142,32 @@ def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, di
 
     return FusionRing.generated(label[0], [label[g] for g in generators], oracle,
                                 dual_fn=lambda l: label[dual(parse[l])],
-                                dim_fn=lambda l: dim(parse[l]), name=name)
+                                dim_fn=lambda l: dim(parse[l]), name=name,
+                                grading=(modulus, parse.__getitem__))
 
 
 def su2_ring() -> FusionRing:
     """SU(2) fusion: V_a x V_b = V_|a-b| + V_|a-b|+2 + ... + V_a+b.
 
     The same ring serves SU_q(2) and B_u(Q), which share these fusion rules.
+    Graded by the parity of the index, in Z/2.
     """
     return _indexed_ring("V", [1], lambda x, y: range(abs(x - y), x + y + 1, 2),
-                         lambda x: x, lambda x: x + 1, "su2")
+                         lambda x: x, lambda x: x + 1, "su2", 2)
 
 
 def so3_ring() -> FusionRing:
-    """SO(3) fusion (integer spins); also serves A_aut(B, tau)."""
+    """SO(3) fusion (integer spins); also serves A_aut(B, tau).  Trivially
+    graded."""
     return _indexed_ring("W", [1], lambda x, y: range(abs(x - y), x + y + 1),
-                         lambda x: x, lambda x: 2 * x + 1, "so3")
+                         lambda x: x, lambda x: 2 * x + 1, "so3", 1)
 
 
 def z_group_ring() -> FusionRing:
-    """Group ring of Z (dual of the circle group), as a generated ring."""
+    """Group ring of Z (dual of the circle group), as a generated ring,
+    graded by the index in Z."""
     return _indexed_ring("z", [1, -1], lambda x, y: (x + y,), lambda x: -x,
-                         lambda x: 1, "z-group-ring", signed=True)
+                         lambda x: 1, "z-group-ring", 0, signed=True)
 
 
 _AU_BAR = {"u": "v", "v": "u"}
@@ -175,7 +180,8 @@ def au_word_ring(n: int = 2) -> FusionRing:
     y = dual(g).b, contributing the concatenation a.b.  A word's dim is
     read off the ring's own table: n dim(w[:-1]), less dim(w[:-2]) when the
     last two letters cancel, so the dimension homomorphism holds with
-    dim(u) = n.
+    dim(u) = n.  A word is graded in Z by its number of u less its number
+    of v.
     """
     if n < 2:
         raise MalformedRing("au_word_ring needs dim parameter n >= 2")
@@ -212,7 +218,8 @@ def au_word_ring(n: int = 2) -> FusionRing:
         return d
 
     ring = FusionRing.generated("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
-                                dim_fn=dim, name=f"au-word-ring(n={n})")
+                                dim_fn=dim, name=f"au-word-ring(n={n})",
+                                grading=(0, lambda l: l.count("u") - l.count("v")))
     dims = ring.dims  # dim reads the table, not the ring, so the ring holds no cycle
     dims["e"] = 1  # the empty word
     return ring

@@ -3,7 +3,9 @@
 The chain classes are the fibres of the universal grading, so the chain
 relation is computed as a congruence closure under right multiplication by
 the generators, and the chain group is read off their action on the classes.
-A brute-force word-support oracle validates the closure on finite rings.
+A grading a family declares, once proved on a window, gives the center and
+the depth+1 check with no further closure.  A brute-force word-support
+oracle validates the closure on finite rings.
 """
 
 from __future__ import annotations
@@ -303,8 +305,12 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
     applied.
 
     Enumerates word supports exhaustively; since the support of w.z depends
-    only on the support of w, states are deduplicated by support set.
+    only on the support of w, states are deduplicated by support set.  Kept
+    in `ring.oracle_chain` under `max_len`, apart from the chain memo, so
+    that it stays a computation independent of `merge_closure`'s.
     """
+    if max_len in ring.oracle_chain:
+        return ring.oracle_chain[max_len]
     labels = ring.labels()
     frontier = {frozenset([z]) for z in labels}
     supports = set(frontier)
@@ -324,7 +330,8 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
         first, *rest = (index[x] for x in supp)
         for other in rest:
             parent[_find(parent, other)] = _find(parent, first)
-    return CosetPartition.from_classes(ring, lambda x: _find(parent, index[x]), labels)
+    part = CosetPartition.from_classes(ring, lambda x: _find(parent, index[x]), labels)
+    return ring.oracle_chain.setdefault(max_len, part)
 
 
 # -------------------------------------------------------------- sigma-cosets
@@ -447,11 +454,30 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
 
     On a generated ring the class is taken on the window
     `elements(2 * depth)`: every label that a product of two
-    `elements(depth)` labels can reach.
+    `elements(depth)` labels can reach.  Where the ring's declared grading
+    deg: Irr -> Gamma holds on `elements(depth)` (`_graded`), U is Gamma
+    through deg, so the unit's chain class is deg^-1(e): the answer is the
+    window's labels of degree e, with no closure on the window.  They are
+    the closure's answer too.  deg is constant on a class, so its unit
+    class has degree e.  And a label z of degree e in the window is in
+    a x w, for some a in `elements(depth)` and a word w of at most `depth`
+    generators; the closure puts all of a x w in one class, a's class
+    times w.  The dual word of w (the generators are closed under duals)
+    has a constituent y with the unit in y x w.  y is in `elements(depth)`
+    with a's degree, so in a's class, as the blocks at `depth` are the
+    degree fibres; so a x w and y x w share the unit's class.  Kept in
+    `ring.centers` under `ring.window_key(depth)`.
     """
-    ring.elements(depth)  # rejects a negative depth as given
-    part = _schreier(ring, 2 * depth)[0]
-    return Subobject(frozenset(part.blocks[part.identity_block]))
+    key = ring.window_key(depth)
+    if key not in ring.centers:
+        if _graded(ring, depth):
+            n, deg = ring.grading
+            members = (x for x in ring.elements(2 * depth) if _reduced(deg(x), n) == 0)
+        else:
+            part = _schreier(ring, 2 * depth)[0]
+            members = part.blocks[part.identity_block]
+        ring.centers[key] = Subobject(frozenset(members))
+    return ring.centers[key]
 
 
 # --------------------------------------------------------------- chain group
@@ -508,6 +534,49 @@ def _schreier(ring: FusionRing, depth: int):
                 if path[t] != path[b] + [letter[k]] and path[b] != path[t] + [-letter[k]]} - {()}
     relators = sorted(relators, key=lambda r: (len(r), _letter_key(r)))
     return ring.chain.setdefault(key, (part, None, (names, relators)))
+
+
+def _reduced(k: int, n: int) -> int:
+    """k as an element of Z/n, of Z when n = 0."""
+    return k % n if n else k
+
+
+def _graded(ring: FusionRing, depth: int) -> bool:
+    """Whether the ring's declared grading (n, deg), deg: Irr -> Gamma =
+    Z/n (Z when n = 0), is U's, proved on the window `elements(depth)`
+    from `_schreier(ring, depth)` and the products it computed:
+    - deg(c) = deg(x) + deg(g) for every constituent c of x * g, x in the
+      window and g a generator.  Then every merge joins labels of one
+      degree, so each block has one; no two blocks may share one;
+    - the generators are closed under duals and their degrees generate
+      Gamma;
+    - U_d, the group read at `depth`, is a table of Gamma's order, or a
+      presentation named Z when Gamma is Z.
+    So deg maps U_d onto Gamma.  The family declares deg as a grading of
+    the whole ring, so it maps U onto Gamma too.  U_d maps onto U_{d+1}
+    and that onto U, so in U_d ->> U_{d+1} ->> U ->> Gamma every map is
+    an isomorphism: for a finite Gamma by the orders, for Z as it is
+    Hopfian.  A ring with no grading is never graded.  Kept in
+    `ring.graded` under `ring.window_key(depth)`."""
+    if ring.grading is None:
+        return False
+    key = ring.window_key(depth)
+    if key not in ring.graded:
+        ring.graded[key] = _grading_holds(ring, depth)
+    return ring.graded[key]
+
+
+def _grading_holds(ring: FusionRing, depth: int) -> bool:
+    """`_graded`'s three facts, checked on the window."""
+    n, deg = ring.grading
+    part, table, pres = _schreier(ring, depth)
+    fusion, gens = ring.fusion, ring.generators
+    return (all(_reduced(deg(c), n) == _reduced(deg(x) + deg(g), n)
+                for x in ring.elements(depth) for g in gens for c in fusion[x, g])
+            and len({_reduced(deg(blk[0]), n) for blk in part.blocks}) == len(part.blocks)
+            and set(map(ring.dual, gens)) <= set(gens) and math.gcd(n, *map(deg, gens)) == 1
+            and (table.size == n if table is not None
+                 else n == 0 and _presented(*pres).name == "Z"))
 
 
 def _letter_key(word):
@@ -611,7 +680,9 @@ def _depth_flag(ring: FusionRing, depth: int, same_at_next) -> str:
     """`exact` on a complete table; otherwise, with k the answer's stamp
     `ring.checked_depth(depth)`, `stable_at_depth(k)` when `same_at_next()`
     finds the answer at `depth`+1 the same, and `unstable_at_depth(k)` when
-    it differs or leaves the window."""
+    it differs or leaves the window.  `same_at_next` may prove it with no
+    window at `depth`+1: `chain_group`'s does where the ring's grading
+    holds (`_graded`), which makes U_d and U_{d+1} both isomorphic to U."""
     if (stamp := ring.checked_depth(depth)) is None:
         return "exact"
     try:
@@ -627,7 +698,10 @@ def chain_group(ring: FusionRing, depth: int = 6,
 
     Returns (GroupTable or presentation dict, GroupDescriptor).  Generated
     rings are computed at `depth` and `depth`+1; the same descriptor at
-    both is reported as stable_at_depth(depth), never as exact.
+    both is reported as stable_at_depth(depth), never as exact.  Where the
+    ring's grading holds on the window (`_graded`), U_d ->> U_{d+1} ->> U
+    ->> Gamma are isomorphisms, so the group at `depth`+1 is the same and is
+    not computed.
 
     A named group is compared without its presentation, whose relators may
     grow with the window (`prod:z+z` gains [a][b]^j[a]^-1[b]^-j at depth j).
@@ -648,7 +722,8 @@ def chain_group(ring: FusionRing, depth: int = 6,
 
     found, desc = at(depth)
     first = signature(desc)
-    desc.flag = _depth_flag(ring, depth, lambda: signature(at(depth + 1)[1]) == first)
+    desc.flag = _depth_flag(ring, depth, lambda: _graded(ring, depth)
+                            or signature(at(depth + 1)[1]) == first)
     return found, desc
 
 

@@ -87,19 +87,27 @@ class FusionRing:
     of the basis.  A fill that raises (UnknownLabel) keeps no entry.
     `explicit` seeds the tables with finite ones and discovers the whole
     basis up front; `generated` discovers it level by level, one generator
-    multiplication per level.  All operations are pure.  Five memos keep
-    derived facts by `window_key`: `chain`, `automorphism_chain`, `cosets`,
-    `reports` (the chain group, the automorphism search's stabilizer chain,
-    a subobject's cosets, `validate_ring`'s report) and `associative`
-    (Light's verdict on a complete table; on a window, the verdict on the
-    source associativity a restriction proof uses, `subgroups._multiplicative_on_generators`).
+    multiplication per level.  A generated family may declare a grading by
+    a cyclic group, `grading` = (n, deg): deg maps a label to an int read
+    modulo n, or in Z when n = 0 (`central._graded` checks it on a
+    window).  All operations are pure.  Seven memos keep derived facts by
+    `window_key`: `chain`, `automorphism_chain`, `cosets`, `reports`,
+    `graded`, `centers` (the chain group, the automorphism search's
+    stabilizer chain, a subobject's cosets, `validate_ring`'s report, the
+    grading check's verdict, `center_subobject`'s answer) and
+    `associative` (Light's verdict on a complete table; on a
+    window, the verdict on the source associativity a restriction proof
+    uses, `subgroups._multiplicative_on_generators`).  `oracle_chain` keeps
+    `central.chain_oracle`'s partition by `max_len`.
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
                  product_fn: Callable[[str, str], Support],
                  dual_fn: Callable[[str], str],
-                 dim_fn: Callable[[str], int], name="ring"):
+                 dim_fn: Callable[[str], int], name="ring",
+                 grading: tuple[int, Callable[[str], int]] | None = None):
         self.name = name
+        self.grading = grading
         self.unit = unit
         self.generators = tuple(generators)
         self.basis: tuple[BasisElement, ...] = ()  # the table's basis, if any
@@ -112,6 +120,9 @@ class FusionRing:
         self.reports: dict = {}  # window key -> `validate_ring`'s report, handed out as copies
         self.automorphism_chain: dict = {}  # window key -> `automorph._search`'s answer
         self.cosets: dict = {}  # (members, window key) -> [partition, verdict or None]
+        self.graded: dict = {}  # window key -> whether the grading holds there
+        self.centers: dict = {}  # window key -> `central.center_subobject`'s answer
+        self.oracle_chain: dict = {}  # max_len -> partition, apart from `chain`
         # discovery levels; an empty last level means the basis is complete
         self._levels: list[list[str]] = [[unit]]
         # label -> (level, position within the level)
@@ -179,8 +190,8 @@ class FusionRing:
                   oracle: Callable[[str, str], Support],
                   dual_fn: Callable[[str], str],
                   dim_fn: Callable[[str], int],
-                  name="ring") -> "FusionRing":
-        return cls(unit, generators, oracle, dual_fn, dim_fn, name=name)
+                  name="ring", grading=None) -> "FusionRing":
+        return cls(unit, generators, oracle, dual_fn, dim_fn, name=name, grading=grading)
 
     @property
     def is_explicit(self) -> bool:

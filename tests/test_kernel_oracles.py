@@ -34,7 +34,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionrings as fr
 from fusionrings import catalog, ring as ring_module
-from fusionrings.central import search_budget
+from fusionrings.central import _schreier, search_budget
 from fusionrings.errors import (DepthExceeded, FusionRingError, InternalInconsistency,
                                 InvalidRestriction, NotAGroup, NotASubobject,
                                 SearchBudgetExceeded, UnknownLabel)
@@ -1080,12 +1080,12 @@ def _centrality_outcome(cosets, central, ring, sigma, depth):
 
 def assert_same_centrality(make, sigma, depth=6):
     """The library against the references, on a fresh ring and on one
-    whose chain memo `center_subobject` has filled at 2 * depth, each
-    asked twice: the second time the coset memo holds what the first kept."""
+    whose chain memo holds the window at 2 * depth, each asked twice: the
+    second time the coset memo holds what the first kept."""
     want = _centrality_outcome(reference_sigma_cosets, reference_is_central_subobject,
                                make(), sigma, depth)
     warm = make()
-    fr.center_subobject(warm, depth)
+    _schreier(warm, 2 * depth)
     for ring in (make(), make(), warm):
         for _ in range(2):
             got = _centrality_outcome(fr.sigma_cosets, fr.is_central_subobject,
@@ -1250,9 +1250,9 @@ def _action_answer(ring, depth, sigma):
     return fr.action_on_chain_group(ring, auto, depth)
 
 
-# every reader of the chain memo and of the coset memo (`sigma_cosets`
-# and `is_central_subobject`), answering as plain data; each must answer
-# the same cold and beside the others that fill both memos
+# every reader of the chain memo, of the coset memo (`sigma_cosets` and
+# `is_central_subobject`) and of `chain_oracle`'s memo, answering as plain
+# data; each must answer the same cold and beside the others that fill them
 MEMO_READERS = {
     "chain_group": _chain_group_answer,
     "chain_group+candidates": lambda ring, depth, sigma: _chain_group_answer(
@@ -1265,6 +1265,7 @@ MEMO_READERS = {
     "sigma_cosets": lambda ring, depth, sigma: fr.sigma_cosets(ring, sigma, depth).to_json(),
     "is_central_subobject": _is_central_answer,
     "action_on_chain_group": _action_answer,
+    "chain_oracle": lambda ring, depth, sigma: ring.is_explicit and fr.chain_oracle(ring).to_json(),
 }
 
 MEMO_RINGS = {
@@ -1291,6 +1292,15 @@ def test_memo_readers_answer_the_same_cold_and_warm(name, reader):
             ask_other(ring, depth, sigma(make()))
     assert ring.chain and ring.cosets
     assert ask(ring, depth, sigma(make())) == cold
+
+
+def test_chain_oracle_keeps_its_partition_apart_from_the_chain_memo():
+    ring = fr.group_ring(fr.s3_group())
+    part = fr.chain_oracle(ring)
+    assert fr.chain_oracle(ring) is part and not ring.chain
+    fr.chain_oracle(ring, 2)
+    assert list(ring.oracle_chain) == [6, 2]
+    assert _schreier(ring, 0)[0] is not part and list(ring.oracle_chain) == [6, 2]
 
 
 @pytest.mark.parametrize("make", [
