@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -117,14 +118,15 @@ def rep_z4_ring() -> FusionRing:
 
 
 def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, dim,
-                  name: str, modulus: int, signed: bool = False) -> FusionRing:
+                  name: str, modulus: int, levels, signed: bool = False) -> FusionRing:
     """The generated ring on the labels prefix + str(n), n >= 0 unless
     `signed`, with unit index 0 and the given generator indices.  The
     product of the labels of x and y is the sum, each with multiplicity 1,
     of the labels of `constituents(x, y)`; `dual` and `dim` map an index to
     its dual's index and to its dimension.  The ring is graded by the index
-    modulo `modulus` (in Z when it is 0).  Any other spelling, such as a
-    leading zero or a `+`, is an unknown label."""
+    modulo `modulus` (in Z when it is 0), and `levels(k)` gives the indices
+    of discovery level k.  Any other spelling, such as a leading zero or a
+    `+`, is an unknown label."""
 
     def index_of(lab: str) -> int:
         try:
@@ -143,31 +145,35 @@ def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, di
     return FusionRing.generated(label[0], [label[g] for g in generators], oracle,
                                 dual_fn=lambda l: label[dual(parse[l])],
                                 dim_fn=lambda l: dim(parse[l]), name=name,
-                                grading=(modulus, parse.__getitem__))
+                                grading=(modulus, parse.__getitem__),
+                                levels=lambda k: [label[n] for n in levels(k)])
 
 
 def su2_ring() -> FusionRing:
     """SU(2) fusion: V_a x V_b = V_|a-b| + V_|a-b|+2 + ... + V_a+b.
 
     The same ring serves SU_q(2) and B_u(Q), which share these fusion rules.
-    Graded by the parity of the index, in Z/2.
+    Graded by the parity of the index, in Z/2.  Level k is V_k alone:
+    V_k-1 x V_1 adds only V_k to the levels before it.
     """
     return _indexed_ring("V", [1], lambda x, y: range(abs(x - y), x + y + 1, 2),
-                         lambda x: x, lambda x: x + 1, "su2", 2)
+                         lambda x: x, lambda x: x + 1, "su2", 2, lambda k: [k])
 
 
 def so3_ring() -> FusionRing:
     """SO(3) fusion (integer spins); also serves A_aut(B, tau).  Trivially
-    graded."""
+    graded.  Level k is W_k alone: W_k-1 x W_1 adds only W_k to the levels
+    before it."""
     return _indexed_ring("W", [1], lambda x, y: range(abs(x - y), x + y + 1),
-                         lambda x: x, lambda x: 2 * x + 1, "so3", 1)
+                         lambda x: x, lambda x: 2 * x + 1, "so3", 1, lambda k: [k])
 
 
 def z_group_ring() -> FusionRing:
     """Group ring of Z (dual of the circle group), as a generated ring,
-    graded by the index in Z."""
+    graded by the index in Z.  Level k is z_k, z_-k: z_k-1 x z_1 and
+    z_-k+1 x z_-1 are the only products that leave the levels before it."""
     return _indexed_ring("z", [1, -1], lambda x, y: (x + y,), lambda x: -x,
-                         lambda x: 1, "z-group-ring", 0, signed=True)
+                         lambda x: 1, "z-group-ring", 0, lambda k: [k, -k], signed=True)
 
 
 _AU_BAR = {"u": "v", "v": "u"}
@@ -181,7 +187,8 @@ def au_word_ring(n: int = 2) -> FusionRing:
     read off the ring's own table: n dim(w[:-1]), less dim(w[:-2]) when the
     last two letters cancel, so the dimension homomorphism holds with
     dim(u) = n.  A word is graded in Z by its number of u less its number
-    of v.
+    of v.  Level k is the words of length k in lexicographic order, u < v:
+    the only new constituent of x g is the word xg, the others being shorter.
     """
     if n < 2:
         raise MalformedRing("au_word_ring needs dim parameter n >= 2")
@@ -219,7 +226,9 @@ def au_word_ring(n: int = 2) -> FusionRing:
 
     ring = FusionRing.generated("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
                                 dim_fn=dim, name=f"au-word-ring(n={n})",
-                                grading=(0, lambda l: l.count("u") - l.count("v")))
+                                grading=(0, lambda l: l.count("u") - l.count("v")),
+                                levels=lambda k: ["".join(w) for w in
+                                                  itertools.product("uv", repeat=k)])
     dims = ring.dims  # dim reads the table, not the ring, so the ring holds no cycle
     dims["e"] = 1  # the empty word
     return ring

@@ -87,27 +87,30 @@ class FusionRing:
     of the basis.  A fill that raises (UnknownLabel) keeps no entry.
     `explicit` seeds the tables with finite ones and discovers the whole
     basis up front; `generated` discovers it level by level, one generator
-    multiplication per level.  A generated family may declare a grading by
-    a cyclic group, `grading` = (n, deg): deg maps a label to an int read
-    modulo n, or in Z when n = 0 (`central._graded` checks it on a
-    window).  All operations are pure.  Seven memos keep derived facts by
-    `window_key`: `chain`, `automorphism_chain`, `cosets`, `reports`,
-    `graded`, `centers` (the chain group, the automorphism search's
-    stabilizer chain, a subobject's cosets, `validate_ring`'s report, the
-    grading check's verdict, `center_subobject`'s answer) and
-    `associative` (Light's verdict on a complete table; on a
-    window, the verdict on the source associativity a restriction proof
-    uses, `subgroups._multiplicative_on_generators`).  `oracle_chain` keeps
-    `central.chain_oracle`'s partition by `max_len`.
+    multiplication per level, or reads level k off `levels(k)` when the
+    family declares its levels: the labels the breadth-first search finds
+    at level k, in its order, with no product computed.  A generated
+    family may declare a grading by a cyclic group, `grading` = (n, deg):
+    deg maps a label to an int read modulo n, or in Z when n = 0
+    (`central._graded` checks it on a window).  All operations are pure.
+    Seven memos keep derived facts by `window_key`: `chain`,
+    `automorphism_chain`, `cosets`, `reports`, `graded`, `centers` (the
+    chain group, the automorphism search's stabilizer chain, a subobject's
+    cosets, `validate_ring`'s report, the grading check's verdict,
+    `center_subobject`'s answer) and `associative` (Light's verdict on a
+    complete table; on a window, the verdict on the source associativity a
+    restriction proof uses, `subgroups._multiplicative_on_generators`).
+    `oracle_chain` keeps `central.chain_oracle`'s partition by `max_len`.
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
                  product_fn: Callable[[str, str], Support],
                  dual_fn: Callable[[str], str],
                  dim_fn: Callable[[str], int], name="ring",
-                 grading: tuple[int, Callable[[str], int]] | None = None):
+                 grading: tuple[int, Callable[[str], int]] | None = None,
+                 levels: Callable[[int], Sequence[str]] | None = None):
         self.name = name
-        self.grading = grading
+        self.grading, self.levels = grading, levels
         self.unit = unit
         self.generators = tuple(generators)
         self.basis: tuple[BasisElement, ...] = ()  # the table's basis, if any
@@ -190,8 +193,9 @@ class FusionRing:
                   oracle: Callable[[str, str], Support],
                   dual_fn: Callable[[str], str],
                   dim_fn: Callable[[str], int],
-                  name="ring", grading=None) -> "FusionRing":
-        return cls(unit, generators, oracle, dual_fn, dim_fn, name=name, grading=grading)
+                  name="ring", grading=None, levels=None) -> "FusionRing":
+        return cls(unit, generators, oracle, dual_fn, dim_fn, name=name, grading=grading,
+                   levels=levels)
 
     @property
     def is_explicit(self) -> bool:
@@ -241,16 +245,19 @@ class FusionRing:
 
     def _explore(self, depth: int):
         while len(self._levels) <= depth and self._levels[-1]:
-            frontier = self._levels[-1]
             level = len(self._levels)
-            discovered = []
-            for x in frontier:
-                for g in self.generators:
-                    cs = self.fusion[x, g]
-                    for c in sorted(cs, key=_label_sort_key) if len(cs) > 1 else cs:
-                        if c not in self._discovery:
-                            self._discovery[c] = (level, len(discovered))
-                            discovered.append(c)
+            if self.levels is not None:  # declared: no product is computed
+                discovered = list(self.levels(level))
+                self._discovery.update((c, (level, i)) for i, c in enumerate(discovered))
+            else:
+                discovered = []
+                for x in self._levels[-1]:
+                    for g in self.generators:
+                        cs = self.fusion[x, g]
+                        for c in sorted(cs, key=_label_sort_key) if len(cs) > 1 else cs:
+                            if c not in self._discovery:
+                                self._discovery[c] = (level, len(discovered))
+                                discovered.append(c)
             self._levels.append(discovered)
 
     def order_key(self, label: str):
