@@ -14,7 +14,7 @@ from operator import mul
 
 from .errors import InternalInconsistency, SearchBudgetExceeded
 from .central import _schreier, search_budget
-from .ring import FusionRing, _light_middle
+from .ring import FusionRing, _kept, _light_middle
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,13 @@ def automorphism_group(ring: FusionRing, depth: int = 6) -> AutomorphismGroup:
 
 
 def _searched(ring: FusionRing, depth: int):
-    """The window `ring.elements(depth)`, `search_budget()`, and the
-    window's `_search` answer, kept in `ring.automorphism_chain` under
-    `ring.window_key(depth)`; a search that raises keeps nothing.
-    An answer kept with more nodes than the budget raises as a fresh
-    search would, when its node count first passed the budget."""
-    window, budget, key = ring.elements(depth), search_budget(), ring.window_key(depth)
-    if key not in ring.automorphism_chain:
-        ring.automorphism_chain[key] = _search(ring, window, budget)
-    entry = ring.automorphism_chain[key]
+    """The window `ring.elements(depth)`, `search_budget()`, and its `_search`
+    answer, kept under "automorphisms".  An answer kept with more nodes than
+    the budget raises as a fresh search would, when its node count first
+    passed the budget."""
+    window, budget = ring.elements(depth), search_budget()
+    entry = _kept(ring, "automorphisms", ring.window_key(depth),
+                  lambda: _search(ring, window, budget))
     _spent(min(entry[0], budget + 1), budget)
     return window, budget, entry
 

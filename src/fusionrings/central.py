@@ -25,7 +25,7 @@ from .errors import (
     NotAGroup,
     SearchBudgetExceeded,
 )
-from .ring import FusionRing, Subobject, check_subobject
+from .ring import FusionRing, Subobject, _kept, check_subobject
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -306,72 +306,78 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
 
     Enumerates word supports exhaustively; since the support of w.z depends
     only on the support of w, states are deduplicated by support set.  Kept
-    in `ring.oracle_chain` under `max_len`, apart from the chain memo, so
+    under "oracle" and `max_len`, apart from the chain group's "chain", so
     that it stays a computation independent of `merge_closure`'s.
     """
-    if max_len in ring.oracle_chain:
-        return ring.oracle_chain[max_len]
-    labels = ring.labels()
-    frontier = {frozenset([z]) for z in labels}
-    supports = set(frontier)
-    for _ in range(max_len - 1):
-        nxt = set()
-        for supp in frontier:
-            for z in labels:
-                ext = set()
-                for x in supp:
-                    ext.update(ring.fusion[x, z])
-                nxt.add(frozenset(ext))
-        frontier = nxt - supports
-        supports |= frontier
-    index = {x: i for i, x in enumerate(labels)}
-    parent = list(range(len(labels)))
-    for supp in supports:
-        first, *rest = (index[x] for x in supp)
-        for other in rest:
-            parent[_find(parent, other)] = _find(parent, first)
-    part = CosetPartition.from_classes(ring, lambda x: _find(parent, index[x]), labels)
-    return ring.oracle_chain.setdefault(max_len, part)
+    def partition():
+        labels = ring.labels()
+        frontier = {frozenset([z]) for z in labels}
+        supports = set(frontier)
+        for _ in range(max_len - 1):
+            nxt = set()
+            for supp in frontier:
+                for z in labels:
+                    ext = set()
+                    for x in supp:
+                        ext.update(ring.fusion[x, z])
+                    nxt.add(frozenset(ext))
+            frontier = nxt - supports
+            supports |= frontier
+        index = {x: i for i, x in enumerate(labels)}
+        parent = list(range(len(labels)))
+        for supp in supports:
+            first, *rest = (index[x] for x in supp)
+            for other in rest:
+                parent[_find(parent, other)] = _find(parent, first)
+        return CosetPartition.from_classes(ring, lambda x: _find(parent, index[x]), labels)
+
+    return _kept(ring, "oracle", max_len, partition)
 
 
 # -------------------------------------------------------------- sigma-cosets
 
 
+class _Warned(Exception):
+    """Carries a partition whose closure warned, returned but not kept."""
+
+
 def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPartition:
     """Partition of the explored basis under a ~ b iff supp(a x dual(b))
     meets sigma, with transitive closure applied after the pairwise tests.
-    Kept in `ring.cosets` unless it raised or warned, so those recur."""
-    # a negative depth is a key no entry has, so it raises where a fresh call does
-    key = frozenset(sigma.members), depth if depth < 0 else ring.window_key(depth)
-    if key in ring.cosets:
-        return ring.cosets[key][0]
-    sigma = check_subobject(ring, sigma.members, depth=depth)
-    explored = ring.elements(depth)
-    members, fusion, duals = sigma.members, ring.fusion, [ring.dual(b) for b in explored]
-    parent = list(range(len(explored)))
-    related = 0
-    for i, a in enumerate(explored):
-        for j, db in enumerate(duals[i + 1:], i + 1):
-            if not members.isdisjoint(fusion[a, db]):
-                parent[_find(parent, j)] = _find(parent, i)
-                related += 1
-    roots = {x: _find(parent, i) for i, x in enumerate(explored)}
-    part = CosetPartition.from_classes(ring, roots.get, explored)
-    # on a complete table the pairwise relation is already transitive (every
-    # block a clique); closure is a defense against bad fusion data, so warn
-    # if it changed anything.  A window's relation may miss links beyond it.
-    warned = (ring.checked_depth(depth) is None
-              and related != sum(len(blk) * (len(blk) - 1) // 2 for blk in part.blocks))
-    if warned:
-        warnings.warn("sigma relation was not transitive; the closure merged more")
-    unit_block = set(part.blocks[part.identity_block])
-    if unit_block != members & set(explored):
-        raise InternalInconsistency(
-            f"unit block {sorted(unit_block)} != sigma {sorted(members)} "
-            "on the explored basis")
-    if not warned:
-        ring.cosets[key] = [part, None]
-    return part
+    Kept under "cosets" unless it raised or warned, so those recur."""
+    def partition():
+        members = check_subobject(ring, sigma.members, depth=depth).members
+        explored = ring.elements(depth)
+        fusion, duals = ring.fusion, [ring.dual(b) for b in explored]
+        parent = list(range(len(explored)))
+        related = 0
+        for i, a in enumerate(explored):
+            for j, db in enumerate(duals[i + 1:], i + 1):
+                if not members.isdisjoint(fusion[a, db]):
+                    parent[_find(parent, j)] = _find(parent, i)
+                    related += 1
+        roots = {x: _find(parent, i) for i, x in enumerate(explored)}
+        part = CosetPartition.from_classes(ring, roots.get, explored)
+        # on a complete table the pairwise relation is already transitive (every
+        # block a clique); closure is a defense against bad fusion data, so warn
+        # if it changed anything.  A window's relation may miss links beyond it.
+        warned = (ring.checked_depth(depth) is None
+                  and related != sum(len(blk) * (len(blk) - 1) // 2 for blk in part.blocks))
+        if warned:
+            warnings.warn("sigma relation was not transitive; the closure merged more")
+        unit_block = set(part.blocks[part.identity_block])
+        if unit_block != members & set(explored):
+            raise InternalInconsistency(
+                f"unit block {sorted(unit_block)} != sigma {sorted(members)} "
+                "on the explored basis")
+        if warned:
+            raise _Warned(part)
+        return part
+
+    try:
+        return _kept(ring, "cosets", (frozenset(sigma.members), ring.window_key(depth)), partition)
+    except _Warned as unkept:
+        return unkept.args[0]
 
 
 @dataclass
@@ -394,15 +400,14 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
     meet two blocks is returned as the witness of a non-central result.
     Constituents beyond the explored partition are outside the
     depth-qualified claim.  When every block product lands in the
-    partition the verified group table is returned, and kept beside the
-    partition in sigma's `ring.cosets` entry; a NotAGroup is not.
+    partition the verified group table is returned.  Kept under
+    "centrality" when the partition is kept; a NotAGroup is not.
     """
     part = sigma_cosets(ring, sigma, depth)
-    key = frozenset(sigma.members), depth if depth < 0 else ring.window_key(depth)
-    entry = ring.cosets.get(key, [part, None])
-    if entry[1] is None:
-        entry[1] = _centrality(ring, part)
-    return entry[1]
+    key = frozenset(sigma.members), ring.window_key(depth)
+    if ("cosets", key) not in ring.answers:  # nor is a verdict on a warned partition
+        return _centrality(ring, part)
+    return _kept(ring, "centrality", key, lambda: _centrality(ring, part))
 
 
 def _centrality(ring: FusionRing, part: CosetPartition) -> CentralityResult:
@@ -465,19 +470,18 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
     times w.  The dual word of w (the generators are closed under duals)
     has a constituent y with the unit in y x w.  y is in `elements(depth)`
     with a's degree, so in a's class, as the blocks at `depth` are the
-    degree fibres; so a x w and y x w share the unit's class.  Kept in
-    `ring.centers` under `ring.window_key(depth)`.
+    degree fibres; so a x w and y x w share the unit's class.  Kept under
+    "center" and `ring.window_key(depth)`.
     """
-    key = ring.window_key(depth)
-    if key not in ring.centers:
+    def center():
         if _graded(ring, depth):
             n, deg = ring.grading
-            members = (x for x in ring.elements(2 * depth) if _reduced(deg(x), n) == 0)
-        else:
-            part = _schreier(ring, 2 * depth)[0]
-            members = part.blocks[part.identity_block]
-        ring.centers[key] = Subobject(frozenset(members))
-    return ring.centers[key]
+            return Subobject(frozenset(
+                x for x in ring.elements(2 * depth) if _reduced(deg(x), n) == 0))
+        part = _schreier(ring, 2 * depth)[0]
+        return Subobject(frozenset(part.blocks[part.identity_block]))
+
+    return _kept(ring, "center", ring.window_key(depth), center)
 
 
 # --------------------------------------------------------------- chain group
@@ -497,43 +501,44 @@ def _schreier(ring: FusionRing, depth: int):
     for every edge off the tree (Reidemeister-Schreier).  Returns
     (partition, table, None) or (partition, None, (names, relators)), a
     relator being a tuple of letters: i or -i for the i-th name or its
-    inverse.  Kept in `ring.chain` under `ring.window_key(depth)`.
+    inverse.  Kept under "chain" and `ring.window_key(depth)`.
     """
-    key = ring.window_key(depth)
-    if key in ring.chain:
-        return ring.chain[key]
-    part = merge_closure(ring, depth)
-    blocks, block_of, fusion = part.blocks, part.block_of, ring.fusion
-    act = [[next((block_of[c] for x in blk for c in fusion[x, g] if c in block_of), None)
-            for g in ring.generators] for blk in blocks]
-    queue, tree, off_tree = [part.identity_block], {part.identity_block: ()}, []
-    for b in queue:
-        for k, t in enumerate(act[b]):
-            if t in tree:
-                off_tree.append((b, k, t))
-            elif t is not None:
-                tree[t] = tree[b] + (k,)
-                queue.append(t)
-    if all(None not in row for row in act):
-        n = len(blocks)
-        mult = tuple(tuple(reduce(lambda x, k: act[x][k], tree[j], i) for j in range(n))
-                     for i in range(n))
-        table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks))
-        return ring.chain.setdefault(key, (part, table, None))
-    sign, names = {part.identity_block: 0}, []
-    for g in ring.generators:
-        cls = block_of.get(g)
-        if cls is not None and cls not in sign:
-            names.append(f"[{blocks[cls][0]}]")
-            sign[cls] = len(names)
-            sign.setdefault(block_of.get(ring.dual(g), cls), -len(names))
-    letter = [sign.get(block_of.get(g), 0) for g in ring.generators]
-    path = {b: [letter[k] for k in word] for b, word in tree.items()}
-    relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
-                for b, k, t in off_tree  # skip the tree edges' empty relators
-                if path[t] != path[b] + [letter[k]] and path[b] != path[t] + [-letter[k]]} - {()}
-    relators = sorted(relators, key=lambda r: (len(r), _letter_key(r)))
-    return ring.chain.setdefault(key, (part, None, (names, relators)))
+    def chain():
+        part = merge_closure(ring, depth)
+        blocks, block_of, fusion = part.blocks, part.block_of, ring.fusion
+        act = [[next((block_of[c] for x in blk for c in fusion[x, g] if c in block_of), None)
+                for g in ring.generators] for blk in blocks]
+        queue, tree, off_tree = [part.identity_block], {part.identity_block: ()}, []
+        for b in queue:
+            for k, t in enumerate(act[b]):
+                if t in tree:
+                    off_tree.append((b, k, t))
+                elif t is not None:
+                    tree[t] = tree[b] + (k,)
+                    queue.append(t)
+        if all(None not in row for row in act):
+            n = len(blocks)
+            mult = tuple(tuple(reduce(lambda x, k: act[x][k], tree[j], i) for j in range(n))
+                         for i in range(n))
+            table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks))
+            return part, table, None
+        sign, names = {part.identity_block: 0}, []
+        for g in ring.generators:
+            cls = block_of.get(g)
+            if cls is not None and cls not in sign:
+                names.append(f"[{blocks[cls][0]}]")
+                sign[cls] = len(names)
+                sign.setdefault(block_of.get(ring.dual(g), cls), -len(names))
+        letter = [sign.get(block_of.get(g), 0) for g in ring.generators]
+        path = {b: [letter[k] for k in word] for b, word in tree.items()}
+        relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
+                    for b, k, t in off_tree  # skip the tree edges' empty relators
+                    if path[t] != path[b] + [letter[k]]
+                    and path[b] != path[t] + [-letter[k]]} - {()}
+        relators = sorted(relators, key=lambda r: (len(r), _letter_key(r)))
+        return part, None, (names, relators)
+
+    return _kept(ring, "chain", ring.window_key(depth), chain)
 
 
 def _reduced(k: int, n: int) -> int:
@@ -556,14 +561,10 @@ def _graded(ring: FusionRing, depth: int) -> bool:
     the whole ring, so it maps U onto Gamma too.  U_d maps onto U_{d+1}
     and that onto U, so in U_d ->> U_{d+1} ->> U ->> Gamma every map is
     an isomorphism: for a finite Gamma by the orders, for Z as it is
-    Hopfian.  A ring with no grading is never graded.  Kept in
-    `ring.graded` under `ring.window_key(depth)`."""
-    if ring.grading is None:
-        return False
-    key = ring.window_key(depth)
-    if key not in ring.graded:
-        ring.graded[key] = _grading_holds(ring, depth)
-    return ring.graded[key]
+    Hopfian.  A ring with no grading is never graded.  Kept under "graded"
+    and `ring.window_key(depth)`."""
+    return ring.grading is not None and _kept(
+        ring, "graded", ring.window_key(depth), lambda: _grading_holds(ring, depth))
 
 
 def _grading_holds(ring: FusionRing, depth: int) -> bool:

@@ -99,10 +99,7 @@ def resolve_ring(ring_file, catalog_name, validate=True) -> FusionRing:
         raise UsageError("exactly one of --ring/--catalog is required")
     if catalog_name is not None:
         return resolve_catalog(catalog_name)
-    if Path(ring_file).exists():
-        return cat.load_ring(ring_file, validate=validate)
-    # leniency: accept a catalog name through --ring as well
-    return resolve_catalog(ring_file)
+    return cat.load_ring(ring_file, validate=validate)
 
 
 _RESTRICTION_RULES = {
@@ -132,15 +129,19 @@ def load_restriction(path, ring_file=None, catalog_name=None, depth=6) -> Restri
     given = (None if ring_file is None and catalog_name is None
              else resolve_ring(ring_file, catalog_name))
     doc = cat.read_object(path, ("source", "target"))
+
+    def named(text):  # a ring file, else a catalog name
+        return cat.load_ring(text) if Path(text).exists() else resolve_catalog(text)
+
     for key in ("source", "target"):
         if not isinstance(doc[key], str):
             raise MalformedFile(f"{key} must be a ring file or catalog name, got {doc[key]!r}")
-    source = resolve_ring(doc["source"], None)
+    source = named(doc["source"])
     if given is not None and not _same_ring(given, source, depth):
         option = (f"--ring {ring_file!r}" if ring_file is not None
                   else f"--catalog {catalog_name!r}")
         raise UsageError(f"{option} is not the restriction's source {doc['source']!r}")
-    target = resolve_ring(doc["target"], None)
+    target = named(doc["target"])
     if "rule" in doc:
         make = _RESTRICTION_RULES.get(doc["rule"]) if isinstance(doc["rule"], str) else None
         if make is None:
@@ -218,7 +219,7 @@ def non_negative_int(text: str) -> int:
 
 
 RING_OPTIONS = _Parser(add_help=False)
-RING_OPTIONS.add_argument("--ring", dest="ring_file", help="Ring JSON file (or a catalog name).")
+RING_OPTIONS.add_argument("--ring", dest="ring_file", help="Ring JSON file.")
 RING_OPTIONS.add_argument("--catalog", dest="catalog_name", help=f"Catalog ring: {CATALOG_HELP}")
 RING_OPTIONS.add_argument("--depth", type=non_negative_int, default=6,
                           help="Exploration depth for generated rings (default: 6).")

@@ -77,6 +77,15 @@ class Memo(dict):
         return value
 
 
+def _kept(owner, question: str, key, compute: Callable):
+    """The answer to `question` at `key` kept in `owner.answers`, else
+    compute()'s, kept there; an exception keeps nothing, so it recurs."""
+    store, entry = owner.answers, (question, key)
+    if entry not in store:
+        store[entry] = compute()
+    return store[entry]
+
+
 class FusionRing:
     """Immutable fusion ring.
 
@@ -93,14 +102,9 @@ class FusionRing:
     family may declare a grading by a cyclic group, `grading` = (n, deg):
     deg maps a label to an int read modulo n, or in Z when n = 0
     (`central._graded` checks it on a window).  All operations are pure.
-    Seven memos keep derived facts by `window_key`: `chain`,
-    `automorphism_chain`, `cosets`, `reports`, `graded`, `centers` (the
-    chain group, the automorphism search's stabilizer chain, a subobject's
-    cosets, `validate_ring`'s report, the grading check's verdict,
-    `center_subobject`'s answer) and `associative` (Light's verdict on a
-    complete table; on a window, the verdict on the source associativity a
-    restriction proof uses, `subgroups._multiplicative_on_generators`).
-    `oracle_chain` keeps `central.chain_oracle`'s partition by `max_len`.
+    Every derived answer is kept in one store, `answers`, under (question,
+    window key) by `_kept`: a returned value is kept, an exception keeps
+    nothing.
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -118,14 +122,7 @@ class FusionRing:
         self.fusion = Memo(lambda ab: dict(product_fn(*ab)))
         self.duals, self.dims = Memo(dual_fn), Memo(dim_fn)
         self.dual, self.dim = self.duals.__getitem__, self.dims.__getitem__
-        self.chain: dict = {}  # window key -> `central._schreier`'s answer
-        self.associative: dict = {}  # window key -> associativity verdict, see above
-        self.reports: dict = {}  # window key -> `validate_ring`'s report, handed out as copies
-        self.automorphism_chain: dict = {}  # window key -> `automorph._search`'s answer
-        self.cosets: dict = {}  # (members, window key) -> [partition, verdict or None]
-        self.graded: dict = {}  # window key -> whether the grading holds there
-        self.centers: dict = {}  # window key -> `central.center_subobject`'s answer
-        self.oracle_chain: dict = {}  # max_len -> partition, apart from `chain`
+        self.answers: dict = {}  # (question, key) -> kept answer, see `_kept`
         # discovery levels; an empty last level means the basis is complete
         self._levels: list[list[str]] = [[unit]]
         # label -> (level, position within the level)
@@ -214,8 +211,8 @@ class FusionRing:
         return depth
 
     def window_key(self, depth: int) -> int | None:
-        """The memo key of the window `elements(depth)`: None on a complete
-        table, else `depth`; ValueError on a negative depth, memo or not."""
+        """The key of the window `elements(depth)` in `answers`: None on a
+        complete table, else `depth`; ValueError on a negative depth."""
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
         return None if self.checked_depth(depth) is None else depth
@@ -460,22 +457,16 @@ def _light_middle(ring: FusionRing, window: Sequence[str]) -> list[str] | None:
     of a product of two of them are (multiplicities are positive).  So with
     the unit law a returned B proves the table associative (Clifford and
     Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2), and
-    on an associative table every B passes.  So the verdict, kept in
-    `ring.associative` under the complete table's window key None by the
-    first call, holds for every order in which a later call grows its own B."""
+    on an associative table every B passes.  So the verdict, kept under
+    "light" and the complete table's window key None by the first call,
+    holds for every order in which a later call grows its own B."""
     if not ring.is_explicit or ring.truncated_at is not None:
         return None
-    unit, verdict = ring.unit, ring.associative.get(None)
-    if verdict is None and any(
-            ring.fusion[unit, a] != {a: 1} or ring.fusion[a, unit] != {a: 1} for a in window):
-        verdict = ring.associative[None] = False
-    if verdict is False:
-        return None
-    middle: list[str] = []
+    unit, middle = ring.unit, []
     _reach(ring, window, middle)
-    if verdict is None:
-        verdict = ring.associative[None] = _associative(
-            ring, window, [(b, c) for b in middle for c in window])
+    verdict = _kept(ring, "light", None, lambda: not any(
+        ring.fusion[unit, a] != {a: 1} or ring.fusion[a, unit] != {a: 1} for a in window)
+        and _associative(ring, window, [(b, c) for b in middle for c in window]))
     return middle if verdict else None
 
 
@@ -496,11 +487,10 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     Ostrik, Tensor Categories, 2015, 3.1).  The proof needs the other laws,
     so a violation there reruns the loop with them.  Only other tables take
     the associativity scan.  The first call keeps its report, whatever it
-    says, in `ring.reports` under `ring.window_key(depth)`; every call
-    returns a copy of it.
+    says, under "report" and `ring.window_key(depth)`; every call returns a
+    copy of it.
     """
-    key = ring.window_key(depth)
-    if key not in ring.reports:
+    def compute():
         labels = ring.elements(depth)
         proved = _light_middle(ring, labels) is not None
         report = _laws(ring, labels, frobenius=not proved)
@@ -514,8 +504,9 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
             failures.sort(key=lambda f: (index[f[0]], index[f[1]], index[f[2]]))
             for a, b, c, lhs, rhs in failures:
                 report.add("associativity", (a, b, c), f"{lhs} != {rhs}")
-        ring.reports[key] = report
-    kept = ring.reports[key]
+        return report
+
+    kept = _kept(ring, "report", ring.window_key(depth), compute)
     return ValidationReport(list(kept.violations), kept.checked_depth)
 
 

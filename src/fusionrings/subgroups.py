@@ -8,7 +8,7 @@ from typing import Callable, Collection, Mapping
 
 from .errors import InternalInconsistency, InvalidRestriction
 from .ring import (FusionRing, Memo, Subobject, Support, ValidationReport, _associative,
-                   _reach, _sum, generated_subobject)
+                   _kept, _reach, _sum, generated_subobject)
 from .central import GroupTable, _depth_flag, identify_group, is_central_subobject
 
 
@@ -16,12 +16,11 @@ class RestrictionData:
     """A fusion-compatible decomposition map from irreducibles of the big
     ring to multisets of irreducibles of the subgroup's ring.
 
-    The questions (`is_normal`, `is_central_subgroup`,
-    `trivial_restriction_subobject`, `central_subgroup_cross_check`)
-    validate the data once per object and source window: the source's
-    `window_key(depth)` is recorded in `validated` only when validation
-    succeeds, so a failure re-runs and raises the same error on every
-    call.  The public `validate_restriction` always checks afresh."""
+    Its answers are kept in one store, `answers`, by `ring._kept` under
+    (question, the source's `window_key(depth)`): "valid" once validation
+    has passed, which the questions need, and "trivial".  A failure keeps
+    nothing, so it recurs on every call.  The public `validate_restriction`
+    always checks afresh."""
 
     def __init__(self, source: FusionRing, target: FusionRing,
                  rule: Callable[[str], Support], name: str = "restriction"):
@@ -29,11 +28,7 @@ class RestrictionData:
         # label -> rule(label), read in place by the checks; the rule must be a
         # pure function of the label
         self.restricted = Memo(lambda label: dict(rule(label)))
-        # the source window keys at which validation succeeded; validity is a
-        # pure function of the rings, the rule and the source window
-        self.validated: set = set()
-        # source window key -> `trivial_restriction_subobject`'s answer
-        self.trivial: dict = {}
+        self.answers: dict = {}  # (question, source window key) -> kept answer
 
     @classmethod
     def from_dict(cls, source: FusionRing, target: FusionRing,
@@ -164,8 +159,7 @@ def _multiplicative_on_generators(r: RestrictionData, depth: int) -> bool:
         parent;
       - (a x b') x g = a x (b' x g) in the source, for a in the window and
         every parent edge: a fact about the source window alone, whose
-        verdict is kept in `source.associative` under `window_key(depth)`
-        (a check that raises keeps nothing);
+        verdict the source keeps under "associative" and `window_key(depth)`;
       - (x y) h = x (y h) in the target, for x restricted from the window,
         y from a parent and h from a multiplier.
     Then N res(a x b) = (res(a) res(b')) res(g) - sum of res(a) res(o) over
@@ -189,10 +183,8 @@ def _multiplicative_on_generators(r: RestrictionData, depth: int) -> bool:
         return False
     ys = dict.fromkeys(lam for p in parents for lam in res[p])
     hs = dict.fromkeys(lam for g in multipliers for lam in res[g])
-    key = source.window_key(depth)
-    if key not in source.associative:
-        source.associative[key] = _associative(source, window, [(p, g) for _, p, g in edges])
-    return (source.associative[key]
+    return (_kept(source, "associative", source.window_key(depth),
+                  lambda: _associative(source, window, [(p, g) for _, p, g in edges]))
             and _associative(target, dict.fromkeys(lam for a in window for lam in res[a]),
                              [(y, h) for y in ys for h in hs]))
 
@@ -210,8 +202,7 @@ class NormalityResult:
 def is_normal(r: RestrictionData, depth: int = 6) -> NormalityResult:
     """Normality test: the target unit's multiplicity in each restricted
     irreducible must be 0 or the full dimension."""
-    _require_valid(r, depth)
-    checked = r.source.checked_depth(depth)
+    checked = _require_valid(r, depth)
     for tau in r.source.elements(depth):
         m = r.restricted[tau].get(r.target.unit, 0)
         if m not in (0, r.source.dim(tau)):
@@ -234,8 +225,7 @@ class CentralSubgroupResult:
 def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupResult:
     """Centrality test: each irreducible must restrict to dim-many copies of
     a single dimension-1 target element; returns the grouplike assignment."""
-    _require_valid(r, depth)
-    checked = r.source.checked_depth(depth)
+    checked = _require_valid(r, depth)
     assignment = {}
     for tau in r.source.elements(depth):
         m = dict(r.restricted[tau])  # a copy: it may become the witness
@@ -255,28 +245,26 @@ def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobje
     criterion; closure of constituents is verified through the restriction
     rule itself so it also covers constituents beyond the depth.  Members
     are walked in window order, so an error names the first failure.
-    The answer is kept in `r.trivial` by source window; an error is not."""
-    key = r.source.window_key(depth)
-    if key in r.trivial:
-        return r.trivial[key]
-    _require_valid(r, depth)
-    explored = r.source.elements(depth)
-    inside = set(explored)
+    The answer is kept under "trivial" by source window; an error is not."""
+    def subobject():
+        _require_valid(r, depth)
+        explored = r.source.elements(depth)
+        inside = set(explored)
+        trivially_restricts = Memo(  # each label is decided once per call
+            lambda tau: r.restricted[tau] == {r.target.unit: r.source.dim(tau)})
+        members = [tau for tau in explored if trivially_restricts[tau]]
+        for a in members:
+            if r.source.dual(a) in inside and not trivially_restricts[r.source.dual(a)]:
+                raise InvalidRestriction(f"trivially-restricting set not dual-closed at {a!r}")
+            for b in members:
+                for c in r.source.fusion[a, b]:
+                    # constituents beyond the depth are still checked via the rule
+                    if not trivially_restricts[c]:
+                        raise InvalidRestriction(
+                            f"trivially-restricting set not fusion-closed: {c!r} in {a!r} x {b!r}")
+        return Subobject(frozenset(members))
 
-    trivially_restricts = Memo(  # each label is decided once per call
-        lambda tau: r.restricted[tau] == {r.target.unit: r.source.dim(tau)})
-
-    members = [tau for tau in explored if trivially_restricts[tau]]
-    for a in members:
-        if r.source.dual(a) in inside and not trivially_restricts[r.source.dual(a)]:
-            raise InvalidRestriction(f"trivially-restricting set not dual-closed at {a!r}")
-        for b in members:
-            for c in r.source.fusion[a, b]:
-                # constituents beyond the depth are still checked via the rule
-                if not trivially_restricts[c]:
-                    raise InvalidRestriction(
-                        f"trivially-restricting set not fusion-closed: {c!r} in {a!r} x {b!r}")
-    return r.trivial.setdefault(key, Subobject(frozenset(members)))
+    return _kept(r, "trivial", r.source.window_key(depth), subobject)
 
 
 def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
@@ -292,15 +280,16 @@ def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
     return by_restriction
 
 
-def _require_valid(r: RestrictionData, depth: int):
-    """Raise InvalidRestriction unless `r` is valid at `depth`; a success
-    is recorded on `r`, so each source window is proved once."""
-    key = r.source.window_key(depth)
-    if key not in r.validated:
+def _require_valid(r: RestrictionData, depth: int) -> int | None:
+    """`r.source.checked_depth(depth)` once `r` is valid at `depth`, kept
+    under "valid" so each source window is proved once; else InvalidRestriction."""
+    def valid():
         report = validate_restriction(r, depth)
         if not report.ok:
             raise InvalidRestriction(str(report))
-        r.validated.add(key)
+        return report.checked_depth
+
+    return _kept(r, "valid", r.source.window_key(depth), valid)
 
 
 def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:

@@ -12,6 +12,12 @@ import fusionrings as fr
 settings.register_profile("ci", derandomize=True)
 
 
+def kept(owner, question):
+    """The answers a ring or restriction keeps to `question`, by key (the
+    window key, or the key its reader gives)."""
+    return {key: value for (asked, key), value in owner.answers.items() if asked == question}
+
+
 @pytest.fixture(scope="session")
 def z2ring():
     return fr.group_ring(fr.cyclic_group(2))

@@ -15,6 +15,7 @@ from fusionrings import automorph as automorph_module, central as central_module
 from fusionrings.automorph import _invariants, _label_invariant
 from test_automorph_oracles import (EXPLICIT, _loop_ring, _rep_d4_on_rho, _reps3_cubed_reversed,
                                     _zn, label_backtracking, reference)
+from conftest import kept
 from test_kernel_oracles import CORRUPTED, _steiner_ring
 
 DATA = Path(__file__).parent / "data"
@@ -280,21 +281,21 @@ def test_kept_chain_spends_the_budget_as_a_fresh_search(monkeypatch, name):
     # every budget around the search nodes and each prefix sum of the
     # products' sizes gives a kept chain the answer or refusal of a fresh one
     build = fr.rep_s3_ring if name == "reps3" else THEORY[name][0]
-    kept, fresh = build(), build()
-    fr.automorphisms(kept)
-    entry = kept.automorphism_chain[None]
+    warm, fresh = build(), build()
+    fr.automorphisms(warm)
+    entry = kept(warm, "automorphisms")[None]
     nodes, _, transversals = entry
     sums = [nodes + s for s in accumulate(accumulate(map(len, transversals), mul))]
     budgets = set(range(nodes + 2)) | {s + d for s in sums for d in (-1, 0, 1)}
     refusals = []
     for budget in sorted(budgets):
         monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(budget))
-        fresh.automorphism_chain.clear()
+        fresh.answers.clear()
         outcome = _outcome(fresh)
-        assert _outcome(kept) == outcome, (name, budget)
+        assert _outcome(warm) == outcome, (name, budget)
         if isinstance(outcome, tuple):
             refusals.append(outcome)
-    assert kept.automorphism_chain == {None: entry}
+    assert kept(warm, "automorphisms") == {None: entry}
     assert len(refusals) == len(budgets) - 2  # all but the last two budgets
     if name == "reps3":
         assert (2, 1) in refusals
@@ -305,26 +306,26 @@ def test_a_refused_search_keeps_nothing(monkeypatch):
     monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", "1")
     with pytest.raises(fr.SearchBudgetExceeded):
         fr.automorphisms(ring)
-    assert ring.automorphism_chain == {}
+    assert kept(ring, "automorphisms") == {}
     truncated = fr.load_ring(DATA / "su2_depth4.json")
     monkeypatch.delenv("FUSIONRING_SEARCH_BUDGET")
     with pytest.raises(fr.DepthExceeded):
         fr.automorphisms(truncated)
-    assert truncated.automorphism_chain == {}
+    assert kept(truncated, "automorphisms") == {}
     assert len(fr.automorphisms(ring)) == 1
-    assert list(ring.automorphism_chain) == [None]
+    assert list(kept(ring, "automorphisms")) == [None]
 
 
 def test_kept_chains_are_keyed_like_the_chain_group(monkeypatch):
     # a generated window has one entry per depth; a complete table one
     au2 = fr.au_word_ring(2)
     assert len(fr.automorphisms(au2, 3)) == len(fr.automorphisms(au2, 4)) == 2
-    assert sorted(au2.automorphism_chain) == [3, 4]
+    assert sorted(kept(au2, "automorphisms")) == [3, 4]
     ring = EXPLICIT["reps3^3"]()
     first = fr.automorphisms(ring, 3)
     calls = _count_matches(monkeypatch)
     assert fr.automorphisms(ring, 6) == first
-    assert calls == [] and list(ring.automorphism_chain) == [None]
+    assert calls == [] and list(kept(ring, "automorphisms")) == [None]
 
 
 def test_budget_is_read_on_a_kept_chain(monkeypatch):
@@ -464,7 +465,7 @@ VERDICTS = {**{name: (build, True) for name, build in EXPLICIT.items()},
 
 @pytest.mark.parametrize("name", sorted(VERDICTS))
 def test_light_verdict_does_not_depend_on_the_order_of_b(name):
-    # the verdict kept in `ring.associative` rests on Light's theorem: a
+    # the verdict kept under "light" rests on Light's theorem: a
     # passing B proves the table associative, so every B passes or none
     build, associative = VERDICTS[name]
     sample = build()
@@ -474,7 +475,7 @@ def test_light_verdict_does_not_depend_on_the_order_of_b(name):
     for order in (labels, labels[::-1], branching):
         ring = build()
         middle = ring_module._light_middle(ring, order)
-        assert (middle is not None, ring.associative) == (associative, {None: associative}), \
+        assert (middle is not None, kept(ring, "light")) == (associative, {None: associative}), \
             (name, order)
 
 

@@ -455,7 +455,10 @@ class TestExitCodes:
         assert "error: --catalog 'reps3' is not the restriction's source 'su2'" in out.stderr
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
-        out = cli(command, "--ring", "su2", "--restriction", parity)
+        out = cli(command, "--catalog", "su2", "--restriction", parity)
+        assert out.returncode == 0, out.stderr
+        out = cli(command, "--ring", str(DATA / "reps3.json"),
+                  "--restriction", str(DATA / "trivial.json"))
         assert out.returncode == 0, out.stderr
 
     def test_generated_source_with_map_file_rejected(self, tmp_path):

@@ -33,13 +33,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionrings as fr
-from fusionrings import catalog, ring as ring_module
+from fusionrings import automorph as automorph_module, catalog, central as central_module, \
+    ring as ring_module, subgroups as subgroups_module
 from fusionrings.central import _schreier, search_budget
 from fusionrings.errors import (DepthExceeded, FusionRingError, InternalInconsistency,
                                 InvalidRestriction, NotAGroup, NotASubobject,
                                 SearchBudgetExceeded, UnknownLabel)
 from fusionrings.ring import _associative, _reach
 from fusionrings.subgroups import _multiplicative_on_generators
+from conftest import kept
 from union_find import UnionFind
 
 DATA = Path(__file__).parent / "data"
@@ -426,7 +428,7 @@ def test_validate_ring_matches_reference_on_associative_corrupted_table(axiom):
     ring = ASSOCIATIVE_CORRUPTED[axiom]()
     report = assert_same_report(ring)
     assert axiom in {v.axiom for v in report.violations}
-    assert ring.associative == {None: True}
+    assert kept(ring, "light") == {None: True}
 
 
 def test_a_pairs_dimension_violation_precedes_its_constituent_violations():
@@ -442,12 +444,12 @@ def test_proved_associative_table_skips_the_associativity_scan(monkeypatch):
     # associative, so the loops write the report without the n^3 scan
     ring = _retabled(_zn(16), dims={"g5": 2})
     report = assert_same_report(ring)
-    assert ring.associative == {None: True}
+    assert kept(ring, "light") == {None: True}
     scans = []
     kernel = ring_module._associativity_failures
     monkeypatch.setattr(ring_module, "_associativity_failures",
                         lambda *args: scans.append(args) or kernel(*args))
-    ring.reports.clear()  # so the laws run again, with the verdict kept
+    del ring.answers["report", None]  # so the laws run again, with the verdict kept
     assert str(fr.validate_ring(ring)) == str(report)
     assert scans == []
 
@@ -460,10 +462,10 @@ def test_validation_keeps_one_report_and_hands_out_copies(axiom):
     got.violations.clear()
     got.add("unit-law", ("e",), "edited")
     assert _violations(fr.validate_ring(ring, 3)) == _violations(want)
-    assert list(ring.reports) == [None]  # one window: the complete table
+    assert list(kept(ring, "report")) == [None]  # one window: the complete table
     su2 = fr.su2_ring()
     assert fr.validate_ring(su2, 4).ok and fr.validate_ring(su2, 5).ok
-    assert list(su2.reports) == [4, 5]
+    assert list(kept(su2, "report")) == [4, 5]
 
 
 def test_validate_ring_matches_reference_on_truncated_file():
@@ -765,7 +767,7 @@ def test_restrictions_from_one_source_window_prove_its_premise_once(monkeypatch)
               fr.su2_weight_restriction(su2, fr.z_group_ring())):
         assert assert_same_restriction_report(r, 30)[1] == "valid (checked to depth 30)"
     assert [ring for ring in runs if ring is su2] == [su2]
-    assert su2.associative == {30: True}
+    assert kept(su2, "associative") == {30: True}
     # the verdict belongs to the ring: a fresh su2 proves its premise again
     fresh = fr.su2_ring()
     assert fr.validate_restriction(fr.su2_parity_restriction(fresh, _zn(2)), 30).ok
@@ -780,7 +782,7 @@ def test_a_failed_source_premise_is_kept_and_each_restriction_scans(monkeypatch)
               fr.su2_parity_restriction(ring, _zn(2))):
         want = assert_same_restriction_report(r, depth)
         assert [v[:2] for v in want[0]] == [("multiplicativity", ("V4", "V4"))]
-    assert [r for r in runs if r is ring] == [ring] and ring.associative == {depth: False}
+    assert [r for r in runs if r is ring] == [ring] and kept(ring, "associative") == {depth: False}
 
 
 def test_a_source_premise_that_raises_is_not_kept(monkeypatch):
@@ -798,9 +800,9 @@ def test_a_source_premise_that_raises_is_not_kept(monkeypatch):
     monkeypatch.setattr(ring_module, "_associativity_failures", flaky)
     r = fr.su2_weight_restriction(su2, fr.z_group_ring())
     assert assert_same_restriction_report(r, 6)[1] == "valid (checked to depth 6)"
-    assert len(runs) == 1 and su2.associative == {}
+    assert len(runs) == 1 and kept(su2, "associative") == {}
     assert assert_same_restriction_report(r, 6)[1] == "valid (checked to depth 6)"
-    assert len(runs) == 2 and su2.associative == {6: True}
+    assert len(runs) == 2 and kept(su2, "associative") == {6: True}
 
 
 def test_non_associative_target_falls_back_to_the_full_scan(su2):
@@ -1250,8 +1252,8 @@ def _action_answer(ring, depth, sigma):
     return fr.action_on_chain_group(ring, auto, depth)
 
 
-# every reader of the chain memo, of the coset memo (`sigma_cosets` and
-# `is_central_subobject`) and of `chain_oracle`'s memo, answering as plain
+# every reader of the kept chain group, cosets (`sigma_cosets` and
+# `is_central_subobject`) and `chain_oracle` partitions, answering as plain
 # data; each must answer the same cold and beside the others that fill them
 MEMO_READERS = {
     "chain_group": _chain_group_answer,
@@ -1290,17 +1292,90 @@ def test_memo_readers_answer_the_same_cold_and_warm(name, reader):
     for other, ask_other in MEMO_READERS.items():
         if other != reader:
             ask_other(ring, depth, sigma(make()))
-    assert ring.chain and ring.cosets
+    assert kept(ring, "chain") and kept(ring, "cosets")
     assert ask(ring, depth, sigma(make())) == cold
 
 
 def test_chain_oracle_keeps_its_partition_apart_from_the_chain_memo():
     ring = fr.group_ring(fr.s3_group())
     part = fr.chain_oracle(ring)
-    assert fr.chain_oracle(ring) is part and not ring.chain
+    assert fr.chain_oracle(ring) is part and not kept(ring, "chain")
     fr.chain_oracle(ring, 2)
-    assert list(ring.oracle_chain) == [6, 2]
-    assert _schreier(ring, 0)[0] is not part and list(ring.oracle_chain) == [6, 2]
+    assert list(kept(ring, "oracle")) == [6, 2]
+    assert _schreier(ring, 0)[0] is not part and list(kept(ring, "oracle")) == [6, 2]
+
+
+def _containers(owner):
+    """The public attributes of `owner` that hold a dict or a set."""
+    return [name for name, value in vars(owner).items()
+            if isinstance(value, (dict, set)) and not name.startswith("_")]
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_RINGS))
+def test_every_kept_answer_lives_in_one_store_per_owner(name):
+    # beside the three tables a ring holds one store, and a restriction
+    # one beside its restricted table, whatever has been asked
+    make, depth, sigma = MEMO_RINGS[name]
+    ring = make()
+    for ask in MEMO_READERS.values():
+        ask(ring, depth, sigma(make()))
+    r = fr.identity_restriction(ring)
+    for ask in (fr.is_normal, fr.trivial_restriction_subobject, fr.central_subgroup_cross_check):
+        ask(r, depth)
+    assert _containers(ring) == ["fusion", "duals", "dims", "answers"]
+    assert _containers(r) == ["restricted", "answers"]
+    assert kept(ring, "chain") and kept(ring, "cosets") and kept(r, "valid") and kept(r, "trivial")
+
+
+def _su2_weights():
+    return fr.su2_weight_restriction(fr.su2_ring(), fr.z_group_ring())
+
+
+def _su2_parity():
+    return fr.su2_parity_restriction(fr.su2_ring(), _zn(2))
+
+
+# each kept question: a fresh owner, a reader that asks it, and the object
+# that keeps its answer
+KEPT_QUESTIONS = {
+    "chain": (fr.su2_ring, lambda ring: fr.chain_group(ring, 4), lambda ring: ring),
+    "graded": (fr.su2_ring, lambda ring: fr.center_subobject(ring, 4), lambda ring: ring),
+    "center": (fr.su2_ring, lambda ring: fr.center_subobject(ring, 4), lambda ring: ring),
+    "cosets": (fr.su2_ring, lambda ring: fr.sigma_cosets(ring, _sub(_evens(4)), 4),
+               lambda ring: ring),
+    "centrality": (lambda: _zn(6), lambda ring: fr.is_central_subobject(ring, _sub(["e", "g3"])),
+                   lambda ring: ring),
+    "report": (lambda: _zn(6), fr.validate_ring, lambda ring: ring),
+    "light": (lambda: _zn(6), fr.validate_ring, lambda ring: ring),
+    "automorphisms": (lambda: _zn(6), fr.automorphisms, lambda ring: ring),
+    "oracle": (lambda: _zn(6), fr.chain_oracle, lambda ring: ring),
+    "associative": (_su2_weights, lambda r: fr.validate_restriction(r, 6), lambda r: r.source),
+    "valid": (_su2_parity, lambda r: fr.is_normal(r, 6), lambda r: r),
+    "trivial": (_su2_parity, lambda r: fr.trivial_restriction_subobject(r, 6), lambda r: r),
+}
+
+
+@pytest.mark.parametrize("question", sorted(KEPT_QUESTIONS))
+def test_a_compute_that_raises_keeps_nothing(monkeypatch, question):
+    make, ask, keeper = KEPT_QUESTIONS[question]
+    fresh, owner = ask(make()), make()
+    real, raised = ring_module._kept, []
+
+    def flaky(owner, asked, key, compute):
+        def fail():
+            raised.append(asked)
+            raise RuntimeError("the compute failed")
+
+        return real(owner, asked, key, fail if asked == question and not raised else compute)
+
+    for module in (ring_module, central_module, subgroups_module, automorph_module):
+        monkeypatch.setattr(module, "_kept", flaky)
+    try:
+        ask(owner)
+    except RuntimeError:
+        pass  # `validate_restriction` falls back to its full scan instead
+    assert raised == [question] and kept(keeper(owner), question) == {}
+    assert ask(owner) == fresh and kept(keeper(owner), question)
 
 
 @pytest.mark.parametrize("make", [
@@ -1313,7 +1388,8 @@ def test_a_ring_is_freed_without_the_cycle_collector(make):
     fr.chain_group(ring, 6)
     fr.center_subobject(ring, 6)
     fr.is_central_subobject(ring, _sub([ring.unit]), 6)
-    assert ring.chain and [entry[1] is not None for entry in ring.cosets.values()] == [True]
+    assert kept(ring, "chain") and [key in kept(ring, "centrality")
+                                    for key in kept(ring, "cosets")] == [True]
     ref = weakref.ref(ring)
     gc.disable()
     try:
@@ -1339,14 +1415,14 @@ def test_coset_errors_recur_and_are_not_kept(ask, sigma, depth, error):
         with pytest.raises(error) as info:
             ask(ring, _sub(sigma), depth)
         messages.add(str(info.value))
-    assert len(messages) == 1 and not ring.cosets
+    assert len(messages) == 1 and not kept(ring, "cosets") and not kept(ring, "centrality")
 
 
 def test_a_non_transitive_partition_warns_on_every_call(non_transitive_ring):
     for ask in (fr.sigma_cosets, fr.is_central_subobject) * 2:
         with pytest.warns(UserWarning, match="not transitive"):
             ask(non_transitive_ring, _sub(["1"]))
-    assert not non_transitive_ring.cosets
+    assert not kept(non_transitive_ring, "cosets") and not kept(non_transitive_ring, "centrality")
 
 
 def test_a_block_table_that_is_no_group_raises_on_every_call():
@@ -1359,7 +1435,7 @@ def test_a_block_table_that_is_no_group_raises_on_every_call():
         messages.add(str(info.value))
     assert messages == {"associativity fails at ('p0','p1','p3')"}
     # the partition is kept, the failed verdict is not
-    assert [entry[1] for entry in ring.cosets.values()] == [None]
+    assert [key in kept(ring, "centrality") for key in kept(ring, "cosets")] == [False]
 
 
 @pytest.mark.parametrize("first", [3, 4])
@@ -1372,4 +1448,4 @@ def test_au2_windows_keep_their_own_cosets(first):
         got = {(d, length): len(fr.sigma_cosets(ring, _balanced(ring, length), d).blocks)
                for d, length in asks}
         assert got == {(3, 3): 9, (3, 4): 7, (4, 4): 11}
-    assert len(ring.cosets) == 3
+    assert len(kept(ring, "cosets")) == 3

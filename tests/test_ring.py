@@ -1,5 +1,6 @@
 """Core data model: construction, products, subobjects, axiom checks."""
 
+import functools
 from collections import Counter
 
 import pytest
@@ -12,6 +13,9 @@ from fusionrings.errors import (
     NotASubobject,
     UnknownLabel,
 )
+
+# one restriction per ring, so that its kept answer sits beside the call
+_identity_restriction = functools.cache(fr.identity_restriction)
 
 
 def _z2_table():
@@ -157,8 +161,11 @@ class TestGeneratedRings:
         lambda ring, depth: fr.is_normal(fr.identity_restriction(ring), depth),
         lambda ring, depth: fr.sigma_cosets(ring, fr.Subobject(frozenset(ring.labels())), depth),
         lambda ring, depth: fr.is_central_subobject(ring, fr.Subobject(frozenset(["1"])), depth),
+        fr.validate_ring, fr.center_subobject,
+        lambda ring, depth: fr.trivial_restriction_subobject(_identity_restriction(ring), depth),
     ], ids=["chain_group", "automorphisms", "automorphism_group", "is_normal", "sigma_cosets",
-            "is_central_subobject"])
+            "is_central_subobject", "validate_ring", "center_subobject",
+            "trivial_restriction_subobject"])
     def test_negative_depth_is_rejected_beside_a_kept_answer(self, ask):
         # a complete table keeps its answers under window_key None, which
         # every depth maps to; a negative depth must still raise every time

@@ -9,6 +9,8 @@ from fusionrings import subgroups
 from fusionrings.errors import DepthExceeded, InvalidRestriction, UnknownLabel
 from fusionrings.subgroups import _multiplicative_on_generators
 
+from conftest import kept
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -185,7 +187,7 @@ class TestValidationMemo:
                 fr.is_normal(r)
             messages.append(str(err.value))
         assert messages[0] == messages[1] and "dimension" in messages[0]
-        assert len(validations) == 2 and not r.validated
+        assert len(validations) == 2 and not kept(r, "valid")
 
     def test_public_validation_is_fresh(self, su2, z2ring):
         r = fr.su2_parity_restriction(su2, z2ring)
@@ -217,7 +219,7 @@ class TestTrivialRestrictionSubobject:
             fr.trivial_restriction_subobject(r, depth=6)
         # past validation (marked as done), the closure check itself
         # rejects V1 x V1 -> V2
-        r.validated.add(6)
+        r.answers["valid", 6] = 6
         with pytest.raises(InvalidRestriction,
                            match=r"not fusion-closed: 'V2' in 'V1' x 'V1'$"):
             fr.trivial_restriction_subobject(r, depth=6)
@@ -225,18 +227,18 @@ class TestTrivialRestrictionSubobject:
     def test_answer_is_kept_per_source_window(self, su2, z2ring):
         r = fr.su2_parity_restriction(su2, z2ring)
         at6, at30 = (fr.trivial_restriction_subobject(r, depth) for depth in (6, 30))
-        assert r.trivial == {6: at6, 30: at30} and at6 != at30
+        assert kept(r, "trivial") == {6: at6, 30: at30} and at6 != at30
         assert fr.trivial_restriction_subobject(r, 30) is at30
 
     def test_closure_error_recurs_and_is_not_kept(self, su2, z2ring):
         r = fr.RestrictionData(su2, z2ring, lambda label: {
             "g1" if label == "V2" else "e": su2.dim(label)}, name="broken")
-        r.validated.add(6)
+        r.answers["valid", 6] = 6
         for _ in range(2):
             with pytest.raises(InvalidRestriction,
                                match=r"not fusion-closed: 'V2' in 'V1' x 'V1'$"):
                 fr.trivial_restriction_subobject(r, depth=6)
-        assert r.trivial == {}
+        assert kept(r, "trivial") == {}
 
     def test_non_dual_closed_kernel_rejected(self, au2, z2ring):
         # words starting in v restrict to g1, so u restricts trivially and v does not
@@ -248,7 +250,7 @@ class TestTrivialRestrictionSubobject:
             fr.trivial_restriction_subobject(r, depth=1)
         # past validation (marked as done), the closure check itself
         # rejects u, whose dual is v
-        r.validated.add(1)
+        r.answers["valid", 1] = 1
         with pytest.raises(InvalidRestriction, match="not dual-closed at 'u'"):
             fr.trivial_restriction_subobject(r, depth=1)
 
