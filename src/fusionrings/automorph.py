@@ -7,24 +7,23 @@ data needed to certify a lift is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, permutations, product
 from math import prod
 from operator import mul
 
 from .errors import InternalInconsistency, SearchBudgetExceeded
 from .central import _schreier, search_budget
-from .ring import FusionRing, _kept, _light_middle
+from .ring import FusionRing, _Frozen, _kept, _light_middle
 
 
-@dataclass(frozen=True)
-class RingAutomorphism:
+class RingAutomorphism(_Frozen):
     """A basis bijection fixing the unit, commuting with dual, preserving
     dims and every fusion coefficient (on the explored part for generated
     rings, flagged by depth)."""
 
-    mapping: tuple[tuple[str, str], ...]  # sorted (label, image) pairs
-    depth: int | None = None  # None: exact (explicit ring)
+    def __init__(self, mapping: tuple[tuple[str, str], ...],  # sorted (label, image) pairs
+                 depth: int | None = None):  # None: exact (explicit ring)
+        self.__dict__.update(mapping=mapping, depth=depth)
 
     @property
     def is_identity(self) -> bool:
@@ -54,17 +53,16 @@ def _preserves(ring: FusionRing, phi: dict[str, str], labels: list[str]) -> bool
                for a in labels)
 
 
-@dataclass(frozen=True)
-class AutomorphismGroup:
+class AutomorphismGroup(_Frozen):
     """The group of the maps `automorphisms` lists: its order, the orders of
     its stabilizer chain's transversals (deepest branch first), and the maps
     the coset searches found, which generate it, on the window (no identity,
     sorted like `automorphisms`)."""
 
-    order: int
-    transversal_sizes: tuple[int, ...]
-    generators: tuple[RingAutomorphism, ...]
-    depth: int | None = None  # None: exact (explicit ring)
+    def __init__(self, order: int, transversal_sizes: tuple[int, ...],
+                 generators: tuple[RingAutomorphism, ...], depth: int | None = None):
+        self.__dict__.update(order=order, transversal_sizes=transversal_sizes,
+                             generators=generators, depth=depth)  # depth None: exact (explicit)
 
 
 def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:

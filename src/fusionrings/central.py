@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import groupby
 from typing import Iterable, Mapping
@@ -25,7 +24,7 @@ from .errors import (
     NotAGroup,
     SearchBudgetExceeded,
 )
-from .ring import FusionRing, Subobject, _kept, check_subobject
+from .ring import FusionRing, Subobject, _Frozen, _kept, _Record, check_subobject
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -50,14 +49,13 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-@dataclass
-class CosetPartition:
+class CosetPartition(_Record):
     """A partition of (an explored part of) the basis into cosets."""
 
-    blocks: tuple[tuple[str, ...], ...]
-    block_of: dict[str, int]
-    explored: tuple[str, ...]
-    identity_block: int
+    def __init__(self, blocks: tuple[tuple[str, ...], ...], block_of: dict[str, int],
+                 explored: tuple[str, ...], identity_block: int):
+        self.blocks, self.block_of = blocks, block_of
+        self.explored, self.identity_block = explored, identity_block
 
     @classmethod
     def from_classes(cls, ring: FusionRing, class_of, explored: Iterable[str]):
@@ -86,15 +84,13 @@ class CosetPartition:
         }
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(_Frozen):
     """A finite group as an index matrix, the library's one group type.
     Immutable, so it keeps each fact once found: a pass of `verify`,
     `generators()`, the element orders and `normal_subgroups()`."""
 
-    mult: tuple[tuple[int, ...], ...]
-    identity: int
-    labels: tuple[str, ...]  # one representative label per element
+    def __init__(self, mult: tuple[tuple[int, ...], ...], identity: int, labels: tuple[str, ...]):
+        self.__dict__.update(mult=mult, identity=identity, labels=labels)  # one label per element
 
     @property
     def size(self) -> int:
@@ -227,21 +223,18 @@ class GroupTable:
                 "labels": list(self.labels)}
 
 
-@dataclass
-class GroupDescriptor:
+class GroupDescriptor(_Record):
     """Structural identification of a chain/coset group."""
 
-    order: int | None  # None for infinite / not-closed-at-depth
-    is_abelian: bool | None
-    abelian_invariants: list[int] | None
-    flag: str  # "exact" | "stable_at_depth(k)" | "unstable_at_depth(k)"
-    presentation: dict | None = None
-    name: str | None = None
-
-    def __post_init__(self):
-        if self.abelian_invariants and self.order is not None:
-            if math.prod(self.abelian_invariants) != self.order:
-                raise InternalInconsistency("invariants do not multiply to the order")
+    def __init__(self, order: int | None, is_abelian: bool | None,
+                 abelian_invariants: list[int] | None, flag: str,
+                 presentation: dict | None = None, name: str | None = None):
+        self.order = order  # None for infinite / not-closed-at-depth
+        self.is_abelian, self.abelian_invariants = is_abelian, abelian_invariants
+        self.flag = flag  # "exact" | "stable_at_depth(k)" | "unstable_at_depth(k)"
+        self.presentation, self.name = presentation, name
+        if abelian_invariants and order is not None and math.prod(abelian_invariants) != order:
+            raise InternalInconsistency("invariants do not multiply to the order")
 
     def to_json(self):
         doc = {"order": self.order, "abelian": self.is_abelian,
@@ -380,12 +373,10 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
         return unkept.args[0]
 
 
-@dataclass
-class CentralityResult:
-    central: bool
-    partition: CosetPartition
-    table: GroupTable | None = None
-    witness: tuple | None = None
+class CentralityResult(_Record):
+    def __init__(self, central: bool, partition: CosetPartition,
+                 table: GroupTable | None = None, witness: tuple | None = None):
+        self.central, self.partition, self.table, self.witness = central, partition, table, witness
 
     def __bool__(self):
         return self.central

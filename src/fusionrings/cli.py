@@ -130,8 +130,9 @@ def load_restriction(path, ring_file=None, catalog_name=None, depth=6) -> Restri
              else resolve_ring(ring_file, catalog_name))
     doc = cat.read_object(path, ("source", "target"))
 
-    def named(text):  # a ring file, else a catalog name
-        return cat.load_ring(text) if Path(text).exists() else resolve_catalog(text)
+    def named(text):  # a ring file beside the restriction file, else a catalog name
+        file = Path(path).parent / text
+        return cat.load_ring(file) if file.exists() else resolve_catalog(text)
 
     for key in ("source", "target"):
         if not isinstance(doc[key], str):

@@ -11,7 +11,7 @@ arbitrary precision by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -24,32 +24,59 @@ from .errors import (
 Support = dict[str, int]  # label -> multiplicity, never zero
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class _Record:
+    """A record without `dataclasses`, whose import costs a CLI process
+    some 6 ms: its fields are the parameters of its __init__, == compares
+    them all, repr shows Name(field=value, ...), and it is unhashable."""
+
+    def __init_subclass__(cls):
+        if init := vars(cls).get("__init__"):
+            cls._fields = init.__code__.co_varnames[1:init.__code__.co_argcount]
+            cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record hashed by its fields, which its __init__ sets in `__dict__`
+    and which refuse assignment and deletion after."""
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class BasisElement(_Frozen):
     """An irreducible class: canonical label plus vector-space dimension."""
 
-    label: str
-    dim: int
-
-    def __post_init__(self):
-        if type(self.dim) is not int or self.dim < 1:
-            raise MalformedRing(f"dim of {self.label!r} must be an int >= 1, got {self.dim!r}")
+    def __init__(self, label: str, dim: int):
+        self.__dict__.update(label=label, dim=dim)
+        if type(dim) is not int or dim < 1:
+            raise MalformedRing(f"dim of {label!r} must be an int >= 1, got {dim!r}")
 
 
-@dataclass(frozen=True)
-class ValidationViolation:
-    axiom: str
-    witness: tuple
-    detail: str
+class ValidationViolation(_Frozen):
+    def __init__(self, axiom: str, witness: tuple, detail: str):
+        self.__dict__.update(axiom=axiom, witness=witness, detail=detail)
 
     def __str__(self):
         return f"{self.axiom} at {self.witness}: {self.detail}"
 
 
-@dataclass
-class ValidationReport:
-    violations: list[ValidationViolation] = field(default_factory=list)
-    checked_depth: int | None = None  # None means the full finite table
+class ValidationReport(_Record):
+    def __init__(self, violations: list[ValidationViolation] | None = None,
+                 checked_depth: int | None = None):
+        self.violations = [] if violations is None else violations
+        self.checked_depth = checked_depth  # None means the full finite table
 
     @property
     def ok(self) -> bool:
@@ -297,11 +324,11 @@ def _label_sort_key(label: str):
     return (len(label), label)
 
 
-@dataclass(frozen=True)
-class Subobject:
+class Subobject(_Frozen):
     """A basis subset containing the unit, closed under dual and fusion."""
 
-    members: frozenset[str]
+    def __init__(self, members: frozenset[str]):
+        self.__dict__["members"] = members
 
     def __contains__(self, label):
         return label in self.members

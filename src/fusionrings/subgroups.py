@@ -3,12 +3,11 @@ the trivially-restricting subobject, and grouplike extraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Collection, Mapping
 
 from .errors import InternalInconsistency, InvalidRestriction
 from .ring import (FusionRing, Memo, Subobject, Support, ValidationReport, _associative,
-                   _kept, _reach, _sum, generated_subobject)
+                   _kept, _reach, _Record, _sum, generated_subobject)
 from .central import GroupTable, _depth_flag, identify_group, is_central_subobject
 
 
@@ -189,11 +188,10 @@ def _multiplicative_on_generators(r: RestrictionData, depth: int) -> bool:
                              [(y, h) for y in ys for h in hs]))
 
 
-@dataclass
-class NormalityResult:
-    normal: bool
-    witness: tuple | None = None  # (tau, multiplicity, dim)
-    checked_depth: int | None = None
+class NormalityResult(_Record):
+    def __init__(self, normal: bool, witness: tuple | None = None,  # (tau, multiplicity, dim)
+                 checked_depth: int | None = None):
+        self.normal, self.witness, self.checked_depth = normal, witness, checked_depth
 
     def __bool__(self):
         return self.normal
@@ -211,12 +209,11 @@ def is_normal(r: RestrictionData, depth: int = 6) -> NormalityResult:
     return NormalityResult(True, checked_depth=checked)
 
 
-@dataclass
-class CentralSubgroupResult:
-    central: bool
-    assignment: dict[str, str] | None = None  # tau -> grouplike of the target
-    witness: tuple | None = None
-    checked_depth: int | None = None
+class CentralSubgroupResult(_Record):
+    def __init__(self, central: bool, assignment: dict[str, str] | None = None,
+                 witness: tuple | None = None, checked_depth: int | None = None):
+        self.central, self.assignment = central, assignment  # tau -> grouplike of the target
+        self.witness, self.checked_depth = witness, checked_depth
 
     def __bool__(self):
         return self.central

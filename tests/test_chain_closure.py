@@ -154,7 +154,7 @@ def test_merge_closure_matches_full_square_on_window(cases):
 
 def test_merge_closure_equals_reference_loop(cases):
     """The same blocks in the same order, the same `block_of`, unit block
-    and window: the dataclasses are equal, not only the partitions."""
+    and window: the records are equal, not only the partitions."""
     for name, ring, depth in cases:
         assert fr.merge_closure(ring, depth) == reference_merge_closure(ring, depth), (name, depth)
 

@@ -13,6 +13,7 @@ from fusionrings import cli as cli_module
 
 RUN = [sys.executable, "-m", "fusionrings.cli"]
 DATA = Path(__file__).parent / "data"
+ROOT = DATA.parents[1]
 
 
 def cli(*args, **kw):
@@ -487,3 +488,25 @@ def test_cli_imports_no_click():
     out = subprocess.run([sys.executable, "-c", "import sys, fusionrings.cli; "
                           "sys.exit('click' in sys.modules)"], capture_output=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_cli_imports_no_dataclasses_or_inspect():
+    # records are plain classes: a CLI process loads neither module
+    out = subprocess.run([sys.executable, "-c", "import sys, fusionrings.cli; "
+                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("where", ["root", "elsewhere"])
+def test_restriction_paths_resolve_beside_the_restriction_file(where, tmp_path):
+    # ident.json names its source "reps3.json", the file beside it, and its
+    # target "reps3", which is no file there and so a catalog name
+    cwd, path = ((ROOT, "tests/data/ident.json") if where == "root"
+                 else (tmp_path, str(DATA / "ident.json")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = cli("is-normal", "--restriction", path, cwd=cwd, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == '{"checked_depth":null,"normal":true,"witness":null}\n'

@@ -22,7 +22,6 @@ against them: sigma is central exactly when `enumerate_central_subobjects`
 lists it, and its table is the chain group's quotient by sigma's classes.
 """
 
-import dataclasses
 import gc
 import weakref
 from collections import Counter
@@ -1247,6 +1246,11 @@ def _is_central_answer(ring, depth, sigma):
             None if res.table is None else res.table.to_json())
 
 
+def _report_answer(ring, depth, sigma):
+    report = fr.validate_ring(ring, depth)
+    return [(v.axiom, v.witness, v.detail) for v in report.violations], report.checked_depth
+
+
 def _action_answer(ring, depth, sigma):
     auto = fr.automorphisms(ring, min(depth, 3))[-1]
     return fr.action_on_chain_group(ring, auto, depth)
@@ -1260,7 +1264,7 @@ MEMO_READERS = {
     "chain_group+candidates": lambda ring, depth, sigma: _chain_group_answer(
         ring, depth, sigma,
         {"C2": fr.cyclic_group(2), "C12": fr.cyclic_group(12), "S3": fr.s3_group()}),
-    "validate_ring": lambda ring, depth, sigma: dataclasses.asdict(fr.validate_ring(ring, depth)),
+    "validate_ring": _report_answer,
     "center_subobject": lambda ring, depth, sigma: fr.center_subobject(ring, depth),
     "enumerate_central_subobjects":
         lambda ring, depth, sigma: ring.is_explicit and fr.enumerate_central_subobjects(ring),
