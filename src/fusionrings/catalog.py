@@ -184,11 +184,11 @@ def au_word_ring(n: int = 2) -> FusionRing:
 
     Fusion of x and y sums over all cancelling factorizations x = a.g,
     y = dual(g).b, contributing the concatenation a.b.  A word's dim is
-    read off the ring's own table: n dim(w[:-1]), less dim(w[:-2]) when the
-    last two letters cancel, so the dimension homomorphism holds with
-    dim(u) = n.  A word is graded in Z by its number of u less its number
-    of v.  Level k is the words of length k in lexicographic order, u < v:
-    the only new constituent of x g is the word xg, the others being shorter.
+    n dim(w[:-1]), less dim(w[:-2]) when the last two letters cancel, so the
+    dimension homomorphism holds with dim(u) = n.  A word is graded in Z by
+    its number of u less its number of v.  Level k is the words of length k
+    in lexicographic order, u < v: the only new constituent of x g is the
+    word xg, the others being shorter.
     """
     if n < 2:
         raise MalformedRing("au_word_ring needs dim parameter n >= 2")
@@ -214,24 +214,17 @@ def au_word_ring(n: int = 2) -> FusionRing:
             out[(x[: len(x) - k - 1] + y[k + 1:]) or "e"] = 1
         return out
 
-    def dim(lab):  # a non-empty word; its last two letters may cancel
-        w = word(lab)
-        if w[:-1] not in dims:  # fill the prefixes shortest first: each fill recurses once
-            for k in range(1, len(w) - 1):
-                dims[w[:k]]
-        d = n * dims[w[:-1] or "e"]
-        if w[-2:-1] == _AU_BAR[w[-1]]:
-            d -= dims[w[:-2] or "e"]
+    def dim(lab):  # the dim of each prefix in turn, from the empty word's 1
+        w, shorter, d = word(lab), 0, 1
+        for k, letter in enumerate(w):
+            shorter, d = d, n * d - (shorter if k and w[k - 1] == _AU_BAR[letter] else 0)
         return d
 
-    ring = FusionRing.generated("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
+    return FusionRing.generated("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
                                 dim_fn=dim, name=f"au-word-ring(n={n})",
                                 grading=(0, lambda l: l.count("u") - l.count("v")),
                                 levels=lambda k: ["".join(w) for w in
                                                   itertools.product("uv", repeat=k)])
-    dims = ring.dims  # dim reads the table, not the ring, so the ring holds no cycle
-    dims["e"] = 1  # the empty word
-    return ring
 
 
 # --------------------------------------------------------------- products

@@ -330,14 +330,14 @@ def chain_oracle(ring: FusionRing, max_len: int = 6) -> CosetPartition:
 # -------------------------------------------------------------- sigma-cosets
 
 
-class _Warned(Exception):
-    """Carries a partition whose closure warned, returned but not kept."""
+_MERGED_MORE = "sigma relation was not transitive; the closure merged more"
 
 
 def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPartition:
     """Partition of the explored basis under a ~ b iff supp(a x dual(b))
     meets sigma, with transitive closure applied after the pairwise tests.
-    Kept under "cosets" unless it raised or warned, so those recur."""
+    Kept under "cosets" unless it raised, so that recurs; a partition whose
+    closure merged more is kept with that flag and warns on every call."""
     def partition():
         members = check_subobject(ring, sigma.members, depth=depth).members
         explored = ring.elements(depth)
@@ -356,21 +356,19 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
         # if it changed anything.  A window's relation may miss links beyond it.
         warned = (ring.checked_depth(depth) is None
                   and related != sum(len(blk) * (len(blk) - 1) // 2 for blk in part.blocks))
-        if warned:
-            warnings.warn("sigma relation was not transitive; the closure merged more")
         unit_block = set(part.blocks[part.identity_block])
         if unit_block != members & set(explored):
+            if warned:
+                warnings.warn(_MERGED_MORE)
             raise InternalInconsistency(
                 f"unit block {sorted(unit_block)} != sigma {sorted(members)} "
                 "on the explored basis")
-        if warned:
-            raise _Warned(part)
-        return part
+        return part, warned
 
-    try:
-        return _kept(ring, "cosets", (frozenset(sigma.members), ring.window_key(depth)), partition)
-    except _Warned as unkept:
-        return unkept.args[0]
+    part, warned = _kept(ring, "cosets", (frozenset(sigma.members), ring.window_key(depth)), partition)
+    if warned:
+        warnings.warn(_MERGED_MORE)
+    return part
 
 
 class CentralityResult(_Record):
@@ -392,13 +390,11 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
     Constituents beyond the explored partition are outside the
     depth-qualified claim.  When every block product lands in the
     partition the verified group table is returned.  Kept under
-    "centrality" when the partition is kept; a NotAGroup is not.
+    "centrality", also on a partition that warns; a NotAGroup is not.
     """
     part = sigma_cosets(ring, sigma, depth)
-    key = frozenset(sigma.members), ring.window_key(depth)
-    if ("cosets", key) not in ring.answers:  # nor is a verdict on a warned partition
-        return _centrality(ring, part)
-    return _kept(ring, "centrality", key, lambda: _centrality(ring, part))
+    return _kept(ring, "centrality", (frozenset(sigma.members), ring.window_key(depth)),
+                 lambda: _centrality(ring, part))
 
 
 def _centrality(ring: FusionRing, part: CosetPartition) -> CentralityResult:

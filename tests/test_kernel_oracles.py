@@ -22,6 +22,7 @@ against them: sigma is central exactly when `enumerate_central_subobjects`
 lists it, and its table is the chain group's quotient by sigma's classes.
 """
 
+import ast
 import gc
 import weakref
 from collections import Counter
@@ -1382,25 +1383,46 @@ def test_a_compute_that_raises_keeps_nothing(monkeypatch, question):
     assert ask(owner) == fresh and kept(keeper(owner), question)
 
 
-@pytest.mark.parametrize("make", [
-    fr.su2_ring, lambda: fr.au_word_ring(2), fr.z_group_ring,
-    lambda: fr.direct_product(fr.su2_ring(), fr.su2_ring()),
-    lambda: fr.free_product(fr.su2_ring(), _zn(2)),
+@pytest.mark.parametrize("make, tables_too", [
+    (fr.su2_ring, True), (lambda: fr.au_word_ring(2), True), (fr.z_group_ring, True),
+    (lambda: fr.direct_product(fr.su2_ring(), fr.su2_ring()), True),
+    # the free product's oracle reads its own table for the shorter words
+    (lambda: fr.free_product(fr.su2_ring(), _zn(2)), False),
 ], ids=["su2", "au(2)", "z", "su2xsu2", "su2*Z/2"])
-def test_a_ring_is_freed_without_the_cycle_collector(make):
+def test_a_ring_is_freed_without_the_cycle_collector(make, tables_too):
     ring = make()
     fr.chain_group(ring, 6)
     fr.center_subobject(ring, 6)
     fr.is_central_subobject(ring, _sub([ring.unit]), 6)
     assert kept(ring, "chain") and [key in kept(ring, "centrality")
                                     for key in kept(ring, "cosets")] == [True]
-    ref = weakref.ref(ring)
+    assert all(ring.dim(x) and ring.dual(x) for x in ring.elements(6))  # fill every table
+    refs = [weakref.ref(ring)]
+    if tables_too:
+        refs += [weakref.ref(ring.fusion), weakref.ref(ring.duals), weakref.ref(ring.dims)]
     gc.disable()
     try:
         del ring
-        assert ref() is None
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def _answer_store_readers(node, scope=()):
+    """The scopes, as dotted names, whose code names `answers`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr == "answers" or \
+                isinstance(child, ast.Constant) and child.value == "answers":
+            yield ".".join(scope)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _answer_store_readers(child, scope + (child.name,) if named else scope)
+
+
+def test_only_kept_and_the_constructors_touch_the_answer_store():
+    readers = {(path.name, scope) for path in Path(fr.__file__).parent.glob("*.py")
+               for scope in _answer_store_readers(ast.parse(path.read_text()))}
+    assert readers == {("ring.py", "_kept"), ("ring.py", "FusionRing.__init__"),
+                       ("subgroups.py", "RestrictionData.__init__")}
 
 
 # ------------------------------------------------------- the coset memo
@@ -1422,11 +1444,35 @@ def test_coset_errors_recur_and_are_not_kept(ask, sigma, depth, error):
     assert len(messages) == 1 and not kept(ring, "cosets") and not kept(ring, "centrality")
 
 
-def test_a_non_transitive_partition_warns_on_every_call(non_transitive_ring):
+def test_a_non_transitive_partition_warns_on_every_call(monkeypatch, non_transitive_ring):
+    # the partition is kept once, with its flag, and so is the verdict on it
+    ring, verdicts = non_transitive_ring, []
+    centrality = central_module._centrality
+    monkeypatch.setattr(central_module, "_centrality",
+                        lambda *args: verdicts.append(centrality(*args)) or verdicts[-1])
+    answers = []
     for ask in (fr.sigma_cosets, fr.is_central_subobject) * 2:
-        with pytest.warns(UserWarning, match="not transitive"):
-            ask(non_transitive_ring, _sub(["1"]))
-    assert not kept(non_transitive_ring, "cosets") and not kept(non_transitive_ring, "centrality")
+        with pytest.warns(UserWarning, match="not transitive") as caught:
+            answers.append(ask(ring, _sub(["1"])))
+        assert len(caught) == 1
+    (part, warned), = kept(ring, "cosets").values()
+    assert warned and part.block_of["x"] == part.block_of["z"]
+    assert answers[0] is part is answers[2] and answers[1] is answers[3] is verdicts[0]
+    assert len(verdicts) == 1 and list(kept(ring, "centrality").values()) == verdicts
+
+
+def test_a_warned_partition_whose_unit_block_is_not_sigma_warns_then_raises(non_transitive_ring):
+    # a dual map that is no involution, dual(x) = 1, puts x in the unit's block
+    labels = non_transitive_ring.labels()
+    ring = fr.FusionRing.explicit(non_transitive_ring.basis, "1",
+                                  {**{l: l for l in labels}, "x": "1"},
+                                  {(a, b): non_transitive_ring.fusion[a, b]
+                                   for a in labels for b in labels})
+    for ask in (fr.sigma_cosets, fr.is_central_subobject) * 2:
+        with pytest.warns(UserWarning, match="not transitive"), \
+                pytest.raises(InternalInconsistency, match="unit block"):
+            ask(ring, _sub(["1"]))
+    assert not kept(ring, "cosets") and not kept(ring, "centrality")
 
 
 def test_a_block_table_that_is_no_group_raises_on_every_call():
