@@ -113,7 +113,7 @@ def _searched(ring: FusionRing, depth: int):
     the budget raises as a fresh search would, when its node count first
     passed the budget."""
     window, budget = ring.elements(depth), search_budget()
-    entry = _kept(ring, "automorphisms", ring.window_key(depth),
+    entry = _kept(ring, "automorphisms", ring.checked_depth(depth),
                   lambda: _search(ring, window, budget))
     _spent(min(entry[0], budget + 1), budget)
     return window, budget, entry
@@ -316,19 +316,11 @@ def action_on_chain_group(ring: FusionRing, auto: RingAutomorphism,
     """The induced permutation of chain-group blocks; raises if the
     automorphism fails to preserve the chain relation (it cannot, for a
     genuine automorphism)."""
-    part = _schreier(ring, depth)[0]
-    phi = auto.to_json()
+    block_of = _schreier(ring, depth)[0].block_of
     action: dict[int, int] = {}
-    for label in part.explored:
-        if label not in phi:
-            continue
-        src = part.block_of[label]
-        img_label = phi[label]
-        dst = part.block_of.get(img_label)
-        if dst is None:
-            continue
-        if src in action and action[src] != dst:
-            raise InternalInconsistency(
-                f"chain relation not preserved at {label!r}")
-        action[src] = dst
+    for label, image in auto.mapping:  # a pair outside the partition is skipped
+        if label in block_of and image in block_of:
+            dst = block_of[image]
+            if action.setdefault(block_of[label], dst) != dst:
+                raise InternalInconsistency(f"chain relation not preserved at {label!r}")
     return action

@@ -365,7 +365,7 @@ def sigma_cosets(ring: FusionRing, sigma: Subobject, depth: int = 6) -> CosetPar
                 "on the explored basis")
         return part, warned
 
-    part, warned = _kept(ring, "cosets", (frozenset(sigma.members), ring.window_key(depth)), partition)
+    part, warned = _kept(ring, "cosets", (frozenset(sigma.members), ring.checked_depth(depth)), partition)
     if warned:
         warnings.warn(_MERGED_MORE)
     return part
@@ -393,7 +393,7 @@ def is_central_subobject(ring: FusionRing, sigma: Subobject,
     "centrality", also on a partition that warns; a NotAGroup is not.
     """
     part = sigma_cosets(ring, sigma, depth)
-    return _kept(ring, "centrality", (frozenset(sigma.members), ring.window_key(depth)),
+    return _kept(ring, "centrality", (frozenset(sigma.members), ring.checked_depth(depth)),
                  lambda: _centrality(ring, part))
 
 
@@ -458,7 +458,7 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
     has a constituent y with the unit in y x w.  y is in `elements(depth)`
     with a's degree, so in a's class, as the blocks at `depth` are the
     degree fibres; so a x w and y x w share the unit's class.  Kept under
-    "center" and `ring.window_key(depth)`.
+    "center" and the stamp `ring.checked_depth(depth)`.
     """
     def center():
         if _graded(ring, depth):
@@ -468,7 +468,7 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
         part = _schreier(ring, 2 * depth)[0]
         return Subobject(frozenset(part.blocks[part.identity_block]))
 
-    return _kept(ring, "center", ring.window_key(depth), center)
+    return _kept(ring, "center", ring.checked_depth(depth), center)
 
 
 # --------------------------------------------------------------- chain group
@@ -488,7 +488,7 @@ def _schreier(ring: FusionRing, depth: int):
     for every edge off the tree (Reidemeister-Schreier).  Returns
     (partition, table, None) or (partition, None, (names, relators)), a
     relator being a tuple of letters: i or -i for the i-th name or its
-    inverse.  Kept under "chain" and `ring.window_key(depth)`.
+    inverse.  Kept under "chain" and the stamp `ring.checked_depth(depth)`.
     """
     def chain():
         part = merge_closure(ring, depth)
@@ -525,7 +525,7 @@ def _schreier(ring: FusionRing, depth: int):
         relators = sorted(relators, key=lambda r: (len(r), _letter_key(r)))
         return part, None, (names, relators)
 
-    return _kept(ring, "chain", ring.window_key(depth), chain)
+    return _kept(ring, "chain", ring.checked_depth(depth), chain)
 
 
 def _reduced(k: int, n: int) -> int:
@@ -549,9 +549,9 @@ def _graded(ring: FusionRing, depth: int) -> bool:
     and that onto U, so in U_d ->> U_{d+1} ->> U ->> Gamma every map is
     an isomorphism: for a finite Gamma by the orders, for Z as it is
     Hopfian.  A ring with no grading is never graded.  Kept under "graded"
-    and `ring.window_key(depth)`."""
+    and the stamp `ring.checked_depth(depth)`."""
     return ring.grading is not None and _kept(
-        ring, "graded", ring.window_key(depth), lambda: _grading_holds(ring, depth))
+        ring, "graded", ring.checked_depth(depth), lambda: _grading_holds(ring, depth))
 
 
 def _grading_holds(ring: FusionRing, depth: int) -> bool:

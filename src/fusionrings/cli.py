@@ -228,24 +228,26 @@ PARSER = _Parser(prog="fusionrings", allow_abbrev=False, description=__doc__)
 COMMANDS = PARSER.add_subparsers(metavar="COMMAND", required=True)
 
 
-def command(name, *arguments, ring=True):
+def command(name, *arguments, ring=lambda *given: resolve_ring(*given)):
     """Register the decorated function as the command `name`, to be called
-    with the values of the ring options (when `ring`) and of `arguments`,
-    each a name or flag and the keywords of its `add_argument` call."""
+    with the values of `arguments`, each a name or flag and the keywords of
+    its `add_argument` call.  Unless `ring` is None the command takes the
+    ring options too: first `ring(ring_file, catalog_name)`, by default the
+    ring they name, then depth and fmt."""
     def register(fn):
         sub = COMMANDS.add_parser(name, parents=[RING_OPTIONS] if ring else [],
                                   allow_abbrev=False, help=fn.__doc__, description=fn.__doc__)
         for flag, kw in arguments:
             sub.add_argument(flag, **kw)
-        sub.set_defaults(run=fn)
+        sub.set_defaults(run=fn if ring is None else lambda ring_file, catalog_name, **rest:
+                         fn(ring(ring_file, catalog_name), **rest))
         return fn
     return register
 
 
-@command("validate")
-def validate(ring_file, catalog_name, depth, fmt):
+@command("validate", ring=lambda *given: resolve_ring(*given, validate=False))
+def validate(ring, depth, fmt):
     """Check the fusion-ring axioms; nonempty report exits 1."""
-    ring = resolve_ring(ring_file, catalog_name, validate=False)
     report = validate_ring(ring, depth)
     payload = {"valid": report.ok,
                "checked_depth": report.checked_depth,
@@ -257,9 +259,8 @@ def validate(ring_file, catalog_name, depth, fmt):
 
 
 @command("info")
-def info(ring_file, catalog_name, depth, fmt):
+def info(ring, depth, fmt):
     """Basis summary of a ring (explored part for generated rings)."""
-    ring = resolve_ring(ring_file, catalog_name)
     labels = ring.elements(depth)
     payload = {"name": ring.name, "kind": ring.kind, "unit": ring.unit,
                "size": len(labels),
@@ -270,9 +271,8 @@ def info(ring_file, catalog_name, depth, fmt):
 
 
 @command("product", ("a", {}), ("b", {}))
-def product(ring_file, catalog_name, depth, fmt, a, b):
+def product(ring, depth, fmt, a, b):
     """Fusion product a x b with multiplicities."""
-    ring = resolve_ring(ring_file, catalog_name)
     supp = ring.product(a, b)
     ordered = sorted(supp.items(), key=lambda kv: kv[0])
     emit({"a": a, "b": b, "support": dict(ordered)}, fmt,
@@ -280,9 +280,8 @@ def product(ring_file, catalog_name, depth, fmt, a, b):
 
 
 @command("chain-group", ("--oracle-check", {"action": "store_true"}))
-def chain_group_cmd(ring_file, catalog_name, depth, fmt, oracle_check):
+def chain_group_cmd(ring, depth, fmt, oracle_check):
     """Chain group of the ring (dual of the center)."""
-    ring = resolve_ring(ring_file, catalog_name)
     if oracle_check:
         run_oracle_check(ring, depth)
     _, desc = chain_group(ring, depth)
@@ -294,9 +293,8 @@ def chain_group_cmd(ring_file, catalog_name, depth, fmt, oracle_check):
 
 
 @command("center", ("--oracle-check", {"action": "store_true"}))
-def center(ring_file, catalog_name, depth, fmt, oracle_check):
+def center(ring, depth, fmt, oracle_check):
     """Center subobject and center group."""
-    ring = resolve_ring(ring_file, catalog_name)
     if oracle_check:
         run_oracle_check(ring, depth)
     _, desc = chain_group(ring, depth)
@@ -318,9 +316,8 @@ def center(ring_file, catalog_name, depth, fmt, oracle_check):
 
 @command("cosets", ("--sigma", {"help": "Comma-separated subobject labels."}),
          ("--sigma-file", {"help": "JSON list of labels."}))
-def cosets(ring_file, catalog_name, depth, fmt, sigma, sigma_file):
+def cosets(ring, depth, fmt, sigma, sigma_file):
     """Sigma-coset partition for a given subobject."""
-    ring = resolve_ring(ring_file, catalog_name)
     sub = parse_sigma(sigma, sigma_file)
     part = sigma_cosets(ring, sub, depth)
     emit(part.to_json(), fmt, table_text=partition_table(part),
@@ -328,19 +325,19 @@ def cosets(ring_file, catalog_name, depth, fmt, sigma, sigma_file):
 
 
 @command("central-subobjects")
-def central_subobjects_cmd(ring_file, catalog_name, depth, fmt):
+def central_subobjects_cmd(ring, depth, fmt):
     """All central subobjects of a finite explicit ring, sorted by size."""
-    ring = resolve_ring(ring_file, catalog_name)
     subs = enumerate_central_subobjects(ring)
     payload = [sub.sorted_in(ring) for sub in subs]
     text = "\n".join("{" + ", ".join(m) + "}" for m in payload)
     emit(payload, fmt, table_text=text)
 
 
-@command("is-normal", ("--restriction", {"dest": "restriction_file", "required": True}))
-def is_normal_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
+@command("is-normal", ("--restriction", {"dest": "restriction_file", "required": True}),
+         ring=lambda *given: given)
+def is_normal_cmd(given, depth, fmt, restriction_file):
     """Normality of a quantum subgroup given as restriction data."""
-    r = load_restriction(restriction_file, ring_file, catalog_name, depth)
+    r = load_restriction(restriction_file, *given, depth)
     res = is_normal(r, depth)
     payload = {"normal": res.normal, "checked_depth": res.checked_depth,
                "witness": list(res.witness) if res.witness else None}
@@ -354,10 +351,11 @@ def is_normal_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
         sys.exit(EXIT_NEGATIVE)
 
 
-@command("is-central", ("--restriction", {"dest": "restriction_file", "required": True}))
-def is_central_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
+@command("is-central", ("--restriction", {"dest": "restriction_file", "required": True}),
+         ring=lambda *given: given)
+def is_central_cmd(given, depth, fmt, restriction_file):
     """Centrality of a quantum subgroup given as restriction data."""
-    r = load_restriction(restriction_file, ring_file, catalog_name, depth)
+    r = load_restriction(restriction_file, *given, depth)
     res = is_central_subgroup(r, depth)
     payload = {"central": res.central, "checked_depth": res.checked_depth,
                "witness": [res.witness[0], res.witness[1]] if res.witness else None,
@@ -372,9 +370,8 @@ def is_central_cmd(ring_file, catalog_name, depth, fmt, restriction_file):
 
 
 @command("grouplikes")
-def grouplikes_cmd(ring_file, catalog_name, depth, fmt):
+def grouplikes_cmd(ring, depth, fmt):
     """Group of dimension-1 basis elements (dual of the abelianization)."""
-    ring = resolve_ring(ring_file, catalog_name)
     table, desc = grouplikes_group(ring, depth)
     payload = {"elements": list(table.labels), "table": table.to_json(),
                "group": desc.to_json()}
@@ -388,9 +385,8 @@ def _map_line(auto) -> str:
 
 
 @command("automorphisms")
-def automorphisms_cmd(ring_file, catalog_name, depth, fmt):
+def automorphisms_cmd(ring, depth, fmt):
     """Fusion-ring automorphisms (generator-level for generated rings)."""
-    ring = resolve_ring(ring_file, catalog_name)
     autos = automorphisms(ring, depth)
     payload = {"count": len(autos),
                "automorphisms": [a.to_json() for a in autos],
@@ -399,16 +395,16 @@ def automorphisms_cmd(ring_file, catalog_name, depth, fmt):
 
 
 @command("automorphism-group")
-def automorphism_group_cmd(ring_file, catalog_name, depth, fmt):
+def automorphism_group_cmd(ring, depth, fmt):
     """Order, transversal sizes and generators of the automorphism group."""
-    group = automorphism_group(resolve_ring(ring_file, catalog_name), depth)
+    group = automorphism_group(ring, depth)
     payload = {"order": group.order, "transversal_sizes": list(group.transversal_sizes),
                "generators": [g.to_json() for g in group.generators], "depth": group.depth}
     emit(payload, fmt, table_text="\n".join([f"order: {group.order}",
                                               *map(_map_line, group.generators)]))
 
 
-@command("catalog", ring=False)
+@command("catalog", ring=None)
 def catalog_cmd():
     """List the built-in catalog names."""
     print(CATALOG_HELP)

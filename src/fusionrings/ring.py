@@ -130,8 +130,8 @@ class FusionRing:
     deg maps a label to an int read modulo n, or in Z when n = 0
     (`central._graded` checks it on a window).  All operations are pure.
     Every derived answer is kept in one store, `answers`, under (question,
-    window key) by `_kept`: a returned value is kept, an exception keeps
-    nothing.
+    stamp) by `_kept`, the stamp `checked_depth(depth)` of the window it was
+    computed on: a returned value is kept, an exception keeps nothing.
     """
 
     def __init__(self, unit: str, generators: Sequence[str],
@@ -230,19 +230,14 @@ class FusionRing:
         return "explicit" if self.is_explicit else "generated"
 
     def checked_depth(self, depth: int) -> int | None:
-        """The stamp on an answer computed at `depth`: None when it is exact
-        (a complete table), else the depth it holds to -- a truncated
-        table's own depth, or `depth` on a generated ring."""
-        if self.is_explicit:
-            return self.truncated_at
-        return depth
-
-    def window_key(self, depth: int) -> int | None:
-        """The key of the window `elements(depth)` in `answers`: None on a
-        complete table, else `depth`; ValueError on a negative depth."""
+        """The stamp on an answer computed at `depth`, and its key in
+        `answers`: None when it is exact (a complete table), else the depth
+        it holds to -- a truncated table's own depth, whose window is the
+        whole table at every depth, or `depth` on a generated ring.
+        ValueError on a negative depth."""
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
-        return None if self.checked_depth(depth) is None else depth
+        return self.truncated_at if self.is_explicit else depth
 
     def labels(self) -> tuple[str, ...]:
         """All basis labels of an explicit ring, in input order."""
@@ -485,7 +480,7 @@ def _light_middle(ring: FusionRing, window: Sequence[str]) -> list[str] | None:
     the unit law a returned B proves the table associative (Clifford and
     Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2), and
     on an associative table every B passes.  So the verdict, kept under
-    "light" and the complete table's window key None by the first call,
+    "light" and the complete table's stamp None by the first call,
     holds for every order in which a later call grows its own B."""
     if not ring.is_explicit or ring.truncated_at is not None:
         return None
@@ -514,8 +509,7 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     Ostrik, Tensor Categories, 2015, 3.1).  The proof needs the other laws,
     so a violation there reruns the loop with them.  Only other tables take
     the associativity scan.  The first call keeps its report, whatever it
-    says, under "report" and `ring.window_key(depth)`; every call returns a
-    copy of it.
+    says, under "report" and its stamp; every call returns a copy of it.
     """
     def compute():
         labels = ring.elements(depth)
@@ -533,7 +527,7 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
                 report.add("associativity", (a, b, c), f"{lhs} != {rhs}")
         return report
 
-    kept = _kept(ring, "report", ring.window_key(depth), compute)
+    kept = _kept(ring, "report", ring.checked_depth(depth), compute)
     return ValidationReport(list(kept.violations), kept.checked_depth)
 
 

@@ -16,10 +16,10 @@ class RestrictionData:
     ring to multisets of irreducibles of the subgroup's ring.
 
     Its answers are kept in one store, `answers`, by `ring._kept` under
-    (question, the source's `window_key(depth)`): "valid" once validation
-    has passed, which the questions need, and "trivial".  A failure keeps
-    nothing, so it recurs on every call.  The public `validate_restriction`
-    always checks afresh."""
+    (question, the source's stamp `checked_depth(depth)`): "valid" once
+    validation has passed, which the questions need, and "trivial".  A
+    failure keeps nothing, so it recurs on every call.  The public
+    `validate_restriction` always checks afresh."""
 
     def __init__(self, source: FusionRing, target: FusionRing,
                  rule: Callable[[str], Support], name: str = "restriction"):
@@ -27,7 +27,7 @@ class RestrictionData:
         # label -> rule(label), read in place by the checks; the rule must be a
         # pure function of the label
         self.restricted = Memo(lambda label: dict(rule(label)))
-        self.answers: dict = {}  # (question, source window key) -> kept answer
+        self.answers: dict = {}  # (question, source stamp) -> kept answer
 
     @classmethod
     def from_dict(cls, source: FusionRing, target: FusionRing,
@@ -158,7 +158,7 @@ def _multiplicative_on_generators(r: RestrictionData, depth: int) -> bool:
         parent;
       - (a x b') x g = a x (b' x g) in the source, for a in the window and
         every parent edge: a fact about the source window alone, whose
-        verdict the source keeps under "associative" and `window_key(depth)`;
+        verdict the source keeps under "associative" and its stamp;
       - (x y) h = x (y h) in the target, for x restricted from the window,
         y from a parent and h from a multiplier.
     Then N res(a x b) = (res(a) res(b')) res(g) - sum of res(a) res(o) over
@@ -182,7 +182,7 @@ def _multiplicative_on_generators(r: RestrictionData, depth: int) -> bool:
         return False
     ys = dict.fromkeys(lam for p in parents for lam in res[p])
     hs = dict.fromkeys(lam for g in multipliers for lam in res[g])
-    return (_kept(source, "associative", source.window_key(depth),
+    return (_kept(source, "associative", source.checked_depth(depth),
                   lambda: _associative(source, window, [(p, g) for _, p, g in edges]))
             and _associative(target, dict.fromkeys(lam for a in window for lam in res[a]),
                              [(y, h) for y in ys for h in hs]))
@@ -242,7 +242,7 @@ def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobje
     criterion; closure of constituents is verified through the restriction
     rule itself so it also covers constituents beyond the depth.  Members
     are walked in window order, so an error names the first failure.
-    The answer is kept under "trivial" by source window; an error is not."""
+    The answer is kept under "trivial" by source stamp; an error is not."""
     def subobject():
         _require_valid(r, depth)
         explored = r.source.elements(depth)
@@ -261,7 +261,7 @@ def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobje
                             f"trivially-restricting set not fusion-closed: {c!r} in {a!r} x {b!r}")
         return Subobject(frozenset(members))
 
-    return _kept(r, "trivial", r.source.window_key(depth), subobject)
+    return _kept(r, "trivial", r.source.checked_depth(depth), subobject)
 
 
 def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
@@ -279,14 +279,15 @@ def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
 
 def _require_valid(r: RestrictionData, depth: int) -> int | None:
     """`r.source.checked_depth(depth)` once `r` is valid at `depth`, kept
-    under "valid" so each source window is proved once; else InvalidRestriction."""
+    under "valid" and that stamp, so each source window is proved once;
+    else InvalidRestriction."""
     def valid():
         report = validate_restriction(r, depth)
         if not report.ok:
             raise InvalidRestriction(str(report))
         return report.checked_depth
 
-    return _kept(r, "valid", r.source.window_key(depth), valid)
+    return _kept(r, "valid", r.source.checked_depth(depth), valid)
 
 
 def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:

@@ -14,7 +14,7 @@ settings.register_profile("ci", derandomize=True)
 
 def kept(owner, question):
     """The answers a ring or restriction keeps to `question`, by key (the
-    window key, or the key its reader gives)."""
+    stamp `checked_depth(depth)`, or the key its reader gives)."""
     return {key: value for (asked, key), value in owner.answers.items() if asked == question}
 
 

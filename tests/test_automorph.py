@@ -13,6 +13,7 @@ import fusionrings as fr
 from fusionrings import automorph as automorph_module, central as central_module, \
     ring as ring_module
 from fusionrings.automorph import _invariants, _label_invariant
+from fusionrings.errors import InternalInconsistency
 from test_automorph_oracles import (EXPLICIT, _loop_ring, _rep_d4_on_rho, _reps3_cubed_reversed,
                                     _zn, label_backtracking, reference)
 from conftest import kept
@@ -545,3 +546,13 @@ class TestChainGroupAction:
         assert action[part.block_of["u"]] == part.block_of["v"]
         assert action[part.block_of["v"]] == part.block_of["u"]
         assert action[part.identity_block] == part.identity_block
+
+    def test_a_map_breaking_the_chain_relation_raises(self):
+        # S3 x Rep(S3): the chain classes are S3's elements, and a map
+        # swapping (e,sgn) with (r,sgn) sends part of the class e to r
+        ring = fr.direct_product(fr.group_ring(fr.s3_group()), fr.rep_s3_ring())
+        swap = {"(e,sgn)": "(r,sgn)", "(r,sgn)": "(e,sgn)"}
+        auto = fr.RingAutomorphism(tuple(sorted((x, swap.get(x, x)) for x in ring.labels())))
+        with pytest.raises(InternalInconsistency,
+                           match=r"^chain relation not preserved at '\(e,sgn\)'$"):
+            fr.action_on_chain_group(ring, auto)

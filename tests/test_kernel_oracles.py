@@ -478,13 +478,16 @@ def test_validate_ring_matches_reference_on_truncated_file():
 
 
 @pytest.mark.parametrize("name,depths", [
-    ("su2", (1, 4, 8, 12)), ("au2", (1, 2, 3, 4)), ("su2'", (4, 5))])
+    ("su2", (1, 4, 8, 12)), ("au2", (1, 2, 3, 4)), ("su2'", (4, 5)), ("su2|4 x su2", (1,))])
 def test_validate_ring_matches_reference_on_generated_windows(name, depths):
-    # su2' (V4 x V4 loses its top constituent) has violations on its windows
+    # su2' (V4 x V4 loses its top constituent) has violations on its windows;
+    # su2|4 x su2 has window pairs its truncated factor cannot multiply
     ring = {"su2": fr.su2_ring, "au2": lambda: fr.au_word_ring(2),
-            "su2'": lambda: _su2_with_square(4)}[name]()
+            "su2'": lambda: _su2_with_square(4),
+            "su2|4 x su2": lambda: fr.direct_product(fr.load_ring(DATA / "su2_depth4.json"),
+                                                     fr.su2_ring())}[name]()
     for depth in depths:
-        assert_same_report(ring, depth)
+        assert assert_same_report(ring, depth).checked_depth == depth
 
 
 BASES = {"Z/3": lambda: _zn(3), "Z/4": lambda: _zn(4), "Z/8": lambda: _zn(8),

@@ -2,6 +2,7 @@
 
 import functools
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,9 @@ from fusionrings.errors import (
     NotASubobject,
     UnknownLabel,
 )
+from conftest import kept
+
+DATA = Path(__file__).parent / "data"
 
 # one restriction per ring, so that its kept answer sits beside the call
 _identity_restriction = functools.cache(fr.identity_restriction)
@@ -167,15 +171,22 @@ class TestGeneratedRings:
             "is_central_subobject", "validate_ring", "center_subobject",
             "trivial_restriction_subobject"])
     def test_negative_depth_is_rejected_beside_a_kept_answer(self, ask):
-        # a complete table keeps its answers under window_key None, which
+        # a complete table keeps its answers under the stamp None, which
         # every depth maps to; a negative depth must still raise every time
         ring = fr.rep_s3_ring()
-        assert [ring.window_key(d) for d in (0, 6, 9)] == [None] * 3
-        assert fr.su2_ring().window_key(6) == 6
+        assert [ring.checked_depth(d) for d in (0, 6, 9)] == [None] * 3
+        assert fr.su2_ring().checked_depth(6) == 6
         ask(ring, 6)
         for _ in range(2):
             with pytest.raises(ValueError, match=r"depth must be >= 0, got -1$"):
                 ask(ring, -1)
+
+    def test_a_truncated_table_keeps_one_report_whatever_the_depth(self):
+        # its window is the whole table at every depth, stamped with its own
+        ring = fr.load_ring(DATA / "su2_depth4.json")
+        reports = [fr.validate_ring(ring, d) for d in (2, 4, 6)]
+        assert [r.checked_depth for r in reports] == [4] * 3
+        assert list(kept(ring, "report")) == [4]
 
 
 class TestSubobjects:

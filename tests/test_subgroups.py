@@ -6,7 +6,8 @@ import pytest
 
 import fusionrings as fr
 from fusionrings import subgroups
-from fusionrings.errors import DepthExceeded, InvalidRestriction, UnknownLabel
+from fusionrings.errors import (DepthExceeded, InternalInconsistency, InvalidRestriction,
+                               UnknownLabel)
 from fusionrings.subgroups import _multiplicative_on_generators
 
 from conftest import kept
@@ -142,6 +143,14 @@ class TestCentrality:
                  fr.trivial_restriction(repz4, unit_ring)]
         for r in cases:
             assert fr.central_subgroup_cross_check(r, depth=6) in (True, False)
+
+    def test_cross_check_raises_when_the_criteria_disagree(self, monkeypatch, su2, z2ring):
+        monkeypatch.setattr(subgroups, "is_central_subobject",
+                            lambda ring, sigma, depth: fr.CentralityResult(False, None))
+        r = fr.su2_parity_restriction(su2, z2ring)
+        with pytest.raises(InternalInconsistency, match=r"^centrality tests disagree for "
+                           r"su2-parity: restriction=True, cosets=False$"):
+            fr.central_subgroup_cross_check(r, 6)
 
 
 class TestValidationMemo:
@@ -290,6 +299,16 @@ class TestGrouplikes:
         with pytest.raises(DepthExceeded) as exc:
             fr.z_group_ring().elements()
         assert exc.value.label is None
+
+    def test_a_dim_one_product_with_two_constituents_raises(self):
+        # an unvalidated table where g x g = e + g
+        basis = [fr.BasisElement("e", 1), fr.BasisElement("g", 1)]
+        table = {("e", "e"): {"e": 1}, ("e", "g"): {"g": 1}, ("g", "e"): {"g": 1},
+                 ("g", "g"): {"e": 1, "g": 1}}
+        ring = fr.FusionRing.explicit(basis, "e", {"e": "e", "g": "g"}, table)
+        with pytest.raises(InternalInconsistency, match=r"^dim-1 product 'g' x 'g' not a "
+                           r"singleton: \{'e': 1, 'g': 1\}$"):
+            fr.grouplikes(ring)
 
     def test_mixed_direct_product_grouplikes(self, z2ring, su2):
         ring = fr.direct_product(z2ring, su2)
