@@ -11,9 +11,11 @@ from itertools import accumulate, chain, permutations, product
 from math import prod
 from operator import mul
 
-from .errors import InternalInconsistency, SearchBudgetExceeded
-from .central import _schreier, search_budget
+from .errors import InternalInconsistency
+from .central import _schreier, _spent, search_budget
 from .ring import FusionRing, _Frozen, _kept, _light_middle
+
+_EXHAUSTED = "automorphism search budget exhausted"
 
 
 class RingAutomorphism(_Frozen):
@@ -83,7 +85,7 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     """
     window, budget, (nodes, _, transversals) = _searched(ring, depth)
     for size in accumulate(map(len, transversals), mul):
-        nodes = _spent(nodes + size, budget)
+        nodes = _spent(nodes + size, budget, _EXHAUSTED)
     autos = {tuple(window)}  # the answers' images of the window, in order
     for reps in transversals:
         autos = {tuple(t[x] for x in a) for t in reps for a in autos}
@@ -115,15 +117,8 @@ def _searched(ring: FusionRing, depth: int):
     window, budget = ring.elements(depth), search_budget()
     entry = _kept(ring, "automorphisms", ring.checked_depth(depth),
                   lambda: _search(ring, window, budget))
-    _spent(min(entry[0], budget + 1), budget)
+    _spent(min(entry[0], budget + 1), budget, _EXHAUSTED)
     return window, budget, entry
-
-
-def _spent(nodes: int, budget: int) -> int:
-    """`nodes`; raises SearchBudgetExceeded when it is over `budget`."""
-    if nodes > budget:
-        raise SearchBudgetExceeded("automorphism search budget exhausted", nodes, budget)
-    return nodes
 
 
 def _search(ring: FusionRing, window: tuple[str, ...], budget: int):
@@ -194,7 +189,7 @@ def _search(ring: FusionRing, window: tuple[str, ...], budget: int):
         (new images, next position) of its branch, [] at a dead end, or
         None when its map is complete and accepted."""
         nonlocal nodes
-        nodes = _spent(nodes + 1, budget)
+        nodes = _spent(nodes + 1, budget, _EXHAUSTED)
         phi, used, pending, k = node
         while pending:
             alts = _match_pair(ring, phi, used, *pending.pop())

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -341,7 +342,7 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
             for g in fac.generators if g != fac.unit]
     ring = FusionRing.generated("e", gens, oracle, dual_fn=dual_fn,
                                 dim_fn=dim_fn, name=f"{r1.name}*{r2.name}")
-    fusion = ring.fusion  # the oracle reads the table, not the ring, so the ring holds no cycle
+    fusion = weakref.proxy(ring.fusion)  # so neither the ring nor its table holds a cycle
     return ring
 
 

@@ -27,6 +27,7 @@ from .errors import (
 from .ring import FusionRing, Subobject, _Frozen, _kept, _Record, check_subobject
 
 DEFAULT_BUDGET = 10 ** 6
+_LATTICE = "central-subobject lattice too large"
 
 
 def search_budget() -> int:
@@ -39,6 +40,14 @@ def search_budget() -> int:
         raise FusionRingError("FUSIONRING_SEARCH_BUDGET must be a non-negative decimal "
                               f"integer, got {text!r}")
     return int(text)
+
+
+def _spent(count: int, budget: int, what: str) -> int:
+    """`count`, a search's steps so far; raises SearchBudgetExceeded with
+    the message `what` when it is over `budget`."""
+    if count > budget:
+        raise SearchBudgetExceeded(what, count, budget)
+    return count
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -177,13 +186,14 @@ class GroupTable(_Frozen):
         return frozenset(out)
 
     def normal_subgroups(self) -> frozenset[frozenset[int]]:
-        """The normal subgroups of a group law: from the trivial one, each
-        found is joined with the normal closure of every element not inside
-        it.  Kept once found; with more than `search_budget()` the search runs
-        again, so SearchBudgetExceeded is raised as a fresh search raises it."""
+        """The normal subgroups of a group law, kept once found: from the
+        trivial one, each found is joined with the normal closure of every
+        element not inside it.  `_spent` counts each one held, the trivial one
+        first; a kept lattice over the budget raises as a fresh search would."""
         budget, kept = search_budget(), self.__dict__.get("_normals")
         if kept is not None and len(kept) <= budget:
             return kept
+        _spent(min(len(kept), budget + 1) if kept is not None else 1, budget, _LATTICE)
         m, e = self.mult, self.identity
         inverse = [row.index(e) for row in m]
         closures = {self.subgroup({m[m[g][a]][inverse[g]] for g in range(self.size)})
@@ -191,16 +201,12 @@ class GroupTable(_Frozen):
         normals = {frozenset([e])}
         work = list(normals)
         while work:
-            if len(normals) > budget:
-                raise SearchBudgetExceeded("central-subobject lattice too large",
-                                           len(normals), budget)
             s = work.pop()
             for c in closures:
-                if not c <= s:
-                    j = self.subgroup(s | c)
-                    if j not in normals:
-                        normals.add(j)
-                        work.append(j)
+                if not c <= s and (j := self.subgroup(s | c)) not in normals:
+                    normals.add(j)
+                    work.append(j)
+                    _spent(len(normals), budget, _LATTICE)
         self.__dict__["_normals"] = normals = frozenset(normals)  # as cached_property does
         return normals
 
@@ -519,7 +525,7 @@ def _schreier(ring: FusionRing, depth: int):
         letter = [sign.get(block_of.get(g), 0) for g in ring.generators]
         path = {b: [letter[k] for k in word] for b, word in tree.items()}
         relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
-                    for b, k, t in off_tree  # skip the tree edges' empty relators
+                    for b, k, t in off_tree  # a tree edge's relator is (): skip it, not reduce it
                     if path[t] != path[b] + [letter[k]]
                     and path[b] != path[t] + [-letter[k]]} - {()}
         relators = sorted(relators, key=lambda r: (len(r), _letter_key(r)))

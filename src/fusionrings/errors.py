@@ -51,7 +51,7 @@ class InvalidRestriction(FusionRingError):
 
 class SearchBudgetExceeded(FusionRingError):
     """An enumeration or backtracking search hit the node budget: `nodes`
-    is the count that went over it and `budget` the budget."""
+    is the first count over it, for every search, and `budget` the budget."""
 
     def __init__(self, message, nodes=None, budget=None):
         super().__init__(message)

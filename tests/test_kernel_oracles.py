@@ -348,6 +348,53 @@ def test_lattice_budget_is_its_size(monkeypatch):
     assert len(fr.enumerate_central_subobjects(ring)) == size
 
 
+def _z2_4():
+    """(Z/2)^4, whose chain group has 1 + 15 + 35 + 15 + 1 = 67 subgroups."""
+    klein_z2 = fr.direct_product(fr.group_ring(fr.klein_group()), _zn(2))
+    return fr.direct_product(klein_z2, _zn(2))
+
+
+_LATTICE_TOO_LARGE = "central-subobject lattice too large"
+
+
+@pytest.mark.parametrize("make, budget", [
+    (lambda: _zn(1), 0), (lambda: _zn(2), 0),
+    (_z2_4, 0), (_z2_4, 1), (_z2_4, 3), (_z2_4, 10),
+], ids=["Z/1-0", "Z/2-0", "(Z/2)^4-0", "(Z/2)^4-1", "(Z/2)^4-3", "(Z/2)^4-10"])
+def test_the_lattice_raises_at_its_first_subgroup_over_the_budget(monkeypatch, make, budget):
+    # as the automorphism search counts its nodes: every subgroup held is
+    # counted, the trivial one first, so the count that raises is budget + 1
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(budget))
+    ring = make()
+    with pytest.raises(SearchBudgetExceeded) as info:
+        fr.enumerate_central_subobjects(ring)
+    assert (str(info.value), info.value.nodes, info.value.budget) == (
+        _LATTICE_TOO_LARGE, budget + 1, budget)
+    assert "_normals" not in _schreier(ring, 0)[1].__dict__  # a raising search keeps nothing
+
+
+@pytest.mark.parametrize("budget", [0, 3, 66])
+def test_a_kept_lattice_over_the_budget_raises_without_searching(monkeypatch, budget):
+    ring, fresh = _z2_4(), _z2_4()
+    assert len(fr.enumerate_central_subobjects(ring)) == 67
+    calls = []
+    subgroup = central_module.GroupTable.subgroup
+
+    def counted(self, gens):
+        calls.append(gens)
+        return subgroup(self, gens)
+
+    monkeypatch.setattr(central_module.GroupTable, "subgroup", counted)
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(budget))
+    raised = []
+    for r in (ring, fresh):  # the kept lattice, then a fresh search
+        with pytest.raises(SearchBudgetExceeded) as info:
+            fr.enumerate_central_subobjects(r)
+        raised.append((str(info.value), info.value.nodes, info.value.budget, len(calls)))
+    assert raised[0] == (_LATTICE_TOO_LARGE, budget + 1, budget, 0)
+    assert raised[1][:3] == raised[0][:3] and raised[1][3] > 0
+
+
 def _closure_outcome(close, ring, seed, depth=None, message=True):
     try:
         return close(ring, seed, depth)
@@ -1386,13 +1433,13 @@ def test_a_compute_that_raises_keeps_nothing(monkeypatch, question):
     assert ask(owner) == fresh and kept(keeper(owner), question)
 
 
-@pytest.mark.parametrize("make, tables_too", [
-    (fr.su2_ring, True), (lambda: fr.au_word_ring(2), True), (fr.z_group_ring, True),
-    (lambda: fr.direct_product(fr.su2_ring(), fr.su2_ring()), True),
-    # the free product's oracle reads its own table for the shorter words
-    (lambda: fr.free_product(fr.su2_ring(), _zn(2)), False),
+@pytest.mark.parametrize("make", [
+    fr.su2_ring, lambda: fr.au_word_ring(2), fr.z_group_ring,
+    lambda: fr.direct_product(fr.su2_ring(), fr.su2_ring()),
+    # the free product's oracle reads its own table, through a weak proxy
+    lambda: fr.free_product(fr.su2_ring(), _zn(2)),
 ], ids=["su2", "au(2)", "z", "su2xsu2", "su2*Z/2"])
-def test_a_ring_is_freed_without_the_cycle_collector(make, tables_too):
+def test_a_ring_is_freed_without_the_cycle_collector(make):
     ring = make()
     fr.chain_group(ring, 6)
     fr.center_subobject(ring, 6)
@@ -1400,9 +1447,7 @@ def test_a_ring_is_freed_without_the_cycle_collector(make, tables_too):
     assert kept(ring, "chain") and [key in kept(ring, "centrality")
                                     for key in kept(ring, "cosets")] == [True]
     assert all(ring.dim(x) and ring.dual(x) for x in ring.elements(6))  # fill every table
-    refs = [weakref.ref(ring)]
-    if tables_too:
-        refs += [weakref.ref(ring.fusion), weakref.ref(ring.duals), weakref.ref(ring.dims)]
+    refs = [weakref.ref(t) for t in (ring, ring.fusion, ring.duals, ring.dims)]
     gc.disable()
     try:
         del ring
