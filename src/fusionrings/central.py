@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping
 
@@ -24,7 +24,7 @@ from .errors import (
     NotAGroup,
     SearchBudgetExceeded,
 )
-from .ring import FusionRing, Subobject, _Frozen, _kept, _Record, check_subobject
+from .ring import FusionRing, Memo, Subobject, _Frozen, _kept, _Record, check_subobject
 
 DEFAULT_BUDGET = 10 ** 6
 _LATTICE = "central-subobject lattice too large"
@@ -487,9 +487,12 @@ def _schreier(ring: FusionRing, depth: int):
     Block b times generator k is the block of any in-window constituent of
     a member of b times that generator: the closure put them all in one
     block, and it has already computed the products.  A breadth-first tree
-    from the unit block gives every block a word in the generators.  When
+    from the unit block gives each block j a parent p and a letter k.  When
     the action is total on the window, U is finite and its table, not yet
-    verified, is the action walked along the tree words.  Otherwise U is
+    verified, is the action walked along the tree words, filled in tree
+    order as i * j = (i * p) * k; NotAGroup if the tree misses a block.
+    A complete table's action is total: each row is read when first needed
+    from one member, and the tree stops once it spans.  Otherwise U is
     presented on the generator classes, taken up to duals, by one relator
     for every edge off the tree (Reidemeister-Schreier).  Returns
     (partition, table, None) or (partition, None, (names, relators)), a
@@ -498,32 +501,43 @@ def _schreier(ring: FusionRing, depth: int):
     """
     def chain():
         part = merge_closure(ring, depth)
-        blocks, block_of, fusion = part.blocks, part.block_of, ring.fusion
-        act = [[next((block_of[c] for x in blk for c in fusion[x, g] if c in block_of), None)
-                for g in ring.generators] for blk in blocks]
-        queue, tree, off_tree = [part.identity_block], {part.identity_block: ()}, []
+        blocks, block_of, fusion, gens = part.blocks, part.block_of, ring.fusion, ring.generators
+        n, unit, complete = len(blocks), part.identity_block, ring.checked_depth(depth) is None
+        act = (Memo(lambda b: [block_of[next(iter(fusion[blocks[b][0], g]))] for g in gens])
+               if complete else [[next((block_of[c] for x in blk for c in fusion[x, g]
+                                        if c in block_of), None) for g in gens] for blk in blocks])
+        queue, tree, off_tree = [unit], {unit: None}, []
         for b in queue:
+            if complete and len(tree) == n:
+                break  # the edges left off the tree would feed only relators
             for k, t in enumerate(act[b]):
                 if t in tree:
                     off_tree.append((b, k, t))
                 elif t is not None:
-                    tree[t] = tree[b] + (k,)
+                    tree[t] = (b, k)
                     queue.append(t)
-        if all(None not in row for row in act):
-            n = len(blocks)
-            mult = tuple(tuple(reduce(lambda x, k: act[x][k], tree[j], i) for j in range(n))
-                         for i in range(n))
-            table = GroupTable(mult, part.identity_block, tuple(blk[0] for blk in blocks))
+        edges = list(tree.items())[1:]
+        if complete or all(None not in row for row in act):
+            if len(tree) < n:
+                missed = blocks[min(set(range(n)) - tree.keys())][0]
+                raise NotAGroup(f"no word in the generators reaches the class of {missed!r}")
+            rows = [[i] * n for i in range(n)]
+            for j, (p, k) in edges:
+                for row in rows:
+                    row[j] = act[row[p]][k]
+            table = GroupTable(tuple(map(tuple, rows)), unit, tuple(blk[0] for blk in blocks))
             return part, table, None
-        sign, names = {part.identity_block: 0}, []
-        for g in ring.generators:
+        sign, names = {unit: 0}, []
+        for g in gens:
             cls = block_of.get(g)
             if cls is not None and cls not in sign:
                 names.append(f"[{blocks[cls][0]}]")
                 sign[cls] = len(names)
                 sign.setdefault(block_of.get(ring.dual(g), cls), -len(names))
-        letter = [sign.get(block_of.get(g), 0) for g in ring.generators]
-        path = {b: [letter[k] for k in word] for b, word in tree.items()}
+        letter = [sign.get(block_of.get(g), 0) for g in gens]
+        path = {unit: []}
+        for j, (p, k) in edges:
+            path[j] = path[p] + [letter[k]]
         relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
                     for b, k, t in off_tree  # a tree edge's relator is (): skip it, not reduce it
                     if path[t] != path[b] + [letter[k]]

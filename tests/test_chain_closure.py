@@ -10,6 +10,7 @@ rebuilt from it through public calls (unit class -> `is_central_subobject`
 U(A * B) = U(A) * U(B) and U(A x B) = U(A) x U(B) on catalog products.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionrings as fr
-from fusionrings.central import _presented, _relator, _smith_factors
+from fusionrings.central import _letter_key, _presented, _relator, _schreier, _smith_factors
 from fusionrings.cli import resolve_catalog
 from union_find import UnionFind
 
@@ -242,6 +243,92 @@ def test_center_contains_full_square_unit_class(cases):
         assert new & window == old & window, (name, depth)
         assert old <= new, (name, depth)
         assert new <= set(ring.elements(2 * depth)), (name, depth)
+
+
+def reference_schreier_table(ring, depth):
+    """The table fill that `_schreier` replaced, copied: the whole block
+    action, a breadth-first tree of words, each entry i * j the action
+    walked from i along j's word, and one relator per edge off the tree.
+    Returns (mult, None) or (None, (names, relators)); KeyError when the
+    action is total but the tree misses a block."""
+    part = fr.merge_closure(ring, depth)
+    blocks, block_of, fusion = part.blocks, part.block_of, ring.fusion
+    act = [[next((block_of[c] for x in blk for c in fusion[x, g] if c in block_of), None)
+            for g in ring.generators] for blk in blocks]
+    queue, tree, off_tree = [part.identity_block], {part.identity_block: ()}, []
+    for b in queue:
+        for k, t in enumerate(act[b]):
+            if t in tree:
+                off_tree.append((b, k, t))
+            elif t is not None:
+                tree[t] = tree[b] + (k,)
+                queue.append(t)
+    if all(None not in row for row in act):
+        n = len(blocks)
+        return tuple(tuple(functools.reduce(lambda x, k: act[x][k], tree[j], i)
+                           for j in range(n)) for i in range(n)), None
+    sign, names = {part.identity_block: 0}, []
+    for g in ring.generators:
+        cls = block_of.get(g)
+        if cls is not None and cls not in sign:
+            names.append(f"[{blocks[cls][0]}]")
+            sign[cls] = len(names)
+            sign.setdefault(block_of.get(ring.dual(g), cls), -len(names))
+    letter = [sign.get(block_of.get(g), 0) for g in ring.generators]
+    path = {b: [letter[k] for k in word] for b, word in tree.items()}
+    relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
+                for b, k, t in off_tree
+                if path[t] != path[b] + [letter[k]]
+                and path[b] != path[t] + [-letter[k]]} - {()}
+    return None, (names, sorted(relators, key=lambda r: (len(r), _letter_key(r))))
+
+
+def schreier_table(ring, depth):
+    """`_schreier`'s answer in `reference_schreier_table`'s form."""
+    _, table, pres = _schreier(ring, depth)
+    return (None if table is None else table.mult), pres
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_tables(), st.booleans())
+def test_schreier_table_equals_tree_word_walk_on_random_tables(drawn, unit_law):
+    """No fusion-ring axiom holds on these tables, the unit law included
+    unless it is forced, so a unit row may miss a class: the walk then
+    fails on the missing word, and `_schreier` raises NotAGroup."""
+    labels, table = drawn
+    if unit_law:
+        table.update({("x0", l): {l: 1} for l in labels})
+    ring = fr.FusionRing.explicit([fr.BasisElement(l, 1) for l in labels], "x0",
+                                  {l: l for l in labels}, table)
+    try:
+        want = reference_schreier_table(ring, 0)
+    except KeyError:
+        with pytest.raises(fr.NotAGroup):
+            _schreier(ring, 0)
+        return
+    assert schreier_table(ring, 0) == want
+
+
+def test_schreier_table_and_presentation_equal_tree_word_walk(cases):
+    """Windows too: a partial action keeps its relators, a total one on a
+    window its table."""
+    rings = {id(ring): (name, ring) for name, ring, _ in cases}
+    for name, ring in rings.values():
+        for depth in range(5):
+            assert schreier_table(ring, depth) == reference_schreier_table(ring, depth), (
+                name, depth)
+
+
+def test_unit_row_missing_a_chain_class_is_not_a_group():
+    """x0 * x1 = x0: no word in the generators takes the unit's class to
+    x1's, so the block action has no group table to read."""
+    table = {("x0", "x0"): {"x0": 1}, ("x0", "x1"): {"x0": 1},
+             ("x1", "x0"): {"x1": 1}, ("x1", "x1"): {"x1": 1}}
+    for call in (fr.chain_group, fr.center_subobject, fr.enumerate_central_subobjects):
+        ring = fr.FusionRing.explicit([fr.BasisElement("x0", 1), fr.BasisElement("x1", 1)],
+                                      "x0", {"x0": "x0", "x1": "x1"}, table)
+        with pytest.raises(fr.NotAGroup, match="reaches the class of 'x1'"):
+            call(ring)
 
 
 # ------------------------------------------------- products against theory

@@ -10,17 +10,31 @@ README "Rings").  A generated ring is answered on a window, so its flag is
   dimension 1 and the chain group U is Gamma itself; its central
   subobjects are the normal subgroups of Gamma (Mueger, "On the center of
   a compact group", IMRN 2004: U is the dual of the center).
+- For a direct product, U(R1 x R2) = U(R1) x U(R2), its unit class is
+  the pairs of unit-class labels, and its grouplikes are the pairs of
+  grouplikes: dimensions multiply, so (a, b) has dimension 1 exactly when
+  a and b do.  A finite abelian U is named by its invariant factors,
+  smallest first, as Z/2 x Z/4 for Z/4 x Z/2.
 - For Rep(G) of a compact group G, U is the dual of the center Z(G), the
   unit's chain class is Rep(G/Z(G)), and the grouplikes are the
   one-dimensional representations (the dual of the abelianization).
 """
 
+from itertools import product
 from math import comb, gcd, prod
 
 import pytest
 
 import fusionrings as fr
 from fusionrings.cli import resolve_catalog
+
+
+S3 = ("e", "r", "r2", "s", "sr", "sr2")
+
+
+def _pairs(left, right):
+    """The labels (a,b) of a direct product."""
+    return {f"({a},{b})" for a, b in product(left, right)}
 
 
 def _units(n):
@@ -50,6 +64,10 @@ CHAIN_GROUPS = [
     ("s3", 6, None, "exact", 6, False),  # C*(S3): U = S3, order 6, not abelian
     ("reps3", 6, "trivial", "exact", 1, True),  # Rep(S3): Z(S3) = 1
     ("repz4", 6, "Z/4Z", "exact", 4, True),  # Rep(Z/4): Z = Z/4, self-dual
+    ("zn:12", 6, "Z/12Z", "exact", 12, True),  # C*(Z/12)
+    ("prod:zn:4+zn:2", 6, "Z/2Z x Z/4Z", "exact", 8, True),  # Z/4 x Z/2
+    ("prod:klein+zn:2", 6, "Z/2Z x Z/2Z x Z/2Z", "exact", 8, True),  # (Z/2)^3
+    ("prod:s3+reps3", 6, None, "exact", 6, False),  # S3 x 1 = S3
     ("su2", 6, "Z/2Z", "stable_at_depth(6)", 2, True),  # Z(SU(2)) = {+1, -1}
     ("so3", 6, "trivial", "stable_at_depth(6)", 1, True),  # Z(SO(3)) = 1
     # U_n+: the free-word rule (Banica 1997) grades by #u - #v onto Z
@@ -80,6 +98,10 @@ CENTERS = [
     ("klein", 6, {"e"}),
     ("s3", 6, {"e"}),
     ("reps3", 6, {"1", "sgn", "rho"}),  # Z(S3) = 1 acts trivially on every irreducible
+    ("zn:12", 6, {"e"}),
+    ("prod:zn:4+zn:2", 6, {"(e,e)"}),
+    ("prod:klein+zn:2", 6, {"(e,e)"}),
+    ("prod:s3+reps3", 6, _pairs(["e"], ["1", "sgn", "rho"])),  # {e} x every label of Rep(S3)
     ("repz4", 6, {"chi0"}),  # Z/4 is its own center: only the trivial character
     ("su2", 6, _su2_evens(6)),  # -1 acts trivially exactly on the integer spins
     ("so3", 6, {f"W{k}" for k in range(13)}),  # every label of elements(12)
@@ -106,6 +128,12 @@ GROUPLIKES = [
     ("klein", 6, None, "Z/2Z x Z/2Z"),
     ("s3", 6, None, None),  # S3 is not abelian, so unnamed
     ("reps3", 6, {"1", "sgn"}, "Z/2Z"),  # S3's 1-dimensional representations
+    ("repz4", 6, {"chi0", "chi1", "chi2", "chi3"}, "Z/4Z"),  # the four characters of Z/4
+    ("zn:12", 6, None, "Z/12Z"),
+    ("prod:zn:4+zn:2", 6, None, "Z/2Z x Z/4Z"),  # every pair of group-ring labels
+    ("prod:klein+zn:2", 6, None, "Z/2Z x Z/2Z x Z/2Z"),
+    # S3 x {1, sgn} = S3 x Z/2: 12 grouplikes, not abelian
+    ("prod:s3+reps3", 6, _pairs(S3, ["1", "sgn"]), None),
     ("su2", 6, {"V0"}, "trivial"),  # SU(2) is perfect
     # the free product's grouplikes are the free product of its factors'
     # (Wang 1995): 1 * Z/2
@@ -119,6 +147,7 @@ def test_grouplikes(name, depth, labels, group):
     ring = resolve_catalog(name)
     table, desc = fr.grouplikes_group(ring, depth)
     assert (set(table.labels), desc.name) == (labels or set(ring.labels()), group)
+    assert desc.is_abelian is (group is not None)  # a finite abelian group is named
 
 
 # (ring, |Aut|, the number of central subobjects).  On a group ring these
@@ -127,6 +156,8 @@ AUTOMORPHISMS_AND_LATTICES = [
     ("zn:8", _units(8), _divisors(8)),
     ("klein", _gl(2), sum(_gaussian(2, k) for k in range(3))),
     ("s3", 6, 3),  # S3 is complete, Aut = Inn = S3; its normal subgroups are 1, A3, S3
+    # Rep(S3): the dims 1, 1, 2 fix every label; U = 1 has one normal subgroup
+    ("reps3", 1, 1),
     ("repz4", _units(4), _divisors(4)),  # Rep(Z/4) is the group ring of the dual Z/4
     ("zn:12", _units(12), _divisors(12)),
     # Aut(Z/4 x Z/2) is the dihedral group of order 8; the subgroups are 1,
