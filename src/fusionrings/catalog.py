@@ -17,7 +17,7 @@ from .errors import (
     NotAGroup,
     UnknownLabel,
 )
-from .central import GroupTable
+from .central import GroupTable, _reduced
 from .ring import BasisElement, FusionRing, Memo, Support, validate_ring
 
 
@@ -126,7 +126,9 @@ def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, di
     of the labels of `constituents(x, y)`; `dual` and `dim` map an index to
     its dual's index and to its dimension.  The ring is graded by the index
     modulo `modulus` (in Z when it is 0), and `levels(k)` gives the indices
-    of discovery level k.  Any other spelling, such as a leading zero or a
+    of discovery level k.  The grading's kernel lists the labels of
+    `levels(k)` whose index reduces to 0, in level order, and the unit
+    alone at level 0.  Any other spelling, such as a leading zero or a
     `+`, is an unknown label."""
 
     def index_of(lab: str) -> int:
@@ -146,7 +148,9 @@ def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, di
     return FusionRing.generated(label[0], [label[g] for g in generators], oracle,
                                 dual_fn=lambda l: label[dual(parse[l])],
                                 dim_fn=lambda l: dim(parse[l]), name=name,
-                                grading=(modulus, parse.__getitem__),
+                                grading=(modulus, parse.__getitem__, lambda k: [
+                                    label[n] for n in (levels(k) if k else [0])
+                                    if _reduced(n, modulus) == 0]),
                                 levels=lambda k: [label[n] for n in levels(k)])
 
 
@@ -189,7 +193,9 @@ def au_word_ring(n: int = 2) -> FusionRing:
     dimension homomorphism holds with dim(u) = n.  A word is graded in Z by
     its number of u less its number of v.  Level k is the words of length k
     in lexicographic order, u < v: the only new constituent of x g is the
-    word xg, the others being shorter.
+    word xg, the others being shorter.  Its labels of degree e are the
+    balanced words, in the same order: one per choice of the positions of
+    its k/2 u's, as `itertools.combinations` lists them.
     """
     if n < 2:
         raise MalformedRing("au_word_ring needs dim parameter n >= 2")
@@ -221,9 +227,18 @@ def au_word_ring(n: int = 2) -> FusionRing:
             shorter, d = d, n * d - (shorter if k and w[k - 1] == _AU_BAR[letter] else 0)
         return d
 
+    def balanced(k):  # the level-k words of degree e: those with k/2 u's
+        out = []
+        for us in itertools.combinations(range(k), k // 2) if k % 2 == 0 else ():
+            w = ["v"] * k
+            for i in us:
+                w[i] = "u"
+            out.append("".join(w) or "e")
+        return out
+
     return FusionRing.generated("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
                                 dim_fn=dim, name=f"au-word-ring(n={n})",
-                                grading=(0, lambda l: l.count("u") - l.count("v")),
+                                grading=(0, lambda l: l.count("u") - l.count("v"), balanced),
                                 levels=lambda k: ["".join(w) for w in
                                                   itertools.product("uv", repeat=k)])
 
@@ -315,18 +330,20 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
 
     letters_of = Memo(word_letters)
 
-    def oracle(x, y):
+    def oracle(x, y):  # each constituent's label is built from the labels x and y
         s, t = letters_of[x], letters_of[y]
         if not (s and t) or s[-1][0] != t[0][0]:
-            return {label_of(s + t): 1}
+            return {x if y == "e" else y if x == "e" else f"{x}*{y}": 1}
         (fi, sl), (_, tl) = s[-1], t[0]
+        # x less its last letter and y less its first, each keeping its `*`
+        head, tail = x[:len(x) - len(letter(fi, sl))], y[len(letter(fi, tl)):]
         fac, out = factors[fi], {}
         for c, m in fac.fusion[sl, tl].items():
             if c == fac.unit:  # from this ring's own table; these words are the shorter ones
-                rec = fusion[label_of(s[:-1]), label_of(t[1:])]
+                rec = fusion[head[:-1] or "e", tail[1:] or "e"]
                 out.update((w, m * k) for w, k in rec.items())
             else:
-                out[label_of(s[:-1] + ((fi, c),) + t[1:])] = m
+                out[head + letter(fi, c) + tail] = m
         return out
 
     def dual_fn(lab):

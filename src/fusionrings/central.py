@@ -455,22 +455,22 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
     `elements(depth)` labels can reach.  Where the ring's declared grading
     deg: Irr -> Gamma holds on `elements(depth)` (`_graded`), U is Gamma
     through deg, so the unit's chain class is deg^-1(e): the answer is the
-    window's labels of degree e, with no closure on the window.  They are
-    the closure's answer too.  deg is constant on a class, so its unit
-    class has degree e.  And a label z of degree e in the window is in
-    a x w, for some a in `elements(depth)` and a word w of at most `depth`
-    generators; the closure puts all of a x w in one class, a's class
-    times w.  The dual word of w (the generators are closed under duals)
-    has a constituent y with the unit in y x w.  y is in `elements(depth)`
-    with a's degree, so in a's class, as the blocks at `depth` are the
-    degree fibres; so a x w and y x w share the unit's class.  Kept under
-    "center" and the stamp `ring.checked_depth(depth)`.
+    window's labels of degree e, which the family lists level by level
+    (the grading's `kernel`), with no closure and no exploration of the
+    window.  They are the closure's answer too.  deg is constant on a
+    class, so its unit class has degree e.  And a label z of degree e in
+    the window is in a x w, for some a in `elements(depth)` and a word w
+    of at most `depth` generators; the closure puts all of a x w in one
+    class, a's class times w.  The dual word of w (the generators are
+    closed under duals) has a constituent y with the unit in y x w.  y is
+    in `elements(depth)` with a's degree, so in a's class, as the blocks
+    at `depth` are the degree fibres; so a x w and y x w share the unit's
+    class.  Kept under "center" and the stamp `ring.checked_depth(depth)`.
     """
     def center():
         if _graded(ring, depth):
-            n, deg = ring.grading
-            return Subobject(frozenset(
-                x for x in ring.elements(2 * depth) if _reduced(deg(x), n) == 0))
+            kernel = ring.grading[2]
+            return Subobject(frozenset(x for k in range(2 * depth + 1) for x in kernel(k)))
         part = _schreier(ring, 2 * depth)[0]
         return Subobject(frozenset(part.blocks[part.identity_block]))
 
@@ -554,7 +554,7 @@ def _reduced(k: int, n: int) -> int:
 
 
 def _graded(ring: FusionRing, depth: int) -> bool:
-    """Whether the ring's declared grading (n, deg), deg: Irr -> Gamma =
+    """Whether the ring's declared grading (n, deg, kernel), deg: Irr -> Gamma =
     Z/n (Z when n = 0), is U's, proved on the window `elements(depth)`
     from `_schreier(ring, depth)` and the products it computed:
     - deg(c) = deg(x) + deg(g) for every constituent c of x * g, x in the
@@ -576,7 +576,7 @@ def _graded(ring: FusionRing, depth: int) -> bool:
 
 def _grading_holds(ring: FusionRing, depth: int) -> bool:
     """`_graded`'s three facts, checked on the window."""
-    n, deg = ring.grading
+    n, deg, _ = ring.grading
     part, table, pres = _schreier(ring, depth)
     fusion, gens = ring.fusion, ring.generators
     return (all(_reduced(deg(c), n) == _reduced(deg(x) + deg(g), n)

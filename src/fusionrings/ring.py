@@ -126,9 +126,10 @@ class FusionRing:
     multiplication per level, or reads level k off `levels(k)` when the
     family declares its levels: the labels the breadth-first search finds
     at level k, in its order, with no product computed.  A generated
-    family may declare a grading by a cyclic group, `grading` = (n, deg):
-    deg maps a label to an int read modulo n, or in Z when n = 0
-    (`central._graded` checks it on a window).  All operations are pure.
+    family may declare a grading by a cyclic group, `grading` = (n, deg,
+    kernel): deg maps a label to an int read modulo n, or in Z when n = 0
+    (`central._graded` checks it on a window), and `kernel(k)` lists the
+    labels of level k of degree e, in level order.  All operations are pure.
     Every derived answer is kept in one store, `answers`, under (question,
     stamp) by `_kept`, the stamp `checked_depth(depth)` of the window it was
     computed on: a returned value is kept, an exception keeps nothing.
@@ -138,7 +139,8 @@ class FusionRing:
                  product_fn: Callable[[str, str], Support],
                  dual_fn: Callable[[str], str],
                  dim_fn: Callable[[str], int], name="ring",
-                 grading: tuple[int, Callable[[str], int]] | None = None,
+                 grading: tuple[int, Callable[[str], int],
+                                Callable[[int], Sequence[str]]] | None = None,
                  levels: Callable[[int], Sequence[str]] | None = None):
         self.name = name
         self.grading, self.levels = grading, levels

@@ -58,11 +58,29 @@ def test_graded_answers_equal_the_closure(name, depth):
     assert central._graded(make(), depth) == (depth > 0)
 
 
+@pytest.mark.parametrize("name, depth", CASES, ids=[f"{n}:d{d}" for n, d in CASES])
+def test_a_graded_center_lists_the_window_of_degree_e_unexplored(name, depth):
+    """The center's members, sorted in the ring it was computed on, are the
+    labels of `elements(2 * depth)` of degree e in window order, and the
+    ring is explored no deeper than the chain window `elements(depth)`."""
+    ring, window = GRADED[name](), GRADED[name]()
+    members = fr.center_subobject(ring, depth).sorted_in(ring)
+    assert len(ring._levels) == depth + 1
+    n, deg, _ = window.grading
+    assert members == [x for x in window.elements(2 * depth)
+                       if central._reduced(deg(x), n) == 0]
+
+
 def _su2_graded_by(n, deg):
-    """su2's products, duals and dims under the declared grading (n, deg)."""
+    """su2's products, duals and dims under the declared grading (n, deg),
+    whose kernel at level k is V_k when deg(V_k) is 0, else nothing."""
     su2 = fr.su2_ring()
+
+    def kernel(k):
+        return [f"V{k}"] if central._reduced(deg(f"V{k}"), n) == 0 else []
+
     return lambda: fr.FusionRing.generated("V0", ["V1"], su2.product, su2.dual, su2.dim,
-                                           grading=(n, deg))
+                                           grading=(n, deg, kernel))
 
 
 FALLBACK = {

@@ -36,6 +36,7 @@ import fusionrings as fr
 from fusionrings import automorph as automorph_module, catalog, central as central_module, \
     ring as ring_module, subgroups as subgroups_module
 from fusionrings.central import _schreier, search_budget
+from fusionrings.cli import resolve_catalog
 from fusionrings.errors import (DepthExceeded, FusionRingError, InternalInconsistency,
                                 InvalidRestriction, NotAGroup, NotASubobject,
                                 SearchBudgetExceeded, UnknownLabel)
@@ -954,23 +955,27 @@ def test_stalled_reach_falls_back_to_the_full_scan():
 
 
 def reference_free_product(r1, r2):
-    """The free product of two rings whose labels contain no `*`, fusing
-    words as tuples of (factor, label) letters."""
+    """The free product of two rings, fusing words as tuples of (factor,
+    label) letters.  A letter whose label is itself a word, from a nested
+    free product, is written `i:[word]`, and words split only outside
+    brackets."""
     factors = (r1, r2)
 
     def letters_of(lab):
         if lab == "e":
             return ()
         out = []
-        for piece in lab.split("*"):
+        for piece in catalog.split_outside_brackets(lab, "*"):
             tag, _, flab = piece.partition(":")
+            if flab[:1] == "[":
+                flab = flab[1:-1]
             i = int(tag) - 1
             factors[i].dim(flab)
             out.append((i, flab))
         return tuple(out)
 
     def label_of(word):
-        return "*".join(f"{i + 1}:{l}" for i, l in word) or "e"
+        return "*".join(f"{i + 1}:[{l}]" if "*" in l else f"{i + 1}:{l}" for i, l in word) or "e"
 
     memo = {}
 
@@ -1031,6 +1036,27 @@ def test_free_product_matches_reference(name):
         assert ring.dual(x) == want.dual(x) and ring.dim(x) == want.dim(x)
         for y in window:
             # the constituents of window pairs reach past the window
+            assert list(ring.product(x, y).items()) == list(want.product(x, y).items())
+
+
+NESTED_FREE = {
+    "free:zn:2+free:zn:2+zn:3": lambda free: free(_zn(2), free(_zn(2), _zn(3))),
+    "free:(free:zn:2+zn:3)+z": lambda free: free(free(_zn(2), _zn(3)), fr.z_group_ring()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_FREE))
+def test_a_nested_free_product_matches_reference(name):
+    """The catalog's nested free product against the reference built of
+    references, at depths 0-4: windows, duals, dims and the products of
+    window pairs, whose constituents carry bracketed letters."""
+    ring, want = resolve_catalog(name), NESTED_FREE[name](reference_free_product)
+    for depth in range(5):
+        window = ring.elements(depth)
+        assert window == want.elements(depth), depth
+    for x in window:
+        assert ring.dual(x) == want.dual(x) and ring.dim(x) == want.dim(x)
+        for y in window:
             assert list(ring.product(x, y).items()) == list(want.product(x, y).items())
 
 

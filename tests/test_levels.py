@@ -9,6 +9,7 @@ the second has its `levels` taken off before its first `elements` call.
 import pytest
 
 import fusionrings as fr
+from fusionrings.central import _reduced
 
 LEVELLED = {
     "su2": (fr.su2_ring, 60),
@@ -36,6 +37,19 @@ def test_declared_levels_equal_the_breadth_first_search(name):
         assert labels == searched.elements(depth), depth
         assert ([declared.order_key(l) for l in labels]
                 == [searched.order_key(l) for l in labels]), depth
+
+
+@pytest.mark.parametrize("name", LEVELLED)
+def test_the_declared_kernel_is_each_searched_level_of_degree_e(name):
+    """The grading's `kernel(k)` is level k of the breadth-first search
+    with its labels of nonzero degree left out, in the search's order."""
+    make, deepest = LEVELLED[name]
+    declared, searched = make(), make()
+    searched.levels = None
+    n, deg, kernel = declared.grading
+    for k in range(deepest + 1):
+        level = searched.elements(k)[len(searched.elements(k - 1)) if k else 0:]
+        assert kernel(k) == [x for x in level if _reduced(deg(x), n) == 0], k
 
 
 @pytest.mark.parametrize("name", LEVELLED)

@@ -77,6 +77,8 @@ CHAIN_GROUPS = [
     ("prod:su2+so3", 3, "Z/2Z", "stable_at_depth(3)", 2, True),
     # the dual of Z/2 * Z/3 (Wang, "Free products of compact quantum groups", 1995)
     ("free:zn:2+zn:3", 4, "Z/2Z * Z/3Z", "stable_at_depth(4)", None, False),
+    # U of a free product is the free product of the factors' (Wang 1995): Z/2 * Z/2
+    ("free:su2+zn:2", 4, "Z/2Z * Z/2Z", "stable_at_depth(4)", None, False),
 ]
 
 
@@ -106,6 +108,10 @@ CENTERS = [
     ("su2", 6, _su2_evens(6)),  # -1 acts trivially exactly on the integer spins
     ("so3", 6, {f"W{k}" for k in range(13)}),  # every label of elements(12)
     ("z", 6, {"z0"}),
+    # Z(SU(2) x SO(3)) = Z/2 x 1: the pairs (V_even, W_any) of elements(6),
+    # where (V_a, W_b) takes a + b generators
+    ("prod:su2+so3", 3, {f"(V{a},W{b})" for a in range(0, 7, 2) for b in range(7 - a)}),
+    ("free:zn:2+zn:3", 3, {"e"}),  # a group ring: the unit's class is {e}
 ]
 
 
@@ -122,6 +128,45 @@ def test_au_center_is_the_balanced_words():
     assert all(w == "e" or w.count("u") == w.count("v") for w in members)
 
 
+def _free_su2_z2_window(weight):
+    """The words of free:su2+zn:2 within `weight` generators, as letter
+    tuples: letters alternate between 1:V_k, k >= 1, which takes k of the
+    generator 1:V1, and 2:g1, which takes one."""
+    out, work = [], [((), 0)]
+    while work:
+        word, used = work.pop()
+        out.append(word)
+        last = word[-1][0] if word else None
+        if last != 1:
+            work.extend((word + ((1, k),), used + k) for k in range(1, weight - used + 1))
+        if last != 2 and used < weight:
+            work.append((word + ((2, 1),), used + 1))
+    return out
+
+
+def _in_the_kernel(word):
+    """Whether a word's letter classes, 1:V_odd -> a, 1:V_even -> e and
+    2:g1 -> b, multiply to e in <a, b | a^2, b^2> = Z/2 * Z/2."""
+    reduced = []
+    for factor, k in word:
+        letter = "b" if factor == 2 else "a" if k % 2 else None
+        if letter is None:
+            continue
+        if reduced and reduced[-1] == letter:
+            reduced.pop()
+        else:
+            reduced.append(letter)
+    return not reduced
+
+
+def test_the_center_of_a_free_product_is_the_kernel_of_its_grading():
+    # U = Z/2 * Z/2 (Wang 1995), graded by the letter classes: the unit's
+    # class on elements(8) is the words whose classes multiply to e
+    want = {"*".join(f"1:V{k}" if factor == 1 else "2:g1" for factor, k in word) or "e"
+            for word in _free_su2_z2_window(8) if _in_the_kernel(word)}
+    assert fr.center_subobject(resolve_catalog("free:su2+zn:2"), 4).members == want
+
+
 # (ring, depth, the grouplike labels or None for every label, the group they form)
 GROUPLIKES = [
     ("zn:8", 6, None, "Z/8Z"),  # a group ring: every label has dimension 1
@@ -135,6 +180,9 @@ GROUPLIKES = [
     # S3 x {1, sgn} = S3 x Z/2: 12 grouplikes, not abelian
     ("prod:s3+reps3", 6, _pairs(S3, ["1", "sgn"]), None),
     ("su2", 6, {"V0"}, "trivial"),  # SU(2) is perfect
+    ("so3", 4, {"W0"}, "trivial"),  # so is SO(3)
+    ("au", 4, {"e"}, "trivial"),  # A_u(n)'s nonempty words have dimension >= 2
+    ("prod:su2+so3", 3, {"(V0,W0)"}, "trivial"),  # both factors are perfect
     # the free product's grouplikes are the free product of its factors'
     # (Wang 1995): 1 * Z/2
     ("free:su2+zn:2", 4, {"e", "2:g1"}, "Z/2Z"),
