@@ -17,7 +17,7 @@ from .errors import (
     NotAGroup,
     UnknownLabel,
 )
-from .central import GroupTable, _reduced
+from .central import GroupTable
 from .ring import BasisElement, FusionRing, Memo, Support, validate_ring
 
 
@@ -119,17 +119,15 @@ def rep_z4_ring() -> FusionRing:
 
 
 def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, dim,
-                  name: str, modulus: int, levels, signed: bool = False) -> FusionRing:
+                  name: str, modulus: int, kernel, signed: bool = False) -> FusionRing:
     """The generated ring on the labels prefix + str(n), n >= 0 unless
     `signed`, with unit index 0 and the given generator indices.  The
     product of the labels of x and y is the sum, each with multiplicity 1,
     of the labels of `constituents(x, y)`; `dual` and `dim` map an index to
     its dual's index and to its dimension.  The ring is graded by the index
-    modulo `modulus` (in Z when it is 0), and `levels(k)` gives the indices
-    of discovery level k.  The grading's kernel lists the labels of
-    `levels(k)` whose index reduces to 0, in level order, and the unit
-    alone at level 0.  Any other spelling, such as a leading zero or a
-    `+`, is an unknown label."""
+    modulo `modulus` (in Z when it is 0), and `kernel(k)` gives the indices
+    of degree e at discovery level k, in level order.  Any other spelling,
+    such as a leading zero or a `+`, is an unknown label."""
 
     def index_of(lab: str) -> int:
         try:
@@ -148,10 +146,8 @@ def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, di
     return FusionRing.generated(label[0], [label[g] for g in generators], oracle,
                                 dual_fn=lambda l: label[dual(parse[l])],
                                 dim_fn=lambda l: dim(parse[l]), name=name,
-                                grading=(modulus, parse.__getitem__, lambda k: [
-                                    label[n] for n in (levels(k) if k else [0])
-                                    if _reduced(n, modulus) == 0]),
-                                levels=lambda k: [label[n] for n in levels(k)])
+                                grading=(modulus, parse.__getitem__,
+                                         lambda k: [label[n] for n in kernel(k)]))
 
 
 def su2_ring() -> FusionRing:
@@ -159,16 +155,17 @@ def su2_ring() -> FusionRing:
 
     The same ring serves SU_q(2) and B_u(Q), which share these fusion rules.
     Graded by the parity of the index, in Z/2.  Level k is V_k alone:
-    V_k-1 x V_1 adds only V_k to the levels before it.
+    V_k-1 x V_1 adds only V_k to the levels before it, so the kernel at
+    level k is V_k for even k and empty for odd k.
     """
     return _indexed_ring("V", [1], lambda x, y: range(abs(x - y), x + y + 1, 2),
-                         lambda x: x, lambda x: x + 1, "su2", 2, lambda k: [k])
+                         lambda x: x, lambda x: x + 1, "su2", 2, lambda k: [] if k % 2 else [k])
 
 
 def so3_ring() -> FusionRing:
     """SO(3) fusion (integer spins); also serves A_aut(B, tau).  Trivially
     graded.  Level k is W_k alone: W_k-1 x W_1 adds only W_k to the levels
-    before it."""
+    before it, so the kernel at level k is W_k."""
     return _indexed_ring("W", [1], lambda x, y: range(abs(x - y), x + y + 1),
                          lambda x: x, lambda x: 2 * x + 1, "so3", 1, lambda k: [k])
 
@@ -176,9 +173,10 @@ def so3_ring() -> FusionRing:
 def z_group_ring() -> FusionRing:
     """Group ring of Z (dual of the circle group), as a generated ring,
     graded by the index in Z.  Level k is z_k, z_-k: z_k-1 x z_1 and
-    z_-k+1 x z_-1 are the only products that leave the levels before it."""
+    z_-k+1 x z_-1 are the only products that leave the levels before it,
+    so the kernel is z_0 alone, at level 0."""
     return _indexed_ring("z", [1, -1], lambda x, y: (x + y,), lambda x: -x,
-                         lambda x: 1, "z-group-ring", 0, lambda k: [k, -k], signed=True)
+                         lambda x: 1, "z-group-ring", 0, lambda k: [] if k else [0], signed=True)
 
 
 _AU_BAR = {"u": "v", "v": "u"}
@@ -238,9 +236,7 @@ def au_word_ring(n: int = 2) -> FusionRing:
 
     return FusionRing.generated("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
                                 dim_fn=dim, name=f"au-word-ring(n={n})",
-                                grading=(0, lambda l: l.count("u") - l.count("v"), balanced),
-                                levels=lambda k: ["".join(w) for w in
-                                                  itertools.product("uv", repeat=k)])
+                                grading=(0, lambda l: l.count("u") - l.count("v"), balanced))
 
 
 # --------------------------------------------------------------- products

@@ -123,13 +123,11 @@ class FusionRing:
     of the basis.  A fill that raises (UnknownLabel) keeps no entry.
     `explicit` seeds the tables with finite ones and discovers the whole
     basis up front; `generated` discovers it level by level, one generator
-    multiplication per level, or reads level k off `levels(k)` when the
-    family declares its levels: the labels the breadth-first search finds
-    at level k, in its order, with no product computed.  A generated
-    family may declare a grading by a cyclic group, `grading` = (n, deg,
-    kernel): deg maps a label to an int read modulo n, or in Z when n = 0
-    (`central._graded` checks it on a window), and `kernel(k)` lists the
-    labels of level k of degree e, in level order.  All operations are pure.
+    multiplication per level.  A generated family may declare a grading by
+    a cyclic group, `grading` = (n, deg, kernel): deg maps a label to an
+    int read modulo n, or in Z when n = 0 (`central._graded` checks it on
+    a window), and `kernel(k)` lists the labels of level k of degree e, in
+    level order.  All operations are pure.
     Every derived answer is kept in one store, `answers`, under (question,
     stamp) by `_kept`, the stamp `checked_depth(depth)` of the window it was
     computed on: a returned value is kept, an exception keeps nothing.
@@ -140,10 +138,9 @@ class FusionRing:
                  dual_fn: Callable[[str], str],
                  dim_fn: Callable[[str], int], name="ring",
                  grading: tuple[int, Callable[[str], int],
-                                Callable[[int], Sequence[str]]] | None = None,
-                 levels: Callable[[int], Sequence[str]] | None = None):
+                                Callable[[int], Sequence[str]]] | None = None):
         self.name = name
-        self.grading, self.levels = grading, levels
+        self.grading = grading
         self.unit = unit
         self.generators = tuple(generators)
         self.basis: tuple[BasisElement, ...] = ()  # the table's basis, if any
@@ -219,9 +216,8 @@ class FusionRing:
                   oracle: Callable[[str, str], Support],
                   dual_fn: Callable[[str], str],
                   dim_fn: Callable[[str], int],
-                  name="ring", grading=None, levels=None) -> "FusionRing":
-        return cls(unit, generators, oracle, dual_fn, dim_fn, name=name, grading=grading,
-                   levels=levels)
+                  name="ring", grading=None) -> "FusionRing":
+        return cls(unit, generators, oracle, dual_fn, dim_fn, name=name, grading=grading)
 
     @property
     def is_explicit(self) -> bool:
@@ -266,19 +262,14 @@ class FusionRing:
 
     def _explore(self, depth: int):
         while len(self._levels) <= depth and self._levels[-1]:
-            level = len(self._levels)
-            if self.levels is not None:  # declared: no product is computed
-                discovered = list(self.levels(level))
-                self._discovery.update((c, (level, i)) for i, c in enumerate(discovered))
-            else:
-                discovered = []
-                for x in self._levels[-1]:
-                    for g in self.generators:
-                        cs = self.fusion[x, g]
-                        for c in sorted(cs, key=_label_sort_key) if len(cs) > 1 else cs:
-                            if c not in self._discovery:
-                                self._discovery[c] = (level, len(discovered))
-                                discovered.append(c)
+            level, discovered = len(self._levels), []
+            for x in self._levels[-1]:
+                for g in self.generators:
+                    cs = self.fusion[x, g]
+                    for c in sorted(cs, key=_label_sort_key) if len(cs) > 1 else cs:
+                        if c not in self._discovery:
+                            self._discovery[c] = (level, len(discovered))
+                            discovered.append(c)
             self._levels.append(discovered)
 
     def order_key(self, label: str):
