@@ -11,6 +11,7 @@ arbitrary precision by construction.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -416,11 +417,12 @@ def _reach(ring: FusionRing, window: Sequence[str],
 
 
 def _associativity_failures(ring: FusionRing, xs: Iterable[str],
-                            pairs: Iterable[tuple[str, str]]):
+                            pairs: Iterable[tuple[str, str]], upto=None):
     """Yield (x, y, h, lhs, rhs) where lhs = (x y) h differs from
-    rhs = x (y h), for each (y, h) in `pairs` and then each x in `xs`.  A
-    triple with a term the table cannot compute (a truncated table) is
-    yielded with lhs and rhs None.  Where x y = n u and y h = n v, the
+    rhs = x (y h), for each (y, h) in `pairs` and then each x in `xs`, or
+    in its first upto[h] when a dict `upto` is given.  A triple with a term
+    the table cannot compute (a truncated table) is yielded with lhs and
+    rhs None.  Where x y = n u and y h = n v, the
     triple holds when u h = x v, compared in place; the sums run only when
     that fails, reading the same entries in the same order."""
     fusion = ring.fusion
@@ -432,7 +434,7 @@ def _associativity_failures(ring: FusionRing, xs: Iterable[str],
             yield from ((x, y, h, None, None) for x in xs)
             continue
         v1, n1 = next(iter(yh.items())) if len(yh) == 1 else (None, 0)
-        for x in xs:
+        for x in xs if upto is None else xs[:upto[h]]:
             try:
                 xy = fusion[x, y]
                 if n1 and len(xy) == 1:
@@ -454,10 +456,10 @@ def _associativity_failures(ring: FusionRing, xs: Iterable[str],
 
 
 def _associative(ring: FusionRing, xs: Iterable[str],
-                 pairs: Iterable[tuple[str, str]]) -> bool:
+                 pairs: Iterable[tuple[str, str]], upto=None) -> bool:
     """Whether (x y) h = x (y h), every term computed, for every x in `xs`
-    and (y, h) in `pairs`."""
-    return next(_associativity_failures(ring, xs, pairs), None) is None
+    (the first upto[h] when given) and (y, h) in `pairs`."""
+    return next(_associativity_failures(ring, xs, pairs, upto), None) is None
 
 
 def _light_middle(ring: FusionRing, window: Sequence[str]) -> list[str] | None:
@@ -474,15 +476,20 @@ def _light_middle(ring: FusionRing, window: Sequence[str]) -> list[str] | None:
     Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2), and
     on an associative table every B passes.  So the verdict, kept under
     "light" and the complete table's stamp None by the first call,
-    holds for every order in which a later call grows its own B."""
+    holds for every order in which a later call grows its own B; x runs only
+    to y on a commutative table, where (x b) y - x (b y) = -((y b) x - y (b x))."""
     if not ring.is_explicit or ring.truncated_at is not None:
         return None
-    unit, middle = ring.unit, []
+    unit, middle, fusion = ring.unit, [], ring.fusion
     _reach(ring, window, middle)
-    verdict = _kept(ring, "light", None, lambda: not any(
-        ring.fusion[unit, a] != {a: 1} or ring.fusion[a, unit] != {a: 1} for a in window)
-        and _associative(ring, window, [(b, c) for b in middle for c in window]))
-    return middle if verdict else None
+
+    def verdict():  # the unit law, then the check on B (half of it if commutative)
+        commutative = all(fusion[a, b] == fusion[b, a] for a, b in combinations(window, 2))
+        return not any(fusion[unit, a] != {a: 1} or fusion[a, unit] != {a: 1} for a in window) \
+            and _associative(ring, window, [(b, c) for b in middle for c in window],
+                             {c: i + 1 for i, c in enumerate(window)} if commutative else None)
+
+    return middle if _kept(ring, "light", None, verdict) else None
 
 
 # ------------------------------------------------------------------ validate
@@ -499,19 +506,23 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     and the involution give N(a,b)^c = tau(a b c*) and tau(xy) = tau(yx), so
     by associativity N(a*,c)^b = N(c,b*)^a = N(b*,a*)^c* = tau(a* c b*), and
     the conjugation law gives both Frobenius laws (Etingof-Gelaki-Nikshych-
-    Ostrik, Tensor Categories, 2015, 3.1).  The proof needs the other laws,
-    so a violation there reruns the loop with them.  Only other tables take
-    the associativity scan.  The first call keeps its report, whatever it
-    says, under "report" and its stamp; every call returns a copy of it.
+    Ostrik, Tensor Categories, 2015, 3.1).  It checks the dimension and
+    conjugation laws only for b in Light's middle set B: along `_reach`'s
+    edges b' g = N b + sum o, by associativity N dim(a b) = dim(a b') dim g
+    - sum dim(a o) and N (a b)* = g* (b'* a*) - sum o* a*, for every b.
+    The proofs need the other laws, so a violation reruns the whole loop.
+    Only other tables take the associativity scan.  The first call keeps
+    its report, whatever it says, under "report" and its stamp; every call
+    returns a copy of it.
     """
     def compute():
         labels = ring.elements(depth)
-        proved = _light_middle(ring, labels) is not None
-        report = _laws(ring, labels, frobenius=not proved)
-        if proved and not report.ok:
-            report = _laws(ring, labels, frobenius=True)
+        middle = _light_middle(ring, labels)
+        report = _laws(ring, labels, middle)
+        if middle is not None and not report.ok:
+            report = _laws(ring, labels)
         report.checked_depth = ring.checked_depth(depth)
-        if not proved:
+        if middle is None:
             index = {a: i for i, a in enumerate(labels)}
             pairs = ((b, c) for b in labels for c in labels)
             failures = [f for f in _associativity_failures(ring, labels, pairs) if f[3] is not None]
@@ -524,9 +535,11 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     return ValidationReport(list(kept.violations), kept.checked_depth)
 
 
-def _laws(ring: FusionRing, labels: Sequence[str], frobenius: bool) -> ValidationReport:
+def _laws(ring: FusionRing, labels: Sequence[str],
+          middle: Sequence[str] | None = None) -> ValidationReport:
     """Every check of `validate_ring` but associativity, in its report's
-    order; the Frobenius laws only when `frobenius`.  A law with a term the
+    order; given Light's middle set, no Frobenius laws and the constituent
+    laws only on the pairs (a, b) with b in it.  A law with a term the
     table cannot compute (a truncated table) is skipped."""
     report = ValidationReport()
     unit, fusion = ring.unit, ring.fusion
@@ -558,7 +571,7 @@ def _laws(ring: FusionRing, labels: Sequence[str], frobenius: bool) -> Validatio
         if right is not None and right != {a: 1}:
             report.add("unit-law", (a, unit), f"{a} x 1 = {right}")
 
-    found = report.violations
+    found, walked = report.violations, set(labels if middle is None else middle)
     for a in labels:
         da = dual[a]
         for b in labels:
@@ -569,13 +582,15 @@ def _laws(ring: FusionRing, labels: Sequence[str], frobenius: bool) -> Validatio
             want = 1 if b == da else 0
             if n_unit != want:
                 report.add("duality", (a, b), f"N({a},{b})^1 = {n_unit}, expected {want}")
+            if b not in walked:
+                continue
             # the dimension homomorphism, reported before the constituent
             # laws: Frobenius symmetry and conjugation anti-multiplicativity
             db, start, total = dual[b], len(found), 0
             conj = prod((db, da))
             for c, n in supp.items():
                 total += n * dim[c]
-                if frobenius:
+                if middle is None:
                     s1, s2 = prod((da, c)), prod((c, db))
                     if s1 is not None and s1.get(b, 0) != n:
                         report.add("frobenius", (a, b, c), "N(a,b)^c != N(dual a, c)^b")

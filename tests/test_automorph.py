@@ -486,9 +486,9 @@ def _count_light_checks(monkeypatch):
     calls = []
     kernel = ring_module._associativity_failures
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counted(ring, xs, pairs, upto=None):
+        calls.append((ring, xs, pairs, upto))
+        return kernel(ring, xs, pairs, upto)
 
     monkeypatch.setattr(ring_module, "_associativity_failures", counted)
     return calls

@@ -43,6 +43,7 @@ from fusionrings.errors import (DepthExceeded, FusionRingError, InternalInconsis
 from fusionrings.ring import _associative, _reach
 from fusionrings.subgroups import _multiplicative_on_generators
 from conftest import kept
+from test_chain_closure import random_tables
 from union_find import UnionFind
 
 DATA = Path(__file__).parent / "data"
@@ -571,6 +572,135 @@ def test_validate_ring_matches_reference_on_the_steiner_loop():
     assert report.violations[0].witness == ("p0", "p1", "p3")
 
 
+def test_light_check_fails_on_a_commutative_table_that_is_not_associative():
+    """The Steiner loop's table is commutative, so Light's check runs on
+    half the triples, and still fails."""
+    ring = _steiner_ring()
+    labels = ring.labels()
+    assert all(ring.fusion[a, b] == ring.fusion[b, a] for a in labels for b in labels)
+    assert ring_module._light_middle(ring, labels) is None
+    assert kept(ring, "light") == {None: False}
+    assert len(assert_same_report(ring).violations) == 432
+    # the CLI's copy of the table
+    loaded = fr.load_ring(DATA / "steiner10.json", validate=False)
+    assert loaded.labels() == labels
+    assert all(loaded.product(a, b) == ring.product(a, b) for a in labels for b in labels)
+
+
+def test_light_check_takes_every_triple_of_a_table_that_does_not_commute():
+    """x1 x2 = x2 but x2 x1 = x3.  On this table the triples (x, b, y) with
+    x no later than y hold for both labels b of B, but not all triples."""
+    labels = ["x0", "x1", "x2", "x3"]
+    rows = {"x1": "x1 x2 x3", "x2": "x3 x2 x3", "x3": "x2 x2 x3"}
+    table = {(a, b): {c: 1} for a, row in rows.items() for b, c in zip(labels[1:], row.split())}
+    table.update({p: {a: 1} for a in labels for p in (("x0", a), (a, "x0"))})
+    ring = fr.FusionRing.explicit([fr.BasisElement(l, 1) for l in labels], "x0",
+                                  {l: l for l in labels}, table)
+    pairs = [(b, c) for b in ("x1", "x2") for c in labels]
+    upto = {c: i + 1 for i, c in enumerate(labels)}
+    assert _associative(ring, labels, pairs, upto) and not _associative(ring, labels, pairs)
+    assert ring_module._light_middle(ring, labels) is None
+    assert kept(ring, "light") == {None: False}
+    assert not assert_same_report(ring).ok
+
+
+# commutative rings, each table associative
+COMMUTATIVE = {"Z/3": lambda: _zn(3), "Z/8": lambda: _zn(8), "reps3": fr.rep_s3_ring,
+               "repz4": fr.rep_z4_ring, "klein": lambda: fr.group_ring(fr.klein_group())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_light_check_on_half_the_triples_of_a_commutative_table(data):
+    """On a commutative table (x b) y = x (b y) exactly when (y b) x =
+    y (b x), so the triples with x no later than y decide as all do.  The
+    tables are random ones, or commutative rings with a few entries
+    changed, each made symmetric and given the unit law."""
+    if data.draw(st.booleans()):
+        labels, table = data.draw(random_tables())
+    else:
+        ring = COMMUTATIVE[data.draw(st.sampled_from(sorted(COMMUTATIVE)))]()
+        labels = list(ring.labels())
+        table = {(a, b): ring.product(a, b) for a in labels for b in labels}
+        label = st.sampled_from(labels)
+        supports = st.dictionaries(label, st.integers(1, 2), min_size=1, max_size=3)
+        for pair in data.draw(st.lists(st.tuples(label, label), max_size=2)):
+            table[pair] = data.draw(supports)
+    unit = labels[0]
+    table.update({(b, a): table[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]})
+    table.update({p: {a: 1} for a in labels for p in ((unit, a), (a, unit))})
+    ring = fr.FusionRing.explicit([fr.BasisElement(l, 1) for l in labels], unit,
+                                  {l: l for l in labels}, table)
+    upto = {c: i + 1 for i, c in enumerate(labels)}
+    middle = data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    pairs = [(b, c) for b in middle for c in labels]
+    assert _associative(ring, labels, pairs, upto) == _associative(ring, labels, pairs)
+    every = _associative(ring, labels, [(b, c) for b in labels for c in labels])
+    assert (ring_module._light_middle(ring, labels) is not None) == every
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_RINGS))
+def test_laws_on_the_middle_set_decide_as_the_whole_loop(name):
+    """With associativity, the unit law and the involution, the dimension
+    and conjugation laws on the pairs (a, b) with b in Light's middle set B
+    give them on every pair.  So on a proved table with one dim, one
+    label's and its dual's dim, or one dual changed, the loop restricted to
+    B passes exactly when the whole loop does."""
+    base = LATTICE_RINGS[name]()
+    labels = base.labels()
+    middle = ring_module._light_middle(base, labels)
+    assert middle is not None and ring_module._laws(base, labels, middle).ok
+    for i, a in enumerate(labels):
+        dim = base.dim(a) + 1
+        for ring in (_retabled(base, dims={a: dim}),
+                     _retabled(base, dims={a: dim, base.dual(a): dim}),
+                     _retabled(base, dual={a: labels[(i + 1) % len(labels)]})):
+            assert ring_module._light_middle(ring, labels) == middle
+            assert (ring_module._laws(ring, labels, middle).ok
+                    == ring_module._laws(ring, labels).ok), (name, a)
+
+
+def _light_triples(monkeypatch):
+    """The triples each `_associativity_failures` call from now on is asked
+    to check, one count per call."""
+    counts = []
+    kernel = ring_module._associativity_failures
+
+    def counted(ring, xs, pairs, upto=None):
+        xs, pairs = list(xs), list(pairs)
+        counts.append(sum(len(xs) if upto is None else upto[h] for _, h in pairs))
+        return kernel(ring, xs, pairs, upto)
+
+    monkeypatch.setattr(ring_module, "_associativity_failures", counted)
+    return counts
+
+
+class _CountedReads(ring_module.Memo):
+    """A fusion table that records the keys `get` is asked for."""
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name,triples,walked", [("Z/48", 1176, 48), ("reps3^3", 2268, 162)])
+def test_light_check_and_laws_counts(monkeypatch, name, triples, walked):
+    """Light's check multiplies half the triples (x, b, y) of these
+    commutative tables, and `_laws` walks the constituents of the pairs
+    (a, b) with b in B only.  `_laws` reads each pair once for duality, the
+    two unit products of each label, and one more entry, the conjugate
+    pair, for each pair whose constituents it walks."""
+    ring = LATTICE_RINGS[name]()
+    n = len(ring.labels())
+    fusion = _CountedReads(ring.fusion.fill)
+    fusion.update(ring.fusion)
+    ring.fusion, fusion.asked = fusion, []
+    counts = _light_triples(monkeypatch)
+    assert fr.validate_ring(ring).ok
+    assert counts == [triples]
+    assert len(fusion.asked) - n * n - 2 * n == walked
+
+
 # ------------------------------------------------------------ group tables
 
 
@@ -803,9 +933,9 @@ def _premise_runs(monkeypatch):
     runs = []
     kernel = ring_module._associativity_failures
 
-    def counted(ring, xs, pairs):
+    def counted(ring, xs, pairs, upto=None):
         runs.append(ring)
-        return kernel(ring, xs, pairs)
+        return kernel(ring, xs, pairs, upto)
 
     monkeypatch.setattr(ring_module, "_associativity_failures", counted)
     return runs
@@ -841,12 +971,12 @@ def test_a_source_premise_that_raises_is_not_kept(monkeypatch):
     kernel = ring_module._associativity_failures
     runs = []
 
-    def flaky(ring, xs, pairs):  # the first premise on su2 raises
+    def flaky(ring, xs, pairs, upto=None):  # the first premise on su2 raises
         if ring is su2:
             runs.append(ring)
             if len(runs) == 1:
                 raise RuntimeError("premise")
-        return kernel(ring, xs, pairs)
+        return kernel(ring, xs, pairs, upto)
 
     monkeypatch.setattr(ring_module, "_associativity_failures", flaky)
     r = fr.su2_weight_restriction(su2, fr.z_group_ring())
