@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping
 
@@ -95,11 +94,12 @@ class CosetPartition(_Record):
 
 class GroupTable(_Frozen):
     """A finite group as an index matrix, the library's one group type.
-    Immutable, so it keeps each fact once found: a pass of `verify`,
-    `generators()`, the element orders and `normal_subgroups()`."""
+    Immutable, so it keeps each fact once found in `answers`, as a ring does:
+    "verified", "generators", "orders" and "normals" (see `ring._kept`)."""
 
     def __init__(self, mult: tuple[tuple[int, ...], ...], identity: int, labels: tuple[str, ...]):
-        self.__dict__.update(mult=mult, identity=identity, labels=labels)  # one label per element
+        # one label per element; `answers` is a store, not a field
+        self.__dict__.update(mult=mult, identity=identity, labels=labels, answers={})
 
     @property
     def size(self) -> int:
@@ -108,10 +108,9 @@ class GroupTable(_Frozen):
     def verify(self):
         """Raise NotAGroup unless the table is a group law with one distinct
         label per element; elements are named by their labels."""
-        self._verified  # a cached_property: kept only when no check raises
+        _kept(self, "verified", None, self._check)  # a NotAGroup keeps nothing, so it recurs
 
-    @cached_property
-    def _verified(self) -> None:
+    def _check(self) -> None:
         n, name = self.size, self.labels
         if not 0 <= self.identity < n:  # so an empty table has no identity
             raise NotAGroup(f"identity {self.identity!r} not among {n} elements")
@@ -149,9 +148,8 @@ class GroupTable(_Frozen):
             k += 1
         return k
 
-    @cached_property
-    def _orders(self) -> tuple[int, ...]:
-        return tuple(map(self.element_order, range(self.size)))
+    def orders(self) -> tuple[int, ...]:
+        return _kept(self, "orders", None, lambda: tuple(map(self.element_order, range(self.size))))
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise; a group law is assumed."""
@@ -161,16 +159,15 @@ class GroupTable(_Frozen):
     def generators(self) -> list[int]:
         """A generating set: each element, in index order, that is not in
         the subgroup generated by the ones before it."""
-        return list(self._generators)
+        def generate():
+            gens, inside = [], self.subgroup([])
+            for a in range(self.size):
+                if a not in inside:
+                    gens.append(a)
+                    inside = self.subgroup(gens)
+            return tuple(gens)
 
-    @cached_property
-    def _generators(self) -> tuple[int, ...]:
-        gens, inside = [], self.subgroup([])
-        for a in range(self.size):
-            if a not in inside:
-                gens.append(a)
-                inside = self.subgroup(gens)
-        return tuple(gens)
+        return list(_kept(self, "generators", None, generate))
 
     def subgroup(self, gens: Iterable[int]) -> frozenset[int]:
         """The subgroup generated by `gens`: the identity closed under right
@@ -190,25 +187,27 @@ class GroupTable(_Frozen):
         trivial one, each found is joined with the normal closure of every
         element not inside it.  `_spent` counts each one held, the trivial one
         first; a kept lattice over the budget raises as a fresh search would."""
-        budget, kept = search_budget(), self.__dict__.get("_normals")
-        if kept is not None and len(kept) <= budget:
-            return kept
-        _spent(min(len(kept), budget + 1) if kept is not None else 1, budget, _LATTICE)
-        m, e = self.mult, self.identity
-        inverse = [row.index(e) for row in m]
-        closures = {self.subgroup({m[m[g][a]][inverse[g]] for g in range(self.size)})
-                    for a in range(self.size)}
-        normals = {frozenset([e])}
-        work = list(normals)
-        while work:
-            s = work.pop()
-            for c in closures:
-                if not c <= s and (j := self.subgroup(s | c)) not in normals:
-                    normals.add(j)
-                    work.append(j)
-                    _spent(len(normals), budget, _LATTICE)
-        self.__dict__["_normals"] = normals = frozenset(normals)  # as cached_property does
-        return normals
+        budget = search_budget()
+
+        def search():
+            _spent(1, budget, _LATTICE)
+            m, e = self.mult, self.identity
+            inverse = [row.index(e) for row in m]
+            closures = {self.subgroup({m[m[g][a]][inverse[g]] for g in range(self.size)})
+                        for a in range(self.size)}
+            normals = {frozenset([e])}
+            work = list(normals)
+            while work:
+                s = work.pop()
+                for c in closures:
+                    if not c <= s and (j := self.subgroup(s | c)) not in normals:
+                        normals.add(j)
+                        work.append(j)
+                        _spent(len(normals), budget, _LATTICE)
+            return frozenset(normals)
+
+        normals = _kept(self, "normals", None, search)  # kept at a larger budget, it raises
+        return normals if len(normals) <= budget else _spent(budget + 1, budget, _LATTICE)
 
     def quotient(self, normal: frozenset[int]) -> "GroupTable":
         """The table of the cosets of the normal subgroup `normal`, each
@@ -745,8 +744,8 @@ def abelian_invariants(table: GroupTable) -> list[int]:
     is the largest factor and the others are those of the quotient."""
     out = []
     while table.size > 1:
-        out.append(max(table._orders))
-        a = table._orders.index(out[-1])
+        out.append(max(table.orders()))
+        a = table.orders().index(out[-1])
         table = table.quotient(table.subgroup([a]))
     return out[::-1]
 
@@ -765,7 +764,7 @@ def tables_isomorphic(t1: GroupTable, t2: GroupTable) -> bool:
     n = t1.size
     if n != t2.size:
         return False
-    orders1, orders2 = t1._orders, t2._orders
+    orders1, orders2 = t1.orders(), t2.orders()
     if sorted(orders1) != sorted(orders2):
         return False
     gens = t1.generators()

@@ -13,8 +13,9 @@ settings.register_profile("ci", derandomize=True)
 
 
 def kept(owner, question):
-    """The answers a ring or restriction keeps to `question`, by key (the
-    stamp `checked_depth(depth)`, or the key its reader gives)."""
+    """The answers a ring, a restriction or a group table keeps to
+    `question`, by key (the stamp `checked_depth(depth)`, or the key its
+    reader gives: None for every fact of a table)."""
     return {key: value for (asked, key), value in owner.answers.items() if asked == question}
 
 

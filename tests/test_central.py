@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import fusionrings as fr
 from fusionrings.errors import NotAGroup
 
+from conftest import kept
 from test_acceptance import budget
 
 
@@ -220,6 +221,41 @@ class TestGroupIdentification:
             with pytest.raises(NotAGroup) as exc:
                 check(table)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("mult, message", [
+        (((0, 1), (1, 1)), "no inverse for 'a'"),
+        (((0, 1, 2), (1, 0, 1), (2, 2, 0)), "associativity fails at ('a','a','b')"),
+    ], ids=["no-inverse", "not-associative"])
+    def test_a_table_that_is_no_group_keeps_no_verdict(self, mult, message):
+        table = fr.GroupTable(mult, 0, ("e", "a", "b")[:len(mult)])
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NotAGroup) as exc:
+                table.verify()
+            raised.append(str(exc.value))
+        assert raised == [message, message]
+        assert kept(table, "verified") == {}
+
+    def test_a_passing_verify_is_kept(self, monkeypatch):
+        table = fr.cyclic_group(5)
+        assert kept(table, "verified") == {}
+        table.verify()
+        assert kept(table, "verified") == {None: None}
+        monkeypatch.setattr(fr.GroupTable, "_check", lambda self: pytest.fail("checked again"))
+        table.verify()
+
+    def test_every_fact_of_a_table_is_kept(self):
+        ring = fr.group_ring(fr.cyclic_group(12))
+        table, _ = fr.chain_group(ring, candidates={"C12": fr.cyclic_group(12)})
+        fr.enumerate_central_subobjects(ring)
+        assert fr.abelian_invariants(table) == [12]
+        assert {question for question, _ in table.answers} == {
+            "verified", "generators", "orders", "normals"}
+        assert kept(table, "generators") == {None: tuple(table.generators())}
+        assert kept(table, "orders") == {None: table.orders()}
+        assert kept(table, "normals") == {None: table.normal_subgroups()}
+        assert len(table.normal_subgroups()) == 6  # one per divisor of 12
+        assert set(vars(table)) == {"mult", "identity", "labels", "answers"}
 
     @pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
     def test_relabeled_cyclic_tables_are_isomorphic(self, n):

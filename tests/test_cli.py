@@ -392,6 +392,9 @@ class TestExitCodes:
         ("prod:+zn:2", 2, "its first factor is missing"),
         ("free:zn:2+free:zn:2+zn:3", 0, None),  # the first top-level + splits
         ("free:+", 2, "its first factor is missing"),
+        ("prod:(zn:2+zn:3", 2, "catalog name 'prod:(zn:2+zn:3' has an unmatched '('"),
+        ("prod:((zn:2)+zn:3", 2, "catalog name 'prod:((zn:2)+zn:3' has an unmatched '('"),
+        ("free:zn:2)+zn:3", 2, "catalog name 'free:zn:2)+zn:3' has an unmatched ')'"),
     ])
     def test_nested_product_names(self, catalog, code, message):
         out = cli("validate", "--catalog", catalog, "--depth", "2", "--format", "table")
