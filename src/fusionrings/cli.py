@@ -80,13 +80,15 @@ def resolve_catalog(name: str) -> FusionRing:
     for prefix, ctor in (("free:", cat.free_product), ("prod:", cat.direct_product)):
         if name.startswith(prefix):
             # a factor that is itself a product is parenthesized: free:(A)+B
-            body, depth = name[len(prefix):], 0
-            for ch in body:
-                if (depth := depth + (ch == "(") - (ch == ")")) < 0:
-                    break
-            if depth:
-                raise UsageError(f"catalog name {name!r} has an unmatched "
-                                 f"{'(' if depth > 0 else ')'!r}")
+            body = name[len(prefix):]
+            for opening, closing in ("()", "[]"):  # as split_outside_brackets counts them
+                depth = 0
+                for ch in body:
+                    if (depth := depth + (ch == opening) - (ch == closing)) < 0:
+                        break
+                if depth:
+                    raise UsageError(f"catalog name {name!r} has an unmatched "
+                                     f"{opening if depth > 0 else closing!r}")
             left, *rest = cat.split_outside_brackets(body, "+")
             right = "+".join(rest)  # split at the first top-level +
             if not (left and right):

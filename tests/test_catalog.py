@@ -306,4 +306,5 @@ class TestSerialization:
         doc["table"]["g1"]["g1"] = "g1"  # every entry an element, no group law
         path = tmp_path / "not_a_group.json"
         path.write_text(json.dumps(doc))
-        assert run_cli(["chain-group", "--catalog", f"group:{path}"]) == (2, "")
+        assert run_cli(["chain-group", "--catalog", f"group:{path}"]) == (
+            2, "", "error: associativity fails at ('g1','g1','g2')\n")

@@ -246,8 +246,8 @@ class TestGroupIdentification:
 
     def test_every_fact_of_a_table_is_kept(self):
         ring = fr.group_ring(fr.cyclic_group(12))
-        table, _ = fr.chain_group(ring, candidates={"C12": fr.cyclic_group(12)})
-        fr.enumerate_central_subobjects(ring)
+        table, desc = fr.chain_group(ring, candidates={"C12": fr.cyclic_group(12)})
+        assert desc.name == "C12" and len(fr.enumerate_central_subobjects(ring)) == 6
         assert fr.abelian_invariants(table) == [12]
         assert {question for question, _ in table.answers} == {
             "verified", "generators", "orders", "normals"}

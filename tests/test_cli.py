@@ -395,6 +395,8 @@ class TestExitCodes:
         ("prod:(zn:2+zn:3", 2, "catalog name 'prod:(zn:2+zn:3' has an unmatched '('"),
         ("prod:((zn:2)+zn:3", 2, "catalog name 'prod:((zn:2)+zn:3' has an unmatched '('"),
         ("free:zn:2)+zn:3", 2, "catalog name 'free:zn:2)+zn:3' has an unmatched ')'"),
+        ("prod:[zn:2+zn:3", 2, "catalog name 'prod:[zn:2+zn:3' has an unmatched '['"),
+        ("prod:zn:2]+zn:3", 2, "catalog name 'prod:zn:2]+zn:3' has an unmatched ']'"),
     ])
     def test_nested_product_names(self, catalog, code, message):
         out = cli("validate", "--catalog", catalog, "--depth", "2", "--format", "table")
@@ -494,9 +496,10 @@ def test_cli_imports_no_click():
 
 
 def test_cli_imports_no_dataclasses_or_inspect():
-    # records are plain classes: a CLI process loads neither module
-    out = subprocess.run([sys.executable, "-c", "import sys, fusionrings.cli; "
-                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+    # records are plain classes and errors go to stderr by `print`: a CLI
+    # process loads none of these modules
+    out = subprocess.run([sys.executable, "-c", "import sys, fusionrings.cli; print(sorted("
+                          "{'dataclasses', 'inspect', 'logging'} & set(sys.modules)))"],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"

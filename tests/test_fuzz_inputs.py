@@ -61,7 +61,7 @@ def _run_on_file(commands, doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(doc))
-        return [run_cli([a.replace("{f}", str(path)) for a in command])
+        return [run_cli([a.replace("{f}", str(path)) for a in command])[:2]
                 for command in commands]
 
 
