@@ -54,7 +54,7 @@ def _int_param(name: str) -> int:
     return int(text)
 
 
-def resolve_catalog(name: str) -> FusionRing:
+def resolve_catalog(name: str, validate=True) -> FusionRing:
     if name == "su2":
         return cat.su2_ring()
     if name == "so3":
@@ -76,7 +76,7 @@ def resolve_catalog(name: str) -> FusionRing:
     if name.startswith("group:"):
         return cat.group_ring(cat.load_group(name.split(":", 1)[1]))
     if name.startswith("repring:"):
-        return cat.load_ring(name.split(":", 1)[1])
+        return cat.load_ring(name.split(":", 1)[1], validate=validate)
     for prefix, ctor in (("free:", cat.free_product), ("prod:", cat.direct_product)):
         if name.startswith(prefix):
             # a factor that is itself a product is parenthesized: free:(A)+B
@@ -95,7 +95,7 @@ def resolve_catalog(name: str) -> FusionRing:
                 raise UsageError(f"catalog name {name!r} needs two factors, {prefix}NAME+NAME: "
                                  f"its {'second' if left else 'first'} factor is missing")
             left, right = (p[1:-1] if p[:1] == "(" and p[-1:] == ")" else p for p in (left, right))
-            return ctor(resolve_catalog(left), resolve_catalog(right))
+            return ctor(resolve_catalog(left, validate), resolve_catalog(right, validate))
     raise UsageError(f"unknown catalog name {name!r}")
 
 
@@ -107,7 +107,7 @@ def resolve_ring(ring_file, catalog_name, validate=True) -> FusionRing:
     if (ring_file is None) == (catalog_name is None):
         raise UsageError("exactly one of --ring/--catalog is required")
     if catalog_name is not None:
-        return resolve_catalog(catalog_name)
+        return resolve_catalog(catalog_name, validate)
     return cat.load_ring(ring_file, validate=validate)
 
 

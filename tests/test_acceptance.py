@@ -7,14 +7,13 @@ reproduce.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
 import pytest
 
 import fusionrings as fr
+from test_cli_golden import run_fresh
 
 
 @contextmanager
@@ -23,16 +22,6 @@ def budget(seconds):
     yield
     elapsed = time.monotonic() - start
     assert elapsed < seconds, f"exceeded {seconds}s budget ({elapsed:.2f}s)"
-
-
-def _cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run([sys.executable, "-m", "fusionrings.cli", *args],
-                          capture_output=True, text=True, env=full_env)
 
 
 def test_01_su2_chain_group_is_order_two(su2):
@@ -200,11 +189,12 @@ def test_14_cli_outputs_are_byte_deterministic():
         for args in commands:
             outs = set()
             for hashseed in ("0", "1", "2"):
-                run = _cli(*args, env={"PYTHONHASHSEED": hashseed})
-                assert run.returncode == 0, (args, run.stderr)
-                outs.add(run.stdout)
+                code, stdout, stderr = run_fresh(["-m", "fusionrings.cli", *args],
+                                                 env={"PYTHONHASHSEED": hashseed})
+                assert code == 0, (args, stderr)
+                outs.add(stdout)
             assert len(outs) == 1, args
-            json.loads(run.stdout)  # and it is well-formed JSON
+            json.loads(stdout)  # and it is well-formed JSON
 
 
 def test_15_au_chain_group_at_depth_8():

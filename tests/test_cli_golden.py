@@ -4,17 +4,23 @@
 recorded exit code, stdout and stderr.  An entry's keys are `args`,
 `exit`, `stderr`, one of `stdout` or `stdout_sha256`, and an optional
 `env` that sets variables of `ENV` for the run; the recorder keeps
-stdout whole up to `HASHED` bytes and its sha256 above.  Every command
-runs from inside `tests/data`, so the ring, group, restriction and sigma
-files there are named by relative path.
+stdout whole up to `HASHED` bytes and its sha256 above.  No two entries
+share both `args` and `env`.  Every command runs from inside
+`tests/data`, so the ring, group, restriction and sigma files there are
+named by relative path, and with `COLUMNS` at 80, so that `--help` wraps
+the same way in a terminal and in a pipe.
 
 Two runners replay the file with the same comparison, `transcript`:
-pytest runs each command in-process through the real entry point, and
-`python tests/test_cli_golden.py --replay fusionrings` runs each through
-the installed console script, one process per command, within `TIMEOUT`
-seconds.  To add a CLI check, append an entry with its `args` (and
-`env`) and re-record; to re-record after a deliberate output change, run
-this file as a script: `PYTHONPATH=src python tests/test_cli_golden.py`.
+pytest runs each command in-process through the real entry point,
+`run_cli`, and `python tests/test_cli_golden.py --replay fusionrings`
+runs each through the installed console script, one process per
+command, within `TIMEOUT` seconds.  To add a CLI check, append an entry
+with its `args` (and `env`) and re-record; to re-record after a
+deliberate output change, run this file as a script:
+`PYTHONPATH=src python tests/test_cli_golden.py`.
+
+`run_cli` is also how the other tests run the CLI.  `run_fresh` starts a
+new interpreter for the few checks that only a fresh process can show.
 """
 
 import contextlib
@@ -36,7 +42,10 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
 HASHED = 64 * 1024  # bytes of stdout above which a transcript keeps its sha256
 ENV = {"FUSIONRING_SEARCH_BUDGET"}  # the variables a transcript may set
-TIMEOUT = 20  # seconds a replayed command may take
+TIMEOUT = 20  # seconds a command in a fresh process may take
+# the PYTHONPATH of a fresh interpreter: this checkout's `fusionrings` first
+FRESH_PATH = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH")]))
 
 
 def transcript(entry, code, stdout, stderr):
@@ -50,8 +59,9 @@ def transcript(entry, code, stdout, stderr):
 
 
 def _environ(env):
-    """The process environment with the variables `env` sets, and no other of `ENV`."""
-    return {k: v for k, v in os.environ.items() if k not in ENV} | (env or {})
+    """The process environment with the variables `env` sets, no other of
+    `ENV`, and `COLUMNS` at 80, the width argparse wraps `--help` to."""
+    return {k: v for k, v in os.environ.items() if k not in ENV} | {"COLUMNS": "80"} | (env or {})
 
 
 def run_cli(args, env=None):
@@ -74,6 +84,18 @@ def run_cli(args, env=None):
     finally:
         sys.argv = saved_argv
         os.chdir(saved_cwd)
+
+
+def run_fresh(args, env=None, cwd=DATA):
+    """(exit code, stdout, stderr) of `python ARGS` in a new interpreter that
+    imports this checkout's `fusionrings`, run from `cwd` with `env` set,
+    within `TIMEOUT` seconds.  Only what a run in-process cannot show runs
+    this way: output under several PYTHONHASHSEEDs, the modules a fresh
+    `fusionrings.cli` imports, and paths resolved from another working
+    directory."""
+    run = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                         env=_environ(env) | {"PYTHONPATH": FRESH_PATH}, timeout=TIMEOUT)
+    return run.returncode, run.stdout, run.stderr
 
 
 def replay(command, entries):
@@ -111,6 +133,11 @@ def _entries():
     return json.loads(GOLDEN.read_text())
 
 
+def _name(entry):
+    """An entry as a shell line: its env, then its args."""
+    return " ".join([*(f"{k}={v}" for k, v in entry.get("env", {}).items()), *entry["args"]])
+
+
 def test_every_transcript_has_the_recorded_shape():
     # a misspelled key would otherwise skip a comparison
     for entry in _entries():
@@ -119,7 +146,12 @@ def test_every_transcript_has_the_recorded_shape():
         assert set(entry.get("env", ())) <= ENV, entry
 
 
-@pytest.mark.parametrize("entry", _entries(), ids=lambda e: " ".join(e["args"]))
+def test_no_two_transcripts_share_args_and_env():
+    runs = [json.dumps([entry["args"], entry.get("env")]) for entry in _entries()]
+    assert sorted({run for run in runs if runs.count(run) > 1}) == []
+
+
+@pytest.mark.parametrize("entry", _entries(), ids=_name)
 def test_transcript(entry):
     assert transcript(entry, *run_cli(entry["args"], entry.get("env"))) == entry
 
@@ -130,14 +162,11 @@ def test_transcript(entry):
 def test_replay_compares_runs_of_the_console_script(monkeypatch, edit, failed):
     # the runner CI points at the installed script: one transcript with an
     # env, one kept as a sha256 and one with stderr, each in a fresh process
-    wanted = [["automorphisms", "--catalog", "klein"],
-              ["center", "--catalog", "au", "--depth", "9"],
-              ["product", "--catalog", "su2", "V1", "X3"]]
-    entries = [edit(entry) for entry in _entries() if entry["args"] in wanted]
+    wanted = ["FUSIONRING_SEARCH_BUDGET=abc automorphisms --catalog klein",
+              "center --catalog au --depth 9", "product --catalog su2 V1 X3"]
+    entries = [edit(entry) for entry in _entries() if _name(entry) in wanted]
     assert len(entries) == len(wanted)
-    src = str(Path(cli.__file__).parents[1])
-    monkeypatch.setenv("PYTHONPATH",
-                       os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    monkeypatch.setenv("PYTHONPATH", FRESH_PATH)
     assert replay([sys.executable, "-m", "fusionrings.cli"], entries) == failed
 
 

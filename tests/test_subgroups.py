@@ -300,14 +300,16 @@ class TestGrouplikes:
             fr.z_group_ring().elements()
         assert exc.value.label is None
 
-    def test_a_dim_one_product_with_two_constituents_raises(self):
-        # an unvalidated table where g x g = e + g
+    @pytest.mark.parametrize("square, message", [
+        ({"e": 1, "g": 1}, r"not a singleton: \{'e': 1, 'g': 1\}"),
+        ({"e": 2}, r"gave \{'e': 2\}")], ids=["e+g", "2e"])
+    def test_a_dim_one_product_with_two_constituents_raises(self, square, message):
+        # an unvalidated table where g x g is `square`, counted with multiplicity
         basis = [fr.BasisElement("e", 1), fr.BasisElement("g", 1)]
         table = {("e", "e"): {"e": 1}, ("e", "g"): {"g": 1}, ("g", "e"): {"g": 1},
-                 ("g", "g"): {"e": 1, "g": 1}}
+                 ("g", "g"): square}
         ring = fr.FusionRing.explicit(basis, "e", {"e": "e", "g": "g"}, table)
-        with pytest.raises(InternalInconsistency, match=r"^dim-1 product 'g' x 'g' not a "
-                           r"singleton: \{'e': 1, 'g': 1\}$"):
+        with pytest.raises(InternalInconsistency, match=rf"^dim-1 product 'g' x 'g' {message}$"):
             fr.grouplikes(ring)
 
     def test_mixed_direct_product_grouplikes(self, z2ring, su2):
