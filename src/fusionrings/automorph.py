@@ -80,8 +80,9 @@ def automorphisms(ring: FusionRing, depth: int = 6) -> list[RingAutomorphism]:
     transversals' orders, are counted before any map is composed.  On a
     complete table they are the maps composed; on a window where distinct
     maps agree they bound them from above.  The chain is searched once per
-    window (`_searched`); the budget is spent on every call as by a fresh
-    search, and every call composes a new list.
+    window (`_searched`) and the budget spent on every call as by a fresh
+    search.  The list is composed on every call, not kept: it can grow to
+    the budget's size, which a kept list would hold for the ring's lifetime.
     """
     window, budget, (nodes, _, transversals) = _searched(ring, depth)
     for size in accumulate(map(len, transversals), mul):

@@ -320,7 +320,10 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
             if (flab == factors[i].unit or (out and out[-1][0] == i)
                     or (nested and letter(i, flab) != piece)):
                 raise UnknownLabel(lab)
-            factors[i].dim(flab)  # raises UnknownLabel outside the factor
+            try:
+                factors[i].dim(flab)
+            except UnknownLabel:  # outside the factor: name the label as given
+                raise UnknownLabel(lab) from None
             out.append((i, flab))
         return tuple(out)
 

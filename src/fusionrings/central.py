@@ -23,7 +23,7 @@ from .errors import (
     NotAGroup,
     SearchBudgetExceeded,
 )
-from .ring import FusionRing, Memo, Subobject, _Frozen, _kept, _Record, check_subobject
+from .ring import FusionRing, Memo, Subobject, _Frozen, _kept, _keeps, _Record, check_subobject
 
 DEFAULT_BUDGET = 10 ** 6
 _LATTICE = "central-subobject lattice too large"
@@ -95,11 +95,15 @@ class CosetPartition(_Record):
 class GroupTable(_Frozen):
     """A finite group as an index matrix, the library's one group type.
     Immutable, so it keeps each fact once found in `answers`, as a ring does:
-    "verified", "generators", "orders" and "normals" (see `ring._kept`)."""
+    "verified", "generators", "orders", "normals", "invariants", its "hash",
+    and, per candidate table, "isomorphic" (see `ring._kept`)."""
 
     def __init__(self, mult: tuple[tuple[int, ...], ...], identity: int, labels: tuple[str, ...]):
         # one label per element; `answers` is a store, not a field
         self.__dict__.update(mult=mult, identity=identity, labels=labels, answers={})
+
+    def __hash__(self):  # so a lookup keyed by a table does not rehash its n*n entries
+        return _kept(self, "hash", None, lambda: hash(self._values))
 
     @property
     def size(self) -> int:
@@ -249,6 +253,17 @@ class GroupDescriptor(_Record):
         if self.name is not None:
             doc["name"] = self.name
         return doc
+
+
+def _fresh(found, desc: GroupDescriptor, candidates=None):
+    """A kept (table or presentation, descriptor) with new containers, a table
+    named by the first of `candidates` isomorphic to it (kept as "isomorphic")."""
+    pres = desc.presentation and {k: list(v) for k, v in desc.presentation.items()}
+    invariants = None if desc.abelian_invariants is None else list(desc.abelian_invariants)
+    name = desc.name if pres or not candidates else next((c for c, t in candidates.items() if _kept(
+        found, "isomorphic", t, lambda t=t: tables_isomorphic(found, t))), desc.name)
+    return pres or found, GroupDescriptor(desc.order, desc.is_abelian, invariants, desc.flag,
+                                          pres, name)
 
 
 # ----------------------------------------------------------- chain relation
@@ -433,17 +448,18 @@ def enumerate_central_subobjects(ring: FusionRing) -> list[Subobject]:
     The chain classes are the components of the universal grading by the
     chain group U, so a subobject is central exactly when it is the union
     of the classes in a normal subgroup of U, one of
-    `GroupTable.normal_subgroups` (which raises SearchBudgetExceeded).
+    `GroupTable.normal_subgroups`, which raises SearchBudgetExceeded on every call.
     """
     ring.labels()  # a finite table is needed
     part, t, _ = _schreier(ring, 0)  # the depth does not limit a complete table
     t.verify()
-    out = [Subobject(frozenset(l for i in n for l in part.blocks[i]))
-           for n in t.normal_subgroups()]
-    out.sort(key=lambda s: (len(s.members), tuple(sorted(s.members))))
-    return out
+    normals = t.normal_subgroups()
+    return list(_kept(ring, "lattice", ring.checked_depth(0), lambda: sorted(
+        (Subobject(frozenset(l for i in n for l in part.blocks[i])) for n in normals),
+        key=lambda s: (len(s.members), tuple(sorted(s.members))))))
 
 
+@_keeps("center")
 def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
     """The intersection of all central subobjects: the unit's chain class,
     which is also the adjoint subobject generated by the supports of every
@@ -464,21 +480,19 @@ def center_subobject(ring: FusionRing, depth: int = 6) -> Subobject:
     closed under duals) has a constituent y with the unit in y x w.  y is
     in `elements(depth)` with a's degree, so in a's class, as the blocks
     at `depth` are the degree fibres; so a x w and y x w share the unit's
-    class.  Kept under "center" and the stamp `ring.checked_depth(depth)`.
+    class.
     """
-    def center():
-        if _graded(ring, depth):
-            kernel = ring.grading[2]
-            return Subobject(frozenset(x for k in range(2 * depth + 1) for x in kernel(k)))
-        part = _schreier(ring, 2 * depth)[0]
-        return Subobject(frozenset(part.blocks[part.identity_block]))
-
-    return _kept(ring, "center", ring.checked_depth(depth), center)
+    if _graded(ring, depth):
+        kernel = ring.grading[2]
+        return Subobject(frozenset(x for k in range(2 * depth + 1) for x in kernel(k)))
+    part = _schreier(ring, 2 * depth)[0]
+    return Subobject(frozenset(part.blocks[part.identity_block]))
 
 
 # --------------------------------------------------------------- chain group
 
 
+@_keeps("chain")
 def _schreier(ring: FusionRing, depth: int):
     """The chain classes on the window, and the chain group U read off
     their block action.
@@ -496,55 +510,52 @@ def _schreier(ring: FusionRing, depth: int):
     for every edge off the tree (Reidemeister-Schreier).  Returns
     (partition, table, None) or (partition, None, (names, relators)), a
     relator being a tuple of letters: i or -i for the i-th name or its
-    inverse.  Kept under "chain" and the stamp `ring.checked_depth(depth)`.
+    inverse.
     """
-    def chain():
-        part = merge_closure(ring, depth)
-        blocks, block_of, fusion, gens = part.blocks, part.block_of, ring.fusion, ring.generators
-        n, unit, complete = len(blocks), part.identity_block, ring.checked_depth(depth) is None
-        act = (Memo(lambda b: [block_of[next(iter(fusion[blocks[b][0], g]))] for g in gens])
-               if complete else [[next((block_of[c] for x in blk for c in fusion[x, g]
-                                        if c in block_of), None) for g in gens] for blk in blocks])
-        queue, tree, off_tree = [unit], {unit: None}, []
-        for b in queue:
-            if complete and len(tree) == n:
-                break  # the edges left off the tree would feed only relators
-            for k, t in enumerate(act[b]):
-                if t in tree:
-                    off_tree.append((b, k, t))
-                elif t is not None:
-                    tree[t] = (b, k)
-                    queue.append(t)
-        edges = list(tree.items())[1:]
-        if complete or all(None not in row for row in act):
-            if len(tree) < n:
-                missed = blocks[min(set(range(n)) - tree.keys())][0]
-                raise NotAGroup(f"no word in the generators reaches the class of {missed!r}")
-            rows = [[i] * n for i in range(n)]
-            for j, (p, k) in edges:
-                for row in rows:
-                    row[j] = act[row[p]][k]
-            table = GroupTable(tuple(map(tuple, rows)), unit, tuple(blk[0] for blk in blocks))
-            return part, table, None
-        sign, names = {unit: 0}, []
-        for g in gens:
-            cls = block_of.get(g)
-            if cls is not None and cls not in sign:
-                names.append(f"[{blocks[cls][0]}]")
-                sign[cls] = len(names)
-                sign.setdefault(block_of.get(ring.dual(g), cls), -len(names))
-        letter = [sign.get(block_of.get(g), 0) for g in gens]
-        path = {unit: []}
+    part = merge_closure(ring, depth)
+    blocks, block_of, fusion, gens = part.blocks, part.block_of, ring.fusion, ring.generators
+    n, unit, complete = len(blocks), part.identity_block, ring.checked_depth(depth) is None
+    act = (Memo(lambda b: [block_of[next(iter(fusion[blocks[b][0], g]))] for g in gens])
+           if complete else [[next((block_of[c] for x in blk for c in fusion[x, g]
+                                    if c in block_of), None) for g in gens] for blk in blocks])
+    queue, tree, off_tree = [unit], {unit: None}, []
+    for b in queue:
+        if complete and len(tree) == n:
+            break  # the edges left off the tree would feed only relators
+        for k, t in enumerate(act[b]):
+            if t in tree:
+                off_tree.append((b, k, t))
+            elif t is not None:
+                tree[t] = (b, k)
+                queue.append(t)
+    edges = list(tree.items())[1:]
+    if complete or all(None not in row for row in act):
+        if len(tree) < n:
+            missed = blocks[min(set(range(n)) - tree.keys())][0]
+            raise NotAGroup(f"no word in the generators reaches the class of {missed!r}")
+        rows = [[i] * n for i in range(n)]
         for j, (p, k) in edges:
-            path[j] = path[p] + [letter[k]]
-        relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
-                    for b, k, t in off_tree  # a tree edge's relator is (): skip it, not reduce it
-                    if path[t] != path[b] + [letter[k]]
-                    and path[b] != path[t] + [-letter[k]]} - {()}
-        relators = sorted(relators, key=lambda r: (len(r), _letter_key(r)))
-        return part, None, (names, relators)
-
-    return _kept(ring, "chain", ring.checked_depth(depth), chain)
+            for row in rows:
+                row[j] = act[row[p]][k]
+        table = GroupTable(tuple(map(tuple, rows)), unit, tuple(blk[0] for blk in blocks))
+        return part, table, None
+    sign, names = {unit: 0}, []
+    for g in gens:
+        cls = block_of.get(g)
+        if cls is not None and cls not in sign:
+            names.append(f"[{blocks[cls][0]}]")
+            sign[cls] = len(names)
+            sign.setdefault(block_of.get(ring.dual(g), cls), -len(names))
+    letter = [sign.get(block_of.get(g), 0) for g in gens]
+    path = {unit: []}
+    for j, (p, k) in edges:
+        path[j] = path[p] + [letter[k]]
+    relators = {_relator(path[b] + [letter[k]] + [-l for l in reversed(path[t])])
+                for b, k, t in off_tree  # a tree edge's relator is (): skip it, not reduce it
+                if path[t] != path[b] + [letter[k]]
+                and path[b] != path[t] + [-letter[k]]} - {()}
+    relators = sorted(relators, key=lambda r: (len(r), _letter_key(r)))
+    return part, None, (names, relators)
 
 
 def _reduced(k: int, n: int) -> int:
@@ -716,22 +727,28 @@ def chain_group(ring: FusionRing, depth: int = 6,
     at `depth`+1 is a quotient of the one at `depth`; both named kinds are
     finitely generated and residually finite, hence Hopfian, so equal names
     make that quotient map an isomorphism.
+
+    Kept whole under "group" and the stamp, and named (`_fresh`) after the
+    flag is set: a table at `depth`+1 of the same order is isomorphic.
     """
     def at(d):
         _, table, pres = _schreier(ring, d)
         if table is not None:
-            return table, identify_group(table, candidates=candidates)
+            return table, identify_group(table)
         desc = _presented(*pres)
         return desc.presentation, desc
 
     def signature(d):
         return d.order, d.is_abelian, d.abelian_invariants, d.name, None if d.name else d.presentation
 
-    found, desc = at(depth)
-    first = signature(desc)
-    desc.flag = _depth_flag(ring, depth, lambda: _graded(ring, depth)
-                            or signature(at(depth + 1)[1]) == first)
-    return found, desc
+    def group():
+        found, desc = at(depth)
+        first = signature(desc)
+        desc.flag = _depth_flag(ring, depth, lambda: _graded(ring, depth)
+                                or signature(at(depth + 1)[1]) == first)
+        return found, desc
+
+    return _fresh(*_kept(ring, "group", ring.checked_depth(depth), group), candidates)
 
 
 # --------------------------------------------------------- identify_group
@@ -788,12 +805,13 @@ def tables_isomorphic(t1: GroupTable, t2: GroupTable) -> bool:
 
 def identify_group(table: GroupTable,
                    candidates: Mapping[str, GroupTable] | None = None) -> GroupDescriptor:
-    """Order and abelian invariants of a finite table; names it by the
-    first caller-supplied candidate group table isomorphic to it."""
+    """Order and abelian invariants of a finite table, which keeps them
+    under "invariants"; names it by the first caller-supplied candidate
+    group table isomorphic to it (`_fresh`)."""
     table.verify()
     abelian = table.is_abelian()
-    invariants = abelian_invariants(table) if abelian else None
+    invariants = list(_kept(table, "invariants", None, lambda: abelian_invariants(table))) \
+        if abelian else None
     name = (" x ".join(f"Z/{d}Z" for d in invariants) or "trivial") if abelian else None
-    name = next((c for c, t in (candidates or {}).items() if tables_isomorphic(table, t)), name)
-    return GroupDescriptor(order=table.size, is_abelian=abelian,
-                           abelian_invariants=invariants, flag="exact", name=name)
+    desc = GroupDescriptor(table.size, abelian, invariants, "exact", name=name)
+    return _fresh(table, desc, candidates)[1] if candidates else desc

@@ -54,25 +54,19 @@ def _int_param(name: str) -> int:
     return int(text)
 
 
+_NAMED = {"su2": cat.su2_ring, "so3": cat.so3_ring, "z": cat.z_group_ring,
+          "s3": lambda: cat.group_ring(cat.s3_group()),
+          "klein": lambda: cat.group_ring(cat.klein_group()),
+          "reps3": cat.rep_s3_ring, "repz4": cat.rep_z4_ring}  # the names that take no parameter
+
+
 def resolve_catalog(name: str, validate=True) -> FusionRing:
-    if name == "su2":
-        return cat.su2_ring()
-    if name == "so3":
-        return cat.so3_ring()
+    if name in _NAMED:
+        return _NAMED[name]()
     if name == "au" or name.startswith("au:"):
         return cat.au_word_ring(_int_param(name) if ":" in name else 2)
-    if name == "z":
-        return cat.z_group_ring()
     if name.startswith("zn:"):
         return cat.group_ring(cat.cyclic_group(_int_param(name)))
-    if name == "s3":
-        return cat.group_ring(cat.s3_group())
-    if name == "klein":
-        return cat.group_ring(cat.klein_group())
-    if name == "reps3":
-        return cat.rep_s3_ring()
-    if name == "repz4":
-        return cat.rep_z4_ring()
     if name.startswith("group:"):
         return cat.group_ring(cat.load_group(name.split(":", 1)[1]))
     if name.startswith("repring:"):
@@ -384,8 +378,8 @@ def grouplikes_cmd(ring, depth, fmt):
     table, desc = grouplikes_group(ring, depth)
     payload = {"elements": list(table.labels), "table": table.to_json(),
                "group": desc.to_json()}
-    emit(payload, fmt,
-         table_text=f"grouplikes: {{{', '.join(table.labels)}}} = {desc.name}")
+    name = desc.name or f"order {desc.order}"  # a finite group, maybe unnamed
+    emit(payload, fmt, table_text=f"grouplikes: {{{', '.join(table.labels)}}} = {name}")
 
 
 def _map_line(auto) -> str:

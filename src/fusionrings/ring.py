@@ -11,6 +11,7 @@ arbitrary precision by construction.
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import combinations
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -112,6 +113,19 @@ def _kept(owner, question: str, key, compute: Callable):
     if entry not in store:
         store[entry] = compute()
     return store[entry]
+
+
+def _keeps(question: str, fresh: Callable = lambda answer: answer):
+    """A decorator: f(owner, depth)'s answer kept by `_kept` under `question`
+    and the stamp `owner.checked_depth(depth)`; every call returns
+    fresh(answer), a copy of what a caller could change."""
+    def keeping(f):
+        @wraps(f)
+        def kept(owner, depth=6):
+            stamp = owner.checked_depth(depth)
+            return fresh(_kept(owner, question, stamp, lambda: f(owner, depth)))
+        return kept
+    return keeping
 
 
 class FusionRing:
@@ -495,6 +509,7 @@ def _light_middle(ring: FusionRing, window: Sequence[str]) -> list[str] | None:
 # ------------------------------------------------------------------ validate
 
 
+@_keeps("report", lambda kept: ValidationReport(list(kept.violations), kept.checked_depth))
 def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     """Check every fusion-ring axiom, reporting all failures with witnesses.
 
@@ -511,28 +526,23 @@ def validate_ring(ring: FusionRing, depth: int = 6) -> ValidationReport:
     edges b' g = N b + sum o, by associativity N dim(a b) = dim(a b') dim g
     - sum dim(a o) and N (a b)* = g* (b'* a*) - sum o* a*, for every b.
     The proofs need the other laws, so a violation reruns the whole loop.
-    Only other tables take the associativity scan.  The first call keeps
-    its report, whatever it says, under "report" and its stamp; every call
-    returns a copy of it.
+    Only other tables take the associativity scan.  The report is kept,
+    whatever it says, and every call returns a copy of it.
     """
-    def compute():
-        labels = ring.elements(depth)
-        middle = _light_middle(ring, labels)
-        report = _laws(ring, labels, middle)
-        if middle is not None and not report.ok:
-            report = _laws(ring, labels)
-        report.checked_depth = ring.checked_depth(depth)
-        if middle is None:
-            index = {a: i for i, a in enumerate(labels)}
-            pairs = ((b, c) for b in labels for c in labels)
-            failures = [f for f in _associativity_failures(ring, labels, pairs) if f[3] is not None]
-            failures.sort(key=lambda f: (index[f[0]], index[f[1]], index[f[2]]))
-            for a, b, c, lhs, rhs in failures:
-                report.add("associativity", (a, b, c), f"{lhs} != {rhs}")
-        return report
-
-    kept = _kept(ring, "report", ring.checked_depth(depth), compute)
-    return ValidationReport(list(kept.violations), kept.checked_depth)
+    labels = ring.elements(depth)
+    middle = _light_middle(ring, labels)
+    report = _laws(ring, labels, middle)
+    if middle is not None and not report.ok:
+        report = _laws(ring, labels)
+    report.checked_depth = ring.checked_depth(depth)
+    if middle is None:
+        index = {a: i for i, a in enumerate(labels)}
+        pairs = ((b, c) for b in labels for c in labels)
+        failures = [f for f in _associativity_failures(ring, labels, pairs) if f[3] is not None]
+        failures.sort(key=lambda f: (index[f[0]], index[f[1]], index[f[2]]))
+        for a, b, c, lhs, rhs in failures:
+            report.add("associativity", (a, b, c), f"{lhs} != {rhs}")
+    return report
 
 
 def _laws(ring: FusionRing, labels: Sequence[str],

@@ -7,19 +7,19 @@ from typing import Callable, Collection, Mapping
 
 from .errors import InternalInconsistency, InvalidRestriction
 from .ring import (FusionRing, Memo, Subobject, Support, ValidationReport, _associative,
-                   _kept, _reach, _Record, _sum, generated_subobject)
-from .central import GroupTable, _depth_flag, identify_group, is_central_subobject
+                   _kept, _keeps, _reach, _Record, _sum, generated_subobject)
+from .central import GroupTable, _depth_flag, _fresh, identify_group, is_central_subobject
 
 
 class RestrictionData:
     """A fusion-compatible decomposition map from irreducibles of the big
     ring to multisets of irreducibles of the subgroup's ring.
 
-    Its answers are kept in one store, `answers`, by `ring._kept` under
-    (question, the source's stamp `checked_depth(depth)`): "valid" once
-    validation has passed, which the questions need, and "trivial".  A
-    failure keeps nothing, so it recurs on every call.  The public
-    `validate_restriction` always checks afresh."""
+    Its answers are kept in one store, `answers`, by `ring._keeps` under
+    (question, the source's stamp `checked_depth(depth)`), among them "valid"
+    once validation has passed, which the questions need.  A failure keeps
+    nothing, so it recurs on every call.  The public `validate_restriction`
+    always checks afresh."""
 
     def __init__(self, source: FusionRing, target: FusionRing,
                  rule: Callable[[str], Support], name: str = "restriction"):
@@ -48,6 +48,9 @@ class RestrictionData:
 
     def restrict(self, label: str) -> Support:
         return dict(self.rule(label))
+
+    def checked_depth(self, depth: int) -> int | None:
+        return self.source.checked_depth(depth)
 
 
 def identity_restriction(ring: FusionRing) -> RestrictionData:
@@ -197,6 +200,7 @@ class NormalityResult(_Record):
         return self.normal
 
 
+@_keeps("normality", lambda res: NormalityResult(res.normal, res.witness, res.checked_depth))
 def is_normal(r: RestrictionData, depth: int = 6) -> NormalityResult:
     """Normality test: the target unit's multiplicity in each restricted
     irreducible must be 0 or the full dimension."""
@@ -219,6 +223,9 @@ class CentralSubgroupResult(_Record):
         return self.central
 
 
+@_keeps("central_subgroup", lambda res: CentralSubgroupResult(
+    res.central, res.assignment and dict(res.assignment),
+    res.witness and (res.witness[0], dict(res.witness[1])), res.checked_depth))
 def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupResult:
     """Centrality test: each irreducible must restrict to dim-many copies of
     a single dimension-1 target element; returns the grouplike assignment."""
@@ -235,35 +242,33 @@ def is_central_subgroup(r: RestrictionData, depth: int = 6) -> CentralSubgroupRe
     return CentralSubgroupResult(True, assignment=assignment, checked_depth=checked)
 
 
+@_keeps("trivial")
 def trivial_restriction_subobject(r: RestrictionData, depth: int = 6) -> Subobject:
     """The subobject of irreducibles restricting to a sum of trivials.
 
     Cross-checked on request by the caller against the coset-group
     criterion; closure of constituents is verified through the restriction
     rule itself so it also covers constituents beyond the depth.  Members
-    are walked in window order, so an error names the first failure.
-    The answer is kept under "trivial" by source stamp; an error is not."""
-    def subobject():
-        _require_valid(r, depth)
-        explored = r.source.elements(depth)
-        inside = set(explored)
-        trivially_restricts = Memo(  # each label is decided once per call
-            lambda tau: r.restricted[tau] == {r.target.unit: r.source.dim(tau)})
-        members = [tau for tau in explored if trivially_restricts[tau]]
-        for a in members:
-            if r.source.dual(a) in inside and not trivially_restricts[r.source.dual(a)]:
-                raise InvalidRestriction(f"trivially-restricting set not dual-closed at {a!r}")
-            for b in members:
-                for c in r.source.fusion[a, b]:
-                    # constituents beyond the depth are still checked via the rule
-                    if not trivially_restricts[c]:
-                        raise InvalidRestriction(
-                            f"trivially-restricting set not fusion-closed: {c!r} in {a!r} x {b!r}")
-        return Subobject(frozenset(members))
-
-    return _kept(r, "trivial", r.source.checked_depth(depth), subobject)
+    are walked in window order, so an error names the first failure."""
+    _require_valid(r, depth)
+    explored = r.source.elements(depth)
+    inside = set(explored)
+    trivially_restricts = Memo(  # each label is decided once per call
+        lambda tau: r.restricted[tau] == {r.target.unit: r.source.dim(tau)})
+    members = [tau for tau in explored if trivially_restricts[tau]]
+    for a in members:
+        if r.source.dual(a) in inside and not trivially_restricts[r.source.dual(a)]:
+            raise InvalidRestriction(f"trivially-restricting set not dual-closed at {a!r}")
+        for b in members:
+            for c in r.source.fusion[a, b]:
+                # constituents beyond the depth are still checked via the rule
+                if not trivially_restricts[c]:
+                    raise InvalidRestriction(
+                        f"trivially-restricting set not fusion-closed: {c!r} in {a!r} x {b!r}")
+    return Subobject(frozenset(members))
 
 
+@_keeps("cross_check")
 def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
     """Consistency check: the restriction centrality test must agree
     with the coset-group criterion on the trivially-restricting subobject."""
@@ -277,17 +282,14 @@ def central_subgroup_cross_check(r: RestrictionData, depth: int = 6) -> bool:
     return by_restriction
 
 
+@_keeps("valid")
 def _require_valid(r: RestrictionData, depth: int) -> int | None:
-    """`r.source.checked_depth(depth)` once `r` is valid at `depth`, kept
-    under "valid" and that stamp, so each source window is proved once;
-    else InvalidRestriction."""
-    def valid():
-        report = validate_restriction(r, depth)
-        if not report.ok:
-            raise InvalidRestriction(str(report))
-        return report.checked_depth
-
-    return _kept(r, "valid", r.source.checked_depth(depth), valid)
+    """`r.checked_depth(depth)` once `r` is valid at `depth`, so each source
+    window is proved once; else InvalidRestriction."""
+    report = validate_restriction(r, depth)
+    if not report.ok:
+        raise InvalidRestriction(str(report))
+    return report.checked_depth
 
 
 def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:
@@ -303,6 +305,7 @@ def grouplikes(ring: FusionRing, depth: int = 6) -> GroupTable:
     return table
 
 
+@_keeps("grouplikes")
 def _grouplikes_table(ring: FusionRing, depth: int) -> GroupTable:
     """`grouplikes` without the group-law check."""
     seeds = [l for l in ring.elements(depth) if ring.dim(l) == 1]
@@ -324,6 +327,7 @@ def _grouplikes_table(ring: FusionRing, depth: int) -> GroupTable:
     return GroupTable(mult, index[ring.unit], tuple(elems))
 
 
+@_keeps("grouplikes_group", lambda kept: _fresh(*kept))
 def grouplikes_group(ring: FusionRing, depth: int = 6):
     """(GroupTable, GroupDescriptor) of the grouplikes, stamped as
     `chain_group` stamps its answer: on a window, by comparing the

@@ -522,6 +522,38 @@ def test_non_associative_verdict_keeps_the_full_scan_and_search():
     assert fr.automorphisms(loop) == autos
 
 
+def _lopsided_dihedral():
+    """The group ring of Z/2 * Z/2 = <a, b | a^2, b^2> on its reduced words,
+    except that ba x ba gives the unit, where ab x ab gives abab.  The swap
+    a <-> b maps x x g to its image x' x g' for every label x and generator
+    g, but not ab x ab to ba x ba."""
+    def product(x, y):
+        if (x, y) == ("ba", "ba"):
+            return {"e": 1}
+        word = x.strip("e")
+        for letter in y.strip("e"):
+            word = word[:-1] if word.endswith(letter) else word + letter
+        return {word or "e": 1}
+
+    return fr.FusionRing.generated("e", ["a", "b"], product, lambda x: x[::-1],
+                                   lambda x: 1, name="lopsided")
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_a_swap_matching_every_generator_product_is_refused_by_a_window_product(depth):
+    # a window's middle set is the whole window: the generators alone would
+    # accept the swap, which ab x ab refutes
+    ring = _lopsided_dihedral()
+    assert ring.elements(2) == ("e", "a", "b", "ab", "ba")
+    swap = {x: x.translate(str.maketrans("ab", "ba")) for x in ring.elements(2 * depth)}
+    assert all({swap[c]: n for c, n in ring.fusion[x, g].items()} == ring.fusion[swap[x], swap[g]]
+               for x in ring.elements(depth) for g in ring.generators)
+    assert not fr.automorph.verify_automorphism(ring, swap, ring.elements(depth))
+    autos = fr.automorphisms(ring, depth)
+    assert [a.is_identity for a in autos] == [True]
+    assert fr.automorphism_group(ring, depth).order == 1
+
+
 class TestChainGroupAction:
     def test_identity_acts_trivially(self, repz4):
         auto = fr.automorphisms(repz4)[0]

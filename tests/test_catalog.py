@@ -189,6 +189,21 @@ class TestGeneratedFamilies:
             with pytest.raises(UnknownLabel):
                 ring.dual(label)
 
+    @pytest.mark.parametrize("name, label", [
+        ("free:zn:2+zn:3", "1:[g1]"), ("free:zn:2+zn:3", "1:g9"), ("free:zn:2+zn:3", "2:[g1]"),
+        ("free:(free:zn:2+zn:3)+zn:2", "1:[1:g1]"),
+        ("free:(free:zn:2+zn:3)+zn:2", "1:[1:g9*2:g1]"),
+        ("free:(free:zn:2+zn:3)+zn:2", "2:g1*1:[1:g1*2:g3]"),
+    ])
+    def test_a_free_product_names_the_label_given(self, name, label):
+        # not the part of it that a factor rejects
+        ring = resolve_catalog(name)
+        for ask in (lambda: ring.product(ring.generators[0], label),
+                    lambda: ring.dim(label), lambda: ring.dual(label)):
+            with pytest.raises(UnknownLabel) as info:
+                ask()
+            assert str(info.value) == f"unknown label {label!r}"
+
 
 class TestProductsOfRings:
     def test_direct_product_dims_multiply(self, prodring, z2ring, reps3):

@@ -245,12 +245,14 @@ class TestGroupIdentification:
         table.verify()
 
     def test_every_fact_of_a_table_is_kept(self):
-        ring = fr.group_ring(fr.cyclic_group(12))
-        table, desc = fr.chain_group(ring, candidates={"C12": fr.cyclic_group(12)})
+        ring, c12 = fr.group_ring(fr.cyclic_group(12)), fr.cyclic_group(12)
+        table, desc = fr.chain_group(ring, candidates={"C12": c12})
         assert desc.name == "C12" and len(fr.enumerate_central_subobjects(ring)) == 6
         assert fr.abelian_invariants(table) == [12]
         assert {question for question, _ in table.answers} == {
-            "verified", "generators", "orders", "normals"}
+            "verified", "generators", "orders", "normals", "invariants", "isomorphic"}
+        assert kept(table, "invariants") == {None: [12]} and kept(table, "isomorphic") == {c12: True}
+        assert kept(c12, "hash") == {None: hash(c12)}
         assert kept(table, "generators") == {None: tuple(table.generators())}
         assert kept(table, "orders") == {None: table.orders()}
         assert kept(table, "normals") == {None: table.normal_subgroups()}

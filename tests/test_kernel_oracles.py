@@ -1463,9 +1463,36 @@ def _action_answer(ring, depth, sigma):
     return fr.action_on_chain_group(ring, auto, depth)
 
 
+def _or_raised(ask):
+    """A reader answering as `ask` does, or with the library error it raises."""
+    def reader(ring, depth, sigma):
+        try:
+            return ask(ring, depth, sigma)
+        except FusionRingError as exc:
+            return type(exc).__name__, str(exc)
+    return reader
+
+
+def _asked_twice(ask):
+    """A reader asking `ask` of one identity restriction of the ring, twice:
+    the second call reads what the first kept, and must agree with it."""
+    def reader(ring, depth, sigma):
+        r = fr.identity_restriction(ring)
+        answer = ask(r, depth)
+        assert ask(r, depth) == answer
+        return answer
+    return reader
+
+
+def _grouplikes_group_answer(ring, depth, sigma):
+    table, desc = fr.grouplikes_group(ring, depth)
+    return table.to_json(), desc.to_json()
+
+
 # every reader of the kept chain group, cosets (`sigma_cosets` and
-# `is_central_subobject`) and `chain_oracle` partitions, answering as plain
-# data; each must answer the same cold and beside the others that fill them
+# `is_central_subobject`) and `chain_oracle` partitions, and of the kept
+# questions built on them, answering as plain data; each must answer the
+# same cold and beside the others that fill them
 MEMO_READERS = {
     "chain_group": _chain_group_answer,
     "chain_group+candidates": lambda ring, depth, sigma: _chain_group_answer(
@@ -1479,6 +1506,12 @@ MEMO_READERS = {
     "is_central_subobject": _is_central_answer,
     "action_on_chain_group": _action_answer,
     "chain_oracle": lambda ring, depth, sigma: ring.is_explicit and fr.chain_oracle(ring).to_json(),
+    # the grouplikes of z leave every window
+    "grouplikes": _or_raised(lambda ring, depth, sigma: fr.grouplikes(ring, depth).to_json()),
+    "grouplikes_group": _or_raised(_grouplikes_group_answer),
+    "is_normal": _asked_twice(fr.is_normal),
+    "is_central_subgroup": _asked_twice(fr.is_central_subgroup),
+    "central_subgroup_cross_check": _asked_twice(fr.central_subgroup_cross_check),
 }
 
 MEMO_RINGS = {
@@ -1546,6 +1579,8 @@ def _su2_parity():
     return fr.su2_parity_restriction(fr.su2_ring(), _zn(2))
 
 
+C6 = {"C6": fr.cyclic_group(6)}
+
 # each kept question: a fresh owner, a reader that asks it, and the object
 # that keeps its answer
 KEPT_QUESTIONS = {
@@ -1563,6 +1598,18 @@ KEPT_QUESTIONS = {
     "associative": (_su2_weights, lambda r: fr.validate_restriction(r, 6), lambda r: r.source),
     "valid": (_su2_parity, lambda r: fr.is_normal(r, 6), lambda r: r),
     "trivial": (_su2_parity, lambda r: fr.trivial_restriction_subobject(r, 6), lambda r: r),
+    "group": (fr.su2_ring, lambda ring: fr.chain_group(ring, 4), lambda ring: ring),
+    "invariants": (lambda: _zn(6), fr.chain_group, lambda ring: _schreier(ring, 0)[1]),
+    "isomorphic": (lambda: _zn(6), lambda ring: fr.chain_group(ring, candidates=C6),
+                   lambda ring: _schreier(ring, 0)[1]),
+    "hash": (lambda: fr.cyclic_group(6), hash, lambda table: table),
+    "lattice": (lambda: _zn(6), fr.enumerate_central_subobjects, lambda ring: ring),
+    "grouplikes": (fr.su2_ring, lambda ring: fr.grouplikes(ring, 4), lambda ring: ring),
+    "grouplikes_group": (fr.su2_ring, lambda ring: fr.grouplikes_group(ring, 4),
+                         lambda ring: ring),
+    "normality": (_su2_parity, lambda r: fr.is_normal(r, 6), lambda r: r),
+    "central_subgroup": (_su2_parity, lambda r: fr.is_central_subgroup(r, 6), lambda r: r),
+    "cross_check": (_su2_parity, lambda r: fr.central_subgroup_cross_check(r, 6), lambda r: r),
 }
 
 
@@ -1587,6 +1634,66 @@ def test_a_compute_that_raises_keeps_nothing(monkeypatch, question):
         pass  # `validate_restriction` falls back to its full scan instead
     assert raised == [question] and kept(keeper(owner), question) == {}
     assert ask(owner) == fresh and kept(keeper(owner), question)
+
+
+# (an owner, the question asked of it, a change a caller might make to the
+# answer): every call builds new containers from the kept answer, so the
+# change cannot reach the next
+CHANGES = {
+    "lattice list": (lambda: _zn(12), fr.enumerate_central_subobjects, list.clear),
+    "invariants": (lambda: _zn(12), fr.chain_group,
+                   lambda answer: answer[1].abelian_invariants.append(5)),
+    "no invariants": (fr.rep_s3_ring, fr.chain_group,
+                      lambda answer: answer[1].abelian_invariants.append(5)),
+    "name": (lambda: _zn(12),
+             lambda ring: fr.chain_group(ring, candidates={"C12": fr.cyclic_group(12)}),
+             lambda answer: setattr(answer[1], "name", "edited")),
+    "presentation": (lambda: fr.au_word_ring(2), lambda ring: fr.chain_group(ring, 3),
+                     lambda answer: answer[0]["relations"].append("[u]")),
+    "descriptor's presentation": (lambda: fr.au_word_ring(2), lambda ring: fr.chain_group(ring, 3),
+                                  lambda answer: answer[1].presentation["generators"].clear()),
+    "grouplikes flag": (lambda: _zn(12), fr.grouplikes_group,
+                        lambda answer: setattr(answer[1], "flag", "edited")),
+    "assignment": (_su2_parity, fr.is_central_subgroup, lambda res: res.assignment.clear()),
+    "witness": (_su2_weights, fr.is_central_subgroup, lambda res: res.witness[1].clear()),
+    "normality": (_su2_weights, fr.is_normal, lambda res: setattr(res, "normal", True)),
+    "report": (_steiner_ring, fr.validate_ring, lambda report: report.violations.pop()),
+}
+
+
+@pytest.mark.parametrize("change", sorted(CHANGES))
+def test_changing_an_answer_leaves_the_next_unchanged(change):
+    make, ask, change_it = CHANGES[change]
+    owner = make()
+    answer = ask(owner)
+    before = repr(answer)
+    change_it(answer)
+    assert repr(answer) != before and repr(ask(owner)) == before
+
+
+def test_a_warm_chain_group_names_its_table_by_the_candidates_given():
+    ring, su2 = _zn(6), fr.su2_ring()
+    names = [fr.chain_group(ring, candidates=candidates)[1].name for candidates in (
+        None, C6, {"S3": fr.s3_group(), "Z6": fr.cyclic_group(6)}, {"S3": fr.s3_group()}, None)]
+    assert names == ["Z/6Z", "C6", "Z6", "Z/6Z", "Z/6Z"] and len(kept(ring, "group")) == 1
+    # on a window the flag is set before the table is named
+    descs = [fr.chain_group(su2, 6, candidates)[1] for candidates in (
+        None, {"C2": fr.cyclic_group(2)}, {"S3": fr.s3_group()})]
+    assert [(d.name, d.flag) for d in descs] == [
+        ("Z/2Z", "stable_at_depth(6)"), ("C2", "stable_at_depth(6)"),
+        ("Z/2Z", "stable_at_depth(6)")]
+
+
+def test_a_kept_lattice_raises_under_a_lowered_budget(monkeypatch):
+    ring = _zn(12)
+    lattice = fr.enumerate_central_subobjects(ring)
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(len(lattice) - 1))
+    for _ in range(2):
+        with pytest.raises(SearchBudgetExceeded, match="central-subobject lattice too large"):
+            fr.enumerate_central_subobjects(ring)
+    assert kept(ring, "lattice") == {None: lattice}
+    monkeypatch.setenv("FUSIONRING_SEARCH_BUDGET", str(len(lattice)))
+    assert fr.enumerate_central_subobjects(ring) == lattice
 
 
 @pytest.mark.parametrize("make", [
