@@ -143,11 +143,11 @@ def _indexed_ring(prefix: str, generators: Sequence[int], constituents, dual, di
     def oracle(a, b):
         return {label[c]: 1 for c in constituents(parse[a], parse[b])}
 
-    return FusionRing.generated(label[0], [label[g] for g in generators], oracle,
-                                dual_fn=lambda l: label[dual(parse[l])],
-                                dim_fn=lambda l: dim(parse[l]), name=name,
-                                grading=(modulus, parse.__getitem__,
-                                         lambda k: [label[n] for n in kernel(k)]))
+    return FusionRing(label[0], [label[g] for g in generators], oracle,
+                      dual_fn=lambda l: label[dual(parse[l])],
+                      dim_fn=lambda l: dim(parse[l]), name=name,
+                      grading=(modulus, parse.__getitem__,
+                               lambda k: [label[n] for n in kernel(k)]))
 
 
 def su2_ring() -> FusionRing:
@@ -234,9 +234,9 @@ def au_word_ring(n: int = 2) -> FusionRing:
             out.append("".join(w) or "e")
         return out
 
-    return FusionRing.generated("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
-                                dim_fn=dim, name=f"au-word-ring(n={n})",
-                                grading=(0, lambda l: l.count("u") - l.count("v"), balanced))
+    return FusionRing("e", ["u", "v"], oracle, dual_fn=lambda l: bar(word(l)) or "e",
+                      dim_fn=dim, name=f"au-word-ring(n={n})",
+                      grading=(0, lambda l: l.count("u") - l.count("v"), balanced))
 
 
 # --------------------------------------------------------------- products
@@ -261,19 +261,26 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
     def oracle(x, y):
         a1, b1 = unpair[x]
         a2, b2 = unpair[y]
-        out = {}
-        for c1, n1 in r1.fusion[a1, a2].items():
-            for c2, n2 in r2.fusion[b1, b2].items():
-                out[pair(c1, c2)] = n1 * n2
-        return out
+        try:
+            f1, f2 = r1.fusion[a1, a2], r2.fusion[b1, b2]
+        except UnknownLabel:  # name the operand that holds the rejected component
+            dim_fn(x)  # raises UnknownLabel(x) if x holds it
+            raise UnknownLabel(y) from None
+        return {pair(c1, c2): n1 * n2 for c1, n1 in f1.items() for c2, n2 in f2.items()}
+
+    def both(lab, f1, f2):  # a factor's UnknownLabel names the pair label given
+        a, b = unpair[lab]
+        try:
+            return f1(a), f2(b)
+        except UnknownLabel:
+            raise UnknownLabel(lab) from None
 
     def dual_fn(lab):
-        a, b = unpair[lab]
-        return pair(r1.dual(a), r2.dual(b))
+        return pair(*both(lab, r1.dual, r2.dual))
 
     def dim_fn(lab):
-        a, b = unpair[lab]
-        return r1.dim(a) * r2.dim(b)
+        d1, d2 = both(lab, r1.dim, r2.dim)
+        return d1 * d2
 
     unit, name = pair(r1.unit, r2.unit), f"{r1.name}x{r2.name}"
     if r1.is_explicit and r2.is_explicit:
@@ -284,8 +291,7 @@ def direct_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
             {(x, y): oracle(x, y) for x in labels for y in labels}, name=name)
     gens = [pair(g, r2.unit) for g in r1.generators]
     gens += [pair(r1.unit, g) for g in r2.generators]
-    return FusionRing.generated(unit, gens, oracle, dual_fn=dual_fn,
-                                dim_fn=dim_fn, name=name)
+    return FusionRing(unit, gens, oracle, dual_fn=dual_fn, dim_fn=dim_fn, name=name)
 
 
 def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
@@ -356,8 +362,8 @@ def free_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
 
     gens = [letter(i, g) for i, fac in enumerate(factors)
             for g in fac.generators if g != fac.unit]
-    ring = FusionRing.generated("e", gens, oracle, dual_fn=dual_fn,
-                                dim_fn=dim_fn, name=f"{r1.name}*{r2.name}")
+    ring = FusionRing("e", gens, oracle, dual_fn=dual_fn, dim_fn=dim_fn,
+                      name=f"{r1.name}*{r2.name}")
     fusion = weakref.proxy(ring.fusion)  # so neither the ring nor its table holds a cycle
     return ring
 
@@ -459,10 +465,22 @@ def load_group(path) -> GroupTable:
                       tuple(elements))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict, or ValueError on a repeated key,
+    which `json.loads` would otherwise keep only the last of."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_object(path, keys=()) -> dict:
-    """The JSON object held by the file at `path`, which must have `keys`."""
+    """The JSON object held by the file at `path`, which must have `keys`;
+    MalformedFile if any object in it repeats a key."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise MalformedFile(str(exc)) from exc
     if not isinstance(doc, dict):

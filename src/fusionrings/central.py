@@ -803,15 +803,12 @@ def tables_isomorphic(t1: GroupTable, t2: GroupTable) -> bool:
     return extend([])
 
 
-def identify_group(table: GroupTable,
-                   candidates: Mapping[str, GroupTable] | None = None) -> GroupDescriptor:
-    """Order and abelian invariants of a finite table, which keeps them
-    under "invariants"; names it by the first caller-supplied candidate
-    group table isomorphic to it (`_fresh`)."""
+def identify_group(table: GroupTable) -> GroupDescriptor:
+    """The order of a finite table and, if it is abelian, its invariant
+    factors (kept on the table under "invariants") and the name they give."""
     table.verify()
     abelian = table.is_abelian()
     invariants = list(_kept(table, "invariants", None, lambda: abelian_invariants(table))) \
         if abelian else None
     name = (" x ".join(f"Z/{d}Z" for d in invariants) or "trivial") if abelian else None
-    desc = GroupDescriptor(table.size, abelian, invariants, "exact", name=name)
-    return _fresh(table, desc, candidates)[1] if candidates else desc
+    return GroupDescriptor(table.size, abelian, invariants, "exact", name=name)

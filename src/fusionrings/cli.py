@@ -117,8 +117,8 @@ def _same_ring(r1: FusionRing, r2: FusionRing, depth: int) -> bool:
     """Whether two rings have the same unit, generators and window
     `elements(depth)`, with the same dimensions, duals and products on it."""
     window = r1.elements(depth)
-    if ((r1.kind, r1.unit, set(r1.generators), set(window), r1.checked_depth(depth))
-            != (r2.kind, r2.unit, set(r2.generators), set(r2.elements(depth)),
+    if ((r1.is_explicit, r1.unit, set(r1.generators), set(window), r1.checked_depth(depth))
+            != (r2.is_explicit, r2.unit, set(r2.generators), set(r2.elements(depth)),
                 r2.checked_depth(depth))):
         return False
     return (all(r1.dim(a) == r2.dim(a) and r1.dual(a) == r2.dual(a) for a in window)
@@ -156,7 +156,13 @@ def load_restriction(path, ring_file=None, catalog_name=None, depth=6) -> Restri
     for label, to in cat._entries(doc.get("map"), ("from", "to"), "map"):
         pairs = cat._entries(to, ("label", "n"), "to")
         cat.require_labels(label, *(l for l, _ in pairs))
-        mapping[label] = dict(pairs)
+        if label in mapping:
+            raise MalformedFile(f"duplicate map entry from {label!r}")
+        supp = mapping[label] = {}
+        for l, n in pairs:
+            if l in supp:
+                raise MalformedFile(f"duplicate label {l!r} in the map entry from {label!r}")
+            supp[l] = n
     return RestrictionData.from_dict(source, target, mapping,
                                      name=Path(path).stem)
 
@@ -265,8 +271,8 @@ def validate(ring, depth, fmt):
 def info(ring, depth, fmt):
     """Basis summary of a ring (explored part for generated rings)."""
     labels = ring.elements(depth)
-    payload = {"name": ring.name, "kind": ring.kind, "unit": ring.unit,
-               "size": len(labels),
+    payload = {"name": ring.name, "kind": "explicit" if ring.is_explicit else "generated",
+               "unit": ring.unit, "size": len(labels),
                "basis": [{"label": l, "dim": ring.dim(l), "dual": ring.dual(l)}
                          for l in labels]}
     text = "\n".join(f"{l} dim={ring.dim(l)} dual={ring.dual(l)}" for l in labels)

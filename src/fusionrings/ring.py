@@ -137,12 +137,12 @@ class FusionRing:
     also as `dual(a)` and `dim(a)` -- and the breadth-first discovery order
     of the basis.  A fill that raises (UnknownLabel) keeps no entry.
     `explicit` seeds the tables with finite ones and discovers the whole
-    basis up front; `generated` discovers it level by level, one generator
-    multiplication per level.  A generated family may declare a grading by
-    a cyclic group, `grading` = (n, deg, kernel): deg maps a label to an
-    int read modulo n, or in Z when n = 0 (`central._graded` checks it on
-    a window), and `kernel(k)` lists the labels of level k of degree e, in
-    level order.  All operations are pure.
+    basis up front; the constructor builds a generated ring, which finds it
+    level by level, one generator multiplication per level.  A generated
+    ring may declare a grading by a cyclic group, `grading` = (n, deg,
+    kernel): deg maps a label to an int read modulo n, or in Z when n = 0
+    (`central._graded` checks it on a window), and `kernel(k)` lists the
+    labels of level k of degree e, in level order.  All operations are pure.
     Every derived answer is kept in one store, `answers`, under (question,
     stamp) by `_kept`, the stamp `checked_depth(depth)` of the window it was
     computed on: a returned value is kept, an exception keeps nothing.
@@ -226,21 +226,9 @@ class FusionRing:
         ring._discovery = {l: (0, i) for i, l in enumerate(labels)}
         return ring
 
-    @classmethod
-    def generated(cls, unit: str, generators: Sequence[str],
-                  oracle: Callable[[str, str], Support],
-                  dual_fn: Callable[[str], str],
-                  dim_fn: Callable[[str], int],
-                  name="ring", grading=None) -> "FusionRing":
-        return cls(unit, generators, oracle, dual_fn, dim_fn, name=name, grading=grading)
-
     @property
     def is_explicit(self) -> bool:
         return bool(self.basis)
-
-    @property
-    def kind(self) -> str:
-        return "explicit" if self.is_explicit else "generated"
 
     def checked_depth(self, depth: int) -> int | None:
         """The stamp on an answer computed at `depth`, and its key in

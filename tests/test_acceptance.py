@@ -5,10 +5,12 @@ meant to be read as a checklist of everything the package is supposed to
 reproduce.
 """
 
+import doctest
 import json
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +242,11 @@ def test_20_automorphisms_of_z64():
     with budget(0.15):
         autos = fr.automorphisms(ring)
     assert len(autos) == 32
+
+
+def test_21_readme_quick_start_runs_as_written():
+    readme = Path(__file__).parents[1] / "README.md"
+    with budget(10):
+        failed, attempted = doctest.testfile(str(readme), module_relative=False,
+                                             encoding="utf-8")
+    assert failed == 0 and attempted > 0

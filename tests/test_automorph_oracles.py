@@ -17,7 +17,7 @@ import pytest
 
 import fusionrings as fr
 from test_acceptance import budget
-from test_kernel_oracles import _steiner_ring
+from test_kernel_oracles import _rep_d4_on_rho, _steiner_ring, _zn
 from fusionrings.automorph import (RingAutomorphism, _label_invariant,
                                    verify_automorphism)
 from fusionrings.central import search_budget
@@ -212,10 +212,6 @@ def reference(ring, depth=6):
         sys.setrecursionlimit(limit)
 
 
-def _zn(n):
-    return fr.group_ring(fr.cyclic_group(n))
-
-
 EXPLICIT = {
     "Z/16": lambda: _zn(16),
     "Z/24": lambda: _zn(24),
@@ -235,29 +231,10 @@ def _redundant_z5():
     def index(label):
         return int(label[1:])
 
-    return FusionRing.generated(
+    return FusionRing(
         "g0", ["g1", "g2"],
         lambda a, b: {f"g{(index(a) + index(b)) % 5}": 1},
         lambda a: f"g{-index(a) % 5}", lambda a: 1, name="Z/5 on g1, g2")
-
-
-def _rep_d4_on_rho():
-    """The representation ring of D4 generated by its 2-dimensional label:
-    a, b, c are the non-trivial characters, multiplying as in the Klein
-    group, and rho x rho = 1 + a + b + c."""
-    klein = {"1": (0, 0), "a": (1, 0), "b": (0, 1), "c": (1, 1)}
-    name = {v: k for k, v in klein.items()}
-
-    def fuse(x, y):
-        if x == y == "rho":
-            return {l: 1 for l in klein}
-        if "rho" in (x, y):
-            return {"rho": 1}
-        (p, q), (r, s) = klein[x], klein[y]
-        return {name[(p ^ r, q ^ s)]: 1}
-
-    return FusionRing.generated("1", ["rho"], fuse, lambda x: x,
-                                lambda x: 2 if x == "rho" else 1, name="Rep(D4)")
 
 
 def _reps3_cubed_reversed():

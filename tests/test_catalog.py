@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionrings as fr
+from fusionrings.catalog import read_object
 from fusionrings.cli import resolve_catalog
 from test_cli_golden import DATA, run_cli
 from fusionrings.errors import (
@@ -194,9 +195,10 @@ class TestGeneratedFamilies:
         ("free:(free:zn:2+zn:3)+zn:2", "1:[1:g1]"),
         ("free:(free:zn:2+zn:3)+zn:2", "1:[1:g9*2:g1]"),
         ("free:(free:zn:2+zn:3)+zn:2", "2:g1*1:[1:g1*2:g3]"),
+        ("prod:su2+so3", "(X3,W1)"), ("prod:su2+so3", "(V1,V1)"),
     ])
-    def test_a_free_product_names_the_label_given(self, name, label):
-        # not the part of it that a factor rejects
+    def test_a_product_names_the_label_given(self, name, label):
+        # free or direct: not the part of it that a factor rejects
         ring = resolve_catalog(name)
         for ask in (lambda: ring.product(ring.generators[0], label),
                     lambda: ring.dim(label), lambda: ring.dual(label)):
@@ -286,6 +288,18 @@ class TestSerialization:
         path.write_text(json.dumps({"basis": []}))
         with pytest.raises(MalformedFile):
             fr.load_ring(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"unit": "1", "unit": "1"}', "unit"),
+        ('{"dual": {"sgn": "rho", "sgn": "sgn"}}', "sgn"),
+        ('{"fusion": [{"a": "1", "n": 1, "n": 2}]}', "n"),
+    ], ids=["top-level", "nested", "in-a-list"])
+    def test_repeated_key_rejected_at_any_depth(self, tmp_path, text, key):
+        """`json.loads` alone would keep the last of two equal keys."""
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        with pytest.raises(MalformedFile, match=f"^duplicate key '{key}'$"):
+            read_object(path)
 
     def test_invalid_loaded_ring_rejected(self, tmp_path, reps3):
         path = tmp_path / "corrupt.json"

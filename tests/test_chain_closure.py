@@ -197,8 +197,8 @@ def test_merge_closure_equals_reference_loop_on_random_tables(drawn, data):
     else:
         gens = data.draw(st.lists(st.sampled_from(labels), min_size=1,
                                   max_size=len(labels) - 1, unique=True))
-        ring = fr.FusionRing.generated("x0", gens, lambda a, b: table[a, b],
-                                       lambda a: a, lambda a: 1)
+        ring = fr.FusionRing("x0", gens, lambda a, b: table[a, b],
+                             lambda a: a, lambda a: 1)
     for depth in range(5):
         assert fr.merge_closure(ring, depth) == reference_merge_closure(ring, depth), depth
 

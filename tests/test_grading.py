@@ -79,8 +79,8 @@ def _su2_graded_by(n, deg):
     def kernel(k):
         return [f"V{k}"] if central._reduced(deg(f"V{k}"), n) == 0 else []
 
-    return lambda: fr.FusionRing.generated("V0", ["V1"], su2.product, su2.dual, su2.dim,
-                                           grading=(n, deg, kernel))
+    return lambda: fr.FusionRing("V0", ["V1"], su2.product, su2.dual, su2.dim,
+                                 grading=(n, deg, kernel))
 
 
 FALLBACK = {

@@ -912,7 +912,7 @@ def _su2_with_square(depth):
             supp[f"V{2 * depth - 2}"] += 1
         return supp
 
-    return fr.FusionRing.generated("V0", ["V1"], fuse, su2.dual, su2.dim, name="su2'")
+    return fr.FusionRing("V0", ["V1"], fuse, su2.dual, su2.dim, name="su2'")
 
 
 def test_non_associative_source_falls_back_to_the_full_scan(zring):
@@ -992,7 +992,7 @@ def test_non_associative_target_falls_back_to_the_full_scan(su2):
     def fuse(a, b):  # z2 x z2 = z5; products with z1 and z-1 are untouched
         return {"z5": 1} if a == b == "z2" else z.product(a, b)
 
-    target = fr.FusionRing.generated("z0", ["z1", "z-1"], fuse, z.dual, z.dim, name="z'")
+    target = fr.FusionRing("z0", ["z1", "z-1"], fuse, z.dual, z.dim, name="z'")
     want = assert_same_restriction_report(fr.su2_weight_restriction(su2, target), 4)
     assert ("multiplicativity", ("V2", "V2")) in [v[:2] for v in want[0]]
 
@@ -1009,7 +1009,7 @@ def test_target_raising_beyond_the_full_scan_falls_back(su2):
             raise DepthExceeded(f"{a} x {b}")
         return z.product(a, b)
 
-    target = fr.FusionRing.generated("z0", ["z1", "z-1"], fuse, z.dual, z.dim, name="z'")
+    target = fr.FusionRing("z0", ["z1", "z-1"], fuse, z.dual, z.dim, name="z'")
     want = assert_same_restriction_report(fr.su2_weight_restriction(su2, target), depth)
     assert want[1] == f"valid (checked to depth {depth})"
 
@@ -1030,8 +1030,8 @@ def _rep_s3_on_rho(broken=False):
             return {"1": 1}
         return {"rho": 1}
 
-    return fr.FusionRing.generated("1", ["rho"], fuse, lambda x: x,
-                                   lambda x: 2 if x == "rho" else 1, name="Rep(S3)")
+    return fr.FusionRing("1", ["rho"], fuse, lambda x: x,
+                         lambda x: 2 if x == "rho" else 1, name="Rep(S3)")
 
 
 def test_source_without_unit_law_falls_back_to_the_full_scan():
@@ -1064,8 +1064,8 @@ def _rep_d4_on_rho(broken=False):
         (p, q), (r, s) = klein[x], klein[y]
         return {name[(p ^ r, q ^ s)]: 1}
 
-    return fr.FusionRing.generated("1", ["rho"], fuse, lambda x: x,
-                                   lambda x: 2 if x == "rho" else 1, name="Rep(D4)")
+    return fr.FusionRing("1", ["rho"], fuse, lambda x: x,
+                         lambda x: 2 if x == "rho" else 1, name="Rep(D4)")
 
 
 def test_stalled_reach_falls_back_to_the_full_scan():
@@ -1144,7 +1144,7 @@ def reference_free_product(r1, r2):
 
     gens = [label_of(((i, g),)) for i, fac in enumerate(factors)
             for g in fac.generators if g != fac.unit]
-    return fr.FusionRing.generated("e", gens, oracle, dual_fn=dual_fn, dim_fn=dim_fn)
+    return fr.FusionRing("e", gens, oracle, dual_fn=dual_fn, dim_fn=dim_fn)
 
 
 FREE_FACTORS = {

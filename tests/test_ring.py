@@ -68,6 +68,10 @@ class TestExplicitConstruction:
         with pytest.raises(MalformedRing, match=r"empty support declared for \('g1','g1'\)"):
             fr.FusionRing.explicit(_z2_basis(), "e", {"e": "e", "g1": "g1"}, table)
 
+    def test_unit_outside_the_basis_rejected(self):
+        with pytest.raises(MalformedRing, match=r"^unit 'x' not in basis$"):
+            fr.FusionRing.explicit(_z2_basis(), "x", {"e": "e", "g1": "g1"}, _z2_table())
+
     def test_truncated_table_raises_depth_exceeded(self):
         table = _z2_table()
         del table[("g1", "g1")]
@@ -256,8 +260,8 @@ class TestTables:
                 return fn(label)
             return call
 
-        ring = fr.FusionRing.generated("V0", ["V1"], su2.product,
-                                       counted("dual", su2.dual), counted("dim", su2.dim))
+        ring = fr.FusionRing("V0", ["V1"], su2.product,
+                             counted("dual", su2.dual), counted("dim", su2.dim))
         return ring, calls
 
     def test_dims_and_duals_fill_once(self):

@@ -265,25 +265,6 @@ class TestTrivialRestrictionSubobject:
 
 
 class TestGrouplikes:
-    def test_group_ring_recovers_group(self, s3ring):
-        table = fr.grouplikes(s3ring)
-        assert table.size == 6
-        assert not table.is_abelian()
-
-    def test_rep_s3_grouplikes_are_characters(self, reps3):
-        table = fr.grouplikes(reps3)
-        assert set(table.labels) == {"1", "sgn"}
-
-    def test_su2_has_only_unit(self, su2):
-        table = fr.grouplikes(su2, depth=6)
-        assert table.size == 1
-
-    def test_free_product_grouplikes(self, su2, z2ring):
-        ring = fr.free_product(su2, z2ring)
-        table = fr.grouplikes(ring, depth=4)
-        desc = fr.identify_group(table)
-        assert desc.order == 2 and desc.abelian_invariants == [2]
-
     def test_closure_escaping_the_window_raises(self, zring):
         with pytest.raises(DepthExceeded):
             fr.grouplikes(zring, depth=3)
